@@ -27,7 +27,9 @@ from .conjugacy import (
     CouplingSpec,
     ZeroHomFnSpec,
     _analytic_applicable,
-    _conjugate_values,
+    _check_work,
+    _grid_conjugate,
+    _grid_work,
     capra_conjugate_l0_analytic_batch,
     capra_subdiff_at_zero,
     conjugate_at_points,
@@ -96,11 +98,15 @@ def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray,
     return bic.values <= 1e-7
 
 
-def _phi_scale(f: ZeroHomFnSpec, fallback: float = 1.0) -> float:
+def _value_scale(f: ZeroHomFnSpec, nu: NormalizationSpec, eval_grid: Grid) -> float:
+    """Largest finite |f| on the ball; sizes the default dual grid."""
     if f.kind == "phi_l0":
-        finite = f.phi.values[np.isfinite(f.phi.values)]
-        return float(np.abs(finite).max()) if finite.size else fallback
-    return fallback
+        vals = f.phi.values
+    else:
+        nodes = eval_grid.nodes
+        vals = f.batch(nodes[_ball_mask(nu, nodes)])
+    finite = vals[np.isfinite(vals)]
+    return float(np.abs(finite).max()) if finite.size else 1.0
 
 
 def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
@@ -115,33 +121,30 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     of f masked to the ball (``route="ball"``).  Nodes outside the closed
     convex hull of the ball are set to +inf by predicate.
     """
-    nodes = eval_grid.nodes
     dim = eval_grid.dim
-    ball = _ball_mask(nu, nodes)
     if route == "auto":
         route = "analytic" if _analytic_applicable(f, nu) else "ball"
+    if route not in ("analytic", "ball"):
+        raise ValueError(f"unknown route {route!r}")
+    if route == "analytic" and not _analytic_applicable(f, nu):
+        raise ValueError("analytic route requires phi∘l0 and an lp norm with p >= 1")
     if dual_grid is None:
-        if f.kind == "phi_l0":
-            scale = _phi_scale(f)
-        else:
-            fb = f.batch(nodes[ball])
-            finite = fb[np.isfinite(fb)]
-            scale = float(np.abs(finite).max()) if finite.size else 1.0
-        dual_grid = default_dual_grid(dim, scale)
+        dual_grid = default_dual_grid(dim, _value_scale(f, nu, eval_grid))
+    # Refuse oversized requests up front: no dual nodes are built, and no
+    # primal nodes either unless a custom f sized the dual grid above.
+    _check_work(_grid_work(dual_grid, eval_grid), "envelope transform")
+    if route == "ball":
+        _check_work(_grid_work(eval_grid, dual_grid), "ball-route transform")
+    nodes = eval_grid.nodes
+    ball = _ball_mask(nu, nodes)
     if route == "analytic":
-        if not _analytic_applicable(f, nu):
-            raise ValueError("analytic route requires phi∘l0 and an lp norm with p >= 1")
         src = SourceNormSpec.lp(nu.p, dim)
         conj_vals = capra_conjugate_l0_analytic_batch(dual_grid.nodes, f.phi, src)
-    elif route == "ball":
-        fvals = f.batch(nodes)
-        conj_vals = _conjugate_values(nodes, np.where(ball, fvals, math.inf),
-                                      dual_grid.nodes)
     else:
-        raise ValueError(f"unknown route {route!r}")
-    hull = _hull_mask(nu, eval_grid, ball, dual_grid)
-    out = np.full(eval_grid.node_count, math.inf)
-    out[hull] = _conjugate_values(dual_grid.nodes, conj_vals, nodes[hull])
+        conj_vals = _grid_conjugate(eval_grid, np.where(ball, f.batch(nodes), math.inf),
+                                    dual_grid)
+    out = _grid_conjugate(dual_grid, conj_vals, eval_grid)
+    out[~_hull_mask(nu, eval_grid, ball, dual_grid)] = math.inf
     return FunctionSample(eval_grid, out)
 
 

@@ -31,8 +31,10 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     primal nodes x of ``<x, y> - f(x)`` with lower-addition rules.
 
     One dual node at a time; scores over primal nodes accumulate axis by
-    axis in ascending order.  Optimized transforms must reproduce this
-    output bit for bit.
+    axis in ascending order, O(primal x dual) in all.  The point transform
+    reproduces this output bit for bit; the separable grid transform sums
+    the same terms in another order, so it must match the +-inf pattern
+    exactly and finite values within ``4 eps (max|x| |y|_1 + max|f|)``.
     """
     pts = f.grid.nodes
     vals = f.values

@@ -282,7 +282,7 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
                 dv = cj.capra_conjugate_direct(f, cj.CouplingSpec(nu), y, grid)
                 tol = 5.0 * h * (1.0 + float(np.linalg.norm(y)))
                 worst = max(worst, abs(bv - sv) / tol, abs(dv - sv) / tol)
-    return CheckResult("two-route-capra-conjugate", worst <= 1.0, 1.0, worst,
+    return CheckResult("two-route-capra-conjugate", bool(worst <= 1.0), 1.0, float(worst),
                        details="max |route difference| / (5h(1+|y|))")
 
 
@@ -776,23 +776,28 @@ def run_suites(names, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     return out
 
 
+def _plain(value: float | None) -> float | None:
+    return None if value is None else float(value)
+
+
 def report_dict(suite: str, seed: int, results: list[CheckResult]) -> dict:
+    # Plain bool/float only, so that a check returning numpy scalars cannot
+    # break the JSON report.
+    checks = [
+        {
+            "name": r.name,
+            "passed": bool(r.passed),
+            "tolerance": _plain(r.tolerance),
+            "observed": _plain(r.observed),
+            "details": r.details,
+        }
+        for r in results
+    ]
+    passed = sum(c["passed"] for c in checks)
     return {
         "suite": suite,
         "seed": seed,
-        "passed": all(r.passed for r in results),
-        "counts": {
-            "passed": sum(r.passed for r in results),
-            "failed": sum(not r.passed for r in results),
-        },
-        "checks": [
-            {
-                "name": r.name,
-                "passed": r.passed,
-                "tolerance": r.tolerance,
-                "observed": r.observed,
-                "details": r.details,
-            }
-            for r in results
-        ],
+        "passed": passed == len(checks),
+        "counts": {"passed": passed, "failed": len(checks) - passed},
+        "checks": checks,
     }

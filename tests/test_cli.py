@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -102,6 +103,17 @@ def test_envelope_invalid_nu_exit_3(capsys):
     assert code == 3 and "nonpositive-p" in err
 
 
+def test_envelope_work_too_large_exit_3(capsys):
+    # 201^3 primal nodes against the default 257^3 dual grid: refused from
+    # the array shapes, before any grid's nodes are built.
+    t0 = time.perf_counter()
+    code, _, err = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", "3", "--grid", "201")
+    assert code == 3 and "work-too-large" in err
+    assert time.perf_counter() - t0 < 1.0
+    code, out, _ = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", "2", "--grid", "201")
+    assert code == 0 and "value near (1,0): 1" in out
+
+
 def test_verify_norms_suite(tmp_path, capsys):
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "norms",
@@ -113,6 +125,15 @@ def test_verify_norms_suite(tmp_path, capsys):
     assert all("name" in c and "tolerance" in c and "observed" in c
                for c in data["checks"])
     assert out.count("[PASS]") == len(data["checks"])
+
+
+def test_verify_conjugacy_suite_report(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "conjugacy", "--report", str(report))
+    assert code == 0
+    data = json.loads(report.read_text())
+    assert data["passed"] is True and data["suite"] == "conjugacy"
+    assert all(c["passed"] is True for c in data["checks"])
 
 
 def test_verify_report_deterministic(tmp_path, capsys):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from capra import conjugacy
 from capra.conjugacy import (
     CouplingSpec,
     ZeroHomFnSpec,
@@ -72,6 +73,27 @@ def test_conjugate_with_minus_inf_input_is_plus_inf():
     vals[2] = -math.inf
     c = fenchel_conjugate(FunctionSample(g, vals), g)
     assert np.all(np.isposinf(c.values))
+
+
+def test_transform_work_cap(monkeypatch):
+    # Grid transforms count their axis-pass elements, point transforms
+    # primal x dual pairs; both are refused above the cap.
+    g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [5, 4])
+    f = FunctionSample(g, np.zeros(g.node_count))
+    gd = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [3, 6])  # 3*5*4 + 3*6*4 = 132
+    points = np.zeros((6, 2))                            # 20 * 6 = 120
+    for work, run in ((132, lambda: fenchel_conjugate(f, gd)),
+                      (120, lambda: conjugate_at_points(f, points))):
+        monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", work)
+        run()
+        monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", work - 1)
+        with pytest.raises(ValueError, match="work-too-large"):
+            run()
+    # The biconjugate checks its second transform (5*3*3 + 5*4*3 = 105)
+    # before running the first (3*5*4 + 3*3*4 = 96).
+    monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", 100)
+    with pytest.raises(ValueError, match="work-too-large"):
+        fenchel_biconjugate(f, build_grid([(-2.0, 2.0), (-2.0, 2.0)], [3, 3]))
 
 
 def test_capra_coupling():

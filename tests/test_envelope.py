@@ -80,6 +80,25 @@ def test_envelope_linf_is_l1_small_grid():
     assert np.all(np.isposinf(env.values[~ball]))
 
 
+def test_envelope_linf_is_l1_in_3d():
+    # 61^3 primal and 65^3 dual nodes: about 2.5e8 pairs for one brute
+    # transform, a few 1e7 updates for the separable one.
+    g = ball_box_grid(3, 61)
+    h = g.steps[0]
+    env = tightest_convex_on_ball(ZeroHomFnSpec.l0(3), NormalizationSpec.lp(math.inf), g,
+                                  dual_grid=default_dual_grid(3, 3.0, step=0.25))
+    linf = lp_value_batch(g.nodes, math.inf)
+    l1 = lp_value_batch(g.nodes, 1.0)
+    ball = linf <= 1.0 + BALL_TOL
+    assert np.max(np.abs(env.values[ball] - l1[ball])) <= 2.0 * h
+    assert np.all(np.isposinf(env.values[~ball]))
+    rng = np.random.default_rng(0x5EED)
+    for idx in rng.choice(g.node_count, 200, replace=False):
+        want = l0_envelope_linf(g.nodes[idx])
+        got = float(env.values[idx])
+        assert got == want if math.isinf(want) else abs(got - want) <= 2.0 * h
+
+
 def test_envelope_matches_subset_oracle():
     g = ball_box_grid(2, 41)
     h = g.steps[0]

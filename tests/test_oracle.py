@@ -44,21 +44,45 @@ def test_naive_matches_python_reference():
     assert np.array_equal(naive_conjugate(f, gd).values, _python_conjugate(f, gd))
 
 
-def test_optimized_transform_bit_identical_to_naive():
-    for _ in range(5):
-        g = build_grid([(-1.3, 0.9), (-1.0, 1.0)], [17, 19])
-        gd = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [21, 23])
-        f = _random_sample(g)
-        assert np.array_equal(fenchel_conjugate(f, gd).values,
-                              naive_conjugate(f, gd).values)
-    # 1-d with a -inf entry: both must return +inf everywhere
-    g1 = build_grid([(-1.0, 1.0)], [9])
-    vals = RNG.uniform(-1.0, 1.0, 9)
-    vals[4] = -math.inf
-    f1 = FunctionSample(g1, vals)
-    gd1 = build_grid([(-2.0, 2.0)], [11])
-    assert np.array_equal(fenchel_conjugate(f1, gd1).values,
-                          naive_conjugate(f1, gd1).values)
+def _assert_transform_contract(f, dual_grid):
+    """The grid transform against the referee: identical +-inf pattern, and
+    finite values within 4 eps (max|x| |y|_1 + max|f|) of it."""
+    got = fenchel_conjugate(f, dual_grid).values
+    want = naive_conjugate(f, dual_grid).values
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite_f = f.values[np.isfinite(f.values)]
+    fmax = float(np.abs(finite_f).max()) if finite_f.size else 0.0
+    xmax = float(np.abs(f.grid.nodes).max())
+    bound = 4.0 * np.finfo(float).eps * (xmax * np.abs(dual_grid.nodes).sum(axis=1) + fmax)
+    fin = np.isfinite(want)
+    assert np.all(np.abs(got[fin] - want[fin]) <= bound[fin])
+    return got
+
+
+def test_grid_transform_within_ulp_bound_of_naive():
+    # d = 1, 2, 3; non-square counts and asymmetric bounds on both sides.
+    cases = [
+        ([(-1.0, 1.0)], [9], [(-2.0, 2.0)], [11]),
+        ([(-1.3, 0.9), (-1.0, 1.0)], [17, 19], [(-2.0, 2.0), (-2.0, 2.0)], [21, 23]),
+        ([(-0.6, 1.4), (-2.0, 0.5)], [12, 7], [(-1.5, 3.0), (-2.5, 0.5)], [9, 14]),
+        ([(-0.7, 1.2), (-1.0, 0.4), (-1.5, 1.5)], [7, 9, 6],
+         [(-2.0, 2.5), (-3.0, 1.0), (-1.0, 2.0)], [5, 8, 7]),
+    ]
+    for bounds, counts, dual_bounds, dual_counts in cases:
+        g = build_grid(bounds, counts)
+        gd = build_grid(dual_bounds, dual_counts)
+        for _ in range(5):
+            _assert_transform_contract(_random_sample(g), gd)
+        # All +inf: the max is over an empty set, -inf everywhere.
+        empty = _assert_transform_contract(
+            FunctionSample(g, np.full(g.node_count, math.inf)), gd)
+        assert np.all(np.isneginf(empty))
+        # One -inf entry: +inf everywhere.
+        vals = _random_sample(g).values.copy()
+        vals[g.node_count // 2] = -math.inf
+        top = _assert_transform_contract(FunctionSample(g, vals), gd)
+        assert np.all(np.isposinf(top))
 
 
 def test_naive_conjugate_of_origin_indicator():
