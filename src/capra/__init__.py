@@ -54,10 +54,8 @@ from .envelope import (
     best_cvx_on_subset,
     best_pos_hom_on_subset,
     l0_envelope_linf,
-    monotone_ratio_check,
     surface_summary,
     tightest_convex_on_ball,
-    tightest_norm_below_phi_l0,
     tightest_pos_hom_on_ball,
     write_surface_json,
 )

@@ -26,11 +26,9 @@ def _cap_threads() -> None:
 
 
 def _fmt(value: float) -> str:
-    if value == math.inf:
-        return "+inf"
-    if value == -math.inf:
-        return "-inf"
-    return f"{value:.12g}"
+    from .numerics import format_extreal
+
+    return format_extreal(value, "{:.12g}".format)
 
 
 def _parse_point(text: str):
@@ -42,19 +40,12 @@ def _parse_point(text: str):
         raise ValueError(f"could not parse point {text!r}: {exc}") from None
 
 
-def _parse_exponent(text: str) -> float:
-    t = text.strip().lower()
-    if t in ("inf", "+inf", "infinity"):
-        return math.inf
-    return float(t)
-
-
 def _parse_nu(text: str):
     from .norms import NormalizationSpec
 
     if not text.startswith("lp:"):
         raise ValueError(f"normalization must be 'lp:<p>' (got {text!r})")
-    return NormalizationSpec.lp(_parse_exponent(text[3:]))
+    return NormalizationSpec.lp(float(text[3:]))
 
 
 def _parse_phi(text: str, dim: int):
@@ -65,7 +56,19 @@ def _parse_phi(text: str, dim: int):
         return PhiSpec.identity(dim)
     if t.endswith("*id"):
         return PhiSpec.scaled_identity(float(t[:-3]), dim)
-    return PhiSpec.from_values([_parse_exponent(tok) for tok in text.split(",")])
+    return PhiSpec.from_values(text.split(","))
+
+
+def _parse_function(text: str, dim: int):
+    from .conjugacy import ZeroHomFnSpec
+
+    if text == "l0":
+        return ZeroHomFnSpec.l0(dim)
+    if text == "zero":
+        return ZeroHomFnSpec.constant_zero()
+    if text.startswith("phi:"):
+        return ZeroHomFnSpec.phi_l0(_parse_phi(text[4:], dim))
+    raise ValueError(f"unknown function {text!r} (use l0, zero, or phi:<weights>)")
 
 
 def _load_config(path: str | None) -> dict:
@@ -85,14 +88,14 @@ def cmd_norm(args) -> int:
     if args.kind == "topk":
         if args.q is None or args.k is None:
             raise ValueError("topk needs --q and --k")
-        value = top_k_norm(x, _parse_exponent(args.q), args.k)
+        value = top_k_norm(x, float(args.q), args.k)
     elif args.kind == "ksupport":
         if args.p is None or args.k is None:
             raise ValueError("ksupport needs --p and --k")
-        value = k_support_norm(x, _parse_exponent(args.p), args.k)
+        value = k_support_norm(x, float(args.p), args.k)
     elif args.kind == "best":
         if args.p is not None:
-            source = SourceNormSpec.lp(_parse_exponent(args.p), d)
+            source = SourceNormSpec.lp(float(args.p), d)
         elif config["source"] is not None:
             source = config["source"]
         else:
@@ -113,20 +116,12 @@ def cmd_norm(args) -> int:
 def cmd_envelope(args) -> int:
     import numpy as np
 
-    from .conjugacy import ZeroHomFnSpec
     from .envelope import ball_box_grid, tightest_convex_on_ball, write_surface_json
     from .numerics import write_sample_csv
 
     nu = _parse_nu(args.nu)
     dim = args.dim
-    if args.f == "l0":
-        f = ZeroHomFnSpec.l0(dim)
-    elif args.f == "zero":
-        f = ZeroHomFnSpec.constant_zero()
-    elif args.f.startswith("phi:"):
-        f = ZeroHomFnSpec.phi_l0(_parse_phi(args.f[4:], dim))
-    else:
-        raise ValueError(f"unknown function {args.f!r} (use l0, zero, or phi:<weights>)")
+    f = _parse_function(args.f, dim)
     grid = ball_box_grid(dim, args.grid)
     env = tightest_convex_on_ball(f, nu, grid)
 
@@ -149,21 +144,6 @@ def cmd_envelope(args) -> int:
     return 0
 
 
-def _oracle_function(args):
-    from .conjugacy import ZeroHomFnSpec
-
-    dim = args.dim
-    if args.f == "l0":
-        f = ZeroHomFnSpec.l0(dim)
-    elif args.f == "zero":
-        f = ZeroHomFnSpec.constant_zero()
-    elif args.f.startswith("phi:"):
-        f = ZeroHomFnSpec.phi_l0(_parse_phi(args.f[4:], dim))
-    else:
-        raise ValueError(f"unknown function {args.f!r}")
-    return f
-
-
 def cmd_oracle(args) -> int:
     """Re-run a brute-force oracle so derived reference values are
     regenerable from the command line."""
@@ -181,7 +161,7 @@ def cmd_oracle(args) -> int:
         from .norms import conj_exponent
 
         x = _parse_point(args.x)
-        q = _parse_exponent(args.q or "2")
+        q = float(args.q or "2")
         src = SourceNormSpec.lp(conj_exponent(q), x.size)
         value = dual_coordinate_k_norm(x, src, args.k, method="enumerate")
         print(_fmt(value))
@@ -189,12 +169,12 @@ def cmd_oracle(args) -> int:
     if args.oracle == "ksupport":
         x = _parse_point(args.x)
         dirs = orc.default_direction_set(x.size, args.count, seed=seed)
-        print(_fmt(orc.k_support_bruteforce(x, _parse_exponent(args.p), args.k, dirs)))
+        print(_fmt(orc.k_support_bruteforce(x, float(args.p), args.k, dirs)))
         return 0
     if args.oracle == "support-phi":
         x = _parse_point(args.x)
         d = x.size
-        src = SourceNormSpec.lp(_parse_exponent(args.p), d)
+        src = SourceNormSpec.lp(float(args.p), d)
         phi = _parse_phi(args.phi or "id", d)
         cand = build_grid([(-1.25, 1.25)] * d, [11] * d).nodes
         value = orc.support_function_bruteforce(
@@ -202,7 +182,7 @@ def cmd_oracle(args) -> int:
         print(_fmt(value))
         return 0
     if args.oracle in ("conjugate", "envelope2d"):
-        f = _oracle_function(args)
+        f = _parse_function(args.f, args.dim)
         nu = _parse_nu(args.nu)
         grid = ball_box_grid(args.dim, args.grid)
         masked = np.where(nu.batch(grid.nodes) <= 1.0 + BALL_TOL,

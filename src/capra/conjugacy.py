@@ -368,23 +368,44 @@ def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
     return np.maximum(0.0, terms.max(axis=1))
 
 
-def _sample_route_tol(y, sample_count: int, dim: int) -> float:
-    # Sup over a sample of the sphere misses the optimum by (coverage gap)
-    # times a Lipschitz factor of order 1 + |y|.
-    gap = 1.0 if dim <= 1 else float(sample_count) ** (-1.0 / (dim - 1))
-    if dim <= 1:
-        return ANALYTIC_TOL
-    return 5.0 * gap * (1.0 + float(np.linalg.norm(y)))
+def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
+                 sphere_sample: np.ndarray | None, tol):
+    """Capra conjugate of f at the rows of Y, and the tolerance it is tested
+    with: ``(values, tol)``.
+
+    The route is analytic for phi∘l0 with an lp normalization, p >= 1
+    (exact up to rounding; default tolerance ``ANALYTIC_TOL``).  Otherwise
+    it is the sphere route, the max over ``sphere_sample`` (built by
+    :func:`build_sphere_sample` when None).  A sup over a sample of the
+    sphere misses the optimum by the coverage gap ``count^(-1/(d-1))`` times
+    a Lipschitz factor of order ``1 + |y|``, so the default tolerance is
+    ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
+    sample holds the whole sphere).  A given ``tol`` is returned as is.
+    """
+    dim = Y.shape[1]
+    if _analytic_applicable(f, nu):
+        conj = capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim))
+        return conj, ANALYTIC_TOL if tol is None else tol
+    if sphere_sample is None:
+        sphere_sample = build_sphere_sample(nu, dim)
+    sphere_sample = np.asarray(sphere_sample, dtype=float)
+    _check_sphere_sample(sphere_sample, nu)
+    conj = _conjugate_values(sphere_sample, f.batch(sphere_sample), Y)
+    if tol is None:
+        if dim <= 1:
+            tol = ANALYTIC_TOL
+        else:
+            gap = float(sphere_sample.shape[0]) ** (-1.0 / (dim - 1))
+            tol = 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=1))
+    return conj, tol
 
 
 def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
                            sphere_sample: np.ndarray | None = None,
                            tol: float | None = None) -> bool:
     """Membership of y in the Capra subdifferential of f at x: equality of
-    the conjugate value with ``low_add(coupling(x, y), -f(x))``.
-
-    With an analytic conjugate the default tolerance is 1e-9; with a sampled
-    conjugate it scales like the sample coverage gap times (1 + |y|).
+    the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
+    route tolerance of :func:`_capra_route`.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -392,47 +413,23 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
     rhs = low_add(capra_coupling(x, y, coupling), -fx)
-    if _analytic_applicable(f, coupling.nu):
-        src = SourceNormSpec.lp(coupling.nu.p, x.size)
-        lhs = capra_conjugate_l0_analytic(y, f.phi, src)
-        if tol is None:
-            tol = ANALYTIC_TOL
-    else:
-        if sphere_sample is None:
-            sphere_sample = build_sphere_sample(coupling.nu, x.size)
-        lhs = capra_conjugate(f, coupling, y, sphere_sample)
-        if tol is None:
-            tol = _sample_route_tol(y, sphere_sample.shape[0], x.size)
-    return abs(lhs - rhs) <= tol
+    conj, tol = _capra_route(f, coupling.nu, y[None, :], sphere_sample, tol)
+    return bool((np.abs(conj - rhs) <= tol)[0])
 
 
 def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec, candidates,
                           sphere_sample: np.ndarray | None = None,
                           tol: float | None = None) -> np.ndarray:
     """Candidates belonging to the Capra subdifferential of f at 0, i.e.
-    those with conjugate value <= 0 (up to the route tolerance).
+    those with conjugate value <= 0 (up to the route tolerance of
+    :func:`_capra_route`).
 
     This is the Rockafellar-Moreau subdifferential at 0 of f plus the
     indicator of the unit ball of nu, filtered to the candidate set.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
-    dim = candidates.shape[1]
-    f0 = f.value(np.zeros(dim))
+    f0 = f.value(np.zeros(candidates.shape[1]))
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")
-    if _analytic_applicable(f, coupling.nu):
-        src = SourceNormSpec.lp(coupling.nu.p, dim)
-        conj = capra_conjugate_l0_analytic_batch(candidates, f.phi, src)
-        if tol is None:
-            tol = ANALYTIC_TOL
-    else:
-        if sphere_sample is None:
-            sphere_sample = build_sphere_sample(coupling.nu, dim)
-        _check_sphere_sample(sphere_sample, coupling.nu)
-        fvals = f.batch(sphere_sample)
-        conj = _conjugate_values(sphere_sample, fvals, candidates)
-        if tol is None:
-            norms = np.linalg.norm(candidates, axis=1)
-            gap = 1.0 if dim <= 1 else float(sphere_sample.shape[0]) ** (-1.0 / (dim - 1))
-            tol = ANALYTIC_TOL if dim <= 1 else 5.0 * gap * (1.0 + norms)
+    conj, tol = _capra_route(f, coupling.nu, candidates, sphere_sample, tol)
     return candidates[conj <= tol]

@@ -9,7 +9,8 @@ normalization function nu:
 * the tightest closed convex positively 1-homogeneous minorant, the support
   function of the Capra subdifferential at 0;
 * the tightest norm below ``phi(l0(.))``, characterized by its dual unit
-  ball (an intersection of scaled dual coordinate-k balls).
+  ball (an intersection of scaled dual coordinate-k balls); it lives in
+  :func:`capra.norms.best_norm_object`.
 
 The subset variants (arbitrary U instead of a ball) are the grid-level
 primitives the ball constructions reduce to.
@@ -37,15 +38,12 @@ from .conjugacy import (
 )
 from .norms import (
     NormalizationSpec,
-    NormObject,
     PhiSpec,
     SourceNormSpec,
-    best_norm_object,
-    lp_gauge_collapses,
     lp_value,
     lp_value_batch,
 )
-from .numerics import FunctionSample, Grid, default_dual_grid
+from .numerics import FunctionSample, Grid, default_dual_grid, format_extreal
 
 __all__ = [
     "BALL_TOL",
@@ -53,8 +51,6 @@ __all__ = [
     "tightest_convex_on_ball",
     "l0_envelope_linf",
     "tightest_pos_hom_on_ball",
-    "tightest_norm_below_phi_l0",
-    "monotone_ratio_check",
     "best_cvx_on_subset",
     "best_pos_hom_on_subset",
     "surface_summary",
@@ -190,20 +186,6 @@ def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
     return float(np.max(accepted @ x))
 
 
-def tightest_norm_below_phi_l0(phi: PhiSpec, source: SourceNormSpec,
-                               **kwargs) -> NormObject:
-    """Tightest norm below ``phi(l0(.))`` on the source unit ball."""
-    return best_norm_object(phi, source, **kwargs)
-
-
-def monotone_ratio_check(phi: PhiSpec, p: float) -> bool:
-    """Gate for the l1 closed form of the best norm: phi nondecreasing for
-    p = 1, or ``l -> phi(l)^q / l`` nondecreasing for p > 1."""
-    if not (p >= 1.0 or p == math.inf):
-        raise ValueError(f"monotone ratio check requires p in [1, inf] (got {p})")
-    return lp_gauge_collapses(phi, p)
-
-
 def _subset_mask(grid: Grid, subset) -> np.ndarray:
     if callable(subset):
         mask = np.fromiter((bool(subset(x)) for x in grid.nodes), dtype=bool,
@@ -260,23 +242,15 @@ def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
     return float(np.max(accepted @ x))
 
 
-def _json_value(v: float):
-    if v == math.inf:
-        return "+inf"
-    if v == -math.inf:
-        return "-inf"
-    return float(v)
-
-
 def surface_summary(sample: FunctionSample, checkpoints: Sequence = ()) -> dict:
     """Summary dict of a surface sample with pinned checkpoint values."""
     vals = sample.values
     return {
-        "min": _json_value(float(vals.min())),
-        "max": _json_value(float(vals.max())),
+        "min": format_extreal(vals.min(), float),
+        "max": format_extreal(vals.max(), float),
         "values_at": [
             {"x": [float(c) for c in np.asarray(pt, dtype=float)],
-             "v": _json_value(sample.value_near(pt))}
+             "v": format_extreal(sample.value_near(pt), float)}
             for pt in checkpoints
         ],
     }

@@ -65,7 +65,9 @@ def lp_value(x, p: float) -> float:
     if a.size == 0:
         raise ValueError("lp_value needs at least one coordinate")
     m = float(a.max())
-    if p == math.inf or m == 0.0:
+    # An infinite coordinate makes the value +inf; it stays out of the
+    # rescale, where inf / inf would give nan.
+    if p == math.inf or m == 0.0 or m == math.inf:
         return m
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
 
@@ -80,8 +82,9 @@ def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
     m = a.max(axis=1)
     if p == math.inf:
         return m
-    out = np.zeros(a.shape[0])
-    nz = m > 0.0
+    # Rows with maximum 0 or +inf keep it as their value.
+    out = m.copy()
+    nz = (m > 0.0) & (m < math.inf)
     if nz.any():
         scaled = a[nz] / m[nz, None]
         out[nz] = m[nz] * np.sum(scaled**p, axis=1) ** (1.0 / p)
@@ -239,7 +242,7 @@ def top_k_norm(y, q: float, k: int) -> float:
         raise ValueError(f"top-k norm requires q in [1, inf] (got {q})")
     top = a[:k]
     m = float(top[0])
-    if q == math.inf or m == 0.0:
+    if q == math.inf or m == 0.0 or m == math.inf:
         return m
     return m * float(np.sum((top / m) ** q)) ** (1.0 / q)
 
@@ -255,9 +258,12 @@ def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
         return np.repeat(m[:, None], a.shape[1], axis=1)
     if not q >= 1.0:
         raise ValueError(f"top-k norm requires q in [1, inf] (got {q})")
-    safe = np.where(m > 0.0, m, 1.0)
+    # Rows with maximum 0 or +inf stay out of the rescale and keep it as
+    # every top-(q, k) value.
+    ok = (m > 0.0) & (m < math.inf)
+    safe = np.where(ok, m, 1.0)
     cums = np.cumsum((a / safe[:, None]) ** q, axis=1)
-    return np.where(m[:, None] > 0.0, safe[:, None] * cums ** (1.0 / q), 0.0)
+    return np.where(ok[:, None], safe[:, None] * cums ** (1.0 / q), m[:, None])
 
 
 def _k_support_l2(x, k: int) -> float:
@@ -418,18 +424,17 @@ def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
     return all(seq[i] <= seq[i + 1] * (1.0 + 1e-12) for i in range(len(seq) - 1))
 
 
-def _support_on_gauge_ball(x, gauge: Callable, dim: int, n_directions: int) -> float:
-    from .oracle import support_function_bruteforce  # deferred: oracle imports norms
-
-    dirs = np.vstack([unit_directions(n_directions, dim), sign_patterns(dim)])
-    cands = []
-    for u in dirs:
+def _gauge_ball_cloud(gauge: Callable, dim: int, n_directions: int) -> list:
+    """Directions rescaled onto the boundary of the gauge's unit ball,
+    ``u / gauge(u)``, kept when they pass ``gauge <= 1 + 1e-12``."""
+    cloud = []
+    for u in np.vstack([unit_directions(n_directions, dim), sign_patterns(dim)]):
         g = gauge(u)
         if g > 0.0 and math.isfinite(g):
-            cands.append(u / g)
-    return support_function_bruteforce(
-        x, lambda y: gauge(y) <= 1.0 + 1e-12, np.asarray(cands)
-    )
+            c = u / g
+            if gauge(c) <= 1.0 + 1e-12:
+                cloud.append(c)
+    return cloud
 
 
 def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
@@ -439,7 +444,10 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     Its dual gauge is :func:`phi_dual_gauge`; the primal evaluator is the
     support function of the dual unit ball.  When the lp collapse condition
     of :func:`lp_gauge_collapses` holds the primal is exactly
-    ``phi(1) * l1``; otherwise it is a direction-sampled lower estimate.
+    ``phi(1) * l1``; otherwise it is a direction-sampled lower estimate, the
+    max of ``<x, c>`` over a cloud of ``n_directions`` plus ``3^d - 1``
+    points of the dual unit ball.  The ball does not depend on x, so the
+    cloud is built once, at the first evaluation of a nonzero x.
     """
     if phi.dim != source.dim:
         raise ValueError(
@@ -457,22 +465,20 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
 
         return NormObject(primal, dual, exact=True, label=f"{scale:g}*l1")
 
+    cloud = None
+
     def primal(x):
+        nonlocal cloud
         x = np.asarray(x, dtype=float)
         if not np.any(x != 0.0):
             return 0.0
-        return _support_on_gauge_ball(x, dual, source.dim, n_directions)
+        if cloud is None:
+            cloud = _gauge_ball_cloud(dual, source.dim, n_directions)
+        # One dot product per point, as in the brute-force support function:
+        # a matrix product rounds differently.
+        return max(float(np.dot(x, c)) for c in cloud)
 
     return NormObject(primal, dual, exact=False, label="support(dual gauge ball)")
-
-
-def _parse_lp(obj) -> float:
-    v = obj["lp"]
-    if isinstance(v, str):
-        if v.strip().lower() in ("inf", "+inf", "infinity"):
-            return math.inf
-        return float(v)
-    return float(v)
 
 
 def parse_config(obj: dict, dim: int | None = None) -> dict:
@@ -480,6 +486,8 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
 
     Accepts ``{"source": {"lp": 2}, "phi": [0, 1, 2], "nu": {"lp": 0.5}}``;
     every key is optional.  ``dim`` is inferred from ``phi`` when absent.
+    Exponents and weights are numbers or strings that ``float`` reads, so
+    ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give +inf.
     """
     out: dict = {"source": None, "phi": None, "nu": None}
     if "phi" in obj and obj["phi"] is not None:
@@ -487,10 +495,10 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
         if dim is None:
             dim = out["phi"].dim
     if "nu" in obj and obj["nu"] is not None:
-        out["nu"] = NormalizationSpec.lp(_parse_lp(obj["nu"]))
+        out["nu"] = NormalizationSpec.lp(float(obj["nu"]["lp"]))
     if "source" in obj and obj["source"] is not None:
         if dim is None:
             raise ValueError("config with a source norm needs a dimension "
                              "(provide phi or pass dim)")
-        out["source"] = SourceNormSpec.lp(_parse_lp(obj["source"]), dim)
+        out["source"] = SourceNormSpec.lp(float(obj["source"]["lp"]), dim)
     return out

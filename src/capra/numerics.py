@@ -21,6 +21,7 @@ __all__ = [
     "build_grid",
     "FunctionSample",
     "sample",
+    "format_extreal",
     "write_sample_csv",
     "read_sample_csv",
     "default_dual_grid",
@@ -132,9 +133,6 @@ class Grid:
             self._nodes = pts
         return self._nodes
 
-    def node(self, index: int) -> np.ndarray:
-        return self.nodes[index]
-
     def nearest_index(self, point) -> int:
         """Flat index of the node nearest to ``point`` (clipped to the box)."""
         point = np.asarray(point, dtype=float)
@@ -211,12 +209,18 @@ def sample(fn: Callable, grid: Grid) -> FunctionSample:
     return FunctionSample(grid, vals)
 
 
-def _format_value(v: float) -> str:
+def format_extreal(v: float, finite: Callable = repr):
+    """The written form of an extended real: ``+inf`` / ``-inf`` for the
+    infinities, ``finite(v)`` otherwise.
+
+    Sample CSVs, surface JSON summaries and CLI output all write infinities
+    this way; ``float`` (and :func:`as_extreal`) reads them back.
+    """
     if v == math.inf:
         return "+inf"
     if v == -math.inf:
         return "-inf"
-    return repr(float(v))
+    return finite(v)
 
 
 def write_sample_csv(sample: FunctionSample, path) -> None:
@@ -228,22 +232,18 @@ def write_sample_csv(sample: FunctionSample, path) -> None:
     header = ",".join(f"x_{k + 1}" for k in range(d)) + ",value"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header + "\n")
-        for node, v in zip(sample.grid.nodes, sample.values):
-            coords = ",".join(repr(float(c)) for c in node)
-            fh.write(f"{coords},{_format_value(v)}\n")
-
-
-def _parse_value(text: str) -> float:
-    text = text.strip()
-    if text == "+inf":
-        return math.inf
-    if text == "-inf":
-        return -math.inf
-    return as_extreal(float(text))
+        for node, v in zip(sample.grid.nodes.tolist(), sample.values.tolist()):
+            coords = ",".join(map(repr, node))
+            fh.write(f"{coords},{format_extreal(v)}\n")
 
 
 def read_sample_csv(path):
-    """Read a sample CSV; returns ``(points, values)`` arrays."""
+    """Read a sample CSV; returns ``(points, values)`` arrays.
+
+    Values are read by :func:`as_extreal`: NaN is refused, and infinities
+    may be spelled in any way ``float`` accepts (``+inf``, ``-inf``, ``inf``,
+    ``Infinity``, any case).
+    """
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "value" or not header[0].startswith("x_"):
@@ -255,5 +255,5 @@ def read_sample_csv(path):
             if len(cells) != d + 1:
                 raise ValueError(f"malformed sample CSV row: {line!r}")
             pts.append([float(c) for c in cells[:d]])
-            vals.append(_parse_value(cells[d]))
+            vals.append(as_extreal(cells[d]))
     return np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)

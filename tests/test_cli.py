@@ -115,25 +115,34 @@ def test_envelope_work_too_large_exit_3(capsys):
 
 
 def test_verify_norms_suite(tmp_path, capsys):
+    # The one run of the norms suite at the default seed: every check passes
+    # and the report has its documented shape.
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "norms",
                            "--seed", "0x5EED", "--report", str(report))
+    print(out)
     assert code == 0
     data = json.loads(report.read_text())
     assert data["passed"] is True
-    assert data["suite"] == "norms"
+    assert data["suite"] == "norms" and data["seed"] == 0x5EED
     assert all("name" in c and "tolerance" in c and "observed" in c
                for c in data["checks"])
-    assert out.count("[PASS]") == len(data["checks"])
+    assert all(c["passed"] is True for c in data["checks"])
+    assert data["counts"]["passed"] + data["counts"]["failed"] == len(data["checks"])
+    assert data["passed"] == all(c["passed"] for c in data["checks"])
+    assert out.count("[PASS]") == len(data["checks"]) == 8
 
 
 def test_verify_conjugacy_suite_report(tmp_path, capsys):
+    # The one run of the conjugacy suite: every check passes.
     report = tmp_path / "report.json"
-    code, _, _ = run_cli(capsys, "verify", "--suite", "conjugacy", "--report", str(report))
+    code, out, _ = run_cli(capsys, "verify", "--suite", "conjugacy", "--report", str(report))
+    print(out)
     assert code == 0
     data = json.loads(report.read_text())
     assert data["passed"] is True and data["suite"] == "conjugacy"
     assert all(c["passed"] is True for c in data["checks"])
+    assert out.count("[PASS]") == len(data["checks"]) == 8
 
 
 def test_verify_report_deterministic(tmp_path, capsys):
@@ -166,6 +175,26 @@ def test_verify_oracle_modes(capsys):
 def test_verify_requires_suite_or_oracle(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 3 and "--suite or --oracle" in err
+
+
+def test_infinity_spellings(tmp_path, capsys):
+    # Exponents and weights are read by float: any case, either sign,
+    # surrounding whitespace, "inf" or "infinity".
+    for spelling in ("inf", "+inf", "INF", " Infinity ", "+infinity"):
+        code, out, _ = run_cli(capsys, "norm", "--kind", "topk", "--q", spelling,
+                               "--k", "2", "--x", "3,-4,1")
+        assert code == 0 and out.strip() == "4"
+        code, out, _ = run_cli(capsys, "norm", "--kind", "best", "--p", spelling,
+                               "--phi", f"0,1,{spelling}", "--x", "1,-1")
+        assert code == 0 and out.strip() == "2"
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"source": {"lp": "Infinity"}, "phi": [0, 1, 2]}))
+    code, out, _ = run_cli(capsys, "norm", "--kind", "best", "--x", "1,-1",
+                           "--config", str(cfg))
+    assert code == 0 and out.strip() == "2"
+    code, _, err = run_cli(capsys, "norm", "--kind", "best", "--p", "2",
+                           "--phi", "0,1,nan", "--x", "1,-1")
+    assert code == 3 and "nan" in err
 
 
 def test_capra_threads_env(monkeypatch, capsys):

@@ -237,6 +237,25 @@ def test_subdiff_at_zero_requires_f0_zero():
                               np.zeros((1, 2)))
 
 
+def test_sphere_route_default_tolerance():
+    # lp:0.5 has no analytic route.  The sample holds the signed axes, where
+    # the conjugate of l0, max(0, |y|inf - 1), is attained, so at y = (1 + t, 0)
+    # the sampled value is t.  Both membership tests accept exactly when t is
+    # within 5 gap (1 + |y|), gap = count^(-1/(d-1)).
+    nu = NormalizationSpec.lp(0.5)
+    f, coup = ZeroHomFnSpec.l0(2), CouplingSpec(nu)
+    samp = build_sphere_sample(nu, 2, 2000)
+    gap = 1.0 / samp.shape[0]
+    for ratio, member in ((0.9, True), (1.1, False)):
+        t = 0.1
+        for _ in range(50):  # fixed point of t = ratio * 5 gap (2 + t)
+            t = ratio * 5.0 * gap * (2.0 + t)
+        y = np.array([1.0 + t, 0.0])
+        assert capra_subdiff_contains(y, [0.0, 0.0], f, coup, sphere_sample=samp) is member
+        acc = capra_subdiff_at_zero(f, coup, y[None, :], sphere_sample=samp)
+        assert acc.shape[0] == int(member)
+
+
 def test_two_route_agreement_small():
     from capra.envelope import ball_box_grid
 

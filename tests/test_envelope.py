@@ -11,14 +11,20 @@ from capra.envelope import (
     best_cvx_on_subset,
     best_pos_hom_on_subset,
     l0_envelope_linf,
-    monotone_ratio_check,
     surface_summary,
     tightest_convex_on_ball,
-    tightest_norm_below_phi_l0,
     tightest_pos_hom_on_ball,
     write_surface_json,
 )
-from capra.norms import NormalizationSpec, PhiSpec, SourceNormSpec, lp_value, lp_value_batch
+from capra.norms import (
+    NormalizationSpec,
+    PhiSpec,
+    SourceNormSpec,
+    best_norm_object,
+    lp_gauge_collapses,
+    lp_value,
+    lp_value_batch,
+)
 from capra.numerics import FunctionSample, build_grid, default_dual_grid
 from capra.oracle import convex_envelope_2d
 
@@ -160,12 +166,12 @@ def test_pos_hom_homogeneity_and_ordering():
 
 
 def test_monotone_ratio_check_examples():
-    assert monotone_ratio_check(PhiSpec.identity(3), 2.0)
-    assert not monotone_ratio_check(PhiSpec.from_values([0.0, 2.0, 1.0]), 1.0)
+    assert lp_gauge_collapses(PhiSpec.identity(3), 2.0)
+    assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 2.0, 1.0]), 1.0)
     root = PhiSpec.from_values([0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0)])
-    assert monotone_ratio_check(root, 2.0)
+    assert lp_gauge_collapses(root, 2.0)
     with pytest.raises(ValueError, match="requires p"):
-        monotone_ratio_check(PhiSpec.identity(2), 0.5)
+        lp_gauge_collapses(PhiSpec.identity(2), 0.5)
 
 
 def test_best_cvx_on_subset_two_interval_u():
@@ -221,7 +227,7 @@ def test_best_pos_hom_on_subset_errors():
 
 def test_tightest_norm_below_phi_l0():
     for p in (1.0, 2.0, math.inf):
-        obj = tightest_norm_below_phi_l0(PhiSpec.identity(3), SourceNormSpec.lp(p, 3))
+        obj = best_norm_object(PhiSpec.identity(3), SourceNormSpec.lp(p, 3))
         for _ in range(20):
             x = RNG.standard_normal(3)
             assert math.isclose(obj.value(x), lp_value(x, 1.0), rel_tol=1e-12)

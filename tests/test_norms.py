@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -23,7 +24,12 @@ from capra.norms import (
     top_k_norm,
     top_k_norm_table,
 )
-from capra.oracle import default_direction_set, k_support_bruteforce
+from capra._directions import sign_patterns, unit_directions
+from capra.oracle import (
+    default_direction_set,
+    k_support_bruteforce,
+    support_function_bruteforce,
+)
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -249,6 +255,62 @@ def test_best_norm_object_noncollapsing():
     assert abs(obj.value([1.0, -1.0]) - 1.0) <= 1e-9
 
 
+@pytest.mark.parametrize("phi,p,n_directions", [
+    ([0.0, math.inf, 1.0], math.inf, 512),
+    ([0.0, 1.0, 1.2, 1.3], 2.0, 256),
+    ([0.0, 2.0, 1.0], 1.0, 4096),
+])
+def test_best_norm_object_primal_equals_bruteforce_bit_for_bit(phi, p, n_directions):
+    # The sampled primal is the brute-force support function over the
+    # rescaled directions, with the gauge-ball membership test.
+    phi = PhiSpec.from_values(phi)
+    d = phi.dim
+    src = SourceNormSpec.lp(p, d)
+    assert not lp_gauge_collapses(phi, p)
+    obj = best_norm_object(phi, src, n_directions=n_directions)
+    assert not obj.exact
+
+    def gauge(y):
+        return phi_dual_gauge(y, phi, src)
+
+    cands = []
+    for u in np.vstack([unit_directions(n_directions, d), sign_patterns(d)]):
+        g = gauge(u)
+        if g > 0.0 and math.isfinite(g):
+            cands.append(u / g)
+    rng = np.random.default_rng(5)
+    for _ in range(6):
+        x = rng.standard_normal(d) * 3.0
+        want = support_function_bruteforce(x, lambda y: gauge(y) <= 1.0 + 1e-12,
+                                           np.asarray(cands))
+        assert obj.value(x) == want
+
+
+def test_infinite_coordinates_give_plus_inf():
+    # An infinite coordinate stays out of the rescale: +inf, no nan, no
+    # RuntimeWarning.
+    X = np.array([[math.inf, 1.0], [1.0, -math.inf], [3.0, -4.0], [0.0, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (0.5, 1.0, 2.0, 3.5, math.inf):
+            assert lp_value([math.inf, 1.0], p) == math.inf
+            assert lp_value([0.0, -math.inf], p) == math.inf
+            batch = lp_value_batch(X, p)
+            assert np.array_equal(batch[:2], [math.inf, math.inf])
+            assert batch[2] == lp_value(X[2], p) and batch[3] == 0.0
+        for q in (1.0, 2.0, 3.0, math.inf):
+            table = top_k_norm_table(X, q)
+            assert np.all(table[:2] == math.inf)
+            assert np.array_equal(table[2], [top_k_norm(X[2], q, k) for k in (1, 2)])
+            assert np.array_equal(table[3], [0.0, 0.0])
+            for k in (1, 2):
+                assert top_k_norm([math.inf, 1.0], q, k) == math.inf
+        lp2 = SourceNormSpec.lp(2.0, 2)
+        assert phi_dual_gauge([math.inf, 1.0], PhiSpec.identity(2), lp2) == math.inf
+        assert dual_coordinate_k_norm([1.0, math.inf], lp2, 1) == math.inf
+        assert best_norm_object(PhiSpec.identity(2), lp2).value([math.inf, 1.0]) == math.inf
+
+
 def test_gauge_collapse_gate():
     assert lp_gauge_collapses(PhiSpec.identity(4), 2.0)
     assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 2.0, 1.0]), 1.0)
@@ -274,8 +336,13 @@ def test_parse_config():
     assert cfg["source"].p == 2.0 and cfg["source"].dim == 2
     assert cfg["phi"].dim == 2 and cfg["phi"](2) == 2.0
     assert cfg["nu"].p == 0.5
-    cfg2 = parse_config({"source": {"lp": "inf"}}, dim=3)
-    assert cfg2["source"].p == math.inf
+    for spelling in ("inf", "+inf", " Infinity ", "INF"):
+        cfg2 = parse_config({"source": {"lp": spelling}, "nu": {"lp": spelling}}, dim=3)
+        assert cfg2["source"].p == math.inf and cfg2["nu"].p == math.inf
+    cfg3 = parse_config({"phi": [0, "1", "inf"]})
+    assert cfg3["phi"](2) == math.inf
+    with pytest.raises(ValueError, match="nan"):
+        parse_config({"phi": [0, 1, "nan"]})
     with pytest.raises(ValueError, match="dimension"):
         parse_config({"source": {"lp": 2}})
 

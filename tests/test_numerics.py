@@ -123,6 +123,16 @@ def test_csv_roundtrip_with_infinities(tmp_path):
     assert np.array_equal(back, vals)
 
 
+def test_csv_reads_any_float_spelling_of_infinity(tmp_path):
+    path = tmp_path / "surf.csv"
+    path.write_text("x_1,value\n-1.0, inf\n0.0,-Infinity\n1.0,+INF\n")
+    pts, vals = read_sample_csv(path)
+    assert np.array_equal(vals, [math.inf, -math.inf, math.inf])
+    path.write_text("x_1,value\n0.0,nan\n")
+    with pytest.raises(ValueError, match="nan"):
+        read_sample_csv(path)
+
+
 def test_nearest_index():
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
     i = g.nearest_index(np.array([0.52, -0.48]))
