@@ -115,8 +115,8 @@ def test_envelope_work_too_large_exit_3(capsys):
 
 
 def test_verify_norms_suite(tmp_path, capsys):
-    # The one run of the norms suite at the default seed: every check passes
-    # and the report has its documented shape.
+    # The norms suite at the default seed: every check passes and the
+    # report has its documented shape.
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "norms",
                            "--seed", "0x5EED", "--report", str(report))
@@ -134,7 +134,7 @@ def test_verify_norms_suite(tmp_path, capsys):
 
 
 def test_verify_conjugacy_suite_report(tmp_path, capsys):
-    # The one run of the conjugacy suite: every check passes.
+    # The conjugacy suite through the CLI: every check passes.
     report = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "verify", "--suite", "conjugacy", "--report", str(report))
     print(out)

@@ -1,8 +1,4 @@
-"""The per-module property suites must pass end to end.
-
-The norms and conjugacy suites run once each, through the CLI report tests
-in ``test_cli.py``; only the envelope suite runs here.
-"""
+"""The per-module property suites must pass end to end."""
 
 import numpy as np
 import pytest
@@ -11,12 +7,20 @@ from capra import verification as ver
 from capra.numerics import build_grid
 
 
-@pytest.mark.parametrize("suite", ["envelope"])
+@pytest.mark.parametrize("suite", ["norms", "conjugacy", "envelope"])
 def test_module_suite_passes(suite):
     results = ver.run_suite(suite)
     for r in results:
         print(r.line())
     assert all(r.passed for r in results)
+
+
+def test_report_dict_shape():
+    results = ver.run_suite("norms", seed=3)
+    report = ver.report_dict("norms", 3, results)
+    assert report["suite"] == "norms" and report["seed"] == 3
+    assert report["counts"]["passed"] + report["counts"]["failed"] == len(results)
+    assert report["passed"] == all(r.passed for r in results)
 
 
 def test_unknown_suite_rejected():
