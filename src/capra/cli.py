@@ -144,6 +144,14 @@ def cmd_envelope(args) -> int:
     return 0
 
 
+def _require(args, *flags: str) -> None:
+    """Refuse an oracle run that lacks one of ``flags`` (argparse cannot
+    tell, because each flag is optional for the other oracles)."""
+    for flag in flags:
+        if getattr(args, flag) is None:
+            raise ValueError(f"missing-argument: --oracle {args.oracle} needs --{flag}")
+
+
 def cmd_oracle(args) -> int:
     """Re-run a brute-force oracle so derived reference values are
     regenerable from the command line."""
@@ -160,6 +168,7 @@ def cmd_oracle(args) -> int:
     if args.oracle == "topk-enum":
         from .norms import conj_exponent
 
+        _require(args, "x", "k")
         x = _parse_point(args.x)
         q = float(args.q or "2")
         src = SourceNormSpec.lp(conj_exponent(q), x.size)
@@ -167,11 +176,13 @@ def cmd_oracle(args) -> int:
         print(_fmt(value))
         return 0
     if args.oracle == "ksupport":
+        _require(args, "x", "p", "k")
         x = _parse_point(args.x)
         dirs = orc.default_direction_set(x.size, args.count, seed=seed)
         print(_fmt(orc.k_support_bruteforce(x, float(args.p), args.k, dirs)))
         return 0
     if args.oracle == "support-phi":
+        _require(args, "x", "p")
         x = _parse_point(args.x)
         d = x.size
         src = SourceNormSpec.lp(float(args.p), d)
@@ -182,6 +193,8 @@ def cmd_oracle(args) -> int:
         print(_fmt(value))
         return 0
     if args.oracle in ("conjugate", "envelope2d"):
+        if args.oracle == "conjugate":
+            _require(args, "at")
         f = _parse_function(args.f, args.dim)
         nu = _parse_nu(args.nu)
         grid = ball_box_grid(args.dim, args.grid)

@@ -172,6 +172,22 @@ def test_verify_oracle_modes(capsys):
     assert code == 0 and abs(float(out) - 2.0) <= 0.2
 
 
+@pytest.mark.parametrize("oracle, given, missing", [
+    ("ksupport", ("--k", "1", "--x", "1,2"), "p"),
+    ("ksupport", ("--p", "2", "--x", "1,2"), "k"),
+    ("ksupport", ("--p", "2", "--k", "1"), "x"),
+    ("support-phi", ("--x", "1,-1"), "p"),
+    ("support-phi", ("--p", "2"), "x"),
+    ("conjugate", ("--grid", "11"), "at"),
+    ("topk-enum", ("--x", "3,-1,2"), "k"),
+    ("topk-enum", ("--k", "2"), "x"),
+])
+def test_verify_oracle_missing_argument_exit_3(capsys, oracle, given, missing):
+    code, out, err = run_cli(capsys, "verify", "--oracle", oracle, *given)
+    assert code == 3 and out == ""
+    assert err.strip() == f"error: missing-argument: --oracle {oracle} needs --{missing}"
+
+
 def test_verify_requires_suite_or_oracle(capsys):
     code, _, err = run_cli(capsys, "verify")
     assert code == 3 and "--suite or --oracle" in err

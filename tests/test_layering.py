@@ -1,6 +1,7 @@
 """The brute-force referee stays independent of the code it checks: the
-production modules never import ``capra.oracle``, not even inside a
-function."""
+production modules never import ``capra.oracle``, and ``capra.oracle`` never
+imports the transforms it referees (``capra.conjugacy``, ``capra.envelope``),
+not even inside a function."""
 
 import ast
 from pathlib import Path
@@ -11,6 +12,7 @@ import capra
 
 SRC = Path(capra.__file__).parent
 CHECKED = ("numerics", "norms", "conjugacy", "envelope")
+REFEREED = ("conjugacy", "envelope")
 
 
 def _imported(source: str) -> set:
@@ -29,9 +31,13 @@ def _imported(source: str) -> set:
     return names
 
 
+def _imports_module(source: str, module: str) -> bool:
+    target = f"capra.{module}"
+    return any(n == target or n.startswith(target + ".") for n in _imported(source))
+
+
 def _imports_oracle(source: str) -> bool:
-    return any(n == "capra.oracle" or n.startswith("capra.oracle.")
-               for n in _imported(source))
+    return _imports_module(source, "oracle")
 
 
 def test_scan_sees_every_import_form():
@@ -42,8 +48,18 @@ def test_scan_sees_every_import_form():
                    "def f():\n    from .oracle import support_function_bruteforce\n"):
         assert _imports_oracle(source), source
     assert not _imports_oracle("from .norms import lp_value\nimport numpy as np\n")
+    for source in ("from .conjugacy import fenchel_conjugate",
+                   "def f():\n    from . import conjugacy\n",
+                   "import capra.conjugacy as cj"):
+        assert _imports_module(source, "conjugacy"), source
+    assert not _imports_module("from .oracle import SEED\n", "conjugacy")
 
 
 @pytest.mark.parametrize("module", CHECKED)
 def test_module_does_not_import_oracle(module):
     assert not _imports_oracle((SRC / f"{module}.py").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("module", REFEREED)
+def test_oracle_does_not_import_refereed_module(module):
+    assert not _imports_module((SRC / "oracle.py").read_text(encoding="utf-8"), module)

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from capra.conjugacy import fenchel_conjugate
-from capra.norms import k_support_norm, lp_value
+from capra import conjugacy
+from capra.conjugacy import conjugate_at_points, fenchel_conjugate
+from capra.norms import conj_exponent, k_support_norm, lp_value, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
 from capra.oracle import (
     convex_envelope_2d,
@@ -29,6 +30,17 @@ def _python_conjugate(f, dual_grid):
             best = max(best, low_add(s, -v))
         out.append(best)
     return np.array(out)
+
+
+def _python_k_support(x, p, k, directions):
+    """Per-direction loop, used to pin down the vectorized k-support oracle."""
+    q = conj_exponent(p)
+    best = 0.0
+    for y in directions:
+        t = top_k_norm(y, q, k)
+        if t > 0.0:
+            best = max(best, float(np.dot(x, y)) / t)
+    return best
 
 
 def _random_sample(grid, inf_fraction=0.2):
@@ -83,6 +95,44 @@ def test_grid_transform_within_ulp_bound_of_naive():
         vals[g.node_count // 2] = -math.inf
         top = _assert_transform_contract(FunctionSample(g, vals), gd)
         assert np.all(np.isposinf(top))
+
+
+def _ragged_budgets(n, m):
+    """Block budgets under which the point transform splits n primal rows
+    into several blocks of unequal size, then m dual rows likewise (a block
+    of several dual rows holds every primal row), plus the 1x1 extreme."""
+    pc = next(b for b in range(max(2, n // 3), n) if n % b)
+    dc = next(c for c in range(2, m) if m % c)
+    return (1, pc, n * dc + n // 2)
+
+
+def test_point_transform_bit_identical_to_naive(monkeypatch):
+    # Any block split gives the oracle's output bit for bit: each pair keeps
+    # the axis-ascending sum, and a running max is exact.
+    cases = [
+        ([(-1.0, 1.0)], [23], [(-2.0, 2.0)], [17]),
+        ([(-1.3, 0.9), (-1.0, 1.0)], [9, 11], [(-2.0, 2.0), (-2.5, 1.5)], [7, 5]),
+        ([(-0.7, 1.2), (-1.0, 0.4), (-1.5, 1.5)], [5, 4, 6],
+         [(-2.0, 2.5), (-3.0, 1.0), (-1.0, 2.0)], [3, 5, 3]),
+    ]
+    for bounds, counts, dual_bounds, dual_counts in cases:
+        g = build_grid(bounds, counts)
+        gd = build_grid(dual_bounds, dual_counts)
+        samples = [_random_sample(g) for _ in range(3)]
+        samples.append(FunctionSample(g, RNG.uniform(-2.0, 2.0, g.node_count)))
+        samples.append(FunctionSample(g, np.full(g.node_count, math.inf)))
+        vals = _random_sample(g).values.copy()
+        vals[g.node_count // 3] = -math.inf
+        samples.append(FunctionSample(g, vals))
+        for f in samples:
+            want = naive_conjugate(f, gd).values
+            kept = int(np.count_nonzero(~np.isposinf(f.values)))
+            for budget in _ragged_budgets(max(kept, 3), gd.node_count):
+                monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+                got = conjugate_at_points(f, gd.nodes)
+                assert np.array_equal(got, want), (counts, budget)
+        assert np.all(np.isneginf(conjugate_at_points(samples[-2], gd.nodes)))
+        assert np.all(np.isposinf(conjugate_at_points(samples[-1], gd.nodes)))
 
 
 def test_naive_conjugate_of_origin_indicator():
@@ -183,3 +233,39 @@ def test_direction_set_deterministic():
     a = default_direction_set(3, 100, seed=0x5EED)
     b = default_direction_set(3, 100, seed=0x5EED)
     assert np.array_equal(a, b)
+
+
+def test_k_support_bruteforce_within_ulp_of_loop():
+    # The one-pass oracle against the per-direction loop: d = 1..6, every k,
+    # exponents on both sides of 2, clouds scaled over 14 decades, zero rows.
+    eps = np.finfo(float).eps
+    rng = np.random.default_rng(0x5EED)
+    for d in range(1, 7):
+        base = default_direction_set(d, 100, seed=d)[:200]
+        for scale in (1e-7, 1.0, 1e7):
+            dirs = np.vstack([base * scale, np.zeros((2, d))])
+            for p in (1.0, 1.25, 1.5, 2.0, 3.0, math.inf):
+                x = rng.standard_normal(d) * float(rng.choice([1e-3, 1.0, 1e3]))
+                for k in range(1, d + 1):
+                    want = _python_k_support(x, p, k, dirs)
+                    got = k_support_bruteforce(x, p, k, dirs)
+                    assert abs(got - want) <= 4.0 * eps * abs(want), (d, scale, p, k)
+        assert k_support_bruteforce(np.zeros(d), 2.0, 1, base) == 0.0
+
+
+def test_k_support_bruteforce_empty_and_zero_clouds():
+    x = [1.0, -2.0, 0.5]
+    assert k_support_bruteforce(x, 2.0, 2, np.zeros((5, 3))) == 0.0
+    assert k_support_bruteforce(x, 2.0, 2, np.empty((0, 3))) == 0.0
+    assert k_support_bruteforce(x, 2.0, 2, []) == 0.0
+
+
+def test_k_support_bruteforce_refuses_nonfinite_input():
+    dirs = default_direction_set(2, 50)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="nonfinite-input"):
+            k_support_bruteforce([bad, 1.0], 2.0, 1, dirs)
+        cloud = dirs.copy()
+        cloud[7, 1] = bad
+        with pytest.raises(ValueError, match="nonfinite-input"):
+            k_support_bruteforce([1.0, 1.0], 2.0, 1, cloud)
