@@ -10,7 +10,7 @@ gives two independently computable routes to the same value.
 Transforms between product grids are separable: one pass per axis, about
 ``(primal nodes) x (dual count of an axis)`` updates instead of primal x
 dual pairs (a 201x201 envelope takes about 0.1 s).  They match the
-row-at-a-time oracle :func:`capra.oracle.naive_conjugate` in the +-inf
+pairwise oracle :func:`capra.oracle.naive_conjugate` in the +-inf
 pattern exactly and in finite values within ``4 eps (max|x| |y|_1 +
 max|f|)``.  Transforms to scattered dual points keep one sum per pair,
 accumulated axis-ascending, and reproduce the oracle bit for bit.  Both run
@@ -343,15 +343,23 @@ def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
 
 
 def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
-                           grid: Grid) -> float:
-    """Capra conjugate at y straight from the definition: the max over grid
-    nodes x of ``low_add(coupling(x, y), -f(x))``."""
+                           grid: Grid) -> float | np.ndarray:
+    """Capra conjugate straight from the definition: the max over grid
+    nodes x of ``low_add(coupling(x, y), -f(x))``.
+
+    ``y`` is one dual point, which gives a float, or an (n, d) array of
+    them, which gives one value per row from a single normalization of the
+    grid.  The point transform is exact for any split of the duals, so each
+    row's value equals that of a call with the row alone.
+    """
     X = grid.nodes
     y = np.asarray(y, dtype=float)
     nuvals = coupling.nu.batch(X)
     Xn = np.where(nuvals[:, None] > 0.0, X / np.where(nuvals == 0.0, 1.0, nuvals)[:, None], 0.0)
     fvals = f.batch(X)
-    return float(_conjugate_values(Xn, fvals, y[None, :])[0])
+    if y.ndim == 1:
+        return float(_conjugate_values(Xn, fvals, y[None, :])[0])
+    return _conjugate_values(Xn, fvals, y)
 
 
 def _analytic_applicable(f: ZeroHomFnSpec, nu: NormalizationSpec) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -53,6 +53,25 @@ def conj_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _abs_point(x, ascending: bool = False) -> tuple[np.ndarray, float]:
+    """``|x|`` as a 1-d float array, sorted if ``ascending``, and its
+    maximum (0.0 when empty).
+
+    The point check of the scalar norm entry points.  The maximum, which
+    they need anyway, propagates NaN (a sort puts NaN last), so a NaN
+    coordinate raises ``nan-input``; an infinite one gives +inf.
+    """
+    a = np.abs(np.asarray(x, dtype=float).reshape(-1))
+    if ascending:
+        a = np.sort(a)
+        m = float(a[-1]) if a.size else 0.0
+    else:
+        m = float(a.max(initial=0.0))
+    if m != m:
+        raise ValueError("nan-input: a point coordinate is NaN")
+    return a, m
+
+
 def lp_value(x, p: float) -> float:
     """``(sum |x_i|^p)^(1/p)`` for finite p, ``max |x_i|`` for p = inf.
 
@@ -61,10 +80,9 @@ def lp_value(x, p: float) -> float:
     """
     if not p > 0.0:
         raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
-    a = np.abs(np.asarray(x, dtype=float).reshape(-1))
+    a, m = _abs_point(x)
     if a.size == 0:
         raise ValueError("lp_value needs at least one coordinate")
-    m = float(a.max())
     # An infinite coordinate makes the value +inf; it stays out of the
     # rescale, where inf / inf would give nan.
     if p == math.inf or m == 0.0 or m == math.inf:
@@ -159,6 +177,10 @@ class SourceNormSpec:
     dim: int
     p: float | None = None
     fn: Callable | None = None
+    # Restricted dual-ball clouds of a custom source, built on first use by
+    # _restricted_dual_cloud: (support, n_directions) -> (directions, values).
+    _restricted_clouds: dict = field(default_factory=dict, init=False,
+                                     compare=False, repr=False)
 
     @classmethod
     def lp(cls, p: float, dim: int) -> "SourceNormSpec":
@@ -225,25 +247,17 @@ class PhiSpec:
         return cls(np.array([as_extreal(v) for v in values]))
 
 
-def _abs_sorted_desc(y) -> np.ndarray:
-    """|y| sorted nonincreasingly; ties keep original index order."""
-    a = np.abs(np.asarray(y, dtype=float).reshape(-1))
-    order = np.argsort(-a, kind="stable")
-    return a[order]
-
-
 def top_k_norm(y, q: float, k: int) -> float:
     """q-norm of the k largest-magnitude components of y."""
-    a = _abs_sorted_desc(y)
+    a, m = _abs_point(y, ascending=True)
     d = a.size
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
     if not (q >= 1.0 or q == math.inf):
         raise ValueError(f"top-k norm requires q in [1, inf] (got {q})")
-    top = a[:k]
-    m = float(top[0])
     if q == math.inf or m == 0.0 or m == math.inf:
         return m
+    top = a[::-1][:k]
     return m * float(np.sum((top / m) ** q)) ** (1.0 / q)
 
 
@@ -270,7 +284,7 @@ def _k_support_l2(x, k: int) -> float:
     # Sorted-split evaluation: the r+1 smallest of the k active magnitudes
     # are averaged; r is the unique split with
     #   z_{k-r-1} > (sum of the trailing d-k+r+1 terms) / (r+1) >= z_{k-r}.
-    z = _abs_sorted_desc(x)
+    z = np.ascontiguousarray(_abs_point(x, ascending=True)[0][::-1])
     tail = np.concatenate([np.cumsum(z[::-1])[::-1], [0.0]])
     for r in range(k):
         upper = math.inf if k - r - 1 == 0 else float(z[k - r - 2])
@@ -306,20 +320,43 @@ def k_support_norm(x, p: float, k: int) -> float:
     )
 
 
+def _restricted_dual_cloud(source: SourceNormSpec, support: tuple,
+                           n_directions: int) -> tuple[np.ndarray, np.ndarray]:
+    """Directions u in R^|K| and the source values t of u placed on the
+    support K, for the u with ``0 < t < inf``: ``n_directions`` quasi-uniform
+    directions plus every sign pattern.  The cloud does not depend on y, so
+    it is built once per ``(support, n_directions)`` and kept on the spec.
+    """
+    key = (support, n_directions)
+    cloud = source._restricted_clouds.get(key)
+    if cloud is None:
+        m = len(support)
+        dirs = np.vstack([unit_directions(n_directions, m), sign_patterns(m)])
+        Z = np.zeros((dirs.shape[0], source.dim))
+        Z[:, list(support)] = dirs
+        t = np.array([source.value(z) for z in Z])
+        keep = (t > 0.0) & (t < math.inf)
+        cloud = source._restricted_clouds[key] = (dirs[keep], t[keep])
+    return cloud
+
+
 def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
                              support: tuple, n_directions: int) -> float:
-    """Lower estimate of sup{<y, z>: z supported on K, source(z) <= 1}."""
-    m = y_sub.size
-    dirs = np.vstack([unit_directions(n_directions, m), sign_patterns(m)])
-    best = 0.0
-    z = np.zeros(source.dim)
-    for u in dirs:
-        z[:] = 0.0
-        z[list(support)] = u
-        t = source.value(z)
-        if t > 0.0 and math.isfinite(t):
-            best = max(best, float(np.dot(y_sub, u)) / t)
-    return best
+    """Lower estimate of sup{<y, z>: z supported on K, source(z) <= 1}:
+    the max of 0 and of ``<y_K, u> / t`` over the cloud of
+    :func:`_restricted_dual_cloud`.
+
+    The first call on a spec and support costs one source evaluation per
+    direction; later calls only pair y with the cached cloud.  The source
+    function must be deterministic, and the cache holds ``|K| + 1`` floats
+    per source evaluation already made.
+    """
+    U, t = _restricted_dual_cloud(source, support, n_directions)
+    # One dot product per direction: a matrix product rounds differently.
+    # An infinite coordinate times a zero one gives nan, which max skips.
+    with np.errstate(invalid="ignore"):
+        dots = np.array([np.dot(y_sub, u) for u in U])
+    return max([0.0, *(dots / t).tolist()])
 
 
 def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
@@ -330,7 +367,13 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     For an lp source this equals the top-(q, k) norm with 1/p + 1/q = 1;
     ``method="enumerate"`` forces the subset-enumeration route (exact for lp
     sources, used for cross-checks).  Custom sources always enumerate, with
-    sampled restricted duals, and require d <= 12.
+    sampled restricted duals, and require d <= 12.  The first call on a
+    spec evaluates the source once per direction of each size-k support
+    (``directions_per_subset`` plus ``3^k - 1``); the spec keeps those
+    clouds, ``k + 1`` floats per evaluation made, and later calls with the
+    same k and ``directions_per_subset`` only pair y with them.  So the
+    source function must be deterministic.  A NaN coordinate raises
+    ``nan-input``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
@@ -350,6 +393,7 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
         return best
     if d > 12:
         raise ValueError(f"dimension-too-large: custom sources need d <= 12 (got {d})")
+    _abs_point(y)
     best = 0.0
     for K in itertools.combinations(range(d), k):
         best = max(
@@ -369,7 +413,7 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec, **kwargs) -> float:
     d = y.size
     if phi.dim != d:
         raise ValueError(f"invalid-phi: phi has dim {phi.dim}, point has dim {d}")
-    if not np.any(y != 0.0):
+    if _abs_point(y)[1] == 0.0:
         return 0.0
     if source.kind == "lp":
         q = conj_exponent(source.p)
@@ -470,7 +514,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     def primal(x):
         nonlocal cloud
         x = np.asarray(x, dtype=float)
-        if not np.any(x != 0.0):
+        if _abs_point(x)[1] == 0.0:
             return 0.0
         if cloud is None:
             cloud = _gauge_ball_cloud(dual, source.dim, n_directions)
@@ -485,7 +529,8 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
     """Parse a JSON config object into norm specs.
 
     Accepts ``{"source": {"lp": 2}, "phi": [0, 1, 2], "nu": {"lp": 0.5}}``;
-    every key is optional.  ``dim`` is inferred from ``phi`` when absent.
+    every key is optional.  ``dim`` is inferred from ``phi`` when absent,
+    and a phi of another dimension than a given ``dim`` is refused.
     Exponents and weights are numbers or strings that ``float`` reads, so
     ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give +inf.
     """
@@ -494,6 +539,9 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
         out["phi"] = PhiSpec.from_values(obj["phi"])
         if dim is None:
             dim = out["phi"].dim
+        elif out["phi"].dim != dim:
+            raise ValueError(f"invalid-phi: phi has dim {out['phi'].dim}, "
+                             f"config dimension is {dim}")
     if "nu" in obj and obj["nu"] is not None:
         out["nu"] = NormalizationSpec.lp(float(obj["nu"]["lp"]))
     if "source" in obj and obj["source"] is not None:

@@ -277,9 +277,9 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
             Y = np.vstack([Y, [[3.0, 3.0], [-2.9, 2.8], [3.0, 0.25],
                                [0.2, -2.7], [2.2, 2.0]]])
             ball_route = cj._conjugate_values(grid.nodes, fvals, Y)
-            for y, bv in zip(Y, ball_route):
+            direct_route = cj.capra_conjugate_direct(f, cj.CouplingSpec(nu), Y, grid)
+            for y, bv, dv in zip(Y, ball_route, direct_route):
                 sv = cj.capra_conjugate(f, cj.CouplingSpec(nu), y, samp, svals)
-                dv = cj.capra_conjugate_direct(f, cj.CouplingSpec(nu), y, grid)
                 tol = 5.0 * h * (1.0 + float(np.linalg.norm(y)))
                 worst = max(worst, abs(bv - sv) / tol, abs(dv - sv) / tol)
     return CheckResult("two-route-capra-conjugate", bool(worst <= 1.0), 1.0, float(worst),

@@ -50,6 +50,9 @@ def test_domain_error_exit_3(capsys):
                              "--k", "9", "--x", "1,2")
     assert code == 3
     assert "k-out-of-range" in err
+    for kind in (["topk", "--q", "2"], ["ksupport", "--p", "2"], ["best", "--p", "2"]):
+        code, _, err = run_cli(capsys, "norm", "--kind", *kind, "--k", "1", "--x", "nan,1")
+        assert code == 3 and "nan-input" in err
 
 
 def test_unsupported_p_exit_3(capsys):

@@ -275,3 +275,23 @@ def test_two_route_agreement_small():
             tol = 5.0 * h * (1.0 + float(np.linalg.norm(y)))
             assert abs(ball_v - sph_v) <= tol
             assert abs(dir_v - sph_v) <= tol
+
+
+def test_capra_conjugate_direct_rows_equal_single_calls(monkeypatch):
+    # One normalization of the grid serves every row; each value equals a
+    # call with the row alone, also when the duals span several blocks.
+    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
+    Y = np.vstack([RNG.uniform(-3.0, 3.0, size=(17, 2)), [[0.0, 0.0], [3.0, -3.0]]])
+    fns = [ZeroHomFnSpec.l0(2), ZeroHomFnSpec.phi_l0(PhiSpec.scaled_identity(2.0, 2)),
+           ZeroHomFnSpec.custom(lambda x: float(x[0] != 0.0),
+                                batch=lambda X: 1.0 * (X[:, 0] != 0.0))]
+    for budget in (conjugacy._BLOCK_FLOATS, 3 * grid.node_count + 7):
+        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+        for p in (1.0, 2.0, math.inf, 0.5):
+            coup = CouplingSpec(NormalizationSpec.lp(p))
+            for f in fns:
+                rows = capra_conjugate_direct(f, coup, Y, grid)
+                assert rows.shape == (Y.shape[0],)
+                single = [capra_conjugate_direct(f, coup, y, grid) for y in Y]
+                assert all(type(v) is float for v in single)
+                assert np.array_equal(rows, single), (p, f.label, budget)

@@ -199,6 +199,70 @@ def test_dual_coordinate_enumeration_exact():
         assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
+def _python_restricted_dual(y_sub, source, support, n_directions):
+    """Per-direction loop, used to pin down the cached restricted duals."""
+    m = y_sub.size
+    dirs = np.vstack([unit_directions(n_directions, m), sign_patterns(m)])
+    best = 0.0
+    z = np.zeros(source.dim)
+    for u in dirs:
+        z[:] = 0.0
+        z[list(support)] = u
+        t = source.value(z)
+        if t > 0.0 and math.isfinite(t):
+            with np.errstate(invalid="ignore"):
+                best = max(best, float(np.dot(y_sub, u)) / t)
+    return best
+
+
+def test_restricted_dual_bit_identical_to_loop():
+    # Each spec serves several y from its cached clouds; values, including
+    # +inf from an infinite coordinate, equal the per-direction loop.  The
+    # weights make every support's cloud its own.
+    for d in (2, 3, 4):
+        w = np.arange(1.0, d + 1.0)
+        for p in (1.0, 1.5, 2.0, math.inf):
+            src = SourceNormSpec.custom(lambda z, p=p: lp_value(w * z, p), d)
+            ys = [RNG.standard_normal(d) * 3.0 for _ in range(2)]
+            ys.append(np.concatenate([[-math.inf], RNG.standard_normal(d - 1)]))
+            for y in ys:
+                for k in range(1, d + 1):
+                    want = 0.0
+                    for K in itertools.combinations(range(d), k):
+                        want = max(want, _python_restricted_dual(y[list(K)], src, K, 64))
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("error")
+                        got = dual_coordinate_k_norm(y, src, k, directions_per_subset=64)
+                    assert got == want, (d, p, k, y)
+                    if np.isinf(y).any():
+                        assert got == math.inf
+
+
+def test_restricted_dual_cloud_built_once_per_spec():
+    calls = []
+
+    def linf(z):
+        calls.append(1)
+        return float(np.max(np.abs(z)))
+
+    a = SourceNormSpec.custom(linf, 3)
+    first = dual_coordinate_k_norm([1.0, -2.0, 0.5], a, 2)
+    built = len(calls)
+    assert built == 3 * (512 + 8)
+    # Later calls with the same k pair y with the kept clouds: no fn calls.
+    assert dual_coordinate_k_norm([1.0, -2.0, 0.5], a, 2) == first
+    dual_coordinate_k_norm([0.3, 4.0, -1.0], a, 2)
+    assert len(calls) == built
+    # Another spec builds its own clouds, and the cache is no part of
+    # equality or repr.
+    b = SourceNormSpec.custom(linf, 3)
+    assert b._restricted_clouds == {}
+    assert dual_coordinate_k_norm([1.0, -2.0, 0.5], b, 2) == first
+    assert len(calls) == 2 * built
+    assert a._restricted_clouds is not b._restricted_clouds
+    assert a == SourceNormSpec.custom(linf, 3) and "_restricted_clouds" not in repr(a)
+
+
 def test_dual_coordinate_custom_dimension_guard():
     src = SourceNormSpec.custom(lambda x: float(np.max(np.abs(x))), 13)
     with pytest.raises(ValueError, match="dimension-too-large"):
@@ -311,6 +375,28 @@ def test_infinite_coordinates_give_plus_inf():
         assert best_norm_object(PhiSpec.identity(2), lp2).value([math.inf, 1.0]) == math.inf
 
 
+def test_nan_coordinates_raise_nan_input():
+    lp2 = SourceNormSpec.lp(2.0, 2)
+    linf = SourceNormSpec.custom(lambda z: float(np.max(np.abs(z))), 2)
+    phi = PhiSpec.identity(2)
+    probes = [
+        lambda y: top_k_norm(y, 2.0, 1),
+        lambda y: dual_coordinate_k_norm(y, lp2, 1),
+        lambda y: dual_coordinate_k_norm(y, lp2, 1, method="enumerate"),
+        lambda y: dual_coordinate_k_norm(y, linf, 1),
+        lambda y: phi_dual_gauge(y, phi, lp2),
+        lambda y: lp_value(y, 2.0),
+        lambda y: k_support_norm(y, 2.0, 1),
+        lambda y: best_norm_object(phi, lp2).value(y),
+        lambda y: best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), lp2,
+                                   n_directions=64).value(y),
+    ]
+    for probe in probes:
+        for y in ([math.nan, 1.0], [0.0, math.nan], [math.inf, math.nan]):
+            with pytest.raises(ValueError, match="nan-input"):
+                probe(y)
+
+
 def test_gauge_collapse_gate():
     assert lp_gauge_collapses(PhiSpec.identity(4), 2.0)
     assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 2.0, 1.0]), 1.0)
@@ -345,6 +431,10 @@ def test_parse_config():
         parse_config({"phi": [0, 1, "nan"]})
     with pytest.raises(ValueError, match="dimension"):
         parse_config({"source": {"lp": 2}})
+    # A phi of another dimension than the given one is refused.
+    with pytest.raises(ValueError, match="invalid-phi"):
+        parse_config({"phi": [0, 1, 2], "source": {"lp": 2}}, dim=3)
+    assert parse_config({"phi": [0, 1, 2, 3]}, dim=3)["phi"].dim == 3
 
 
 def test_conj_exponent():

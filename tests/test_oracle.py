@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from capra import conjugacy
+from capra import conjugacy, oracle
 from capra.conjugacy import conjugate_at_points, fenchel_conjugate
 from capra.norms import conj_exponent, k_support_norm, lp_value, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
@@ -49,11 +49,31 @@ def _random_sample(grid, inf_fraction=0.2):
     return FunctionSample(grid, vals)
 
 
-def test_naive_matches_python_reference():
-    g = build_grid([(-1.0, 1.0), (-0.5, 1.5)], [7, 9])
-    gd = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [8, 6])
-    f = _random_sample(g)
-    assert np.array_equal(naive_conjugate(f, gd).values, _python_conjugate(f, gd))
+def test_naive_matches_python_reference(monkeypatch):
+    # The oracle's dual-row blocks change no output bit: blocks of unequal
+    # size, one row each, and one block larger than the dual count.
+    cases = [
+        ([(-1.0, 1.0)], [13], [(-2.0, 2.0)], [11]),
+        ([(-1.0, 1.0), (-0.5, 1.5)], [7, 9], [(-2.0, 2.0), (-2.0, 2.0)], [8, 6]),
+        ([(-0.7, 1.2), (-1.0, 0.4), (-1.5, 1.5)], [4, 3, 5],
+         [(-2.0, 2.5), (-3.0, 1.0), (-1.0, 2.0)], [3, 4, 3]),
+    ]
+    for bounds, counts, dual_bounds, dual_counts in cases:
+        g = build_grid(bounds, counts)
+        gd = build_grid(dual_bounds, dual_counts)
+        n, m = g.node_count, gd.node_count
+        samples = [_random_sample(g), FunctionSample(g, np.full(n, math.inf))]
+        vals = _random_sample(g).values.copy()
+        vals[n // 3] = -math.inf
+        samples.append(FunctionSample(g, vals))
+        ragged = next(r for r in range(2, m) if m % r)
+        for f in samples:
+            want = _python_conjugate(f, gd)
+            for budget in (1, n * ragged, n * (m + 5)):
+                monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+                assert np.array_equal(naive_conjugate(f, gd).values, want), (counts, budget)
+        assert np.all(np.isneginf(naive_conjugate(samples[1], gd).values))
+        assert np.all(np.isposinf(naive_conjugate(samples[2], gd).values))
 
 
 def _assert_transform_contract(f, dual_grid):
