@@ -19,6 +19,11 @@ cache), whose size never changes an output; so the point transform needs
 a copy of the finite primal rows and one block, whatever the number of
 duals.  Both are deterministic, and both refuse work above
 ``MAX_TRANSFORM_WORK``.
+
+The analytic Capra conjugate of phi∘l0 depends on |y| only.  On a dual grid
+it is evaluated on one |y| orthant, the product of each axis's distinct
+magnitudes, and gathered back, bit-identical and without building the dual
+nodes.  NaN dual points raise ``nan-input``.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from .norms import (
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import FunctionSample, Grid, as_extreal, low_add
+from .numerics import FunctionSample, Grid, _refuse_nan, as_extreal, low_add
 
 __all__ = [
     "CouplingSpec",
@@ -152,6 +157,7 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
     duals = np.asarray(duals, dtype=float)
     if duals.ndim != 2:
         raise ValueError("expected a 2-d array of dual points")
+    _refuse_nan(duals, "a dual point")
     _check_work(len(points) * duals.shape[0], "point transform")
     out = np.full(duals.shape[0], -math.inf)
     if np.isneginf(values).any():
@@ -376,14 +382,36 @@ def capra_conjugate_l0_analytic(y, phi: PhiSpec, source: SourceNormSpec) -> floa
 
 def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
                                       source: SourceNormSpec) -> np.ndarray:
+    """:func:`capra_conjugate_l0_analytic` at each row of the (n, d) array
+    ``Y``; a NaN coordinate raises ``nan-input``."""
     if source.kind != "lp":
         raise ValueError("analytic conjugate requires an lp source norm")
     Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError("expected a 2-d array of row vectors")
     if phi.dim != Y.shape[1]:
         raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {Y.shape[1]}")
     table = top_k_norm_table(Y, conj_exponent(source.p))
     terms = table - phi.values[None, 1:]
     return np.maximum(0.0, terms.max(axis=1))
+
+
+def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
+                                      source: SourceNormSpec) -> np.ndarray:
+    """:func:`capra_conjugate_l0_analytic_batch` at every node of
+    ``dual_grid`` (row-major), without building its nodes.
+
+    The conjugate depends on the magnitudes |y_i| only, and
+    :func:`top_k_norm_table` takes them before anything else.  So it is
+    evaluated once on the product of each axis's distinct magnitudes (one
+    |y| orthant, a quarter of a symmetric 2-d grid) and gathered back onto
+    the grid; the values are bit-identical to the batch over the nodes.
+    """
+    folds = [np.unique(np.abs(ax), return_inverse=True) for ax in dual_grid.axes]
+    mags = np.meshgrid(*(m for m, _ in folds), indexing="ij")
+    Y = np.stack([m.reshape(-1) for m in mags], axis=1)
+    conj = capra_conjugate_l0_analytic_batch(Y, phi, source).reshape(mags[0].shape)
+    return conj[np.ix_(*(inv for _, inv in folds))].reshape(-1)
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
@@ -430,8 +458,8 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
-    rhs = low_add(capra_coupling(x, y, coupling), -fx)
     conj, tol = _capra_route(f, coupling.nu, y[None, :], sphere_sample, tol)
+    rhs = low_add(capra_coupling(x, y, coupling), -fx)
     return bool((np.abs(conj - rhs) <= tol)[0])
 
 

@@ -28,10 +28,10 @@ from .conjugacy import (
     CouplingSpec,
     ZeroHomFnSpec,
     _analytic_applicable,
+    _capra_conjugate_l0_analytic_grid,
     _check_work,
     _grid_conjugate,
     _grid_work,
-    capra_conjugate_l0_analytic_batch,
     capra_subdiff_at_zero,
     conjugate_at_points,
     fenchel_biconjugate,
@@ -135,7 +135,7 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     ball = _ball_mask(nu, nodes)
     if route == "analytic":
         src = SourceNormSpec.lp(nu.p, dim)
-        conj_vals = capra_conjugate_l0_analytic_batch(dual_grid.nodes, f.phi, src)
+        conj_vals = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, src)
     else:
         conj_vals = _grid_conjugate(eval_grid, np.where(ball, f.batch(nodes), math.inf),
                                     dual_grid)

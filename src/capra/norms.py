@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import as_extreal
+from .numerics import _refuse_nan, as_extreal
 
 __all__ = [
     "conj_exponent",
@@ -91,13 +91,16 @@ def lp_value(x, p: float) -> float:
 
 
 def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise :func:`lp_value` of an (n, d) array."""
+    """Row-wise :func:`lp_value` of an (n, d) array; a NaN coordinate
+    raises ``nan-input``."""
     if not p > 0.0:
         raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
     a = np.abs(np.asarray(X, dtype=float))
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of row vectors")
     m = a.max(axis=1)
+    # The row maximum propagates NaN.
+    _refuse_nan(m, "a row")
     if p == math.inf:
         return m
     # Rows with maximum 0 or +inf keep it as their value.
@@ -262,11 +265,22 @@ def top_k_norm(y, q: float, k: int) -> float:
 
 
 def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
-    """All top-(q, k) values of each row: entry (i, k-1) is top-(q,k)(Y[i])."""
+    """All top-(q, k) values of each row: entry (i, k-1) is top-(q,k)(Y[i]).
+
+    A NaN coordinate raises ``nan-input``.
+    """
     a = np.abs(np.asarray(Y, dtype=float))
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of row vectors")
     a = -np.sort(-a, axis=1)
+    # The sort puts NaN last, so the last column holds every row's NaN.
+    _refuse_nan(a[:, -1], "a row")
+    return _top_k_table(a, q)
+
+
+def _top_k_table(a: np.ndarray, q: float) -> np.ndarray:
+    """:func:`top_k_norm_table` of rows of magnitudes already sorted in
+    descending order and free of NaN."""
     m = a[:, 0].copy()
     if q == math.inf:
         return np.repeat(m[:, None], a.shape[1], axis=1)
@@ -413,11 +427,12 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec, **kwargs) -> float:
     d = y.size
     if phi.dim != d:
         raise ValueError(f"invalid-phi: phi has dim {phi.dim}, point has dim {d}")
-    if _abs_point(y)[1] == 0.0:
+    a, m = _abs_point(y, ascending=True)
+    if m == 0.0:
         return 0.0
     if source.kind == "lp":
         q = conj_exponent(source.p)
-        table = top_k_norm_table(y[None, :], q)[0]
+        table = _top_k_table(a[None, ::-1], q)[0]
         best = 0.0
         for l in range(1, d + 1):
             w = phi(l)

@@ -7,6 +7,7 @@ by branch in :func:`low_add` / :func:`upp_add` and never by rounding.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -27,6 +28,10 @@ __all__ = [
     "default_dual_grid",
 ]
 
+# Rows per write of write_sample_csv: the text of one block is a few hundred
+# KB at most.
+_CSV_BLOCK_ROWS = 4096
+
 
 def as_extreal(value) -> float:
     """Coerce ``value`` to a float in [-inf, +inf]; NaN is rejected."""
@@ -34,6 +39,14 @@ def as_extreal(value) -> float:
     if math.isnan(v):
         raise ValueError("extended real must be finite, +inf or -inf (got nan)")
     return v
+
+
+def _refuse_nan(a: np.ndarray, what: str) -> None:
+    """The array-level NaN check of the batch and conjugacy entry points:
+    raises ``nan-input`` when ``a`` holds a NaN (``what`` names whose
+    coordinate it is)."""
+    if np.isnan(a).any():
+        raise ValueError(f"nan-input: {what} coordinate is NaN")
 
 
 def low_add(a, b) -> float:
@@ -226,15 +239,28 @@ def format_extreal(v: float, finite: Callable = repr):
 def write_sample_csv(sample: FunctionSample, path) -> None:
     """Write one row per node with columns ``x_1..x_d,value``.
 
-    Infinities are written as the literals ``+inf`` / ``-inf``.
+    Coordinates and finite values are written by ``repr``, infinities as the
+    literals ``+inf`` / ``-inf`` (:func:`format_extreal`).  Each axis value
+    is formatted once; a row's coordinates are the row-major product of
+    those strings, so no node array is built.  Rows are written in blocks of
+    at most ``_CSV_BLOCK_ROWS``, one ``write`` each, so the writer holds
+    the axis strings and one block of text, never a string per node.
     """
-    d = sample.grid.dim
-    header = ",".join(f"x_{k + 1}" for k in range(d)) + ",value"
+    grid = sample.grid
+    axis_strs = [[repr(c) + "," for c in ax.tolist()] for ax in grid.axes]
+    prefixes = map("".join, itertools.product(*axis_strs))
+    vals = sample.values
+    header = ",".join(f"x_{k + 1}" for k in range(grid.dim)) + ",value\n"
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + "\n")
-        for node, v in zip(sample.grid.nodes.tolist(), sample.values.tolist()):
-            coords = ",".join(map(repr, node))
-            fh.write(f"{coords},{format_extreal(v)}\n")
+        fh.write(header)
+        for start in range(0, vals.size, _CSV_BLOCK_ROWS):
+            block = vals[start:start + _CSV_BLOCK_ROWS]
+            # repr already writes -inf; only +inf needs its sign.
+            cells = list(map(repr, block.tolist()))
+            for i in np.flatnonzero(block == math.inf).tolist():
+                cells[i] = "+inf"
+            rows = map(str.__add__, itertools.islice(prefixes, block.size), cells)
+            fh.write("\n".join(rows) + "\n")
 
 
 def read_sample_csv(path):

@@ -53,6 +53,9 @@ def test_domain_error_exit_3(capsys):
     for kind in (["topk", "--q", "2"], ["ksupport", "--p", "2"], ["best", "--p", "2"]):
         code, _, err = run_cli(capsys, "norm", "--kind", *kind, "--k", "1", "--x", "nan,1")
         assert code == 3 and "nan-input" in err
+    code, _, err = run_cli(capsys, "verify", "--oracle", "conjugate", "--grid", "11",
+                           "--at", "nan,1")
+    assert code == 3 and "nan-input" in err
 
 
 def test_unsupported_p_exit_3(capsys):

@@ -11,6 +11,7 @@ from capra.conjugacy import (
     capra_conjugate,
     capra_conjugate_direct,
     capra_conjugate_l0_analytic,
+    capra_conjugate_l0_analytic_batch,
     capra_coupling,
     capra_subdiff_at_zero,
     capra_subdiff_contains,
@@ -19,8 +20,8 @@ from capra.conjugacy import (
     fenchel_conjugate,
 )
 from capra.norms import NormalizationSpec, PhiSpec, SourceNormSpec, lp_value_batch
-from capra.numerics import FunctionSample, build_grid, default_dual_grid, sample
-from capra.envelope import BALL_TOL
+from capra.numerics import FunctionSample, Grid, build_grid, default_dual_grid, sample
+from capra.envelope import BALL_TOL, ball_box_grid, tightest_convex_on_ball
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -295,3 +296,66 @@ def test_capra_conjugate_direct_rows_equal_single_calls(monkeypatch):
                 single = [capra_conjugate_direct(f, coup, y, grid) for y in Y]
                 assert all(type(v) is float for v in single)
                 assert np.array_equal(rows, single), (p, f.label, budget)
+
+
+def _analytic_grids(d: int) -> list:
+    asym = Grid((-2.0, -1.0, -0.5)[:d], (3.0, 5.0, 1.5)[:d], (7, 9, 6)[:d])
+    # an axis ending in a -0.0 node
+    signed_zero = Grid((-1.0,) + (-2.0,) * (d - 1), (-0.0,) + (2.0,) * (d - 1),
+                       (5,) + (9,) * (d - 1))
+    return [default_dual_grid(d, 2.0, step=0.25), asym, signed_zero]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_analytic_grid_conjugate_bit_identical_to_batch(d):
+    phis = [PhiSpec.identity(d), PhiSpec.from_values([0.0, 0.7, 1.9, 2.5][:d + 1])]
+    if d >= 2:  # a +inf level (phi needs a finite one)
+        phis.append(PhiSpec.from_values([0.0, 1.0, math.inf, 3.0][:d + 1]))
+    for grid in _analytic_grids(d):
+        for p in (1.0, 1.5, 2.0, math.inf):
+            src = SourceNormSpec.lp(p, d)
+            for phi in phis:
+                got = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+                assert grid._nodes is None
+                want = capra_conjugate_l0_analytic_batch(grid.nodes, phi, src)
+                assert got.tobytes() == want.tobytes(), (grid, p, phi.values)
+                grid._nodes = None  # so the next call is checked for nodes too
+
+
+def test_analytic_envelope_builds_no_dual_nodes():
+    dual = default_dual_grid(2, 2.0)
+    env = tightest_convex_on_ball(ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0),
+                                  ball_box_grid(2, 21), dual, route="analytic")
+    assert dual._nodes is None
+    assert env.value_near([0.0, 0.0]) == 0.0
+
+
+def test_analytic_batch_rejects_non_2d_points():
+    lp2 = SourceNormSpec.lp(2.0, 2)
+    for Y in (np.array([1.0, 2.0]), np.ones((1, 2, 2))):
+        with pytest.raises(ValueError, match="expected a 2-d array of row vectors"):
+            capra_conjugate_l0_analytic_batch(Y, PhiSpec.identity(2), lp2)
+
+
+def test_nan_duals_raise_nan_input():
+    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [5, 5])
+    l0 = ZeroHomFnSpec.l0(2)
+    f0 = ZeroHomFnSpec.constant_zero()
+    lp2, half = CouplingSpec(NormalizationSpec.lp(2.0)), CouplingSpec(NormalizationSpec.lp(0.5))
+    samp = build_sphere_sample(half.nu, 2, count=64)
+    masked = sample(lambda x: 0.0, grid)
+    probes = [
+        lambda y: capra_conjugate_l0_analytic(y, PhiSpec.identity(2), SourceNormSpec.lp(2.0, 2)),
+        lambda y: capra_conjugate_l0_analytic_batch(np.array([y]), PhiSpec.identity(2),
+                                                    SourceNormSpec.lp(2.0, 2)),
+        lambda y: capra_conjugate(l0, half, y, samp),
+        lambda y: capra_conjugate_direct(l0, lp2, y, grid),
+        lambda y: conjugate_at_points(masked, y),
+        lambda y: capra_subdiff_at_zero(l0, lp2, [[0.5, 0.5], y]),  # analytic route
+        lambda y: capra_subdiff_at_zero(f0, half, [[0.5, 0.5], y], samp),  # sphere route
+        lambda y: capra_subdiff_contains(y, [1.0, 0.0], l0, lp2),
+    ]
+    for probe in probes:
+        for y in ([math.nan, 1.0], [0.0, math.nan], [math.inf, math.nan]):
+            with pytest.raises(ValueError, match="nan-input"):
+                probe(y)

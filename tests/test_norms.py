@@ -390,6 +390,10 @@ def test_nan_coordinates_raise_nan_input():
         lambda y: best_norm_object(phi, lp2).value(y),
         lambda y: best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), lp2,
                                    n_directions=64).value(y),
+        lambda y: top_k_norm_table(np.array([[1.0, 2.0], y]), 2.0),
+        lambda y: top_k_norm_table(np.array([y]), math.inf),
+        lambda y: lp_value_batch(np.array([[1.0, 2.0], y]), 2.0),
+        lambda y: NormalizationSpec.lp(0.5).batch(np.array([y])),
     ]
     for probe in probes:
         for y in ([math.nan, 1.0], [0.0, math.nan], [math.inf, math.nan]):

@@ -4,10 +4,13 @@ import math
 import numpy as np
 import pytest
 
+from capra import numerics
 from capra.numerics import (
     FunctionSample,
+    Grid,
     as_extreal,
     build_grid,
+    format_extreal,
     low_add,
     read_sample_csv,
     sample,
@@ -121,6 +124,61 @@ def test_csv_roundtrip_with_infinities(tmp_path):
     pts, back = read_sample_csv(path)
     assert np.array_equal(pts, g.nodes)
     assert np.array_equal(back, vals)
+
+
+def _python_write_sample_csv(sample, path) -> None:
+    # Reference writer: one row per node, formatted node by node.
+    d = sample.grid.dim
+    header = ",".join(f"x_{k + 1}" for k in range(d)) + ",value"
+    with open(path, "w", encoding="ascii") as fh:
+        fh.write(header + "\n")
+        for node, v in zip(sample.grid.nodes.tolist(), sample.values.tolist()):
+            coords = ",".join(map(repr, node))
+            fh.write(f"{coords},{format_extreal(v)}\n")
+
+
+CSV_GRIDS = [
+    Grid((-1.0,), (1.0,), (9,)),
+    Grid((-0.3,), (2.7,), (2,)),
+    Grid((-1.0, -1.0), (1.0, 1.0), (5, 5)),
+    Grid((-2.0, -1.0), (3.0, 5.0), (7, 2)),
+    Grid((-1.0, 0.0, -5e-3), (1.0, 1.0 / 3.0, 7.0), (3, 2, 4)),
+    Grid((-1e300, -1.0, -1.0), (1e300, 5e-324, 1.0), (2, 5, 3)),
+]
+
+
+def _csv_values(n: int) -> np.ndarray:
+    specials = [math.inf, -math.inf, -0.0, 0.0, 5e-324, -2.5e-310, 1e300, -1e300,
+                1.0 / 3.0, 3 * 2.0 ** -1074]
+    rng = np.random.default_rng(n)
+    mixed = rng.standard_normal(6) * 10.0 ** rng.integers(-8, 8, size=6)
+    return np.resize(np.concatenate([specials, mixed]), n)
+
+
+@pytest.mark.parametrize("grid", CSV_GRIDS, ids=lambda g: f"d{g.dim}-{g.counts}")
+def test_csv_writer_bytes_equal_node_by_node_writer(tmp_path, monkeypatch, grid):
+    s = FunctionSample(grid, _csv_values(grid.node_count))
+    ref = tmp_path / "ref.csv"
+    _python_write_sample_csv(s, ref)
+    writes = []
+
+    def counting_open(*args, **kwargs):
+        fh = open(*args, **kwargs)
+        write = fh.write
+        fh.write = lambda text: (writes.append(text.count("\n")), write(text))[1]
+        return fh
+
+    monkeypatch.setattr(numerics, "open", counting_open, raising=False)
+    for rows in (numerics._CSV_BLOCK_ROWS, 5, 1, grid.node_count + 3):
+        monkeypatch.setattr(numerics, "_CSV_BLOCK_ROWS", rows)
+        writes.clear()
+        out = tmp_path / f"new{rows}.csv"
+        write_sample_csv(s, out)
+        assert out.read_bytes() == ref.read_bytes(), rows
+        # the header, then one write per block of at most ``rows`` rows
+        blocks = -(-grid.node_count // rows)
+        assert writes[0] == 1 and len(writes) == 1 + blocks
+        assert writes[1:] == [rows] * (blocks - 1) + [grid.node_count - rows * (blocks - 1)]
 
 
 def test_csv_reads_any_float_spelling_of_infinity(tmp_path):
