@@ -32,6 +32,7 @@ from .norms import (
     normalize,
     parse_config,
     phi_dual_gauge,
+    phi_dual_gauge_batch,
     sphere_contains,
     top_k_norm,
 )

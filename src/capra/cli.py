@@ -161,7 +161,7 @@ def cmd_oracle(args) -> int:
     from .conjugacy import conjugate_at_points
     from .envelope import BALL_TOL, ball_box_grid
     from .norms import (PhiSpec, SourceNormSpec, dual_coordinate_k_norm,
-                        phi_dual_gauge)
+                        phi_dual_gauge_batch)
     from .numerics import FunctionSample, build_grid, write_sample_csv
 
     seed = int(args.seed, 0)
@@ -189,7 +189,7 @@ def cmd_oracle(args) -> int:
         phi = _parse_phi(args.phi or "id", d)
         cand = build_grid([(-1.25, 1.25)] * d, [11] * d).nodes
         value = orc.support_function_bruteforce(
-            x, lambda y: phi_dual_gauge(y, phi, src) <= 1.0 + 1e-12, cand)
+            x, lambda Y: phi_dual_gauge_batch(Y, phi, src) <= 1.0 + 1e-12, cand)
         print(_fmt(value))
         return 0
     if args.oracle in ("conjugate", "envelope2d"):

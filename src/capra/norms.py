@@ -33,6 +33,7 @@ __all__ = [
     "k_support_norm",
     "dual_coordinate_k_norm",
     "phi_dual_gauge",
+    "phi_dual_gauge_batch",
     "NormObject",
     "best_norm_object",
     "lp_gauge_collapses",
@@ -82,7 +83,7 @@ def lp_value(x, p: float) -> float:
         raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
     a, m = _abs_point(x)
     if a.size == 0:
-        raise ValueError("lp_value needs at least one coordinate")
+        raise ValueError("empty-point: lp_value needs at least one coordinate")
     # An infinite coordinate makes the value +inf; it stays out of the
     # rescale, where inf / inf would give nan.
     if p == math.inf or m == 0.0 or m == math.inf:
@@ -90,14 +91,23 @@ def lp_value(x, p: float) -> float:
     return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
 
 
-def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
-    """Row-wise :func:`lp_value` of an (n, d) array; a NaN coordinate
-    raises ``nan-input``."""
-    if not p > 0.0:
-        raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
+def _abs_rows(X) -> np.ndarray:
+    """``|X|`` as a 2-d float array of at least one column: the shape
+    check of the batch entry points."""
     a = np.abs(np.asarray(X, dtype=float))
     if a.ndim != 2:
         raise ValueError("expected a 2-d array of row vectors")
+    if a.shape[1] == 0:
+        raise ValueError("empty-point: rows need at least one coordinate")
+    return a
+
+
+def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
+    """Row-wise :func:`lp_value` of an (n, d) array; a NaN coordinate
+    raises ``nan-input`` and d = 0 ``empty-point``."""
+    if not p > 0.0:
+        raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
+    a = _abs_rows(X)
     m = a.max(axis=1)
     # The row maximum propagates NaN.
     _refuse_nan(m, "a row")
@@ -267,12 +277,9 @@ def top_k_norm(y, q: float, k: int) -> float:
 def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
     """All top-(q, k) values of each row: entry (i, k-1) is top-(q,k)(Y[i]).
 
-    A NaN coordinate raises ``nan-input``.
+    A NaN coordinate raises ``nan-input`` and d = 0 ``empty-point``.
     """
-    a = np.abs(np.asarray(Y, dtype=float))
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
-    a = -np.sort(-a, axis=1)
+    a = -np.sort(-_abs_rows(Y), axis=1)
     # The sort puts NaN last, so the last column holds every row's NaN.
     _refuse_nan(a[:, -1], "a row")
     return _top_k_table(a, q)
@@ -364,12 +371,16 @@ def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
     direction; later calls only pair y with the cached cloud.  The source
     function must be deterministic, and the cache holds ``|K| + 1`` floats
     per source evaluation already made.
+
+    The pairing is ``np.vecdot``, which rounds each row as ``np.dot`` of
+    that row does (bit for bit for |K| >= 2; at |K| = 1 a zero product is
+    +0.0 where ``np.dot`` gives -0.0, which the max with 0.0 hides).  A
+    matrix product rounds differently.
     """
     U, t = _restricted_dual_cloud(source, support, n_directions)
-    # One dot product per direction: a matrix product rounds differently.
     # An infinite coordinate times a zero one gives nan, which max skips.
     with np.errstate(invalid="ignore"):
-        dots = np.array([np.dot(y_sub, u) for u in U])
+        dots = np.vecdot(U, y_sub)
     return max([0.0, *(dots / t).tolist()])
 
 
@@ -447,6 +458,26 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec, **kwargs) -> float:
     return best
 
 
+def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
+    """Row-wise :func:`phi_dual_gauge` of an (n, d) array, bit for bit.
+
+    For an lp source this is one :func:`top_k_norm_table` pass and a
+    divide-and-max over the levels with finite phi(l); a custom source is
+    evaluated row by row.  A NaN coordinate raises ``nan-input``.
+    """
+    Y = np.asarray(Y, dtype=float)
+    if Y.ndim != 2:
+        raise ValueError("expected a 2-d array of row vectors")
+    if phi.dim != Y.shape[1]:
+        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {Y.shape[1]}")
+    if source.kind != "lp":
+        return np.array([phi_dual_gauge(y, phi, source) for y in Y], dtype=float)
+    table = top_k_norm_table(Y, conj_exponent(source.p))
+    w = phi.values[1:]
+    finite = np.isfinite(w)
+    return np.max(table[:, finite] / w[finite], axis=1, initial=0.0)
+
+
 @dataclass
 class NormObject:
     """An evaluable norm with its dual gauge.
@@ -483,19 +514,6 @@ def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
     return all(seq[i] <= seq[i + 1] * (1.0 + 1e-12) for i in range(len(seq) - 1))
 
 
-def _gauge_ball_cloud(gauge: Callable, dim: int, n_directions: int) -> list:
-    """Directions rescaled onto the boundary of the gauge's unit ball,
-    ``u / gauge(u)``, kept when they pass ``gauge <= 1 + 1e-12``."""
-    cloud = []
-    for u in np.vstack([unit_directions(n_directions, dim), sign_patterns(dim)]):
-        g = gauge(u)
-        if g > 0.0 and math.isfinite(g):
-            c = u / g
-            if gauge(c) <= 1.0 + 1e-12:
-                cloud.append(c)
-    return cloud
-
-
 def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
                      n_directions: int = 4096) -> NormObject:
     """The tightest norm below ``phi(l0(.))`` on the source unit ball.
@@ -505,8 +523,15 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     of :func:`lp_gauge_collapses` holds the primal is exactly
     ``phi(1) * l1``; otherwise it is a direction-sampled lower estimate, the
     max of ``<x, c>`` over a cloud of ``n_directions`` plus ``3^d - 1``
-    points of the dual unit ball.  The ball does not depend on x, so the
-    cloud is built once, at the first evaluation of a nonzero x.
+    points of the dual unit ball: each direction u rescaled to
+    ``u / gauge(u)`` and kept when it passes ``gauge <= 1 + 1e-12``, with
+    :func:`phi_dual_gauge_batch`.  The ball does not depend on x, so the
+    cloud is built once, at the first evaluation of a nonzero x.  The
+    pairing is ``np.vecdot``, which rounds each row as ``np.dot`` of that
+    row does (bit for bit for d >= 2; at d = 1 a zero product is +0.0
+    where ``np.dot`` gives -0.0).  Pairings that are NaN, from an infinite
+    coordinate times a zero one, are skipped, so an infinite coordinate
+    gives +inf.
     """
     if phi.dim != source.dim:
         raise ValueError(
@@ -532,10 +557,14 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
         if _abs_point(x)[1] == 0.0:
             return 0.0
         if cloud is None:
-            cloud = _gauge_ball_cloud(dual, source.dim, n_directions)
-        # One dot product per point, as in the brute-force support function:
-        # a matrix product rounds differently.
-        return max(float(np.dot(x, c)) for c in cloud)
+            U = np.vstack([unit_directions(n_directions, source.dim),
+                           sign_patterns(source.dim)])
+            g = phi_dual_gauge_batch(U, phi, source)
+            keep = (g > 0.0) & (g < math.inf)
+            C = U[keep] / g[keep, None]
+            cloud = C[phi_dual_gauge_batch(C, phi, source) <= 1.0 + 1e-12]
+        with np.errstate(invalid="ignore"):
+            return float(np.fmax.reduce(np.vecdot(cloud, x)))
 
     return NormObject(primal, dual, exact=False, label="support(dual gauge ball)")
 

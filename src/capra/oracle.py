@@ -5,9 +5,11 @@ against.  They favor transparency over speed: the conjugate scores every
 primal x dual pair, with no separable, compress or hull shortcut, in
 blocks of dual rows; norms are estimated by maximizing over explicit
 candidate clouds, the k-support norm in one vectorized pass over its
-direction cloud.  All direction sets are deterministic (fixed seed).  The
-referee shares only the norm primitives of :mod:`capra.norms` with the code
-it checks; it never imports :mod:`capra.conjugacy` or :mod:`capra.envelope`.
+direction cloud, and the support function tests membership with one mask
+over the whole candidate array.  All direction sets are deterministic
+(fixed seed).  The referee shares only the norm primitives of
+:mod:`capra.norms` with the code it checks; it never imports
+:mod:`capra.conjugacy` or :mod:`capra.envelope`.
 """
 
 from __future__ import annotations
@@ -94,19 +96,32 @@ def convex_envelope_2d(f: FunctionSample, dual_grid: Grid | None = None) -> Func
 
 
 def support_function_bruteforce(x, membership, candidates) -> float:
-    """``max <x, y>`` over the candidates passing the membership predicate."""
+    """``max <x, y>`` over the candidates passing the membership predicate.
+
+    ``membership`` maps the (n, d) candidate array to a boolean mask of
+    length n.  The pairing is ``np.vecdot`` over the members, which rounds
+    each row as ``np.dot`` of that row does (bit for bit for d >= 2; at
+    d = 1 a zero product is +0.0 where ``np.dot`` gives -0.0), and the
+    first maximal member wins.  NaN or infinite entries in x or in the
+    candidates raise ``nonfinite-input``; an empty candidate set, or one
+    with no member, raises ``no-member-found``.
+    """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
         raise ValueError("no-member-found: candidate set is empty")
     x = np.asarray(x, dtype=float)
-    best = None
-    for y in candidates:
-        if membership(y):
-            v = float(np.dot(x, y))
-            best = v if best is None else max(best, v)
-    if best is None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"nonfinite-input: x must be finite (got {x})")
+    if not np.isfinite(candidates).all():
+        raise ValueError("nonfinite-input: every candidate must be finite")
+    mask = np.asarray(membership(candidates), dtype=bool)
+    if mask.shape != candidates.shape[:1]:
+        raise ValueError(f"membership must return a mask of shape "
+                         f"{candidates.shape[:1]} (got {mask.shape})")
+    if not mask.any():
         raise ValueError("no-member-found: no candidate passed membership")
-    return best
+    dots = np.vecdot(candidates[mask], x)
+    return float(dots[np.argmax(dots)])
 
 
 def default_direction_set(dim: int, count: int, seed: int = SEED) -> np.ndarray:

@@ -56,6 +56,10 @@ def test_domain_error_exit_3(capsys):
     code, _, err = run_cli(capsys, "verify", "--oracle", "conjugate", "--grid", "11",
                            "--at", "nan,1")
     assert code == 3 and "nan-input" in err
+    for x in ("inf,1", "nan,1"):
+        code, out, err = run_cli(capsys, "verify", "--oracle", "support-phi",
+                                 "--p", "2", "--x", x)
+        assert code == 3 and out == "" and "nonfinite-input" in err
 
 
 def test_unsupported_p_exit_3(capsys):
@@ -172,6 +176,10 @@ def test_verify_oracle_modes(capsys):
     code, out, _ = run_cli(capsys, "verify", "--oracle", "support-phi",
                            "--p", "inf", "--phi", "id", "--x", "1,-1")
     assert code == 0 and out.strip() == "2"
+    # At d = 1 the vecdot pairing gives +0.0 for a zero product.
+    code, out, _ = run_cli(capsys, "verify", "--oracle", "support-phi",
+                           "--p", "2", "--x", "0")
+    assert code == 0 and out == "0\n"
     code, out, _ = run_cli(capsys, "verify", "--oracle", "conjugate",
                            "--f", "l0", "--nu", "lp:2", "--grid", "41",
                            "--at", "3,0")

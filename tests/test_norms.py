@@ -20,16 +20,13 @@ from capra.norms import (
     normalize,
     parse_config,
     phi_dual_gauge,
+    phi_dual_gauge_batch,
     sphere_contains,
     top_k_norm,
     top_k_norm_table,
 )
 from capra._directions import sign_patterns, unit_directions
-from capra.oracle import (
-    default_direction_set,
-    k_support_bruteforce,
-    support_function_bruteforce,
-)
+from capra.oracle import default_direction_set, k_support_bruteforce
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -345,8 +342,9 @@ def test_best_norm_object_primal_equals_bruteforce_bit_for_bit(phi, p, n_directi
     rng = np.random.default_rng(5)
     for _ in range(6):
         x = rng.standard_normal(d) * 3.0
-        want = support_function_bruteforce(x, lambda y: gauge(y) <= 1.0 + 1e-12,
-                                           np.asarray(cands))
+        # A per-row loop with the scalar gauge, independent of the vecdot
+        # pairing and the batch gauge under test.
+        want = max(float(np.dot(x, c)) for c in cands if gauge(c) <= 1.0 + 1e-12)
         assert obj.value(x) == want
 
 
@@ -373,6 +371,65 @@ def test_infinite_coordinates_give_plus_inf():
         assert phi_dual_gauge([math.inf, 1.0], PhiSpec.identity(2), lp2) == math.inf
         assert dual_coordinate_k_norm([1.0, math.inf], lp2, 1) == math.inf
         assert best_norm_object(PhiSpec.identity(2), lp2).value([math.inf, 1.0]) == math.inf
+        sampled = best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), lp2,
+                                   n_directions=64)
+        assert sampled.value([math.inf, 1.0]) == math.inf
+
+
+def test_phi_dual_gauge_batch_equals_scalar_bit_for_bit():
+    rng = np.random.default_rng(11)
+    for phi_vals in ([0.0, 1.0, 2.0, 3.0], [0.0, 2.0, 1.0, 1.5],
+                     [0.0, math.inf, 1.0, 1.3], [0.0, 1.0, math.inf, math.inf]):
+        phi = PhiSpec.from_values(phi_vals)
+        Y = rng.standard_normal((300, 3)) * 10.0 ** rng.integers(-3, 4, size=(300, 1))
+        Y[0] = 0.0
+        Y[1] = [math.inf, 1.0, 0.0]
+        Y[2] = [0.0, -math.inf, -math.inf]
+        Y[3] = [2.0, -2.0, 2.0]
+        sources = [SourceNormSpec.lp(p, 3) for p in (1.0, 1.5, 2.0, math.inf)]
+        sources.append(SourceNormSpec.custom(lambda z: lp_value(z * [1.0, 2.0, 3.0], 2.0), 3))
+        for src in sources:
+            rows = Y if src.kind == "lp" else Y[:12]
+            got = phi_dual_gauge_batch(rows, phi, src)
+            want = np.array([phi_dual_gauge(y, phi, src) for y in rows])
+            assert got.tobytes() == want.tobytes()
+    lp2 = SourceNormSpec.lp(2.0, 2)
+    with pytest.raises(ValueError, match="invalid-phi"):
+        phi_dual_gauge_batch([[1.0, 2.0, 3.0]], PhiSpec.identity(2), lp2)
+    with pytest.raises(ValueError, match="2-d array"):
+        phi_dual_gauge_batch([1.0, 2.0], PhiSpec.identity(2), lp2)
+
+
+def test_vecdot_equals_per_row_dot_bit_for_bit():
+    # The norms and the oracle pair rows with np.vecdot on the promise that
+    # it rounds each row as np.dot of that row does; a matrix product,
+    # einsum or an elementwise sum would not.  Layouts change the rounding
+    # of both alike.
+    rng = np.random.default_rng(12)
+    for d in range(2, 13):
+        X = rng.standard_normal((400, d)) * 10.0 ** rng.integers(-300, 301, size=(400, 1))
+        X[::17] = 0.0
+        X[1::19, 0] = math.inf
+        X[2::23, -1] = -math.inf
+        x = rng.standard_normal(d)
+        x[d // 2] = 0.0
+        for rows in (X, np.asfortranarray(X), np.repeat(X, 2, axis=1)[:, ::2]):
+            with np.errstate(invalid="ignore", over="ignore"):
+                got = np.vecdot(rows, x)
+                want = np.array([float(np.dot(x, r)) for r in rows])
+            assert got.tobytes() == want.tobytes()
+    # At d = 1 a zero product is +0.0 from vecdot and -0.0 from np.dot, so
+    # support functions of 1-d points can print 0 where a per-row loop gave -0.
+    assert math.copysign(1.0, float(np.dot([0.0], [-1.0]))) == -1.0
+    assert math.copysign(1.0, float(np.vecdot(np.array([[-1.0]]), np.array([0.0]))[0])) == 1.0
+
+
+def test_zero_columns_raise_empty_point():
+    for probe in (lambda: top_k_norm_table(np.zeros((1, 0)), 2.0),
+                  lambda: lp_value_batch(np.zeros((1, 0)), 2.0),
+                  lambda: lp_value([], 2.0)):
+        with pytest.raises(ValueError, match="empty-point"):
+            probe()
 
 
 def test_nan_coordinates_raise_nan_input():
@@ -385,6 +442,8 @@ def test_nan_coordinates_raise_nan_input():
         lambda y: dual_coordinate_k_norm(y, lp2, 1, method="enumerate"),
         lambda y: dual_coordinate_k_norm(y, linf, 1),
         lambda y: phi_dual_gauge(y, phi, lp2),
+        lambda y: phi_dual_gauge_batch(np.array([[1.0, 2.0], y]), phi, lp2),
+        lambda y: phi_dual_gauge_batch(np.array([y]), phi, linf),
         lambda y: lp_value(y, 2.0),
         lambda y: k_support_norm(y, 2.0, 1),
         lambda y: best_norm_object(phi, lp2).value(y),

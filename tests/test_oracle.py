@@ -5,7 +5,7 @@ import pytest
 
 from capra import conjugacy, oracle
 from capra.conjugacy import conjugate_at_points, fenchel_conjugate
-from capra.norms import conj_exponent, k_support_norm, lp_value, top_k_norm
+from capra.norms import conj_exponent, k_support_norm, lp_value_batch, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
 from capra.oracle import (
     convex_envelope_2d,
@@ -211,14 +211,39 @@ def test_envelope_dimension_guard():
 
 def test_support_function_bruteforce():
     cand = build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
-    inside_l2 = lambda y: lp_value(y, 2.0) <= 1.0
+    inside_l2 = lambda Y: lp_value_batch(Y, 2.0) <= 1.0
     v = support_function_bruteforce([1.0, 0.0], inside_l2, cand)
     assert abs(v - 1.0) <= 1e-12
     assert support_function_bruteforce([0.0, 0.0], inside_l2, cand) == 0.0
+    # Equal to a per-row np.dot loop over the members, bit for bit.
+    rng = np.random.default_rng(9)
+    cand3 = build_grid([(-1.25, 1.25)] * 3, [11] * 3).nodes
+    inside_l1 = lambda Y: lp_value_batch(Y, 1.0) <= 1.0 + 1e-12
+    for grid, inside in ((cand, inside_l2), (cand3, inside_l1)):
+        members = grid[inside(grid)]
+        for _ in range(20):
+            x = rng.standard_normal(grid.shape[1]) * 10.0 ** rng.integers(-3, 4)
+            want = max(float(np.dot(x, y)) for y in members)
+            assert support_function_bruteforce(x, inside, grid) == want
     with pytest.raises(ValueError, match="no-member-found"):
-        support_function_bruteforce([1.0, 0.0], lambda y: False, cand)
+        support_function_bruteforce([1.0, 0.0], lambda Y: np.zeros(len(Y), bool), cand)
     with pytest.raises(ValueError, match="no-member-found"):
-        support_function_bruteforce([1.0], lambda y: True, np.empty((0, 1)))
+        support_function_bruteforce([1.0], lambda Y: np.ones(len(Y), bool), np.empty((0, 1)))
+    with pytest.raises(ValueError, match="mask of shape"):
+        support_function_bruteforce([1.0, 0.0], lambda Y: True, cand)
+
+
+def test_support_function_bruteforce_rejects_nonfinite_input():
+    # A pairing with an infinite coordinate can be nan (inf * 0): refused
+    # rather than returned.
+    cand = np.array([[0.0, 1.0], [1.0, 0.0]])
+    every = lambda Y: np.ones(len(Y), bool)
+    for x in ([math.inf, 1.0], [math.nan, 1.0], [1.0, -math.inf]):
+        with pytest.raises(ValueError, match="nonfinite-input"):
+            support_function_bruteforce(x, every, cand)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="nonfinite-input"):
+            support_function_bruteforce([1.0, 1.0], every, [[0.0, 1.0], [bad, 0.0]])
 
 
 def test_k_support_bruteforce_examples():
