@@ -9,6 +9,7 @@ precondition).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -236,7 +237,10 @@ def cmd_verify(args) -> int:
     return 0 if report["passed"] else 1
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The ``capra`` parser, built once per process: parsing leaves no state
+    in it, so every :func:`main` call of a process shares it."""
     parser = argparse.ArgumentParser(
         prog="capra",
         description="Capra conjugacy toolkit: sparsity norms, conjugates, "

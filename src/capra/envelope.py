@@ -30,8 +30,11 @@ from .conjugacy import (
     _analytic_applicable,
     _capra_conjugate_l0_analytic_grid,
     _check_work,
-    _grid_conjugate,
+    _fold_axes,
+    _folded_transform,
+    _grid_biconjugate,
     _grid_work,
+    _unfold,
     capra_subdiff_at_zero,
     conjugate_at_points,
     fenchel_biconjugate,
@@ -134,12 +137,19 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     nodes = eval_grid.nodes
     ball = _ball_mask(nu, nodes)
     if route == "analytic":
-        src = SourceNormSpec.lp(nu.p, dim)
-        conj_vals = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, src)
+        # The |y| orthant is the folded input of every sign-symmetric axis;
+        # the other axes are gathered back onto the whole dual axis.
+        conj, inverse = _capra_conjugate_l0_analytic_grid(
+            dual_grid, f.phi, SourceNormSpec.lp(nu.p, dim))
+        fold = _fold_axes(dual_grid, eval_grid)
+        if not all(fold):
+            conj = conj[np.ix_(*(np.arange(n) if folded else inv
+                                 for n, folded, inv in zip(conj.shape, fold, inverse)))]
+        out = _folded_transform(dual_grid, conj, eval_grid, fold)
+        out = _unfold(out, eval_grid.counts, fold).reshape(-1)
     else:
-        conj_vals = _grid_conjugate(eval_grid, np.where(ball, f.batch(nodes), math.inf),
-                                    dual_grid)
-    out = _grid_conjugate(dual_grid, conj_vals, eval_grid)
+        out = _grid_biconjugate(eval_grid, np.where(ball, f.batch(nodes), math.inf),
+                                dual_grid)
     out[~_hull_mask(nu, eval_grid, ball, dual_grid)] = math.inf
     return FunctionSample(eval_grid, out)
 

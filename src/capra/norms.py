@@ -147,17 +147,31 @@ class NormalizationSpec:
         return cls(kind="custom", fn=fn, batch_fn=batch)
 
     def value(self, x) -> float:
+        """nu(x); a custom evaluator's value at a nonzero point must be
+        positive and finite, else ``invalid-normalization`` is raised."""
         if self.kind == "lp":
             return lp_value(x, self.p)
-        return float(self.fn(np.asarray(x, dtype=float)))
+        x = np.asarray(x, dtype=float)
+        v = float(self.fn(x))
+        if not 0.0 < v < math.inf and np.any(x != 0.0):
+            raise ValueError(f"invalid-normalization: nu(x) = {v} at the nonzero point "
+                             f"x = {x.tolist()}")
+        return v
 
     def batch(self, X: np.ndarray) -> np.ndarray:
+        """nu at each row of X, checked as in :meth:`value`."""
         X = np.asarray(X, dtype=float)
         if self.kind == "lp":
             return lp_value_batch(X, self.p)
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(X), dtype=float)
-        return np.array([self.value(row) for row in X])
+        if self.batch_fn is None:
+            return np.array([self.value(row) for row in X])
+        vals = np.asarray(self.batch_fn(X), dtype=float)
+        bad = ~((vals > 0.0) & (vals < math.inf)) & np.any(X != 0.0, axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"invalid-normalization: nu(x) = {vals[i]} at the nonzero "
+                             f"point x = {X[i].tolist()}")
+        return vals
 
 
 def normalize(x, nu: NormalizationSpec) -> np.ndarray:

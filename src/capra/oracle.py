@@ -102,9 +102,11 @@ def support_function_bruteforce(x, membership, candidates) -> float:
     length n.  The pairing is ``np.vecdot`` over the members, which rounds
     each row as ``np.dot`` of that row does (bit for bit for d >= 2; at
     d = 1 a zero product is +0.0 where ``np.dot`` gives -0.0), and the
-    first maximal member wins.  NaN or infinite entries in x or in the
-    candidates raise ``nonfinite-input``; an empty candidate set, or one
-    with no member, raises ``no-member-found``.
+    first maximal member wins.  If a pairing overflows, every member is
+    paired with ``x / max|x|`` instead and the max is scaled back.  NaN or
+    infinite entries in x or in the candidates raise ``nonfinite-input``;
+    an empty candidate set, or one with no member, raises
+    ``no-member-found``.
     """
     candidates = np.asarray(candidates, dtype=float)
     if candidates.ndim != 2 or candidates.shape[0] == 0:
@@ -120,7 +122,14 @@ def support_function_bruteforce(x, membership, candidates) -> float:
                          f"{candidates.shape[:1]} (got {mask.shape})")
     if not mask.any():
         raise ValueError("no-member-found: no candidate passed membership")
-    dots = np.vecdot(candidates[mask], x)
+    members = candidates[mask]
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.vecdot(members, x)
+    if not np.isfinite(dots).all():
+        # A pairing overflowed: pair with x / max|x| and scale back.
+        scale = float(np.abs(x).max())
+        dots = np.vecdot(members, x / scale)
+        return float(dots[np.argmax(dots)]) * scale
     return float(dots[np.argmax(dots)])
 
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 
 import numpy as np
 import pytest
 
-from capra.cli import main
+from capra.cli import build_parser, main
 from capra.numerics import read_sample_csv
 
 
@@ -232,3 +235,32 @@ def test_capra_threads_env(monkeypatch, capsys):
     code, out, _ = run_cli(capsys, "norm", "--kind", "topk", "--q", "1",
                            "--k", "1", "--x", "2,-3")
     assert code == 0 and out.strip() == "3"
+
+
+def test_main_reuses_parser_without_leaking_state(capsys):
+    # One parser serves every call of a process; a sequence of calls, a
+    # parse error among them, prints and exits as fresh processes do.  The
+    # second topk call lacks --q and --k, which the first one gave.
+    calls = [
+        ["norm", "--kind", "topk", "--q", "1", "--k", "2", "--x", "3,-1,2"],
+        ["norm", "--kind", "ksupport", "--k", "2"],
+        ["norm", "--kind", "topk", "--x", "3,-1,2"],
+        ["envelope", "--nu", "lp:inf", "--grid", "11"],
+        ["verify", "--oracle", "ksupport", "--x", "1,2", "--k", "1"],
+    ]
+    assert build_parser() is build_parser()
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    fresh = [subprocess.Popen([sys.executable, "-m", "capra.cli", *argv], env=env, text=True,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+             for argv in calls]
+    codes = []
+    for argv, proc in zip(calls, fresh):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        codes.append(code)
+        captured = capsys.readouterr()
+        out, err = proc.communicate()
+        assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
+    assert codes == [0, 2, 3, 0, 3]

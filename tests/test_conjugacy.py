@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -105,6 +106,34 @@ def test_capra_coupling():
     y = np.array([0.7, 0.4])
     assert math.isclose(capra_coupling(2.0 * x, y, c), capra_coupling(x, y, c),
                         rel_tol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+def test_custom_normalization_refuses_bad_values(bad):
+    # A custom nu must be positive and finite away from 0: a named error,
+    # not a ZeroDivisionError, a divide-by-zero warning or a negative
+    # coupling.
+    x = np.array([3.0, -4.0])
+    specs = [NormalizationSpec.custom(lambda v: bad),
+             NormalizationSpec.custom(lambda v: bad, batch=lambda X: np.full(len(X), bad))]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in specs:
+            with pytest.raises(ValueError, match="invalid-normalization"):
+                nu.value(x)
+            with pytest.raises(ValueError, match="invalid-normalization"):
+                nu.batch(np.array([[0.0, 0.0], x]))
+            with pytest.raises(ValueError, match="invalid-normalization"):
+                capra_coupling(x, [1.0, 0.0], CouplingSpec(nu))
+            with pytest.raises(ValueError, match="invalid-normalization"):
+                build_sphere_sample(nu, 2, count=64)
+            # the origin is not checked
+            assert np.array_equal(nu.batch(np.zeros((2, 2))), [bad, bad], equal_nan=True)
+    good = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
+                                    batch=lambda X: np.abs(X).sum(axis=1))
+    assert good.value(np.zeros(2)) == 0.0
+    assert capra_coupling(x, [1.0, 0.0], CouplingSpec(good)) == 3.0 / 7.0
+    assert good.batch(np.array([[0.0, 0.0], x])).tolist() == [0.0, 7.0]
 
 
 def test_capra_conjugate_1d_l0():
@@ -298,6 +327,93 @@ def test_capra_conjugate_direct_rows_equal_single_calls(monkeypatch):
                 assert np.array_equal(rows, single), (p, f.label, budget)
 
 
+def _full_grid_conjugate(grid: Grid, values: np.ndarray, dual_grid: Grid) -> np.ndarray:
+    # Reference: every axis pass over both whole axes, as before the fold.
+    g = -np.asarray(values, dtype=float).reshape(grid.counts)
+    for k in range(grid.dim):
+        shape = g.shape
+        g = conjugacy._axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1),
+                                 grid.axes[k], dual_grid.axes[k])
+        g = g.reshape(shape[:k] + (dual_grid.counts[k],) + shape[k + 1:])
+    return g.reshape(-1)
+
+
+def _mirrored(table: np.ndarray, counts: tuple) -> np.ndarray:
+    # Values equal to their flip along every axis: node j of an axis of m
+    # nodes reads table entry |j - (m - 1) / 2| rounded down.
+    index = [np.abs(2 * np.arange(m) - (m - 1)) // 2 for m in counts]
+    return table[np.ix_(*index)].reshape(-1)
+
+
+def _symmetric_samples(grid: Grid, rng) -> list:
+    halves = tuple((m + 1) // 2 for m in grid.counts)
+    table = rng.uniform(-1.0, 2.0, size=halves)
+    masked = np.where(lp_value_batch(grid.nodes, 2.0) <= 0.8 * grid.uppers[0], 0.0, math.inf)
+    zeros = np.where(rng.random(halves) < 0.5, 0.0, table)
+    planted = _mirrored(zeros, grid.counts)
+    # ±0.0 planted at random, so mirrored nodes may hold zeros of either sign
+    planted[(planted == 0.0) & (rng.random(planted.size) < 0.5)] = -0.0
+    minus_inf = table.copy()
+    minus_inf.flat[0] = -math.inf
+    return [_mirrored(table, grid.counts), masked + _mirrored(table, grid.counts),
+            masked + _mirrored(np.round(table), grid.counts), planted,
+            _mirrored(minus_inf, grid.counts), np.full(grid.node_count, math.inf)]
+
+
+def _assert_same_up_to_zero_sign(got: np.ndarray, want: np.ndarray) -> None:
+    assert np.array_equal(np.isposinf(got), np.isposinf(want))
+    assert np.array_equal(np.isneginf(got), np.isneginf(want))
+    finite = np.isfinite(want)
+    assert np.all(got[finite] == want[finite])
+    assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_folded_grid_transform_equals_full(d, monkeypatch):
+    # Sign-symmetric axes and values run each pass on the non-negative
+    # halves; the mirrored result equals the full passes in value, and only
+    # the sign of a zero may differ.
+    rng = np.random.default_rng(100 + d)
+    counts = [(9, 8, 7), (6, 5, 4), (11, 4, 5)]
+    for primal_counts, dual_counts in zip(counts, counts[::-1]):
+        grid = Grid((-1.0,) * d, (1.0,) * d, primal_counts[:d])
+        dual = Grid((-3.0,) * d, (3.0,) * d, dual_counts[:d])
+        for values in _symmetric_samples(grid, rng):
+            assert conjugacy._fold_axes(grid, dual, values.reshape(grid.counts)) == (True,) * d
+            got = conjugacy._grid_conjugate(grid, values, dual)
+            _assert_same_up_to_zero_sign(got, _full_grid_conjugate(grid, values, dual))
+            bic = fenchel_biconjugate(FunctionSample(grid, values), dual).values
+            want = _full_grid_conjugate(dual, _full_grid_conjugate(grid, values, dual), grid)
+            _assert_same_up_to_zero_sign(bic, want)
+    # The folded passes pair only the non-negative halves of both axes.
+    sizes = []
+    axis_pass = conjugacy._axis_pass
+    monkeypatch.setattr(conjugacy, "_axis_pass",
+                        lambda g, x, y: sizes.append((x.size, y.size)) or axis_pass(g, x, y))
+    conjugacy._grid_conjugate(grid, np.zeros(grid.node_count), dual)
+    assert sizes == [((n + 1) // 2, (m + 1) // 2) for n, m in zip(grid.counts, dual.counts)]
+    monkeypatch.undo()
+    # Asymmetric axes, or values unequal to their flip along each axis, keep
+    # the full passes, bit for bit; a mixed case folds its symmetric axes.
+    sym = Grid((-1.0,) * d, (1.0,) * d, (7,) * d)
+    asym = Grid((-1.0,) * d, (1.5,) * d, (6,) * d)
+    dual = Grid((-2.0,) * d, (2.0,) * d, (9,) * d)
+    cases = [(asym, dual, _mirrored(rng.uniform(size=(3,) * d), asym.counts)),
+             (sym, asym, _mirrored(rng.uniform(size=(4,) * d), sym.counts)),
+             (sym, dual, rng.uniform(-1.0, 1.0, size=sym.node_count))]
+    for grid, dual_grid, values in cases:
+        assert conjugacy._fold_axes(grid, dual_grid, values.reshape(grid.counts)) == (False,) * d
+        got = conjugacy._grid_conjugate(grid, values, dual_grid)
+        assert got.tobytes() == _full_grid_conjugate(grid, values, dual_grid).tobytes()
+    if d >= 2:
+        mixed = Grid((-1.0,) * d, (1.5,) + (1.0,) * (d - 1), (6,) + (7,) * (d - 1))
+        values = _mirrored(rng.uniform(size=(3,) + (4,) * (d - 1)), mixed.counts)
+        assert conjugacy._fold_axes(mixed, dual, values.reshape(mixed.counts)) == \
+            (False,) + (True,) * (d - 1)
+        _assert_same_up_to_zero_sign(conjugacy._grid_conjugate(mixed, values, dual),
+                                     _full_grid_conjugate(mixed, values, dual))
+
+
 def _analytic_grids(d: int) -> list:
     asym = Grid((-2.0, -1.0, -0.5)[:d], (3.0, 5.0, 1.5)[:d], (7, 9, 6)[:d])
     # an axis ending in a -0.0 node
@@ -315,7 +431,8 @@ def test_analytic_grid_conjugate_bit_identical_to_batch(d):
         for p in (1.0, 1.5, 2.0, math.inf):
             src = SourceNormSpec.lp(p, d)
             for phi in phis:
-                got = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+                conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+                got = conj[np.ix_(*inverse)].reshape(-1)
                 assert grid._nodes is None
                 want = capra_conjugate_l0_analytic_batch(grid.nodes, phi, src)
                 assert got.tobytes() == want.tobytes(), (grid, p, phi.values)
@@ -323,11 +440,19 @@ def test_analytic_grid_conjugate_bit_identical_to_batch(d):
 
 
 def test_analytic_envelope_builds_no_dual_nodes():
-    dual = default_dual_grid(2, 2.0)
-    env = tightest_convex_on_ball(ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0),
-                                  ball_box_grid(2, 21), dual, route="analytic")
-    assert dual._nodes is None
-    assert env.value_near([0.0, 0.0]) == 0.0
+    # The orthant feeds the folded transform on symmetric axes and is
+    # gathered onto the others: the envelope equals the unfolded transform
+    # of the batch over the dual nodes, up to the sign of a zero.
+    f, nu, grid = ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0), ball_box_grid(2, 21)
+    for dual in (default_dual_grid(2, 2.0), Grid((-2.0, -3.0), (3.0, 3.0), (21, 24)),
+                 Grid((-2.0, -2.5), (3.0, 2.0), (21, 24))):
+        env = tightest_convex_on_ball(f, nu, grid, dual, route="analytic")
+        assert dual._nodes is None
+        assert env.value_near([0.0, 0.0]) == 0.0
+        conj = capra_conjugate_l0_analytic_batch(dual.nodes, f.phi, SourceNormSpec.lp(2.0, 2))
+        want = _full_grid_conjugate(dual, conj, grid)
+        want[lp_value_batch(grid.nodes, 2.0) > 1.0 + BALL_TOL] = math.inf
+        _assert_same_up_to_zero_sign(env.values, want)
 
 
 def test_analytic_batch_rejects_non_2d_points():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -244,6 +245,19 @@ def test_support_function_bruteforce_rejects_nonfinite_input():
     for bad in (math.inf, math.nan):
         with pytest.raises(ValueError, match="nonfinite-input"):
             support_function_bruteforce([1.0, 1.0], every, [[0.0, 1.0], [bad, 0.0]])
+
+
+def test_support_function_bruteforce_rescales_overflowing_pairings():
+    # 1.25 * 1.7e308 overflows, although the support value, 1.7e308 at the
+    # member (0, 1), is finite: the pairing is redone with x / max|x|.
+    cand = np.array([[1.25, -1.25], [0.0, 1.0]])
+    every = lambda Y: np.ones(len(Y), bool)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert support_function_bruteforce([1.7e308, 1.7e308], every, cand) == 1.7e308
+        assert support_function_bruteforce([-1e308, 1e308], every, cand) == 1e308
+        # a support value beyond the largest float is +inf
+        assert support_function_bruteforce([1e308, -1e308], every, cand) == math.inf
 
 
 def test_k_support_bruteforce_examples():
