@@ -160,7 +160,7 @@ def cmd_oracle(args) -> int:
 
     from . import oracle as orc
     from .conjugacy import conjugate_at_points
-    from .envelope import BALL_TOL, ball_box_grid
+    from .envelope import _ball_mask, ball_box_grid
     from .norms import (PhiSpec, SourceNormSpec, dual_coordinate_k_norm,
                         phi_dual_gauge_batch)
     from .numerics import FunctionSample, build_grid, write_sample_csv
@@ -199,8 +199,7 @@ def cmd_oracle(args) -> int:
         f = _parse_function(args.f, args.dim)
         nu = _parse_nu(args.nu)
         grid = ball_box_grid(args.dim, args.grid)
-        masked = np.where(nu.batch(grid.nodes) <= 1.0 + BALL_TOL,
-                          f.batch(grid.nodes), math.inf)
+        masked = np.where(_ball_mask(nu, grid.nodes), f.batch(grid.nodes), math.inf)
         sample = FunctionSample(grid, masked)
         if args.oracle == "conjugate":
             at = _parse_point(args.at)

@@ -7,12 +7,13 @@ the Capra conjugate coincides with the Fenchel conjugate of the function
 restricted to the unit ball (equivalently, sphere-plus-origin) of nu, which
 gives two independently computable routes to the same value.
 
-Transforms between product grids are separable: one pass per axis, about
+Transforms between product grids (:func:`_grid_transform`, a chain of one
+or two) are separable: one pass per axis, about
 ``(primal nodes) x (dual count of an axis)`` updates instead of primal x
-dual pairs.  An axis is folded when the primal and the dual axis are both
-sign-symmetric (``ax == -ax[::-1]``, as every grid with ``lower == -upper``
-is) and the values equal their flip along it: its pass runs on the
-non-negative halves of both axes, and the output is mirrored once at the
+dual pairs.  An axis is folded when it is sign-symmetric on every grid of
+the chain (``ax == -ax[::-1]``, as on every grid with ``lower == -upper``)
+and the values equal their flip along it: its passes run on the
+non-negative halves of the axes, and the output is mirrored once at the
 end.  A transform with every axis folded makes about ``2^(d+1)`` times
 fewer updates (a 201x201 envelope takes about 0.04 s); the work cap still
 counts the unfolded updates.  Folding changes no value, only, at times, the
@@ -28,9 +29,9 @@ deterministic, and both refuse work above ``MAX_TRANSFORM_WORK``.
 
 The analytic Capra conjugate of phi∘l0 depends on |y| only.  On a dual grid
 it is evaluated on one |y| orthant, the product of each axis's distinct
-magnitudes, bit-identical to the batch over the nodes and without building
-them; on sign-symmetric axes the orthant is the folded input of the
-envelope transform.  NaN dual points raise ``nan-input``.
+magnitudes, in blocks of rows, bit-identical to the batch over the nodes
+and without building them; on sign-symmetric axes the orthant is the
+folded input of the envelope transform.  NaN dual points raise ``nan-input``.
 """
 
 from __future__ import annotations
@@ -80,10 +81,10 @@ _BLOCK_FLOATS = 1 << 16
 
 # Cap on the work of one transform, counted in elementary max-plus updates:
 # primal x dual pairs for scattered dual points, the summed element count of
-# the axis passes on product grids (see _grid_work).  One core does about
-# 3e8-4e8 point updates (d = 2) or 3e8-5e8 grid updates per second, so the
-# cap keeps a transform within about 10 s; above it the transform is refused
-# with ``work-too-large`` before anything is computed.
+# the unfolded axis passes on product grids (see _check_grid_work).  One core
+# does about 3e8-4e8 point updates (d = 2) or 3e8-5e8 grid updates per
+# second, so the cap keeps a transform within about 10 s; above it the
+# transform is refused with ``work-too-large`` before anything is computed.
 MAX_TRANSFORM_WORK = 2_000_000_000
 
 
@@ -93,15 +94,15 @@ def _check_work(work: int, what: str) -> None:
                          f"over the cap of {MAX_TRANSFORM_WORK:.3g}")
 
 
-def _grid_work(grid: Grid, dual_grid: Grid) -> int:
-    """Element count of the separable transform from ``grid`` to
-    ``dual_grid``: pass k broadcasts over the dual counts of the axes before
-    k, both counts of axis k and the primal counts of the axes after k."""
-    work = 0
-    for k in range(grid.dim):
-        work += (math.prod(dual_grid.counts[:k + 1]) * grid.counts[k]
-                 * math.prod(grid.counts[k + 1:]))
-    return work
+def _check_grid_work(grids, what: str) -> None:
+    """Refuse the chain of transforms through ``grids`` (see
+    :func:`_grid_transform`) when any of them, checked last first, needs more
+    than ``MAX_TRANSFORM_WORK`` updates; nothing runs before the check.  Pass
+    k of a transform broadcasts over the target counts of the axes before k,
+    both counts of axis k and the source counts of the axes after k."""
+    for src, dst in reversed(list(zip(grids, grids[1:]))):
+        _check_work(sum(math.prod(dst.counts[:k + 1]) * math.prod(src.counts[k:])
+                        for k in range(src.dim)), what)
 
 
 def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -124,51 +125,12 @@ def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def _fold_axes(grid: Grid, dual_grid: Grid, values: np.ndarray | None = None) -> tuple:
-    """Per axis, whether the transform between ``grid`` and ``dual_grid``
-    folds it: both axes are sign-symmetric (``ax == -ax[::-1]``) and the
-    values, of shape ``grid.counts``, equal their flip along it (``None``
-    stands for values that depend on |x| only)."""
-    return tuple(
-        bool(np.array_equal(x, -x[::-1]) and np.array_equal(y, -y[::-1])
-             and (values is None or np.array_equal(values, np.flip(values, k))))
-        for k, (x, y) in enumerate(zip(grid.axes, dual_grid.axes)))
-
-
-def _halve(values: np.ndarray, fold: tuple) -> np.ndarray:
-    """The non-negative half of each folded axis of ``values``."""
-    return values[tuple(slice(n // 2, None) if f else slice(None)
-                        for n, f in zip(values.shape, fold))]
-
-
-def _unfold(half: np.ndarray, counts: tuple, fold: tuple) -> np.ndarray:
-    """Expand each folded axis of ``half`` to its full count by mirroring:
-    node j of an axis of m nodes reads half node ``max(j, m - 1 - j) - m // 2``."""
-    if not any(fold):
-        return half
-    index = [np.maximum(np.arange(m), np.arange(m)[::-1]) - m // 2 if f else np.arange(m)
-             for m, f in zip(counts, fold)]
-    return half[np.ix_(*index)]
-
-
-def _folded_transform(grid: Grid, values: np.ndarray, dual_grid: Grid,
-                      fold: tuple) -> np.ndarray:
-    """The axis passes of :func:`_grid_conjugate` on ``values`` of shape
-    ``grid.counts`` with each folded axis cut to its non-negative half; the
-    output has shape ``dual_grid.counts``, its folded axes halved alike."""
-    g = -values
-    for k in range(grid.dim):
-        x, y = grid.axes[k], dual_grid.axes[k]
-        if fold[k]:
-            x, y = x[x.size // 2:], y[y.size // 2:]
-        shape = g.shape
-        g = _axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1), x, y)
-        g = g.reshape(shape[:k] + (y.size,) + shape[k + 1:])
-    return g
-
-
-def _grid_conjugate(grid: Grid, values: np.ndarray, dual_grid: Grid) -> np.ndarray:
-    """Discrete conjugate between product grids, one axis at a time.
+def _grid_transform(grids, values) -> np.ndarray:
+    """Discrete conjugate of ``values`` on ``grids[0]`` onto ``grids[1]``,
+    then of that onto ``grids[2]`` if given: the flat values on the last
+    grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
+    ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
+    The caller checks the work (:func:`_check_grid_work`).
 
     On a product grid the max over primal nodes factors by axis (the
     separability behind Lucet's discrete Legendre transform), e.g. in 2-d
@@ -180,32 +142,46 @@ def _grid_conjugate(grid: Grid, values: np.ndarray, dual_grid: Grid) -> np.ndarr
     transform only by rounding: the ±inf pattern is identical and finite
     values agree within ``4 eps (max|x| |y|_1 + max|f|)``.
 
-    Sign-symmetric axes are folded (:func:`_fold_axes`): when the primal and
-    the dual axis k both equal their negated reverse and the values equal
-    their flip along k, pass k runs on the non-negative halves of both axes,
-    and the result is mirrored once at the end.  For y >= 0 some maximizer
-    has x >= 0, and ``fl(-a b) = -fl(a b)``, so a folded output equals the
-    unfolded one in value; only the sign of a zero can differ (the max of
-    sums that tie at +0.0 and -0.0).  With every axis folded, each pass
-    makes about ``2^(d+1)`` times fewer updates; :func:`_grid_work` still
-    counts the unfolded ones.
+    Axis k folds when it is sign-symmetric (``ax == -ax[::-1]``) on every
+    grid of the chain and the values are even along it, as the orthant form
+    always is (a conjugate of even values is even, so one decision serves
+    the whole chain).  Its passes run on the non-negative halves of the
+    axes, and the result is mirrored once at the end.  For y >= 0 some
+    maximizer has x >= 0, and ``fl(-a b) = -fl(a b)``, so a folded output
+    equals the unfolded one in value; only the sign of a zero can differ
+    (the max of sums that tie at +0.0 and -0.0).  With every axis folded,
+    each pass makes about ``2^(d+1)`` times fewer updates;
+    :func:`_check_grid_work` still counts the unfolded ones.
     """
-    _check_work(_grid_work(grid, dual_grid), "grid transform")
-    values = np.asarray(values, dtype=float).reshape(grid.counts)
-    fold = _fold_axes(grid, dual_grid, values)
-    half = _folded_transform(grid, _halve(values, fold), dual_grid, fold)
-    return _unfold(half, dual_grid.counts, fold).reshape(-1)
-
-
-def _grid_biconjugate(grid: Grid, values: np.ndarray, dual_grid: Grid) -> np.ndarray:
-    """:func:`_grid_conjugate` there and back through ``dual_grid``, the
-    dual values kept folded in between (the conjugate of values symmetric
-    along an axis is symmetric along it).  The caller checks the work."""
-    values = np.asarray(values, dtype=float).reshape(grid.counts)
-    fold = _fold_axes(grid, dual_grid, values)
-    conj = _folded_transform(grid, _halve(values, fold), dual_grid, fold)
-    return _unfold(_folded_transform(dual_grid, conj, grid, fold),
-                   grid.counts, fold).reshape(-1)
+    symmetric = [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
+                 for axes in zip(*(grid.axes for grid in grids))]
+    if isinstance(values, tuple):
+        # Even by construction; the orthant is the non-negative half of each
+        # folded axis, and the other axes are gathered onto the whole axis.
+        g, inverse = values
+        fold = symmetric
+        if not all(fold):
+            g = g[np.ix_(*(np.arange(n) if f else inv
+                           for n, f, inv in zip(g.shape, fold, inverse)))]
+    else:
+        values = np.asarray(values, dtype=float).reshape(grids[0].counts)
+        fold = [s and np.array_equal(values, np.flip(values, k))
+                for k, s in enumerate(symmetric)]
+        g = values[tuple(slice(n // 2, None) if f else slice(None)
+                         for n, f in zip(values.shape, fold))]
+    for src, dst in zip(grids, grids[1:]):
+        g = -g
+        for k, (x, y) in enumerate(zip(src.axes, dst.axes)):
+            if fold[k]:
+                x, y = x[x.size // 2:], y[y.size // 2:]
+            shape = g.shape
+            g = _axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1), x, y)
+            g = g.reshape(shape[:k] + (y.size,) + shape[k + 1:])
+    if any(fold):
+        # Node j of an axis of m nodes reads half node max(j, m - 1 - j) - m // 2.
+        g = g[np.ix_(*(np.maximum(np.arange(m), np.arange(m)[::-1]) - m // 2 if f
+                       else np.arange(m) for m, f in zip(grids[-1].counts, fold)))]
+    return g.reshape(-1)
 
 
 def _conjugate_values(points: np.ndarray, values: np.ndarray,
@@ -257,7 +233,8 @@ def fenchel_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     """
     if dual_grid.dim != f.grid.dim:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
-    return FunctionSample(dual_grid, _grid_conjugate(f.grid, f.values, dual_grid))
+    _check_grid_work((f.grid, dual_grid), "grid transform")
+    return FunctionSample(dual_grid, _grid_transform((f.grid, dual_grid), f.values))
 
 
 def fenchel_biconjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
@@ -266,10 +243,9 @@ def fenchel_biconjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     grids covering the supporting slopes)."""
     if dual_grid.dim != f.grid.dim:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
-    # Check the second transform, then the first, before either runs.
-    _check_work(_grid_work(dual_grid, f.grid), "grid transform")
-    _check_work(_grid_work(f.grid, dual_grid), "grid transform")
-    return FunctionSample(f.grid, _grid_biconjugate(f.grid, f.values, dual_grid))
+    chain = (f.grid, dual_grid, f.grid)
+    _check_grid_work(chain, "grid transform")
+    return FunctionSample(f.grid, _grid_transform(chain, f.values))
 
 
 def conjugate_at_points(f: FunctionSample, points) -> np.ndarray:
@@ -478,13 +454,18 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     magnitude.  ``orthant[np.ix_(*inverse)]`` is the batch over the nodes
     bit for bit.  On a sign-symmetric axis the magnitudes are the axis's
     non-negative half, so the orthant is the folded input of
-    :func:`_folded_transform` (a quarter of a symmetric 2-d grid).
+    :func:`_grid_transform` (a quarter of a symmetric 2-d grid).  Rows are
+    built and evaluated in blocks of ``_BLOCK_FLOATS``; each row is computed
+    on its own, so the blocking changes no value.
     """
     folds = [np.unique(np.abs(ax), return_inverse=True) for ax in dual_grid.axes]
-    mags = np.meshgrid(*(m for m, _ in folds), indexing="ij")
-    Y = np.stack([m.reshape(-1) for m in mags], axis=1)
-    conj = capra_conjugate_l0_analytic_batch(Y, phi, source).reshape(mags[0].shape)
-    return conj, [inv for _, inv in folds]
+    shape = tuple(m.size for m, _ in folds)
+    conj = np.empty(math.prod(shape))
+    for start in range(0, conj.size, _BLOCK_FLOATS):
+        rows = np.arange(start, min(start + _BLOCK_FLOATS, conj.size))
+        Y = np.stack([m[i] for (m, _), i in zip(folds, np.unravel_index(rows, shape))], axis=1)
+        conj[start:start + Y.shape[0]] = capra_conjugate_l0_analytic_batch(Y, phi, source)
+    return conj.reshape(shape), [inv for _, inv in folds]
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,

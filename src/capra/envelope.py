@@ -29,12 +29,8 @@ from .conjugacy import (
     ZeroHomFnSpec,
     _analytic_applicable,
     _capra_conjugate_l0_analytic_grid,
-    _check_work,
-    _fold_axes,
-    _folded_transform,
-    _grid_biconjugate,
-    _grid_work,
-    _unfold,
+    _check_grid_work,
+    _grid_transform,
     capra_subdiff_at_zero,
     conjugate_at_points,
     fenchel_biconjugate,
@@ -44,7 +40,6 @@ from .norms import (
     PhiSpec,
     SourceNormSpec,
     lp_value,
-    lp_value_batch,
 )
 from .numerics import FunctionSample, Grid, default_dual_grid, format_extreal
 
@@ -91,7 +86,7 @@ def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray,
             return ball
         # For p < 1 the ball is star-shaped with the signed axes as extreme
         # points, so its closed convex hull is the l1 ball.
-        return lp_value_batch(grid.nodes, 1.0) <= 1.0 + BALL_TOL
+        return _ball_mask(NormalizationSpec.lp(1.0), grid.nodes)
     indicator = np.where(ball, 0.0, math.inf)
     bic = fenchel_biconjugate(FunctionSample(grid, indicator), dual_grid)
     return bic.values <= 1e-7
@@ -129,27 +124,18 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
         raise ValueError("analytic route requires phi∘l0 and an lp norm with p >= 1")
     if dual_grid is None:
         dual_grid = default_dual_grid(dim, _value_scale(f, nu, eval_grid))
+    chain = (dual_grid, eval_grid) if route == "analytic" else (eval_grid, dual_grid, eval_grid)
     # Refuse oversized requests up front: no dual nodes are built, and no
     # primal nodes either unless a custom f sized the dual grid above.
-    _check_work(_grid_work(dual_grid, eval_grid), "envelope transform")
-    if route == "ball":
-        _check_work(_grid_work(eval_grid, dual_grid), "ball-route transform")
+    _check_grid_work(chain, "envelope transform")
     nodes = eval_grid.nodes
     ball = _ball_mask(nu, nodes)
     if route == "analytic":
-        # The |y| orthant is the folded input of every sign-symmetric axis;
-        # the other axes are gathered back onto the whole dual axis.
-        conj, inverse = _capra_conjugate_l0_analytic_grid(
-            dual_grid, f.phi, SourceNormSpec.lp(nu.p, dim))
-        fold = _fold_axes(dual_grid, eval_grid)
-        if not all(fold):
-            conj = conj[np.ix_(*(np.arange(n) if folded else inv
-                                 for n, folded, inv in zip(conj.shape, fold, inverse)))]
-        out = _folded_transform(dual_grid, conj, eval_grid, fold)
-        out = _unfold(out, eval_grid.counts, fold).reshape(-1)
+        values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi,
+                                                   SourceNormSpec.lp(nu.p, dim))
     else:
-        out = _grid_biconjugate(eval_grid, np.where(ball, f.batch(nodes), math.inf),
-                                dual_grid)
+        values = np.where(ball, f.batch(nodes), math.inf)
+    out = _grid_transform(chain, values)
     out[~_hull_mask(nu, eval_grid, ball, dual_grid)] = math.inf
     return FunctionSample(eval_grid, out)
 

@@ -267,7 +267,7 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
     for p in (1.0, 2.0, math.inf, 0.5):
         nu = nm.NormalizationSpec.lp(p)
         samp = cj.build_sphere_sample(nu, 2, sphere_count)
-        ball = nu.batch(grid.nodes) <= 1.0 + ev.BALL_TOL
+        ball = ev._ball_mask(nu, grid.nodes)
         for f in _l0_and_doubled(2):
             fvals = np.where(ball, f.batch(grid.nodes), math.inf)
             svals = f.batch(samp)
@@ -298,7 +298,7 @@ def _conjugacy_test_functions(rng: np.random.Generator):
     l1 = nm.lp_value_batch(g2.nodes, 1.0)
     fns.append(("l1-2d", nx.FunctionSample(g2, l1)))
     l0 = np.count_nonzero(g2.nodes, axis=1).astype(float)
-    ball = nm.lp_value_batch(g2.nodes, 2.0) <= 1.0 + ev.BALL_TOL
+    ball = ev._ball_mask(nm.NormalizationSpec.lp(2.0), g2.nodes)
     fns.append(("l0-ball-2d", nx.FunctionSample(g2, np.where(ball, l0, math.inf))))
     return fns
 
@@ -444,7 +444,7 @@ def _check_sphere_point_membership(seed: int) -> CheckResult:
     if premise > 2.0 * h:
         return CheckResult("sphere-point-membership-crosscheck", False, 2.0 * h, premise,
                            details="envelope does not match f at the sparse point")
-    ball = nu.batch(grid.nodes) <= 1.0 + ev.BALL_TOL
+    ball = ev._ball_mask(nu, grid.nodes)
     masked = np.where(ball, f.batch(grid.nodes), math.inf)
     mismatches = 0
     rng = _rng(seed + 16)
@@ -493,7 +493,7 @@ def _check_minorization(seed: int) -> CheckResult:
         nu = nm.NormalizationSpec.lp(p)
         f = cj.ZeroHomFnSpec.l0(2)
         env = ev.tightest_convex_on_ball(f, nu, grid)
-        ball = nu.batch(grid.nodes) <= 1.0 + ev.BALL_TOL
+        ball = ev._ball_mask(nu, grid.nodes)
         worst = max(worst, float((env.values[ball] - f.batch(grid.nodes)[ball]).max()))
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, size=3)
@@ -512,7 +512,7 @@ def _check_maximality_vs_oracle(seed: int) -> CheckResult:
             nu = nm.NormalizationSpec.lp(p)
             f = cj.ZeroHomFnSpec.l0(dim)
             env = ev.tightest_convex_on_ball(f, nu, grid, dual_grid=dual)
-            ball = nu.batch(grid.nodes) <= 1.0 + ev.BALL_TOL
+            ball = ev._ball_mask(nu, grid.nodes)
             masked = nx.FunctionSample(grid, np.where(ball, f.batch(grid.nodes), math.inf))
             ref = orc.convex_envelope_2d(masked, dual)
             diff = np.abs(env.values[ball] - ref.values[ball])
@@ -548,7 +548,7 @@ def _check_ordering(seed: int) -> CheckResult:
         nu = nm.NormalizationSpec.lp(p)
         f = cj.ZeroHomFnSpec.l0(2)
         env = ev.tightest_convex_on_ball(f, nu, grid)
-        ball = nu.batch(grid.nodes) <= 1.0 + ev.BALL_TOL
+        ball = ev._ball_mask(nu, grid.nodes)
         for idx in np.flatnonzero(ball)[::7]:
             x = grid.nodes[idx]
             ph = ev.tightest_pos_hom_on_ball(f, nu, x, cand)

@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -368,6 +369,22 @@ def _assert_same_up_to_zero_sign(got: np.ndarray, want: np.ndarray) -> None:
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
+def _spied_transform(monkeypatch, grids, values, fold) -> np.ndarray:
+    # _grid_transform through ``grids``, asserting that every axis pass pairs
+    # the non-negative halves of the axes folded in ``fold`` and the whole
+    # axes elsewhere.
+    sizes = []
+    axis_pass = conjugacy._axis_pass
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "_axis_pass",
+                  lambda g, x, y: sizes.append((x.size, y.size)) or axis_pass(g, x, y))
+        out = conjugacy._grid_transform(grids, values)
+    half = lambda n, f: n - n // 2 if f else n
+    assert sizes == [(half(n, f), half(m, f)) for src, dst in zip(grids, grids[1:])
+                     for n, m, f in zip(src.counts, dst.counts, fold)]
+    return out
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_folded_grid_transform_equals_full(d, monkeypatch):
     # Sign-symmetric axes and values run each pass on the non-negative
@@ -379,20 +396,16 @@ def test_folded_grid_transform_equals_full(d, monkeypatch):
         grid = Grid((-1.0,) * d, (1.0,) * d, primal_counts[:d])
         dual = Grid((-3.0,) * d, (3.0,) * d, dual_counts[:d])
         for values in _symmetric_samples(grid, rng):
-            assert conjugacy._fold_axes(grid, dual, values.reshape(grid.counts)) == (True,) * d
-            got = conjugacy._grid_conjugate(grid, values, dual)
+            got = _spied_transform(monkeypatch, (grid, dual), values, (True,) * d)
             _assert_same_up_to_zero_sign(got, _full_grid_conjugate(grid, values, dual))
             bic = fenchel_biconjugate(FunctionSample(grid, values), dual).values
             want = _full_grid_conjugate(dual, _full_grid_conjugate(grid, values, dual), grid)
             _assert_same_up_to_zero_sign(bic, want)
-    # The folded passes pair only the non-negative halves of both axes.
-    sizes = []
-    axis_pass = conjugacy._axis_pass
-    monkeypatch.setattr(conjugacy, "_axis_pass",
-                        lambda g, x, y: sizes.append((x.size, y.size)) or axis_pass(g, x, y))
-    conjugacy._grid_conjugate(grid, np.zeros(grid.node_count), dual)
-    assert sizes == [((n + 1) // 2, (m + 1) // 2) for n, m in zip(grid.counts, dual.counts)]
-    monkeypatch.undo()
+            # A chain of two transforms keeps its middle values folded.
+            back = Grid((-1.5,) * d, (1.5,) * d, primal_counts[::-1][:d])
+            chain = _spied_transform(monkeypatch, (grid, dual, back), values, (True,) * d)
+            want = _full_grid_conjugate(dual, _full_grid_conjugate(grid, values, dual), back)
+            _assert_same_up_to_zero_sign(chain, want)
     # Asymmetric axes, or values unequal to their flip along each axis, keep
     # the full passes, bit for bit; a mixed case folds its symmetric axes.
     sym = Grid((-1.0,) * d, (1.0,) * d, (7,) * d)
@@ -402,16 +415,30 @@ def test_folded_grid_transform_equals_full(d, monkeypatch):
              (sym, asym, _mirrored(rng.uniform(size=(4,) * d), sym.counts)),
              (sym, dual, rng.uniform(-1.0, 1.0, size=sym.node_count))]
     for grid, dual_grid, values in cases:
-        assert conjugacy._fold_axes(grid, dual_grid, values.reshape(grid.counts)) == (False,) * d
-        got = conjugacy._grid_conjugate(grid, values, dual_grid)
+        got = _spied_transform(monkeypatch, (grid, dual_grid), values, (False,) * d)
         assert got.tobytes() == _full_grid_conjugate(grid, values, dual_grid).tobytes()
+    # One asymmetric grid anywhere in the chain keeps its axes whole.
+    values = _mirrored(rng.uniform(size=(4,) * d), sym.counts)
+    got = _spied_transform(monkeypatch, (sym, dual, asym), values, (False,) * d)
+    want = _full_grid_conjugate(dual, _full_grid_conjugate(sym, values, dual), asym)
+    assert got.tobytes() == want.tobytes()
     if d >= 2:
         mixed = Grid((-1.0,) * d, (1.5,) + (1.0,) * (d - 1), (6,) + (7,) * (d - 1))
         values = _mirrored(rng.uniform(size=(3,) + (4,) * (d - 1)), mixed.counts)
-        assert conjugacy._fold_axes(mixed, dual, values.reshape(mixed.counts)) == \
-            (False,) + (True,) * (d - 1)
-        _assert_same_up_to_zero_sign(conjugacy._grid_conjugate(mixed, values, dual),
-                                     _full_grid_conjugate(mixed, values, dual))
+        got = _spied_transform(monkeypatch, (mixed, dual), values, (False,) + (True,) * (d - 1))
+        _assert_same_up_to_zero_sign(got, _full_grid_conjugate(mixed, values, dual))
+    # The (orthant, inverse) form folds every axis symmetric on both grids
+    # and gathers the others.
+    src = SourceNormSpec.lp(2.0, d)
+    for dual_grid, fold in zip(_analytic_grids(d), [(True,) * d, (False,) * d,
+                                                    (False,) + (True,) * (d - 1)]):
+        orthant, inverse = conjugacy._capra_conjugate_l0_analytic_grid(
+            dual_grid, PhiSpec.identity(d), src)
+        got = _spied_transform(monkeypatch, (dual_grid, sym), (orthant, inverse), fold)
+        want = _full_grid_conjugate(dual_grid, orthant[np.ix_(*inverse)], sym)
+        _assert_same_up_to_zero_sign(got, want)
+        if not any(fold):
+            assert got.tobytes() == want.tobytes()
 
 
 def _analytic_grids(d: int) -> list:
@@ -423,11 +450,14 @@ def _analytic_grids(d: int) -> list:
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_analytic_grid_conjugate_bit_identical_to_batch(d):
+def test_analytic_grid_conjugate_bit_identical_to_batch(d, monkeypatch):
     phis = [PhiSpec.identity(d), PhiSpec.from_values([0.0, 0.7, 1.9, 2.5][:d + 1])]
     if d >= 2:  # a +inf level (phi needs a finite one)
         phis.append(PhiSpec.from_values([0.0, 1.0, math.inf, 3.0][:d + 1]))
-    for grid in _analytic_grids(d):
+    # The orthant rows run in blocks of _BLOCK_FLOATS: one block, and many
+    # with a partial last one.
+    for budget, grid in itertools.product((conjugacy._BLOCK_FLOATS, 7), _analytic_grids(d)):
+        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
         for p in (1.0, 1.5, 2.0, math.inf):
             src = SourceNormSpec.lp(p, d)
             for phi in phis:
