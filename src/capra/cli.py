@@ -3,7 +3,7 @@
 The CLI performs no arithmetic of its own; every printed value comes from a
 library call.  Exit codes: 0 success, 1 failed verification checks, 2 usage
 or parse errors, 3 domain errors (the message names the violated
-precondition).
+precondition; ``io-error`` for a file that cannot be read or written).
 """
 
 from __future__ import annotations
@@ -300,8 +300,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError) as exc:
+        # A file that cannot be read or written is a domain error too.
+        tag = "io-error: " if isinstance(exc, OSError) else ""
+        print(f"error: {tag}{exc}", file=sys.stderr)
         return 3
 
 

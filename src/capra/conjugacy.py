@@ -30,7 +30,8 @@ deterministic, and both refuse work above ``MAX_TRANSFORM_WORK``.
 The analytic Capra conjugate of phi∘l0 depends on |y| only.  On a dual grid
 it is evaluated on one |y| orthant, the product of each axis's distinct
 magnitudes, in blocks of rows, bit-identical to the batch over the nodes
-and without building them; on sign-symmetric axes the orthant is the
+and without building them; on equal axes only the rows with sorted
+magnitudes are evaluated, and on sign-symmetric axes the orthant is the
 folded input of the envelope transform.  NaN dual points raise ``nan-input``.
 """
 
@@ -105,11 +106,14 @@ def _check_grid_work(grids, what: str) -> None:
                         for k in range(src.dim)), what)
 
 
-def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """``out[a, j, b] = max over i of g[a, i, b] + x[i] * y[j]``, chunked
-    along a, j and b (the contiguous b first) so no broadcast exceeds
-    _BLOCK_FLOATS elements.  Every block spans the whole axis i, so the
-    block size does not change the outputs."""
+def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray,
+               negate: bool = False) -> np.ndarray:
+    """``out[a, j, b] = max over i of g[a, i, b] + x[i] * y[j]``, or of
+    ``x[i] * y[j] - g[a, i, b]`` when ``negate`` (the same sum of ``-g``, bit
+    for bit, without a negated copy of g), chunked along a, j and b (the
+    contiguous b first) so no broadcast exceeds _BLOCK_FLOATS elements.
+    Every block spans the whole axis i, so the block size does not change
+    the outputs."""
     A, n, B = g.shape
     m = y.size
     out = np.empty((A, m, B))
@@ -120,7 +124,8 @@ def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         xy = np.multiply.outer(x, y[j:j + mc])[:, :, None]
         for b in range(0, B, bc):
             for a in range(0, A, ac):
-                block = g[a:a + ac, :, None, b:b + bc] + xy
+                part = g[a:a + ac, :, None, b:b + bc]
+                block = xy - part if negate else part + xy
                 out[a:a + ac, j:j + mc, b:b + bc] = block.max(axis=1)
     return out
 
@@ -170,12 +175,12 @@ def _grid_transform(grids, values) -> np.ndarray:
         g = values[tuple(slice(n // 2, None) if f else slice(None)
                          for n, f in zip(values.shape, fold))]
     for src, dst in zip(grids, grids[1:]):
-        g = -g
         for k, (x, y) in enumerate(zip(src.axes, dst.axes)):
             if fold[k]:
                 x, y = x[x.size // 2:], y[y.size // 2:]
             shape = g.shape
-            g = _axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1), x, y)
+            # The first pass of each transform pairs with -g.
+            g = _axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1), x, y, k == 0)
             g = g.reshape(shape[:k] + (y.size,) + shape[k + 1:])
     if any(fold):
         # Node j of an axis of m nodes reads half node max(j, m - 1 - j) - m // 2.
@@ -442,6 +447,21 @@ def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
     return np.maximum(0.0, terms.max(axis=1))
 
 
+def _sorted_index_columns(rows: np.ndarray, m: int, d: int) -> list:
+    """The index tuples ``i_1 >= ... >= i_d`` over ``range(m)`` at positions
+    ``rows`` of their lexicographic order, as d columns.
+
+    ``math.comb(i + d - 1, d)`` tuples have ``i_1 < i``, and the tails of
+    those with ``i_1 = i`` are the first tuples of length d - 1 in the same
+    order, so each position splits into a first index and a tail position.
+    """
+    if d == 1:
+        return [rows]
+    before = np.array([math.comb(i + d - 1, d) for i in range(m + 1)])
+    first = np.searchsorted(before, rows, side="right") - 1
+    return [first, *_sorted_index_columns(rows - before[first], m, d - 1)]
+
+
 def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
                                       source: SourceNormSpec) -> tuple:
     """:func:`capra_conjugate_l0_analytic_batch` on the |y| orthant of
@@ -454,17 +474,38 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     magnitude.  ``orthant[np.ix_(*inverse)]`` is the batch over the nodes
     bit for bit.  On a sign-symmetric axis the magnitudes are the axis's
     non-negative half, so the orthant is the folded input of
-    :func:`_grid_transform` (a quarter of a symmetric 2-d grid).  Rows are
-    built and evaluated in blocks of ``_BLOCK_FLOATS``; each row is computed
-    on its own, so the blocking changes no value.
+    :func:`_grid_transform` (a quarter of a symmetric 2-d grid).
+
+    The table also sorts the magnitudes, so a row and its permutations give
+    the same value.  When every axis has the same magnitudes, only the rows
+    whose indices do not increase are evaluated, ``C(m + d - 1, d)`` of the
+    ``m^d`` (4,753 of 9,409 on the 193^2 default dual grid, about 366k of
+    2.15M on the 257^3 one), and each value is written to every permutation
+    of its index tuple.  Rows are built and evaluated in blocks of
+    ``_BLOCK_FLOATS``; each row is computed on its own, so neither the
+    blocking nor the permuting changes a value.
     """
     folds = [np.unique(np.abs(ax), return_inverse=True) for ax in dual_grid.axes]
-    shape = tuple(m.size for m, _ in folds)
+    mags = [m for m, _ in folds]
+    shape = tuple(m.size for m in mags)
     conj = np.empty(math.prod(shape))
-    for start in range(0, conj.size, _BLOCK_FLOATS):
-        rows = np.arange(start, min(start + _BLOCK_FLOATS, conj.size))
-        Y = np.stack([m[i] for (m, _), i in zip(folds, np.unravel_index(rows, shape))], axis=1)
-        conj[start:start + Y.shape[0]] = capra_conjugate_l0_analytic_batch(Y, phi, source)
+    d = len(shape)
+    strides = [math.prod(shape[k + 1:]) for k in range(d)]
+    equal = all(np.array_equal(m, mags[0]) for m in mags)
+    total = math.comb(shape[0] + d - 1, d) if equal else conj.size
+    # Flat orthant position of an index tuple: its dot with the strides,
+    # permuted over every order of the tuple on equal axes.
+    orders = list(itertools.permutations(strides)) if equal else [strides]
+    for start in range(0, total, _BLOCK_FLOATS):
+        rows = np.arange(start, min(start + _BLOCK_FLOATS, total))
+        if equal:
+            index = _sorted_index_columns(rows, shape[0], d)
+        else:
+            index = np.unravel_index(rows, shape)
+        Y = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
+        values = capra_conjugate_l0_analytic_batch(Y, phi, source)
+        for order in orders:
+            conj[sum(s * i for s, i in zip(order, index))] = values
     return conj.reshape(shape), [inv for _, inv in folds]
 
 

