@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 
@@ -122,9 +121,8 @@ def cmd_envelope(args) -> int:
 
     nu = _parse_nu(args.nu)
     dim = args.dim
-    f = _parse_function(args.f, dim)
     grid = ball_box_grid(dim, args.grid)
-    env = tightest_convex_on_ball(f, nu, grid)
+    env = tightest_convex_on_ball(_parse_function(args.f, dim), nu, grid)
 
     checkpoints = []
     for i in range(dim):
@@ -156,22 +154,20 @@ def _require(args, *flags: str) -> None:
 def cmd_oracle(args) -> int:
     """Re-run a brute-force oracle so derived reference values are
     regenerable from the command line."""
-    import numpy as np
-
     from . import oracle as orc
-    from .conjugacy import conjugate_at_points
-    from .envelope import _ball_mask, ball_box_grid
-    from .norms import (PhiSpec, SourceNormSpec, dual_coordinate_k_norm,
-                        phi_dual_gauge_batch)
-    from .numerics import FunctionSample, build_grid, write_sample_csv
+    from .conjugacy import _check_work, conjugate_at_points
+    from .envelope import _on_ball, ball_box_grid
+    from .norms import SourceNormSpec, conj_exponent, dual_coordinate_k_norm
+    from .numerics import FunctionSample, write_sample_csv
 
     seed = int(args.seed, 0)
     if args.oracle == "topk-enum":
-        from .norms import conj_exponent
-
         _require(args, "x", "k")
         x = _parse_point(args.x)
         q = float(args.q or "2")
+        if not q >= 1.0:
+            raise ValueError(f"invalid-q: --oracle topk-enum needs --q in [1, inf] "
+                             f"(got {args.q})")
         src = SourceNormSpec.lp(conj_exponent(q), x.size)
         value = dual_coordinate_k_norm(x, src, args.k, method="enumerate")
         print(_fmt(value))
@@ -179,28 +175,26 @@ def cmd_oracle(args) -> int:
     if args.oracle == "ksupport":
         _require(args, "x", "p", "k")
         x = _parse_point(args.x)
+        # The oracle pairs x with each of --count directions of d coordinates.
+        _check_work(args.count * x.size, "ksupport oracle")
         dirs = orc.default_direction_set(x.size, args.count, seed=seed)
         print(_fmt(orc.k_support_bruteforce(x, float(args.p), args.k, dirs)))
         return 0
     if args.oracle == "support-phi":
         _require(args, "x", "p")
         x = _parse_point(args.x)
-        d = x.size
-        src = SourceNormSpec.lp(float(args.p), d)
-        phi = _parse_phi(args.phi or "id", d)
-        cand = build_grid([(-1.25, 1.25)] * d, [11] * d).nodes
-        value = orc.support_function_bruteforce(
-            x, lambda Y: phi_dual_gauge_batch(Y, phi, src) <= 1.0 + 1e-12, cand)
-        print(_fmt(value))
+        src = SourceNormSpec.lp(float(args.p), x.size)
+        print(_fmt(orc._phi_dual_support(x, _parse_phi(args.phi or "id", x.size), src)))
         return 0
     if args.oracle in ("conjugate", "envelope2d"):
         if args.oracle == "conjugate":
             _require(args, "at")
-        f = _parse_function(args.f, args.dim)
-        nu = _parse_nu(args.nu)
         grid = ball_box_grid(args.dim, args.grid)
-        masked = np.where(_ball_mask(nu, grid.nodes), f.batch(grid.nodes), math.inf)
-        sample = FunctionSample(grid, masked)
+        # Either oracle pairs every node with at least one dual point: refuse
+        # before the nodes are built.
+        _check_work(grid.node_count, f"{args.oracle} oracle")
+        f = _parse_function(args.f, args.dim)
+        sample = FunctionSample(grid, _on_ball(f, _parse_nu(args.nu), grid)[1])
         if args.oracle == "conjugate":
             at = _parse_point(args.at)
             print(_fmt(float(conjugate_at_points(sample, at[None, :])[0])))

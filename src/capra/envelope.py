@@ -13,7 +13,10 @@ normalization function nu:
   :func:`capra.norms.best_norm_object`.
 
 The subset variants (arbitrary U instead of a ball) are the grid-level
-primitives the ball constructions reduce to.
+primitives the ball constructions reduce to.  f on the ball (+inf off it)
+is built in one place, :func:`_on_ball`; a subset's restriction in another,
+:func:`_restricted`.  The default dual grid is sized by the largest finite
+|f| on the ball: phi's weights for phi∘l0, else f's values on the ball.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from .norms import (
     SourceNormSpec,
     lp_value,
 )
-from .numerics import FunctionSample, Grid, default_dual_grid, format_extreal
+from .numerics import FunctionSample, Grid, _finite_scale, default_dual_grid, format_extreal
 
 __all__ = [
     "BALL_TOL",
@@ -66,6 +69,8 @@ def ball_box_grid(dim: int, count: int, radius: float = 1.0) -> Grid:
     The step is ``2 * radius / (count - 3)``, so the sphere's axis points
     sit exactly one cell inside the box boundary and are grid nodes.
     """
+    if dim < 1:
+        raise ValueError(f"invalid-dim: a ball grid needs dim >= 1 (got {dim})")
     if count < 5 or count % 2 == 0:
         raise ValueError(f"ball grid needs an odd count >= 5 (got {count})")
     h = 2.0 * radius / (count - 3)
@@ -78,6 +83,16 @@ def _ball_mask(nu: NormalizationSpec, nodes: np.ndarray) -> np.ndarray:
     return nu.batch(nodes) <= 1.0 + BALL_TOL
 
 
+def _on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
+             grid: Grid) -> tuple[np.ndarray, np.ndarray]:
+    """The ball mask of nu on the nodes of ``grid``, and f restricted to the
+    ball: f at the ball's nodes, +inf off it (one ``f.batch`` over the
+    nodes)."""
+    nodes = grid.nodes
+    ball = _ball_mask(nu, nodes)
+    return ball, np.where(ball, f.batch(nodes), math.inf)
+
+
 def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray,
                dual_grid: Grid) -> np.ndarray:
     """Nodes inside the closed convex hull of the unit ball of nu."""
@@ -87,20 +102,8 @@ def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray,
         # For p < 1 the ball is star-shaped with the signed axes as extreme
         # points, so its closed convex hull is the l1 ball.
         return _ball_mask(NormalizationSpec.lp(1.0), grid.nodes)
-    indicator = np.where(ball, 0.0, math.inf)
-    bic = fenchel_biconjugate(FunctionSample(grid, indicator), dual_grid)
-    return bic.values <= 1e-7
-
-
-def _value_scale(f: ZeroHomFnSpec, nu: NormalizationSpec, eval_grid: Grid) -> float:
-    """Largest finite |f| on the ball; sizes the default dual grid."""
-    if f.kind == "phi_l0":
-        vals = f.phi.values
-    else:
-        nodes = eval_grid.nodes
-        vals = f.batch(nodes[_ball_mask(nu, nodes)])
-    finite = vals[np.isfinite(vals)]
-    return float(np.abs(finite).max()) if finite.size else 1.0
+    _, indicator = _restricted(FunctionSample(grid, np.zeros(grid.node_count)), ball)
+    return fenchel_biconjugate(indicator, dual_grid).values <= 1e-7
 
 
 def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
@@ -122,19 +125,22 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
         raise ValueError(f"unknown route {route!r}")
     if route == "analytic" and not _analytic_applicable(f, nu):
         raise ValueError("analytic route requires phi∘l0 and an lp norm with p >= 1")
+    # A custom f is evaluated once: when its values on the ball size the dual
+    # grid, they feed the transform too.
+    sized = dual_grid is None and f.kind != "phi_l0"
+    ball, values = _on_ball(f, nu, eval_grid) if sized else (None, None)
     if dual_grid is None:
-        dual_grid = default_dual_grid(dim, _value_scale(f, nu, eval_grid))
+        dual_grid = default_dual_grid(dim, _finite_scale(values if sized else f.phi.values))
     chain = (dual_grid, eval_grid) if route == "analytic" else (eval_grid, dual_grid, eval_grid)
     # Refuse oversized requests up front: no dual nodes are built, and no
     # primal nodes either unless a custom f sized the dual grid above.
     _check_grid_work(chain, "envelope transform")
-    nodes = eval_grid.nodes
-    ball = _ball_mask(nu, nodes)
     if route == "analytic":
+        ball = _ball_mask(nu, eval_grid.nodes)
         values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi,
                                                    SourceNormSpec.lp(nu.p, dim))
-    else:
-        values = np.where(ball, f.batch(nodes), math.inf)
+    elif values is None:
+        ball, values = _on_ball(f, nu, eval_grid)
     out = _grid_transform(chain, values)
     out[~_hull_mask(nu, eval_grid, ball, dual_grid)] = math.inf
     return FunctionSample(eval_grid, out)
@@ -182,7 +188,11 @@ def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
     return float(np.max(accepted @ x))
 
 
-def _subset_mask(grid: Grid, subset) -> np.ndarray:
+def _restricted(f: FunctionSample, subset) -> tuple[np.ndarray, FunctionSample]:
+    """The node mask of the subset U (a node predicate or a boolean mask),
+    and f plus the indicator of U (f on U, +inf off it); an empty U raises
+    ``empty-U``."""
+    grid = f.grid
     if callable(subset):
         mask = np.fromiter((bool(subset(x)) for x in grid.nodes), dtype=bool,
                            count=grid.node_count)
@@ -190,7 +200,9 @@ def _subset_mask(grid: Grid, subset) -> np.ndarray:
         mask = np.asarray(subset, dtype=bool).reshape(-1)
         if mask.shape[0] != grid.node_count:
             raise ValueError("subset mask length does not match node count")
-    return mask
+    if not mask.any():
+        raise ValueError("empty-U: subset contains no grid node")
+    return mask, FunctionSample(grid, np.where(mask, f.values, math.inf))
 
 
 def best_cvx_on_subset(f: FunctionSample, subset, dual_grid: Grid) -> FunctionSample:
@@ -199,11 +211,7 @@ def best_cvx_on_subset(f: FunctionSample, subset, dual_grid: Grid) -> FunctionSa
 
     ``subset`` is a node predicate (callable on points) or a boolean mask.
     """
-    mask = _subset_mask(f.grid, subset)
-    if not mask.any():
-        raise ValueError("empty-U: subset contains no grid node")
-    masked = FunctionSample(f.grid, np.where(mask, f.values, math.inf))
-    return fenchel_biconjugate(masked, dual_grid)
+    return fenchel_biconjugate(_restricted(f, subset)[1], dual_grid)
 
 
 def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
@@ -216,16 +224,13 @@ def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
     ``5 h (1 + |y|)`` per candidate (grid conjugates under-estimate by a
     step times a Lipschitz factor).
     """
-    mask = _subset_mask(f.grid, subset)
-    if not mask.any():
-        raise ValueError("empty-U: subset contains no grid node")
+    mask, masked = _restricted(f, subset)
     zero_rows = np.flatnonzero(np.all(f.grid.nodes == 0.0, axis=1))
     if zero_rows.size == 0 or not mask[zero_rows[0]]:
         raise ValueError("zero-not-in-U: the origin must be a subset node")
     f0 = float(f.values[zero_rows[0]])
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")
-    masked = FunctionSample(f.grid, np.where(mask, f.values, math.inf))
     candidates = np.atleast_2d(np.asarray(dual_candidates, dtype=float))
     conj = conjugate_at_points(masked, candidates)
     if tol is None:

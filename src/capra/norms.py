@@ -492,6 +492,12 @@ def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
     return np.max(table[:, finite] / w[finite], axis=1, initial=0.0)
 
 
+def _in_phi_dual_ball(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
+    """Row-wise membership in the dual unit ball of the best norm below
+    ``phi(l0(.))``: ``phi_dual_gauge <= 1 + 1e-12``."""
+    return phi_dual_gauge_batch(Y, phi, source) <= 1.0 + 1e-12
+
+
 @dataclass
 class NormObject:
     """An evaluable norm with its dual gauge.
@@ -538,8 +544,8 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     ``phi(1) * l1``; otherwise it is a direction-sampled lower estimate, the
     max of ``<x, c>`` over a cloud of ``n_directions`` plus ``3^d - 1``
     points of the dual unit ball: each direction u rescaled to
-    ``u / gauge(u)`` and kept when it passes ``gauge <= 1 + 1e-12``, with
-    :func:`phi_dual_gauge_batch`.  The ball does not depend on x, so the
+    ``u / gauge(u)`` and kept when it passes ``gauge <= 1 + 1e-12``
+    (:func:`_in_phi_dual_ball`).  The ball does not depend on x, so the
     cloud is built once, at the first evaluation of a nonzero x.  The
     pairing is ``np.vecdot``, which rounds each row as ``np.dot`` of that
     row does (bit for bit for d >= 2; at d = 1 a zero product is +0.0
@@ -576,7 +582,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
             g = phi_dual_gauge_batch(U, phi, source)
             keep = (g > 0.0) & (g < math.inf)
             C = U[keep] / g[keep, None]
-            cloud = C[phi_dual_gauge_batch(C, phi, source) <= 1.0 + 1e-12]
+            cloud = C[_in_phi_dual_ball(C, phi, source)]
         with np.errstate(invalid="ignore"):
             return float(np.fmax.reduce(np.vecdot(cloud, x)))
 

@@ -1,5 +1,8 @@
 """Extended-real arithmetic with Moreau additions, and uniform sample grids.
 
+The default dual grid is sized by the largest finite |value| of the
+function transformed, or 1.0 when it has none (:func:`_finite_scale`).
+
 Values live in [-inf, +inf].  The two infinities are IEEE-754 specials, so
 the only case ordinary ``+`` cannot decide, ``(+inf) + (-inf)``, is resolved
 by branch in :func:`low_add` / :func:`upp_add` and never by rounding.
@@ -183,6 +186,14 @@ def default_dual_grid(dim: int, scale: float, step: float = 1.0 / 16.0) -> Grid:
     radius = max(2, int(math.ceil(2.0 * (1.0 + max(scale, 0.0)))))
     per_axis = int(round(2 * radius / step)) + 1
     return Grid((-float(radius),) * dim, (float(radius),) * dim, (per_axis,) * dim)
+
+
+def _finite_scale(values) -> float:
+    """The ``scale`` of :func:`default_dual_grid` for a function with these
+    values: the largest finite |value|, or 1.0 when there is none."""
+    a = np.asarray(values, dtype=float)
+    finite = a[np.isfinite(a)]
+    return float(np.abs(finite).max()) if finite.size else 1.0
 
 
 @dataclass

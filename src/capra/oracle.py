@@ -17,8 +17,8 @@ from __future__ import annotations
 import numpy as np
 
 from ._directions import sign_patterns
-from .numerics import FunctionSample, Grid, default_dual_grid
-from .norms import conj_exponent, top_k_norm_table
+from .numerics import FunctionSample, Grid, _finite_scale, build_grid, default_dual_grid
+from .norms import PhiSpec, SourceNormSpec, _in_phi_dual_ball, conj_exponent, top_k_norm_table
 
 __all__ = [
     "SEED",
@@ -89,9 +89,7 @@ def convex_envelope_2d(f: FunctionSample, dual_grid: Grid | None = None) -> Func
             f"dimension-too-large: envelope oracle supports d <= 2 (got {f.grid.dim})"
         )
     if dual_grid is None:
-        finite = np.isfinite(f.values)
-        scale = float(np.abs(f.values[finite]).max()) if finite.any() else 1.0
-        dual_grid = default_dual_grid(f.grid.dim, scale)
+        dual_grid = default_dual_grid(f.grid.dim, _finite_scale(f.values))
     return naive_conjugate(naive_conjugate(f, dual_grid), f.grid)
 
 
@@ -133,12 +131,23 @@ def support_function_bruteforce(x, membership, candidates) -> float:
     return float(dots[np.argmax(dots)])
 
 
+def _phi_dual_support(x, phi: PhiSpec, source: SourceNormSpec) -> float:
+    """:func:`support_function_bruteforce` of the dual unit ball of the best
+    norm below ``phi(l0(.))``, over the step-0.25 lattice on
+    ``[-1.25, 1.25]^d`` (corners included)."""
+    lattice = build_grid([(-1.25, 1.25)] * source.dim, [11] * source.dim).nodes
+    return support_function_bruteforce(x, lambda Y: _in_phi_dual_ball(Y, phi, source), lattice)
+
+
 def default_direction_set(dim: int, count: int, seed: int = SEED) -> np.ndarray:
     """Seeded Gaussian directions plus every sign pattern in {-1,0,1}^dim.
 
     The sign patterns make polyhedral support maxima exact; the random bulk
-    covers generic directions.  Deterministic for a fixed seed.
+    covers generic directions.  Deterministic for a fixed seed.  A negative
+    ``count`` raises ``invalid-count``.
     """
+    if count < 0:
+        raise ValueError(f"invalid-count: direction count must be >= 0 (got {count})")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, dim))
     norms = np.linalg.norm(z, axis=1)

@@ -44,22 +44,12 @@ class CheckResult:
         return " ".join(parts)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.default_rng(seed)
-
-
-def _finite_max(a) -> float:
-    a = np.asarray(a, dtype=float).reshape(-1)
-    a = a[np.isfinite(a)]
-    return float(a.max()) if a.size else 0.0
-
-
 # ---------------------------------------------------------------------------
 # norms suite
 
 
 def _check_table1_identities(seed: int, n_vectors: int, dims) -> CheckResult:
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     t0 = time.monotonic()
     worst = 0.0
     for d in dims:
@@ -99,7 +89,7 @@ def _check_table1_identities(seed: int, n_vectors: int, dims) -> CheckResult:
 
 
 def _check_topk_monotone(seed: int) -> CheckResult:
-    rng = _rng(seed + 1)
+    rng = np.random.default_rng(seed + 1)
     worst = 0.0
     for d in (2, 4, 7):
         for q in (1.0, 1.5, 2.0, math.inf):
@@ -111,7 +101,7 @@ def _check_topk_monotone(seed: int) -> CheckResult:
 
 
 def _check_duality_pairing(seed: int) -> CheckResult:
-    rng = _rng(seed + 2)
+    rng = np.random.default_rng(seed + 2)
     worst = -math.inf
     for p in (1.0, 2.0, math.inf):
         q = nm.conj_exponent(p)
@@ -127,7 +117,7 @@ def _check_duality_pairing(seed: int) -> CheckResult:
 
 
 def _check_enumeration_route(seed: int) -> CheckResult:
-    rng = _rng(seed + 3)
+    rng = np.random.default_rng(seed + 3)
     worst = 0.0
     for p in (1.0, 1.5, 2.0, 3.0, math.inf):
         for d in range(2, 9):
@@ -142,7 +132,7 @@ def _check_enumeration_route(seed: int) -> CheckResult:
 
 
 def _check_custom_source_duals(seed: int) -> CheckResult:
-    rng = _rng(seed + 4)
+    rng = np.random.default_rng(seed + 4)
     worst = 0.0
     for p in (1.0, 2.0, math.inf):
         exact = nm.SourceNormSpec.lp(p, 2)
@@ -157,7 +147,7 @@ def _check_custom_source_duals(seed: int) -> CheckResult:
 
 
 def _check_gauge_collapse(seed: int) -> CheckResult:
-    rng = _rng(seed + 5)
+    rng = np.random.default_rng(seed + 5)
     worst = 0.0
     for p in (1.0, 2.0, math.inf):
         for d in (2, 4, 6):
@@ -185,7 +175,7 @@ def _check_gauge_collapse(seed: int) -> CheckResult:
 
 
 def _check_permutation_invariance(seed: int) -> CheckResult:
-    rng = _rng(seed + 6)
+    rng = np.random.default_rng(seed + 6)
     worst = 0.0
     for _ in range(40):
         d = int(rng.integers(2, 7))
@@ -203,7 +193,7 @@ def norm_object_violations(obj: nm.NormObject, dim: int, seed: int,
                            n_trials: int = 60) -> float:
     """Worst violation of homogeneity, subadditivity and the pairing
     inequality ``<x, y> <= eval(x) * dual(y)`` over random samples."""
-    rng = _rng(seed)
+    rng = np.random.default_rng(seed)
     slack = 1e-9 if obj.exact else 1e-6
     worst = -math.inf
     for _ in range(n_trials):
@@ -258,18 +248,24 @@ def _l0_and_doubled(dim: int):
     )
 
 
+def _l0_on_lp_ball(p: float, grid: nx.Grid, dual: nx.Grid | None = None):
+    """l0 and the lp ball on ``grid``: the tightest convex envelope, the ball
+    mask, and l0 on the ball (+inf off it)."""
+    f, nu = cj.ZeroHomFnSpec.l0(grid.dim), nm.NormalizationSpec.lp(p)
+    return (ev.tightest_convex_on_ball(f, nu, grid, dual), *ev._on_ball(f, nu, grid))
+
+
 def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
                      sphere_count: int = 10_000) -> CheckResult:
-    rng = _rng(seed + 10)
+    rng = np.random.default_rng(seed + 10)
     grid = ev.ball_box_grid(2, grid_count)
     h = grid.steps[0]
     worst = 0.0
     for p in (1.0, 2.0, math.inf, 0.5):
         nu = nm.NormalizationSpec.lp(p)
         samp = cj.build_sphere_sample(nu, 2, sphere_count)
-        ball = ev._ball_mask(nu, grid.nodes)
         for f in _l0_and_doubled(2):
-            fvals = np.where(ball, f.batch(grid.nodes), math.inf)
+            fvals = ev._on_ball(f, nu, grid)[1]
             svals = f.batch(samp)
             Y = rng.uniform(-3.0, 3.0, size=(n_duals, 2))
             # Stress duals: diagonal-corner and near-axis regions, where the
@@ -287,27 +283,29 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
 
 
 def _conjugacy_test_functions(rng: np.random.Generator):
+    """The conjugacy fixtures as (name, sample, dual grid) triples; each dual
+    grid is the step-1/8 default sized by its sample's values."""
     g1 = nx.build_grid([(-2.0, 2.0)], [81])
     g2 = nx.build_grid([(-1.5, 1.5), (-1.5, 1.5)], [41, 41])
-    fns = []
-    fns.append(("halfsq-1d", nx.FunctionSample(g1, 0.5 * g1.nodes[:, 0] ** 2)))
-    fns.append(("abs-1d", nx.FunctionSample(g1, np.abs(g1.nodes[:, 0]))))
     rand1 = rng.uniform(0.0, 3.0, g1.node_count)
     rand1[rng.random(g1.node_count) < 0.1] = math.inf
-    fns.append(("random-1d", nx.FunctionSample(g1, rand1)))
-    l1 = nm.lp_value_batch(g2.nodes, 1.0)
-    fns.append(("l1-2d", nx.FunctionSample(g2, l1)))
-    l0 = np.count_nonzero(g2.nodes, axis=1).astype(float)
-    ball = ev._ball_mask(nm.NormalizationSpec.lp(2.0), g2.nodes)
-    fns.append(("l0-ball-2d", nx.FunctionSample(g2, np.where(ball, l0, math.inf))))
-    return fns
+    l0_ball = ev._on_ball(cj.ZeroHomFnSpec.l0(2), nm.NormalizationSpec.lp(2.0), g2)[1]
+    fns = [
+        ("halfsq-1d", g1, 0.5 * g1.nodes[:, 0] ** 2),
+        ("abs-1d", g1, np.abs(g1.nodes[:, 0])),
+        ("random-1d", g1, rand1),
+        ("l1-2d", g2, nm.lp_value_batch(g2.nodes, 1.0)),
+        ("l0-ball-2d", g2, l0_ball),
+    ]
+    return [(name, nx.FunctionSample(g, v),
+             nx.default_dual_grid(g.dim, nx._finite_scale(v), step=0.125))
+            for name, g, v in fns]
 
 
 def _check_biconjugate_below(seed: int) -> CheckResult:
-    rng = _rng(seed + 11)
+    rng = np.random.default_rng(seed + 11)
     worst = -math.inf
-    for name, f in _conjugacy_test_functions(rng):
-        dual = nx.default_dual_grid(f.grid.dim, _finite_max(np.abs(f.values)), step=0.125)
+    for name, f, dual in _conjugacy_test_functions(rng):
         bic = cj.fenchel_biconjugate(f, dual).values
         gap = bic - f.values
         gap = gap[~(np.isinf(f.values) & np.isinf(bic))]
@@ -316,10 +314,9 @@ def _check_biconjugate_below(seed: int) -> CheckResult:
 
 
 def _check_triple_conjugate(seed: int) -> CheckResult:
-    rng = _rng(seed + 12)
+    rng = np.random.default_rng(seed + 12)
     worst = 0.0
-    for name, f in _conjugacy_test_functions(rng):
-        dual = nx.default_dual_grid(f.grid.dim, _finite_max(np.abs(f.values)), step=0.125)
+    for name, f, dual in _conjugacy_test_functions(rng):
         c1 = cj.fenchel_conjugate(f, dual)
         c3 = cj.fenchel_biconjugate(c1, f.grid)
         worst = max(worst, float(np.abs(c3.values - c1.values).max()))
@@ -327,7 +324,7 @@ def _check_triple_conjugate(seed: int) -> CheckResult:
 
 
 def _check_order_reversal(seed: int, n_pairs: int = 100) -> CheckResult:
-    rng = _rng(seed + 13)
+    rng = np.random.default_rng(seed + 13)
     g = nx.build_grid([(-1.0, 1.0), (-1.0, 1.0)], [15, 15])
     # Order reversal holds for any dual grid; a coarse one keeps this cheap.
     dual = nx.default_dual_grid(2, 3.0, step=0.25)
@@ -354,34 +351,29 @@ def _midpoint_violation(sample: nx.FunctionSample) -> float:
 
 
 def _check_conjugate_convexity(seed: int) -> CheckResult:
-    rng = _rng(seed + 14)
+    rng = np.random.default_rng(seed + 14)
     worst = -math.inf
-    for name, f in _conjugacy_test_functions(rng):
-        dual = nx.default_dual_grid(f.grid.dim, _finite_max(np.abs(f.values)), step=0.125)
+    for name, f, dual in _conjugacy_test_functions(rng):
         c = cj.fenchel_conjugate(f, dual)
         worst = max(worst, _midpoint_violation(c))
     return CheckResult("conjugate-midpoint-convexity", worst <= 1e-10, 1e-10, worst)
 
 
 def _check_analytic_vs_sphere(seed: int, sphere_count: int = 10_000) -> CheckResult:
-    rng = _rng(seed + 15)
+    rng = np.random.default_rng(seed + 15)
     worst = 0.0
     for p in (1.0, 2.0, math.inf):
         for d in (1, 2, 3):
             nu = nm.NormalizationSpec.lp(p)
             src = nm.SourceNormSpec.lp(p, d)
             samp = cj.build_sphere_sample(nu, d, sphere_count)
-            for f, phi in (
-                (cj.ZeroHomFnSpec.l0(d), nm.PhiSpec.identity(d)),
-                (cj.ZeroHomFnSpec.phi_l0(nm.PhiSpec.scaled_identity(2.0, d)),
-                 nm.PhiSpec.scaled_identity(2.0, d)),
-            ):
+            for f in _l0_and_doubled(d):
                 svals = f.batch(samp)
                 for _ in range(40):
                     u = rng.standard_normal(d)
                     u /= max(np.linalg.norm(u), 1e-12)
                     y = u * rng.uniform(0.0, 4.0)
-                    a = cj.capra_conjugate_l0_analytic(y, phi, src)
+                    a = cj.capra_conjugate_l0_analytic(y, f.phi, src)
                     s = cj.capra_conjugate(f, cj.CouplingSpec(nu), y, samp, svals)
                     worst = max(worst, abs(a - s))
     return CheckResult("analytic-vs-sphere-route", worst <= 1e-3, 1e-3, worst)
@@ -439,15 +431,13 @@ def _check_sphere_point_membership(seed: int) -> CheckResult:
     s = np.array([1.0, 0.0])
     grid = ev.ball_box_grid(2, 101)
     h = grid.steps[0]
-    env = ev.tightest_convex_on_ball(f, nu, grid)
+    env, _, masked = _l0_on_lp_ball(2.0, grid)
     premise = abs(env.value_near(s) - f.value(s))
     if premise > 2.0 * h:
         return CheckResult("sphere-point-membership-crosscheck", False, 2.0 * h, premise,
                            details="envelope does not match f at the sparse point")
-    ball = ev._ball_mask(nu, grid.nodes)
-    masked = np.where(ball, f.batch(grid.nodes), math.inf)
     mismatches = 0
-    rng = _rng(seed + 16)
+    rng = np.random.default_rng(seed + 16)
     for _ in range(60):
         y = rng.uniform(-3.0, 3.0, size=2)
         member = cj.capra_subdiff_contains(y, s, f, cj.CouplingSpec(nu))
@@ -486,15 +476,12 @@ def conjugacy_suite(seed: int = DEFAULT_SEED) -> list[CheckResult]:
 
 
 def _check_minorization(seed: int) -> CheckResult:
-    rng = _rng(seed + 20)
+    rng = np.random.default_rng(seed + 20)
     grid = ev.ball_box_grid(2, 81)
     worst = -math.inf
     for p in (1.0, 2.0, math.inf):
-        nu = nm.NormalizationSpec.lp(p)
-        f = cj.ZeroHomFnSpec.l0(2)
-        env = ev.tightest_convex_on_ball(f, nu, grid)
-        ball = ev._ball_mask(nu, grid.nodes)
-        worst = max(worst, float((env.values[ball] - f.batch(grid.nodes)[ball]).max()))
+        env, ball, fvals = _l0_on_lp_ball(p, grid)
+        worst = max(worst, float((env.values[ball] - fvals[ball]).max()))
     for _ in range(100):
         x = rng.uniform(-1.0, 1.0, size=3)
         worst = max(worst, ev.l0_envelope_linf(x) - float(np.count_nonzero(x)))
@@ -509,12 +496,8 @@ def _check_maximality_vs_oracle(seed: int) -> CheckResult:
         h = grid.steps[0]
         dual = nx.default_dual_grid(dim, float(dim))
         for p in (2.0, math.inf):
-            nu = nm.NormalizationSpec.lp(p)
-            f = cj.ZeroHomFnSpec.l0(dim)
-            env = ev.tightest_convex_on_ball(f, nu, grid, dual_grid=dual)
-            ball = ev._ball_mask(nu, grid.nodes)
-            masked = nx.FunctionSample(grid, np.where(ball, f.batch(grid.nodes), math.inf))
-            ref = orc.convex_envelope_2d(masked, dual)
+            env, ball, fvals = _l0_on_lp_ball(p, grid, dual)
+            ref = orc.convex_envelope_2d(nx.FunctionSample(grid, fvals), dual)
             diff = np.abs(env.values[ball] - ref.values[ball])
             worst = max(worst, float(diff.max()) / h)
             details.append(f"d={dim},p={p:g}: {float(diff.max()):.2e}")
@@ -525,7 +508,7 @@ def _check_maximality_vs_oracle(seed: int) -> CheckResult:
 
 
 def _check_pos_hom(seed: int) -> CheckResult:
-    rng = _rng(seed + 21)
+    rng = np.random.default_rng(seed + 21)
     cand = nx.build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
     worst = -math.inf
     for p in (1.0, 2.0, math.inf):
@@ -543,34 +526,38 @@ def _check_pos_hom(seed: int) -> CheckResult:
 def _check_ordering(seed: int) -> CheckResult:
     grid = ev.ball_box_grid(2, 41)
     cand = nx.build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
+    f = cj.ZeroHomFnSpec.l0(2)
     worst = -math.inf
     for p in (2.0, math.inf):
-        nu = nm.NormalizationSpec.lp(p)
-        f = cj.ZeroHomFnSpec.l0(2)
-        env = ev.tightest_convex_on_ball(f, nu, grid)
-        ball = ev._ball_mask(nu, grid.nodes)
+        env, ball, _ = _l0_on_lp_ball(p, grid)
         for idx in np.flatnonzero(ball)[::7]:
             x = grid.nodes[idx]
-            ph = ev.tightest_pos_hom_on_ball(f, nu, x, cand)
+            ph = ev.tightest_pos_hom_on_ball(f, nm.NormalizationSpec.lp(p), x, cand)
             worst = max(worst, ph - float(env.values[idx]))
     return CheckResult("pos-hom-below-convex-envelope", worst <= 1e-9, 1e-9, worst)
 
 
-def _check_hull_subtlety(seed: int) -> CheckResult:
-    grid = nx.build_grid([(-2.0, 2.0)], [201])
+def _two_interval_envelopes(count: int):
+    """|x| on ``count`` nodes of [-2, 2]: the nodes, its envelopes on U =
+    {|x| >= 1} and on the whole grid, and their gap at 0."""
+    grid = nx.build_grid([(-2.0, 2.0)], [count])
     f = nx.FunctionSample(grid, np.abs(grid.nodes[:, 0]))
     dual = nx.default_dual_grid(1, 2.0)
-    env_u = ev.best_cvx_on_subset(f, lambda x: abs(x[0]) >= 1.0, dual)
-    env_hull = ev.best_cvx_on_subset(f, lambda x: True, dual)
+    env_u = ev.best_cvx_on_subset(f, lambda x: abs(x[0]) >= 1.0, dual).values
+    env_hull = ev.best_cvx_on_subset(f, lambda x: True, dual).values
     i0 = grid.nearest_index(np.array([0.0]))
-    gap = float(env_u.values[i0] - env_hull.values[i0])
+    return grid.nodes[:, 0], env_u, env_hull, float(env_u[i0] - env_hull[i0])
+
+
+def _check_hull_subtlety(seed: int) -> CheckResult:
+    gap = _two_interval_envelopes(201)[3]
     return CheckResult("subset-vs-hull-envelopes-differ", abs(gap - 1.0) <= 1e-9, 1e-9,
                        abs(gap - 1.0), details="gap at 0 must be exactly 1")
 
 
 def _check_best_norm_envelope(seed: int) -> CheckResult:
     worst = -math.inf
-    rng = _rng(seed + 22)
+    rng = np.random.default_rng(seed + 22)
     for p in (1.0, 2.0, math.inf):
         src = nm.SourceNormSpec.lp(p, 3)
         obj = nm.best_norm_object(nm.PhiSpec.identity(3), src)
@@ -605,7 +592,7 @@ def criterion_1(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
-    rng = _rng(seed + 30)
+    rng = np.random.default_rng(seed + 30)
     worst_gauge = 0.0
     worst_best = 0.0
     worst_brute = 0.0
@@ -626,13 +613,9 @@ def criterion_2(seed: int = DEFAULT_SEED) -> CheckResult:
         for d in (2, 3, 4):
             src = nm.SourceNormSpec.lp(p, d)
             phi = nm.PhiSpec.identity(d)
-            axes = [(-1.25, 1.25)] * d
-            cand = nx.build_grid(axes, [11] * d).nodes  # step 0.25; corners included
             for _ in range(5):
                 x = rng.standard_normal(d) * 2.0
-                sup = orc.support_function_bruteforce(
-                    x, lambda Y: nm.phi_dual_gauge_batch(Y, phi, src) <= 1.0 + 1e-12,
-                    cand)
+                sup = orc._phi_dual_support(x, phi, src)
                 worst_brute = max(worst_brute, abs(sup - nm.lp_value(x, 1.0)))
     passed = worst_gauge <= 1e-12 and worst_best <= 1e-9 and worst_brute <= 1e-3
     return CheckResult(
@@ -646,14 +629,11 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
     t0 = time.monotonic()
     grid = ev.ball_box_grid(2, 201)
     h = grid.steps[0]
-    nu = nm.NormalizationSpec.lp(math.inf)
-    env = ev.tightest_convex_on_ball(cj.ZeroHomFnSpec.l0(2), nu, grid)
+    env, ball, _ = _l0_on_lp_ball(math.inf, grid)
     elapsed = time.monotonic() - t0
-    linf = nm.lp_value_batch(grid.nodes, math.inf)
     l1 = nm.lp_value_batch(grid.nodes, 1.0)
-    ball = linf <= 1.0 + ev.BALL_TOL
     err = float(np.abs(env.values[ball] - l1[ball]).max())
-    outside_ok = bool(np.all(np.isposinf(env.values[linf > 1.0 + ev.BALL_TOL])))
+    outside_ok = bool(np.all(np.isposinf(env.values[~ball])))
     passed = err <= 2.0 * h and outside_ok and elapsed < 60.0
     return CheckResult(
         "criterion-3-linf-ball-envelope-is-l1", passed, 2.0 * h, err,
@@ -664,8 +644,7 @@ def criterion_3(seed: int = DEFAULT_SEED) -> CheckResult:
 def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
     grid = ev.ball_box_grid(2, 201)
     h = grid.steps[0]
-    nu = nm.NormalizationSpec.lp(2.0)
-    env = ev.tightest_convex_on_ball(cj.ZeroHomFnSpec.l0(2), nu, grid)
+    env = _l0_on_lp_ball(2.0, grid)[0]
     v_sparse = env.value_near([1.0, 0.0])
     diag = 1.0 / math.sqrt(2.0)
     v_diag = env.value_near([diag, diag])
@@ -686,16 +665,9 @@ def criterion_4(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
-    grid = nx.build_grid([(-2.0, 2.0)], [401])
-    f = nx.FunctionSample(grid, np.abs(grid.nodes[:, 0]))
-    dual = nx.default_dual_grid(1, 2.0)
-    env_u = ev.best_cvx_on_subset(f, lambda x: abs(x[0]) >= 1.0, dual)
-    env_hull = ev.best_cvx_on_subset(f, lambda x: True, dual)
-    x = grid.nodes[:, 0]
-    err_u = float(np.abs(env_u.values - np.maximum(1.0, np.abs(x))).max())
-    err_hull = float(np.abs(env_hull.values - np.abs(x)).max())
-    i0 = grid.nearest_index(np.array([0.0]))
-    gap = float(env_u.values[i0] - env_hull.values[i0])
+    x, env_u, env_hull, gap = _two_interval_envelopes(401)
+    err_u = float(np.abs(env_u - np.maximum(1.0, np.abs(x))).max())
+    err_hull = float(np.abs(env_hull - np.abs(x)).max())
     err = max(err_u, err_hull, abs(gap - 1.0))
     return CheckResult(
         "criterion-5-subset-vs-hull-envelope", err <= 1e-9, 1e-9, err,

@@ -10,7 +10,11 @@ import numpy as np
 import pytest
 
 from capra.cli import build_parser, main
-from capra.numerics import read_sample_csv
+from capra.conjugacy import ZeroHomFnSpec
+from capra.envelope import _on_ball, ball_box_grid
+from capra.norms import NormalizationSpec
+from capra.numerics import FunctionSample, read_sample_csv, write_sample_csv
+from capra.oracle import convex_envelope_2d
 
 
 def run_cli(capsys, *argv):
@@ -64,6 +68,17 @@ def test_domain_error_exit_3(capsys):
         code, out, err = run_cli(capsys, "verify", "--oracle", "support-phi",
                                  "--p", "2", "--x", x)
         assert code == 3 and out == "" and "nonfinite-input" in err
+    # The message names the input at fault: --dim whatever f is, and --q
+    # (the exponent the user gave) rather than its conjugate p.
+    for f in ("l0", "zero"):
+        code, out, err = run_cli(capsys, "envelope", "--nu", "lp:2", "--grid", "7",
+                                 "--dim", "0", "--f", f)
+        assert (code, out) == (3, "")
+        assert err == "error: invalid-dim: a ball grid needs dim >= 1 (got 0)\n"
+    code, out, err = run_cli(capsys, "verify", "--oracle", "topk-enum", "--x", "1,2",
+                             "--k", "1", "--q", "0.5")
+    assert (code, out) == (3, "")
+    assert err == "error: invalid-q: --oracle topk-enum needs --q in [1, inf] (got 0.5)\n"
 
 
 def test_unsupported_p_exit_3(capsys):
@@ -169,7 +184,7 @@ def test_verify_report_deterministic(tmp_path, capsys):
     assert r1.read_bytes() == r2.read_bytes()
 
 
-def test_verify_oracle_modes(capsys):
+def test_verify_oracle_modes(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", "--oracle", "topk-enum",
                            "--q", "1", "--k", "2", "--x", "3,-1,2")
     assert code == 0 and out.strip() == "5"
@@ -188,6 +203,28 @@ def test_verify_oracle_modes(capsys):
                            "--f", "l0", "--nu", "lp:2", "--grid", "41",
                            "--at", "3,0")
     assert code == 0 and abs(float(out) - 2.0) <= 0.2
+    # envelope2d writes the oracle envelope of f restricted to the ball.
+    out_csv, ref_csv = tmp_path / "oracle.csv", tmp_path / "ref.csv"
+    code, _, _ = run_cli(capsys, "verify", "--oracle", "envelope2d", "--nu", "lp:0.5",
+                         "--grid", "21", "--out", str(out_csv))
+    grid = ball_box_grid(2, 21)
+    _, values = _on_ball(ZeroHomFnSpec.l0(2), NormalizationSpec.lp(0.5), grid)
+    write_sample_csv(convex_envelope_2d(FunctionSample(grid, values)), ref_csv)
+    assert code == 0 and out_csv.read_bytes() == ref_csv.read_bytes()
+
+
+@pytest.mark.parametrize("argv, tag", [
+    (("conjugate", "--grid", "100001", "--at", "1,1"), "work-too-large"),  # 74.5 GiB of nodes
+    (("envelope2d", "--grid", "100001"), "work-too-large"),
+    (("ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--count", "100000000000"),
+     "work-too-large"),  # 1.46 TiB of directions
+    (("ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--count", "-1"), "invalid-count"),
+])
+def test_verify_oracle_refuses_before_allocating(capsys, argv, tag):
+    t0 = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--oracle", *argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert code == 3 and out == "" and err.startswith(f"error: {tag}: ")
 
 
 @pytest.mark.parametrize("oracle, given, missing", [

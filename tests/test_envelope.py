@@ -160,6 +160,34 @@ def test_envelope_minorizes_on_ball():
         env = tightest_convex_on_ball(f, nu, g)
         ball = nu.batch(g.nodes) <= 1.0 + BALL_TOL
         assert np.all(env.values[ball] <= f.batch(g.nodes)[ball] + 1e-12)
+    # A custom f is evaluated once per envelope, over all the nodes, whether
+    # or not its values on the ball size the dual grid.
+    rows = []
+
+    def batch(X):
+        rows.append(len(X))
+        return 1.0 * (X[:, 0] != 0.0)
+
+    custom = ZeroHomFnSpec.custom(lambda x: float(x[0] != 0.0), batch=batch)
+    for p, dual in ((1.5, None), (0.5, None), (1.5, default_dual_grid(2, 1.0))):
+        nu = NormalizationSpec.lp(p)
+        rows.clear()
+        env = tightest_convex_on_ball(custom, nu, g, dual)
+        assert rows == [g.node_count]
+        ball = nu.batch(g.nodes) <= 1.0 + BALL_TOL
+        assert np.all(env.values[ball] <= batch(g.nodes)[ball] + 1e-12)
+
+
+def test_custom_normalization_hull_matches_lp_ball():
+    # A custom nu takes its hull from the biconjugate of the ball's
+    # indicator; wrapping a convex lp ball, that hull is the ball itself.
+    g = ball_box_grid(2, 41)
+    for p in (1.0, 1.5, math.inf):
+        lp = NormalizationSpec.lp(p)
+        wrapped = NormalizationSpec.custom(lp.value, batch=lp.batch)
+        for f in (ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()):
+            want = tightest_convex_on_ball(f, lp, g, route="ball").values
+            assert np.array_equal(tightest_convex_on_ball(f, wrapped, g).values, want)
 
 
 def test_pos_hom_examples():

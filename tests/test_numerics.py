@@ -221,3 +221,10 @@ def test_nearest_index():
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
     i = g.nearest_index(np.array([0.52, -0.48]))
     assert np.allclose(g.nodes[i], [0.5, -0.5])
+
+
+def test_finite_scale_is_the_largest_finite_magnitude():
+    assert numerics._finite_scale([math.inf, -3.0, 2.0, -math.inf]) == 3.0
+    assert numerics._finite_scale([0.0, math.inf]) == 0.0
+    for values in ([math.inf, -math.inf], []):
+        assert numerics._finite_scale(values) == 1.0

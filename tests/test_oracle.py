@@ -201,6 +201,9 @@ def test_envelope_of_single_finite_node():
     x = np.abs(g.nodes[:, 0]) > 0
     assert np.allclose(small.values[x], 4.0 * np.abs(g.nodes[x, 0]))
     assert np.allclose(large.values[x], 8.0 * np.abs(g.nodes[x, 0]))
+    # The default dual grid is sized by the largest finite |f|, here 0.
+    auto = convex_envelope_2d(f)
+    assert np.array_equal(auto.values, convex_envelope_2d(f, default_dual_grid(1, 0.0)).values)
 
 
 def test_envelope_dimension_guard():
@@ -292,6 +295,9 @@ def test_direction_set_deterministic():
     a = default_direction_set(3, 100, seed=0x5EED)
     b = default_direction_set(3, 100, seed=0x5EED)
     assert np.array_equal(a, b)
+    assert np.array_equal(default_direction_set(3, 0), a[100:])
+    with pytest.raises(ValueError, match="invalid-count"):
+        default_direction_set(3, -1)
 
 
 def test_k_support_bruteforce_within_ulp_of_loop():
