@@ -124,13 +124,8 @@ def cmd_envelope(args) -> int:
     grid = ball_box_grid(dim, args.grid)
     env = tightest_convex_on_ball(_parse_function(args.f, dim), nu, grid)
 
-    checkpoints = []
-    for i in range(dim):
-        e = np.zeros(dim)
-        e[i] = 1.0
-        checkpoints.append(e / nu.value(e))
-    ones = np.ones(dim)
-    checkpoints.append(ones / nu.value(ones))
+    # The unit axes and the diagonal, scaled onto the sphere of nu.
+    checkpoints = [e / nu.value(e) for e in np.vstack([np.eye(dim), np.ones((1, dim))])]
     for pt in checkpoints:
         coords = ",".join(_fmt(c) for c in pt)
         print(f"value near ({coords}): {_fmt(env.value_near(pt))}")
@@ -155,7 +150,7 @@ def cmd_oracle(args) -> int:
     """Re-run a brute-force oracle so derived reference values are
     regenerable from the command line."""
     from . import oracle as orc
-    from .conjugacy import _check_work, conjugate_at_points
+    from .conjugacy import conjugate_at_points
     from .envelope import _on_ball, ball_box_grid
     from .norms import SourceNormSpec, conj_exponent, dual_coordinate_k_norm
     from .numerics import FunctionSample, write_sample_csv
@@ -175,8 +170,6 @@ def cmd_oracle(args) -> int:
     if args.oracle == "ksupport":
         _require(args, "x", "p", "k")
         x = _parse_point(args.x)
-        # The oracle pairs x with each of --count directions of d coordinates.
-        _check_work(args.count * x.size, "ksupport oracle")
         dirs = orc.default_direction_set(x.size, args.count, seed=seed)
         print(_fmt(orc.k_support_bruteforce(x, float(args.p), args.k, dirs)))
         return 0
@@ -190,9 +183,6 @@ def cmd_oracle(args) -> int:
         if args.oracle == "conjugate":
             _require(args, "at")
         grid = ball_box_grid(args.dim, args.grid)
-        # Either oracle pairs every node with at least one dual point: refuse
-        # before the nodes are built.
-        _check_work(grid.node_count, f"{args.oracle} oracle")
         f = _parse_function(args.f, args.dim)
         sample = FunctionSample(grid, _on_ball(f, _parse_nu(args.nu), grid)[1])
         if args.oracle == "conjugate":

@@ -15,8 +15,8 @@ the chain (``ax == -ax[::-1]``, as on every grid with ``lower == -upper``)
 and the values equal their flip along it: its passes run on the
 non-negative halves of the axes, and the output is mirrored once at the
 end.  A transform with every axis folded makes about ``2^(d+1)`` times
-fewer updates (a 201x201 envelope takes about 0.04 s); the work cap still
-counts the unfolded updates.  Folding changes no value, only, at times, the
+fewer updates (a 201x201 envelope takes about 0.04 s), and the work cap
+counts the updates that run.  Folding changes no value, only, at times, the
 sign of a zero.  Grid transforms match the pairwise oracle
 :func:`capra.oracle.naive_conjugate` in the +-inf pattern exactly and in
 finite values within ``4 eps (max|x| |y|_1 + max|f|)``.  Transforms to
@@ -25,7 +25,7 @@ and reproduce the oracle bit for bit.  Both run in blocks of at most
 ``_BLOCK_FLOATS`` floats (512 KB, within a core's L2 cache), whose size
 never changes an output; so the point transform needs a copy of the finite
 primal rows and one block, whatever the number of duals.  Both are
-deterministic, and both refuse work above ``MAX_TRANSFORM_WORK``.
+deterministic, and both refuse work above ``numerics.MAX_TRANSFORM_WORK``.
 
 The analytic Capra conjugate of phi∘l0 depends on |y| only.  On a dual grid
 it is evaluated on one |y| orthant, the product of each axis's distinct
@@ -49,10 +49,11 @@ from .norms import (
     NormalizationSpec,
     PhiSpec,
     SourceNormSpec,
+    _check_homogeneous,
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import FunctionSample, Grid, _refuse_nan, as_extreal, low_add
+from .numerics import FunctionSample, Grid, _check_work, _refuse_nan, as_extreal, low_add
 
 __all__ = [
     "CouplingSpec",
@@ -80,30 +81,25 @@ ANALYTIC_TOL = 1e-9
 # stream each temporary through memory.
 _BLOCK_FLOATS = 1 << 16
 
-# Cap on the work of one transform, counted in elementary max-plus updates:
-# primal x dual pairs for scattered dual points, the summed element count of
-# the unfolded axis passes on product grids (see _check_grid_work).  One core
-# does about 3e8-4e8 point updates (d = 2) or 3e8-5e8 grid updates per
-# second, so the cap keeps a transform within about 10 s; above it the
-# transform is refused with ``work-too-large`` before anything is computed.
-MAX_TRANSFORM_WORK = 2_000_000_000
+
+def _symmetric_axes(grids) -> list:
+    """Per axis: is it sign-symmetric (``ax == -ax[::-1]``) on every grid?"""
+    return [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
+            for axes in zip(*(grid.axes for grid in grids))]
 
 
-def _check_work(work: int, what: str) -> None:
-    if work > MAX_TRANSFORM_WORK:
-        raise ValueError(f"work-too-large: {what} needs {work:.3g} updates, "
-                         f"over the cap of {MAX_TRANSFORM_WORK:.3g}")
-
-
-def _check_grid_work(grids, what: str) -> None:
-    """Refuse the chain of transforms through ``grids`` (see
-    :func:`_grid_transform`) when any of them, checked last first, needs more
-    than ``MAX_TRANSFORM_WORK`` updates; nothing runs before the check.  Pass
-    k of a transform broadcasts over the target counts of the axes before k,
-    both counts of axis k and the source counts of the axes after k."""
-    for src, dst in reversed(list(zip(grids, grids[1:]))):
-        _check_work(sum(math.prod(dst.counts[:k + 1]) * math.prod(src.counts[k:])
-                        for k in range(src.dim)), what)
+def _check_grid_work(grids, fold, what: str = "grid transform") -> int:
+    """The updates of the chain of transforms through ``grids`` with the axes
+    in ``fold`` folded; each transform, last first, is refused above
+    ``MAX_TRANSFORM_WORK``.  Pass k updates the target counts of the axes
+    before k, both counts of axis k and the source counts of the axes after
+    k, with ``n - n // 2`` of the n nodes of a folded axis."""
+    counts = [[n - n // 2 if f else n for n, f in zip(grid.counts, fold)] for grid in grids]
+    work = [sum(math.prod(dst[:k + 1]) * math.prod(src[k:]) for k in range(len(src)))
+            for src, dst in zip(counts, counts[1:])]
+    for w in reversed(work):
+        _check_work(w, what)
+    return sum(work)
 
 
 def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray,
@@ -135,7 +131,8 @@ def _grid_transform(grids, values) -> np.ndarray:
     then of that onto ``grids[2]`` if given: the flat values on the last
     grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
     ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
-    The caller checks the work (:func:`_check_grid_work`).
+    Once the fold is decided, :func:`_check_grid_work` refuses the chain
+    before the first pass.
 
     On a product grid the max over primal nodes factors by axis (the
     separability behind Lucet's discrete Legendre transform), e.g. in 2-d
@@ -154,17 +151,15 @@ def _grid_transform(grids, values) -> np.ndarray:
     axes, and the result is mirrored once at the end.  For y >= 0 some
     maximizer has x >= 0, and ``fl(-a b) = -fl(a b)``, so a folded output
     equals the unfolded one in value; only the sign of a zero can differ
-    (the max of sums that tie at +0.0 and -0.0).  With every axis folded,
-    each pass makes about ``2^(d+1)`` times fewer updates;
-    :func:`_check_grid_work` still counts the unfolded ones.
+    (the max of sums that tie at +0.0 and -0.0).
     """
-    symmetric = [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
-                 for axes in zip(*(grid.axes for grid in grids))]
+    symmetric = _symmetric_axes(grids)
     if isinstance(values, tuple):
         # Even by construction; the orthant is the non-negative half of each
         # folded axis, and the other axes are gathered onto the whole axis.
         g, inverse = values
         fold = symmetric
+        _check_grid_work(grids, fold)
         if not all(fold):
             g = g[np.ix_(*(np.arange(n) if f else inv
                            for n, f, inv in zip(g.shape, fold, inverse)))]
@@ -172,6 +167,7 @@ def _grid_transform(grids, values) -> np.ndarray:
         values = np.asarray(values, dtype=float).reshape(grids[0].counts)
         fold = [s and np.array_equal(values, np.flip(values, k))
                 for k, s in enumerate(symmetric)]
+        _check_grid_work(grids, fold)
         g = values[tuple(slice(n // 2, None) if f else slice(None)
                          for n, f in zip(values.shape, fold))]
     for src, dst in zip(grids, grids[1:]):
@@ -238,7 +234,6 @@ def fenchel_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     """
     if dual_grid.dim != f.grid.dim:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
-    _check_grid_work((f.grid, dual_grid), "grid transform")
     return FunctionSample(dual_grid, _grid_transform((f.grid, dual_grid), f.values))
 
 
@@ -248,9 +243,7 @@ def fenchel_biconjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     grids covering the supporting slopes)."""
     if dual_grid.dim != f.grid.dim:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
-    chain = (f.grid, dual_grid, f.grid)
-    _check_grid_work(chain, "grid transform")
-    return FunctionSample(f.grid, _grid_transform(chain, f.values))
+    return FunctionSample(f.grid, _grid_transform((f.grid, dual_grid, f.grid), f.values))
 
 
 def conjugate_at_points(f: FunctionSample, points) -> np.ndarray:
@@ -339,6 +332,7 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     level sets are tied to support size have all strata covered.  Directions
     are mapped to the sphere by the normalization mapping x -> x / nu(x).
     """
+    _check_homogeneous(nu, dim)
     rows = [np.zeros((1, dim))]
     for i in range(dim):
         for s in (1.0, -1.0):
@@ -373,6 +367,7 @@ def _check_sphere_sample(sample: np.ndarray, nu: NormalizationSpec) -> None:
     nonzero = np.any(sample != 0.0, axis=1)
     if nonzero.all():
         raise ValueError("sphere sample must contain the origin")
+    _check_homogeneous(nu, sample.shape[1])
     # Spot-check membership of the sphere on a few nonzero rows.
     idx = np.flatnonzero(nonzero)[:64]
     if idx.size:
@@ -409,6 +404,7 @@ def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
     grid.  The point transform is exact for any split of the duals, so each
     row's value equals that of a call with the row alone.
     """
+    _check_homogeneous(coupling.nu, grid.dim)
     X = grid.nodes
     y = np.asarray(y, dtype=float)
     nuvals = coupling.nu.batch(X)

@@ -34,6 +34,7 @@ from .conjugacy import (
     _capra_conjugate_l0_analytic_grid,
     _check_grid_work,
     _grid_transform,
+    _symmetric_axes,
     capra_subdiff_at_zero,
     conjugate_at_points,
     fenchel_biconjugate,
@@ -42,6 +43,7 @@ from .norms import (
     NormalizationSpec,
     PhiSpec,
     SourceNormSpec,
+    _check_homogeneous,
     lp_value,
 )
 from .numerics import FunctionSample, Grid, _finite_scale, default_dual_grid, format_extreal
@@ -72,7 +74,7 @@ def ball_box_grid(dim: int, count: int, radius: float = 1.0) -> Grid:
     if dim < 1:
         raise ValueError(f"invalid-dim: a ball grid needs dim >= 1 (got {dim})")
     if count < 5 or count % 2 == 0:
-        raise ValueError(f"ball grid needs an odd count >= 5 (got {count})")
+        raise ValueError(f"invalid-grid: ball grid needs an odd count >= 5 (got {count})")
     h = 2.0 * radius / (count - 3)
     half = (count - 1) // 2
     hi = half * h
@@ -80,6 +82,7 @@ def ball_box_grid(dim: int, count: int, radius: float = 1.0) -> Grid:
 
 
 def _ball_mask(nu: NormalizationSpec, nodes: np.ndarray) -> np.ndarray:
+    _check_homogeneous(nu, nodes.shape[1])
     return nu.batch(nodes) <= 1.0 + BALL_TOL
 
 
@@ -132,9 +135,11 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     if dual_grid is None:
         dual_grid = default_dual_grid(dim, _finite_scale(values if sized else f.phi.values))
     chain = (dual_grid, eval_grid) if route == "analytic" else (eval_grid, dual_grid, eval_grid)
-    # Refuse oversized requests up front: no dual nodes are built, and no
-    # primal nodes either unless a custom f sized the dual grid above.
-    _check_grid_work(chain, "envelope transform")
+    # Refuse oversized requests before any dual node is built (or primal one,
+    # unless a custom f sized the dual grid).  The analytic orthant folds every
+    # sign-symmetric axis; f on the ball is not known yet, so no ball axis folds.
+    fold = _symmetric_axes(chain) if route == "analytic" else [False] * dim
+    _check_grid_work(chain, fold, "envelope transform")
     if route == "analytic":
         ball = _ball_mask(nu, eval_grid.nodes)
         values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi,

@@ -50,7 +50,7 @@ def conj_exponent(p: float) -> float:
     if p == math.inf:
         return 1.0
     if p <= 1.0:
-        raise ValueError(f"conjugate exponent requires p >= 1 (got {p})")
+        raise ValueError(f"invalid-p: conjugate exponent requires p >= 1 (got {p})")
     return p / (p - 1.0)
 
 
@@ -128,7 +128,8 @@ class NormalizationSpec:
     vanishing only at 0 (a norm without the subadditivity requirement).
 
     Use :meth:`lp` for the lp family (any p > 0, including p < 1) or
-    :meth:`custom` to wrap an arbitrary evaluator.
+    :meth:`custom` to wrap an arbitrary evaluator, whose homogeneity is
+    spot-checked where it first meets a grid or a sphere sample.
     """
 
     kind: str
@@ -174,6 +175,25 @@ class NormalizationSpec:
         return vals
 
 
+def _check_homogeneous(nu: NormalizationSpec, dim: int) -> None:
+    """Spot-check ``nu(t x) = |t| nu(x)`` for a custom nu at 8 deterministic
+    unit directions of R^dim and t in {-3, 0.5}, within a relative 1e-6; a
+    violation raises ``invalid-normalization``.  lp is homogeneous as built."""
+    if nu.kind == "lp":
+        return
+    X = unit_directions(8, dim)
+    base = nu.batch(X)
+    for t in (-3.0, 0.5):
+        want = abs(t) * base
+        got = nu.batch(t * X)
+        bad = np.abs(got - want) > 1e-6 * want
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"invalid-normalization: nu is not absolutely homogeneous: "
+                             f"nu(t x) = {got[i]} and |t| nu(x) = {want[i]} at t = {t}, "
+                             f"x = {X[i].tolist()}")
+
+
 def normalize(x, nu: NormalizationSpec) -> np.ndarray:
     """Map x to x / nu(x), and 0 to 0 (range: the unit sphere plus origin)."""
     x = np.asarray(x, dtype=float)
@@ -213,7 +233,7 @@ class SourceNormSpec:
     def lp(cls, p: float, dim: int) -> "SourceNormSpec":
         p = float(p)
         if not (p >= 1.0 or p == math.inf):
-            raise ValueError(f"source norm requires p in [1, inf] (got {p})")
+            raise ValueError(f"invalid-p: source norm requires p in [1, inf] (got {p})")
         return cls(kind="lp", dim=int(dim), p=p)
 
     @classmethod
@@ -281,7 +301,7 @@ def top_k_norm(y, q: float, k: int) -> float:
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
     if not (q >= 1.0 or q == math.inf):
-        raise ValueError(f"top-k norm requires q in [1, inf] (got {q})")
+        raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
     if q == math.inf or m == 0.0 or m == math.inf:
         return m
     top = a[::-1][:k]
@@ -306,7 +326,7 @@ def _top_k_table(a: np.ndarray, q: float) -> np.ndarray:
     if q == math.inf:
         return np.repeat(m[:, None], a.shape[1], axis=1)
     if not q >= 1.0:
-        raise ValueError(f"top-k norm requires q in [1, inf] (got {q})")
+        raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
     # Rows with maximum 0 or +inf stay out of the rescale and keep it as
     # every top-(q, k) value.
     ok = (m > 0.0) & (m < math.inf)

@@ -35,6 +35,19 @@ __all__ = [
 # KB at most.
 _CSV_BLOCK_ROWS = 4096
 
+# The work budget of one step: the max-plus updates of one transform (pairs
+# to scattered points, the axis-pass elements that run on product grids), the
+# pairs of the oracle conjugate, or the floats of a node or direction array.
+# One core does 3e8-5e8 updates a second, so a step stays within about 10 s;
+# above the budget it is refused with ``work-too-large`` before it starts.
+MAX_TRANSFORM_WORK = 2_000_000_000
+
+
+def _check_work(work: int, what: str, unit: str = "updates") -> None:
+    if work > MAX_TRANSFORM_WORK:
+        raise ValueError(f"work-too-large: {what} needs {work:.3g} {unit}, "
+                         f"over the cap of {MAX_TRANSFORM_WORK:.3g}")
+
 
 def as_extreal(value) -> float:
     """Coerce ``value`` to a float in [-inf, +inf]; NaN is rejected."""
@@ -141,8 +154,9 @@ class Grid:
 
     @property
     def nodes(self) -> np.ndarray:
-        """All nodes as an (node_count, dim) array, row-major order."""
+        """All nodes as an (node_count, dim) array, row-major order; refused over budget."""
         if self._nodes is None:
+            _check_work(self.node_count * self.dim, "node array", "floats")
             mesh = np.meshgrid(*self.axes, indexing="ij")
             pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
             pts.flags.writeable = False
@@ -227,10 +241,7 @@ class FunctionSample:
 
 def sample(fn: Callable, grid: Grid) -> FunctionSample:
     """Evaluate ``fn`` at every grid node (row-major order)."""
-    vals = np.empty(grid.node_count)
-    for i, x in enumerate(grid.nodes):
-        vals[i] = as_extreal(fn(x))
-    return FunctionSample(grid, vals)
+    return FunctionSample(grid, np.array([as_extreal(fn(x)) for x in grid.nodes]))
 
 
 def format_extreal(v: float, finite: Callable = repr):

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._directions import sign_patterns
-from .numerics import FunctionSample, Grid, _finite_scale, build_grid, default_dual_grid
+from .numerics import FunctionSample, Grid, _check_work, _finite_scale, build_grid, default_dual_grid
 from .norms import PhiSpec, SourceNormSpec, _in_phi_dual_ball, conj_exponent, top_k_norm_table
 
 __all__ = [
@@ -50,11 +50,13 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     The point transform reproduces this output bit for bit; the separable
     grid transform sums the same terms in another order, so it must match
     the +-inf pattern exactly and finite values within
-    ``4 eps (max|x| |y|_1 + max|f|)``.
+    ``4 eps (max|x| |y|_1 + max|f|)``.  Refuses more than ``MAX_TRANSFORM_WORK``
+    pairs before it builds a node.
     """
     d = f.grid.dim
     if dual_grid.dim != d:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {d}")
+    _check_work(f.grid.node_count * dual_grid.node_count, "conjugate oracle", "pairs")
     cols = np.ascontiguousarray(f.grid.nodes.T)
     vals = f.values
     duals = dual_grid.nodes
@@ -144,10 +146,12 @@ def default_direction_set(dim: int, count: int, seed: int = SEED) -> np.ndarray:
 
     The sign patterns make polyhedral support maxima exact; the random bulk
     covers generic directions.  Deterministic for a fixed seed.  A negative
-    ``count`` raises ``invalid-count``.
+    ``count`` raises ``invalid-count``, and more than ``MAX_TRANSFORM_WORK``
+    coordinates ``work-too-large``.
     """
     if count < 0:
         raise ValueError(f"invalid-count: direction count must be >= 0 (got {count})")
+    _check_work(count * dim, "direction set", "floats")
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((count, dim))
     norms = np.linalg.norm(z, axis=1)

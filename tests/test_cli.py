@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from capra.cli import build_parser, main
-from capra.conjugacy import ZeroHomFnSpec
+from capra.conjugacy import ZeroHomFnSpec, _check_grid_work
 from capra.envelope import _on_ball, ball_box_grid
 from capra.norms import NormalizationSpec
-from capra.numerics import FunctionSample, read_sample_csv, write_sample_csv
+from capra.numerics import (FunctionSample, Grid, default_dual_grid, read_sample_csv,
+                            write_sample_csv)
 from capra.oracle import convex_envelope_2d
 
 
@@ -79,6 +80,16 @@ def test_domain_error_exit_3(capsys):
                              "--k", "1", "--q", "0.5")
     assert (code, out) == (3, "")
     assert err == "error: invalid-q: --oracle topk-enum needs --q in [1, inf] (got 0.5)\n"
+    # Exponents and grid counts out of range carry the tag of the input at
+    # fault, raised by the library function that reads it.
+    for argv, tag in ((("norm", "--kind", "topk", "--q", "0.5", "--k", "1", "--x", "1,2"),
+                       "invalid-q"),
+                      (("norm", "--kind", "best", "--p", "0.5", "--x", "1,2"), "invalid-p"),
+                      (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "0.5", "--k", "1"),
+                       "invalid-p"),
+                      (("envelope", "--nu", "lp:2", "--grid", "10"), "invalid-grid")):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), argv
 
 
 def test_unsupported_p_exit_3(capsys):
@@ -132,15 +143,30 @@ def test_envelope_invalid_nu_exit_3(capsys):
     assert code == 3 and "nonpositive-p" in err
 
 
-def test_envelope_work_too_large_exit_3(capsys):
-    # 201^3 primal nodes against the default 257^3 dual grid: refused from
-    # the array shapes, before any grid's nodes are built.
-    t0 = time.perf_counter()
-    code, _, err = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", "3", "--grid", "201")
-    assert code == 3 and "work-too-large" in err
-    assert time.perf_counter() - t0 < 1.0
+def test_envelope_work_too_large_exit_3(capsys, monkeypatch):
+    # 401^3 primal nodes against the default 257^3 dual grid fold to 2.15e9
+    # updates, and 61^4 against 257^4 to 2.6e10: refused from the array
+    # shapes, before any grid's nodes are built.
+    nodes = []
+    monkeypatch.setattr(Grid, "nodes", property(lambda grid: nodes.append(grid)))
+    for dim, grid in (("3", "401"), ("4", "61")):
+        t0 = time.perf_counter()
+        code, _, err = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", dim, "--grid", grid)
+        assert code == 3 and err.startswith("error: work-too-large: envelope transform needs ")
+        assert time.perf_counter() - t0 < 1.0 and nodes == []
+    monkeypatch.undo()
     code, out, _ = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", "2", "--grid", "201")
     assert code == 0 and "value near (1,0): 1" in out
+
+
+def test_envelope_3d_grid_201_is_under_the_cap():
+    # The analytic chain of --dim 3 --grid 201 folds every axis: 5.19e8
+    # updates, under the 2e9 cap; unfolded it would count 8.17e9, over it.
+    # Both are counted without running.
+    chain = (default_dual_grid(3, 3.0), ball_box_grid(3, 201))
+    assert _check_grid_work(chain, (True,) * 3) == 519_479_259
+    with pytest.raises(ValueError, match=r"needs 8\.17e\+09 updates"):
+        _check_grid_work(chain, (False,) * 3)
 
 
 def test_verify_norms_suite(tmp_path, capsys):
@@ -219,6 +245,8 @@ def test_verify_oracle_modes(tmp_path, capsys):
     (("ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--count", "100000000000"),
      "work-too-large"),  # 1.46 TiB of directions
     (("ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--count", "-1"), "invalid-count"),
+    (("conjugate", "--grid", "40001", "--at", "1,1"), "work-too-large"),  # 3.2e9 floats
+    (("envelope2d", "--grid", "241"), "work-too-large"),  # 2.16e9 pairs per pass
 ])
 def test_verify_oracle_refuses_before_allocating(capsys, argv, tag):
     t0 = time.perf_counter()

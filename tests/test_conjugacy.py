@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capra import conjugacy
+from capra import conjugacy, envelope, numerics
 from capra.conjugacy import (
     CouplingSpec,
     ZeroHomFnSpec,
@@ -79,24 +79,89 @@ def test_conjugate_with_minus_inf_input_is_plus_inf():
 
 
 def test_transform_work_cap(monkeypatch):
-    # Grid transforms count their axis-pass elements, point transforms
-    # primal x dual pairs; both are refused above the cap.
+    # Grid transforms count the axis-pass elements that run, point transforms
+    # primal x dual pairs; both are refused above the cap.  Zero values fold
+    # both axes (5 -> 3 and 4 -> 2 primal nodes, 3 -> 2 and 6 -> 3 dual ones):
+    # 3*2*2 + 2*2*3 = 24 updates.  Values unequal to their flip along either
+    # axis run unfolded: 3*5*4 + 3*6*4 = 132.
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [5, 4])
     f = FunctionSample(g, np.zeros(g.node_count))
-    gd = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [3, 6])  # 3*5*4 + 3*6*4 = 132
+    uneven = FunctionSample(g, np.arange(g.node_count, dtype=float))
+    gd = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [3, 6])
     points = np.zeros((6, 2))                            # 20 * 6 = 120
-    for work, run in ((132, lambda: fenchel_conjugate(f, gd)),
+    for work, run in ((24, lambda: fenchel_conjugate(f, gd)),
+                      (132, lambda: fenchel_conjugate(uneven, gd)),
                       (120, lambda: conjugate_at_points(f, points))):
-        monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", work)
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work)
         run()
-        monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", work - 1)
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work - 1)
         with pytest.raises(ValueError, match="work-too-large"):
             run()
-    # The biconjugate checks its second transform (5*3*3 + 5*4*3 = 105)
-    # before running the first (3*5*4 + 3*3*4 = 96).
-    monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", 100)
+    # The biconjugate checks its second transform (2*3*2 + 3*2*2 = 24) before
+    # it runs the first (3*2*2 + 2*2*2 = 20).
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 23)
+    monkeypatch.setattr(conjugacy, "_axis_pass", lambda *a: pytest.fail("a pass ran"))
     with pytest.raises(ValueError, match="work-too-large"):
         fenchel_biconjugate(f, build_grid([(-2.0, 2.0), (-2.0, 2.0)], [3, 3]))
+
+
+def _checked_and_run(monkeypatch, run) -> tuple:
+    # The counts of every _check_grid_work call during ``run()``, and the sum
+    # of the elements A*n*m*B that its axis passes update.
+    checked, updates = [], []
+    check, axis_pass = conjugacy._check_grid_work, conjugacy._axis_pass
+    with monkeypatch.context() as m:
+        m.setattr(conjugacy, "_axis_pass", lambda g, x, y, *negate: updates.append(g.size * y.size)
+                  or axis_pass(g, x, y, *negate))
+        for module in (conjugacy, envelope):
+            m.setattr(module, "_check_grid_work",
+                      lambda *a: checked.append(check(*a)) or checked[-1])
+        run()
+    return checked, sum(updates)
+
+
+def test_checked_grid_work_is_the_updates_that_run(monkeypatch):
+    rng = np.random.default_rng(12)
+    g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [9, 8])
+    dual = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [7, 6])
+    even = FunctionSample(g, _mirrored(rng.uniform(size=(5, 4)), g.counts))
+    uneven = FunctionSample(g, rng.uniform(size=g.node_count))
+    # Even along the symmetric axis 0 only: 1*4*3*9 + 3*9*5*1 = 243 updates,
+    # against 1*7*5*9 + 5*9*5*1 = 540 unfolded.
+    half = build_grid([(-1.0, 1.0), (0.0, 2.0)], [7, 9])
+    rows = np.abs(2 * np.arange(7) - 6) // 2
+    half_even = FunctionSample(half, rng.uniform(size=(4, 9))[rows].reshape(-1))
+    square = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [5, 5])
+    # The analytic chain of a 41^3 ball grid from its 257^3 dual: 53.6M
+    # updates, against 825M unfolded.
+    eval3 = ball_box_grid(3, 41)
+    dual3 = default_dual_grid(3, 3.0)
+    orthant = conjugacy._capra_conjugate_l0_analytic_grid(dual3, PhiSpec.identity(3),
+                                                          SourceNormSpec.lp(2.0, 3))
+    cases = [(lambda: fenchel_biconjugate(even, dual), None),
+             (lambda: fenchel_biconjugate(uneven, dual), None),
+             (lambda: fenchel_conjugate(half_even, square), 243),
+             (lambda: conjugacy._grid_transform((dual3, eval3), orthant), 53_613_819)]
+    runs = []
+    for run, pinned in cases:
+        checked, updates = _checked_and_run(monkeypatch, run)
+        assert checked == [updates] and pinned in (None, updates)
+        runs.append(updates)
+    # Even values fold; the same chain with uneven values does not.
+    assert runs[0] < runs[1] == conjugacy._check_grid_work((g, dual, g), (False, False))
+    unfold = lambda grids: conjugacy._check_grid_work(grids, (False,) * grids[0].dim)
+    assert unfold((half, square)) == 540
+    assert unfold((dual3, eval3)) == 824_699_379
+    assert conjugacy._check_grid_work((dual3, eval3), (True,) * 3) == 53_613_819
+    # The envelope checks first, before f on the ball exists: the analytic
+    # route with the fold that runs, the ball route unfolded, which is never
+    # below the updates that run.
+    g21 = ball_box_grid(2, 21)
+    for nu in (NormalizationSpec.lp(2.0), NormalizationSpec.lp(0.5)):
+        (early, late), updates = _checked_and_run(
+            monkeypatch, lambda: tightest_convex_on_ball(ZeroHomFnSpec.l0(2), nu, g21))
+        assert late == updates and early >= updates
+        assert (early == updates) == (nu.p == 2.0)
 
 
 def test_capra_coupling():
@@ -135,6 +200,29 @@ def test_custom_normalization_refuses_bad_values(bad):
     assert good.value(np.zeros(2)) == 0.0
     assert capra_coupling(x, [1.0, 0.0], CouplingSpec(good)) == 3.0 / 7.0
     assert good.batch(np.array([[0.0, 0.0], x])).tolist() == [0.0, 7.0]
+
+
+def test_custom_normalization_must_be_homogeneous():
+    # nu(t x) = |t| nu(x) is spot-checked wherever a custom nu meets a grid or
+    # a sphere sample: a squared norm, and a gauge that is not symmetric, are
+    # refused there.
+    grid = ball_box_grid(2, 11)
+    y = np.array([1.0, 0.5])
+    f = ZeroHomFnSpec.l0(2)
+    sample = build_sphere_sample(NormalizationSpec.lp(2.0), 2, count=64)
+    squared = NormalizationSpec.custom(lambda v: float(v @ v), batch=lambda X: (X * X).sum(axis=1))
+    tilted = NormalizationSpec.custom(lambda v: float(np.abs(v).sum() + 0.5 * v[0]))
+    for nu in (squared, tilted):
+        for run in (lambda: build_sphere_sample(nu, 2, count=64),
+                    lambda: capra_conjugate(f, CouplingSpec(nu), y, sample),
+                    lambda: capra_conjugate_direct(f, CouplingSpec(nu), y, grid),
+                    lambda: tightest_convex_on_ball(f, nu, grid)):
+            with pytest.raises(ValueError, match="invalid-normalization: nu is not absolutely"):
+                run()
+    # A homogeneous custom nu passes every check.
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()))
+    assert capra_conjugate_direct(f, CouplingSpec(l1), y, grid) == pytest.approx(
+        capra_conjugate_direct(f, CouplingSpec(NormalizationSpec.lp(1.0)), y, grid))
 
 
 def test_capra_conjugate_1d_l0():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capra import conjugacy
+from capra import numerics
 from capra.conjugacy import ZeroHomFnSpec
 from capra.envelope import (
     BALL_TOL,
@@ -122,23 +122,25 @@ def test_envelope_matches_subset_oracle():
 def test_envelope_refuses_oversized_work_before_building_nodes(monkeypatch):
     # A dual grid longer along its first axis makes the eval -> dual
     # transform (15750 updates) heavier than dual -> eval (8694).  The ball
-    # route runs both and must refuse from the first alone; the analytic
-    # route runs only the second.  Neither builds a grid's nodes first.
+    # route runs both, counted unfolded because f on the ball does not exist
+    # yet, and must refuse from the first alone.  The analytic route runs
+    # only the second, on the folded orthant: 13*11*5 + 11*5*11 = 1320.
+    # Neither builds a grid's nodes first.
     def grids():
         return ball_box_grid(2, 21), build_grid([(-3.0, 3.0), (-3.0, 3.0)], [25, 9])
 
     l0 = ZeroHomFnSpec.l0(2)
-    cases = ((8694, NormalizationSpec.lp(0.5), "ball"),
-             (8693, NormalizationSpec.lp(2.0), "analytic"))
+    cases = ((15749, NormalizationSpec.lp(0.5), "ball"),
+             (1319, NormalizationSpec.lp(2.0), "analytic"))
     for cap, nu, route in cases:
-        monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", cap)
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", cap)
         eval_grid, dual_grid = grids()
         with pytest.raises(ValueError, match="work-too-large"):
             tightest_convex_on_ball(l0, nu, eval_grid, dual_grid, route=route)
         assert eval_grid._nodes is None and dual_grid._nodes is None
-    # One update more and the analytic route runs.
-    monkeypatch.setattr(conjugacy, "MAX_TRANSFORM_WORK", 8694)
-    tightest_convex_on_ball(l0, NormalizationSpec.lp(2.0), *grids(), route="analytic")
+        # One update more and the route runs.
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", cap + 1)
+        tightest_convex_on_ball(l0, nu, *grids(), route=route)
 
 
 def test_envelope_half_ball_is_finite_on_hull():
