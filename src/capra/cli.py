@@ -55,7 +55,11 @@ def _parse_phi(text: str, dim: int):
     if t == "id":
         return PhiSpec.identity(dim)
     if t.endswith("*id"):
-        return PhiSpec.scaled_identity(float(t[:-3]), dim)
+        try:
+            scale = float(t[:-3])
+        except ValueError:
+            raise ValueError(f"invalid-phi: scale {t[:-3]!r} is not a number") from None
+        return PhiSpec.scaled_identity(scale, dim)
     return PhiSpec.from_values(text.split(","))
 
 
@@ -182,17 +186,18 @@ def cmd_oracle(args) -> int:
     if args.oracle in ("conjugate", "envelope2d"):
         if args.oracle == "conjugate":
             _require(args, "at")
+        at = _parse_point(args.at) if args.at else None
         grid = ball_box_grid(args.dim, args.grid)
         f = _parse_function(args.f, args.dim)
         sample = FunctionSample(grid, _on_ball(f, _parse_nu(args.nu), grid)[1])
         if args.oracle == "conjugate":
-            at = _parse_point(args.at)
             print(_fmt(float(conjugate_at_points(sample, at[None, :])[0])))
             return 0
+        # A checkpoint that has no nearest node is refused before the oracle runs.
+        near = None if at is None else grid.nearest_index(at)
         ref = orc.convex_envelope_2d(sample)
-        if args.at:
-            at = _parse_point(args.at)
-            print(f"value near ({args.at}): {_fmt(ref.value_near(at))}")
+        if near is not None:
+            print(f"value near ({args.at}): {_fmt(float(ref.values[near]))}")
         if args.out:
             write_sample_csv(ref, args.out)
             print(f"surface written to {args.out}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _refuse_nan, as_extreal
+from .numerics import _refuse_nan
 
 __all__ = [
     "conj_exponent",
@@ -291,7 +291,17 @@ class PhiSpec:
 
     @classmethod
     def from_values(cls, values: Sequence) -> "PhiSpec":
-        return cls(np.array([as_extreal(v) for v in values]))
+        """Weights from numbers or their text, read by ``float`` (so any
+        spelling of inf); an entry that is not a number, or is NaN, raises
+        ``invalid-phi``."""
+        try:
+            vals = np.array([float(v) for v in values])
+        except (TypeError, ValueError):
+            vals = None
+        if vals is None or np.isnan(vals).any():
+            raise ValueError(f"invalid-phi: each weight must be a number, not NaN "
+                             f"(got {values!r})")
+        return cls(vals)
 
 
 def top_k_norm(y, q: float, k: int) -> float:

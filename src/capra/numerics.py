@@ -65,6 +65,13 @@ def _refuse_nan(a: np.ndarray, what: str) -> None:
         raise ValueError(f"nan-input: {what} coordinate is NaN")
 
 
+def _refuse_nonfinite(a: np.ndarray, what: str) -> None:
+    """:func:`_refuse_nan`, then ``nonfinite-input`` when ``a`` holds +-inf."""
+    _refuse_nan(a, what)
+    if np.isinf(a).any():
+        raise ValueError(f"nonfinite-input: {what} coordinate is infinite")
+
+
 def low_add(a, b) -> float:
     """Moreau lower addition: ordinary sum with (+inf) + (-inf) = -inf."""
     a = as_extreal(a)
@@ -164,10 +171,13 @@ class Grid:
         return self._nodes
 
     def nearest_index(self, point) -> int:
-        """Flat index of the node nearest to ``point`` (clipped to the box)."""
+        """Flat index of the node nearest to ``point`` (clipped to the box).
+        A NaN coordinate raises ``nan-input``, an infinite one
+        ``nonfinite-input``."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"point must have shape ({self.dim},)")
+        _refuse_nonfinite(point, "a point")
         multi = []
         for k in range(self.dim):
             h = self.steps[k]

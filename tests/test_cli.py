@@ -92,6 +92,36 @@ def test_domain_error_exit_3(capsys):
         assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), argv
 
 
+def test_nonfinite_dual_points_and_checkpoints_exit_3(capsys, monkeypatch):
+    # --at inf,0 used to print nan (conjugate) or end in an OverflowError
+    # traceback (envelope2d), and --at nan,0 in an untagged message.  The
+    # envelope2d checkpoint is refused before the oracle runs.
+    def no_oracle(*args):
+        raise AssertionError("the oracle ran before the checkpoint was refused")
+
+    monkeypatch.setattr("capra.oracle.convex_envelope_2d", no_oracle)
+    for oracle in ("conjugate", "envelope2d"):
+        for at, tag in (("inf,0", "nonfinite-input"), ("0,-inf", "nonfinite-input"),
+                        ("nan,0", "nan-input")):
+            code, out, err = run_cli(capsys, "verify", "--oracle", oracle, "--grid", "11",
+                                     "--nu", "lp:2", "--at", at)
+            assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), (oracle, at)
+    # An infinite --x is a primal point: its dual top-k norm is +inf.
+    code, out, _ = run_cli(capsys, "verify", "--oracle", "topk-enum", "--x", "inf,1", "--k", "1")
+    assert (code, out) == (0, "+inf\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ("envelope", "--nu", "lp:2", "--grid", "11", "--f", "phi:0,x,2"),
+    ("envelope", "--nu", "lp:2", "--grid", "11", "--f", "phi:0,nan,2"),
+    ("norm", "--kind", "best", "--p", "2", "--phi", "x*id", "--x", "1,-1"),
+    ("norm", "--kind", "best", "--p", "2", "--phi", "nan*id", "--x", "1,-1"),
+])
+def test_unparseable_phi_weights_exit_3_as_invalid_phi(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith("error: invalid-phi: ")
+
+
 def test_unsupported_p_exit_3(capsys):
     code, _, err = run_cli(capsys, "norm", "--kind", "ksupport", "--p", "3",
                            "--k", "1", "--x", "1,2")

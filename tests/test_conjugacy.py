@@ -620,6 +620,24 @@ def test_analytic_batch_rejects_non_2d_points():
             capra_conjugate_l0_analytic_batch(Y, PhiSpec.identity(2), lp2)
 
 
+def test_infinite_duals_raise_nonfinite_input():
+    # inf * 0.0 is NaN: a point transform refuses an infinite dual
+    # coordinate rather than return NaN.
+    grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [5, 5])
+    l0, lp2 = ZeroHomFnSpec.l0(2), CouplingSpec(NormalizationSpec.lp(2.0))
+    samp = build_sphere_sample(lp2.nu, 2, count=64)
+    masked = sample(lambda x: 0.0, grid)
+    probes = [
+        lambda y: conjugate_at_points(masked, y),
+        lambda y: capra_conjugate(l0, lp2, y, samp),
+        lambda y: capra_conjugate_direct(l0, lp2, y, grid),
+    ]
+    for probe in probes:
+        for y in ([math.inf, 0.0], [0.0, -math.inf]):
+            with pytest.raises(ValueError, match="nonfinite-input"):
+                probe(y)
+
+
 def test_nan_duals_raise_nan_input():
     grid = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [5, 5])
     l0 = ZeroHomFnSpec.l0(2)

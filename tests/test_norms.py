@@ -294,6 +294,17 @@ def test_phi_spec_validation():
         PhiSpec(np.array([0.0]))
 
 
+def test_phi_weights_that_are_not_numbers_raise_invalid_phi():
+    # Text as the CLI gives it, and JSON values as a config file does.
+    for values in (["0", "x", "2"], ["0", "nan", "2"], [0.0, math.nan, 2.0], [0, None, 1],
+                   [0, [1], 2], 3):
+        with pytest.raises(ValueError, match="invalid-phi"):
+            PhiSpec.from_values(values)
+        with pytest.raises(ValueError, match="invalid-phi"):
+            parse_config({"phi": values})
+    assert PhiSpec.from_values(["0", " 1 ", "+Infinity"]).values.tolist() == [0.0, 1.0, math.inf]
+
+
 def test_best_norm_object_examples():
     obj = best_norm_object(PhiSpec.identity(2), SourceNormSpec.lp(math.inf, 2))
     assert obj.value([1.0, -1.0]) == 2.0

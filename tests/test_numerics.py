@@ -221,6 +221,13 @@ def test_nearest_index():
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
     i = g.nearest_index(np.array([0.52, -0.48]))
     assert np.allclose(g.nodes[i], [0.5, -0.5])
+    # Far points clip to the box; infinite or NaN ones are refused by name
+    # (rounding them to an index would overflow or fail untagged).
+    assert np.allclose(g.nodes[g.nearest_index([1e300, -1e300])], [1.0, -1.0])
+    for point, tag in (([math.inf, 0.0], "nonfinite-input"), ([0.0, -math.inf], "nonfinite-input"),
+                       ([math.nan, 0.0], "nan-input"), ([math.inf, math.nan], "nan-input")):
+        with pytest.raises(ValueError, match=tag):
+            g.nearest_index(point)
 
 
 def test_finite_scale_is_the_largest_finite_magnitude():

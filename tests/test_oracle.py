@@ -51,8 +51,9 @@ def _random_sample(grid, inf_fraction=0.2):
 
 
 def test_naive_matches_python_reference(monkeypatch):
-    # The oracle's dual-row blocks change no output bit: blocks of unequal
-    # size, one row each, and one block larger than the dual count.
+    # The oracle's blocks of last-axis dual values change no output bit:
+    # blocks of unequal size, one value each, and one block larger than the
+    # last axis.
     cases = [
         ([(-1.0, 1.0)], [13], [(-2.0, 2.0)], [11]),
         ([(-1.0, 1.0), (-0.5, 1.5)], [7, 9], [(-2.0, 2.0), (-2.0, 2.0)], [8, 6]),
@@ -62,19 +63,79 @@ def test_naive_matches_python_reference(monkeypatch):
     for bounds, counts, dual_bounds, dual_counts in cases:
         g = build_grid(bounds, counts)
         gd = build_grid(dual_bounds, dual_counts)
-        n, m = g.node_count, gd.node_count
+        n = g.node_count
         samples = [_random_sample(g), FunctionSample(g, np.full(n, math.inf))]
         vals = _random_sample(g).values.copy()
         vals[n // 3] = -math.inf
         samples.append(FunctionSample(g, vals))
-        ragged = next(r for r in range(2, m) if m % r)
+        m_last = gd.counts[-1]
+        ragged = next(r for r in range(2, m_last) if m_last % r)
         for f in samples:
             want = _python_conjugate(f, gd)
-            for budget in (1, n * ragged, n * (m + 5)):
+            for budget in (1, n * ragged, n * (m_last + 5)):
                 monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
                 assert np.array_equal(naive_conjugate(f, gd).values, want), (counts, budget)
         assert np.all(np.isneginf(naive_conjugate(samples[1], gd).values))
         assert np.all(np.isposinf(naive_conjugate(samples[2], gd).values))
+
+
+def _flat_row_conjugate(f, dual_grid, block_floats=1 << 15):
+    """The oracle kernel as it was before its blocks ran along the last dual
+    axis: blocks of flattened dual rows, each scored as multiply, multiply,
+    add, subtract, then one row max."""
+    d = f.grid.dim
+    cols = np.ascontiguousarray(f.grid.nodes.T)
+    vals = f.values
+    duals = dual_grid.nodes
+    n, m = cols.shape[1], duals.shape[0]
+    out = np.empty(m)
+    rows = max(1, min(m, block_floats // max(n, 1)))
+    scores = np.empty((rows, n))
+    term = np.empty((rows, n))
+    for j in range(0, m, rows):
+        yb = duals[j:j + rows]
+        s, t = scores[:len(yb)], term[:len(yb)]
+        np.multiply(yb[:, 0, None], cols[0], out=s)
+        for k in range(1, d):
+            np.multiply(yb[:, k, None], cols[k], out=t)
+            s += t
+        s -= vals
+        np.max(s, axis=1, out=out[j:j + rows])
+    return out
+
+
+def test_naive_keeps_flat_row_bits_signed_zeros_included(monkeypatch):
+    # np.array_equal reads -0.0 == 0.0; the bit patterns do not.  On
+    # sign-symmetric grids the max of a dual row often ties a +0.0 score
+    # with a -0.0 one, so the sign of a zero output shows the order of the
+    # reduction: each dual row must still take one np.max over every primal
+    # node, whatever the blocking.
+    zeros = {False: 0, True: 0}
+    for d, n, m in ((1, 9, 13), (2, 7, 9), (3, 5, 5)):
+        g = build_grid([(-1.0, 1.0)] * d, [n] * d)
+        gd = build_grid([(-2.0, 2.0)] * d, [m] * d)
+        l1 = np.abs(g.nodes).sum(axis=1)
+        samples = [np.zeros(g.node_count),
+                   np.count_nonzero(g.nodes, axis=1).astype(float),
+                   2.0 * l1,
+                   3.0 * np.abs(g.nodes).max(axis=1),
+                   np.where(l1 <= 1.0, 0.0, math.inf)]
+        for vals in samples:
+            f = FunctionSample(g, vals)
+            want = _flat_row_conjugate(f, gd)
+            back = FunctionSample(gd, want)
+            want_back = _flat_row_conjugate(back, g)
+            for budget in (1, 2 * g.node_count + 1, 1 << 16):
+                monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+                got = naive_conjugate(f, gd).values
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, budget)
+                got = naive_conjugate(back, g).values
+                assert np.array_equal(got.view(np.uint64), want_back.view(np.uint64)), (d, budget)
+            for z in (want, want_back):
+                zeros[False] += int(np.count_nonzero((z == 0.0) & ~np.signbit(z)))
+                zeros[True] += int(np.count_nonzero((z == 0.0) & np.signbit(z)))
+    # Both signs of zero occur, so the pin sees a flipped sign.
+    assert zeros[False] > 0 and zeros[True] > 0
 
 
 def _assert_transform_contract(f, dual_grid):
@@ -127,9 +188,10 @@ def _ragged_budgets(n, m):
     return (1, pc, n * dc + n // 2)
 
 
-def test_point_transform_bit_identical_to_naive(monkeypatch):
-    # Any block split gives the oracle's output bit for bit: each pair keeps
-    # the axis-ascending sum, and a running max is exact.
+def test_point_transform_equals_naive_in_value(monkeypatch):
+    # Any block split gives the oracle's output in value, +-inf included:
+    # each pair keeps the axis-ascending sum, and a running max is exact.
+    # (np.array_equal reads -0.0 == 0.0: the sign of a zero can differ.)
     cases = [
         ([(-1.0, 1.0)], [23], [(-2.0, 2.0)], [17]),
         ([(-1.3, 0.9), (-1.0, 1.0)], [9, 11], [(-2.0, 2.0), (-2.5, 1.5)], [7, 5]),
@@ -159,8 +221,10 @@ def test_point_transform_bit_identical_to_naive(monkeypatch):
 def test_naive_conjugate_of_origin_indicator():
     g = build_grid([(-1.0, 1.0)], [5])
     ind = FunctionSample(g, np.where(g.nodes[:, 0] == 0.0, 0.0, math.inf))
-    c = naive_conjugate(ind, build_grid([(-3.0, 3.0)], [13]))
+    dual = build_grid([(-3.0, 3.0)], [13])
+    c = naive_conjugate(ind, dual)
     assert np.allclose(c.values, 0.0)
+    assert dual._nodes is None  # the oracle reads the dual axes only
 
 
 def test_naive_conjugate_of_linear_function():
