@@ -11,18 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
-
-
-def _cap_threads() -> None:
-    # CAPRA_THREADS caps the BLAS/OpenMP pools; must be set before numpy
-    # loads, which is why library imports are deferred to the handlers.
-    cap = os.environ.get("CAPRA_THREADS")
-    if cap:
-        for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                    "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS"):
-            os.environ.setdefault(var, cap)
 
 
 def _fmt(value: float) -> str:
@@ -284,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _cap_threads()
     parser = build_parser()
     args = parser.parse_args(argv)
     try:

@@ -15,7 +15,7 @@ the chain (``ax == -ax[::-1]``, as on every grid with ``lower == -upper``)
 and the values equal their flip along it: its passes run on the
 non-negative halves of the axes, and the output is mirrored once at the
 end.  A transform with every axis folded makes about ``2^(d+1)`` times
-fewer updates (a 201x201 envelope takes about 0.04 s), and the work cap
+fewer updates (a 201x201 envelope takes about 12-16 ms), and the work cap
 counts the updates that run.  Folding changes no value, only, at times, the
 sign of a zero.  Grid transforms match the pairwise oracle
 :func:`capra.oracle.naive_conjugate` in the +-inf pattern exactly and in
@@ -58,8 +58,8 @@ from .norms import (
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import (FunctionSample, Grid, _check_work, _refuse_nonfinite, as_extreal,
-                       low_add)
+from .numerics import (FunctionSample, Grid, _axis_extent, _check_pairing, _check_work,
+                       _finite_scale, _refuse_nonfinite, as_extreal, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -137,8 +137,8 @@ def _grid_transform(grids, values) -> np.ndarray:
     then of that onto ``grids[2]`` if given: the flat values on the last
     grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
     ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
-    Once the fold is decided, :func:`_check_grid_work` refuses the chain
-    before the first pass.
+    Once the fold is decided, :func:`_check_grid_work` and, transform by
+    transform, :func:`_check_pairing` refuse the chain before the first pass.
 
     On a product grid the max over primal nodes factors by axis (the
     separability behind Lucet's discrete Legendre transform), e.g. in 2-d
@@ -176,6 +176,9 @@ def _grid_transform(grids, values) -> np.ndarray:
         _check_grid_work(grids, fold)
         g = values[tuple(slice(n // 2, None) if f else slice(None)
                          for n, f in zip(values.shape, fold))]
+    bound = _finite_scale(g)
+    for src, dst in zip(grids, grids[1:]):
+        bound = _check_pairing(_axis_extent(src)[0], _axis_extent(dst)[1], bound, "grid transform")
     for src, dst in zip(grids, grids[1:]):
         for k, (x, y) in enumerate(zip(src.axes, dst.axes)):
             if fold[k]:
@@ -195,15 +198,15 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
                       duals: np.ndarray) -> np.ndarray:
     """For each dual row y: max over i of ``<points[i], y> - values[i]``.
 
-    The transform for scattered dual points.  The pairing is finite (points
-    and duals are finite), so the subtraction realizes the lower addition
-    for values of +-inf.  A value of -inf makes every output +inf; rows with
-    value +inf never attain the max, and if no other row exists the output
-    is -inf.  Work runs in blocks of dual rows x primal rows of at most
-    _BLOCK_FLOATS scores, folded into the output by a running max.  Each
-    pair's sum is accumulated axis-ascending and a max is exact, so the
-    output is equal in value, with an exact +-inf pattern, to the
-    row-at-a-time evaluation and to :func:`capra.oracle.naive_conjugate`
+    The transform for scattered dual points.  The pairing is finite (finite
+    points and duals, bounded by :func:`_check_pairing`), so the subtraction
+    realizes the lower addition for values of +-inf.  A value of -inf makes
+    every output +inf; rows with value +inf never attain the max, and if no
+    other row exists the output is -inf.  Work runs in blocks of dual rows x
+    primal rows of at most _BLOCK_FLOATS scores, folded into the output by a
+    running max.  Each pair's sum is accumulated axis-ascending and a max is
+    exact, so the output is equal in value, with an exact +-inf pattern, to
+    the row-at-a-time evaluation and to :func:`capra.oracle.naive_conjugate`
     on the same points, whatever the blocking; only the sign of a zero can
     differ.  A NaN dual coordinate raises ``nan-input`` and an infinite one
     ``nonfinite-input`` (its pairing with a zero coordinate would be NaN).
@@ -222,6 +225,10 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
     # faster than a boolean index.
     cols = np.ascontiguousarray(np.compress(keep, points, axis=0).T)
     vals = values[keep]
+    with np.errstate(over="ignore"):  # an overflowing |y|_1 is refused
+        ymax1 = np.abs(duals).sum(axis=1).max(initial=0.0)
+    _check_pairing(max(cols.max(initial=0.0), -cols.min(initial=0.0)), ymax1,
+                   max(vals.max(initial=0.0), -vals.min(initial=0.0)), "point transform")
     d, n = cols.shape
     pc = max(1, min(n, _BLOCK_FLOATS))
     dc = max(1, _BLOCK_FLOATS // pc)
@@ -370,7 +377,12 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     return np.vstack(rows)
 
 
-def _check_sphere_sample(sample: np.ndarray, nu: NormalizationSpec) -> None:
+def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
+                  sphere_sample, values: np.ndarray | None = None) -> np.ndarray:
+    """The Capra conjugate at the rows of Y by the sphere route: the max over
+    sample points s of ``low_add(<s, y>, -f(s))``.  Checks the sample, then
+    evaluates f on it once unless ``values`` are given."""
+    sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
     nonzero = np.any(sample != 0.0, axis=1)
@@ -383,24 +395,21 @@ def _check_sphere_sample(sample: np.ndarray, nu: NormalizationSpec) -> None:
         nv = nu.batch(sample[idx])
         if np.any(np.abs(nv - 1.0) > 1e-6):
             raise ValueError("sphere sample contains points off the unit sphere of nu")
+    return _conjugate_values(sample, f.batch(sample) if values is None else values, Y)
 
 
 def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
                     sphere_sample: np.ndarray,
                     sample_values: np.ndarray | None = None) -> float:
-    """Capra conjugate of a 0-homogeneous f at y, via the sphere route:
-    ``max over sample points s of low_add(<s, y>, -f(s))``.
+    """Capra conjugate of a 0-homogeneous f at y, via the sphere route
+    (:func:`_sphere_route`); ``sample_values`` are f on the sample, if known.
 
     The sample must lie on the unit sphere of the coupling's normalization
     function and contain the origin; with dense samples this converges to
     the Fenchel conjugate of f restricted to the unit ball.
     """
-    sphere_sample = np.asarray(sphere_sample, dtype=float)
-    _check_sphere_sample(sphere_sample, coupling.nu)
     y = np.asarray(y, dtype=float)
-    if sample_values is None:
-        sample_values = f.batch(sphere_sample)
-    return float(_conjugate_values(sphere_sample, sample_values, y[None, :])[0])
+    return float(_sphere_route(f, coupling.nu, y[None, :], sphere_sample, sample_values)[0])
 
 
 def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
@@ -515,40 +524,32 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
-                 sphere_sample: np.ndarray | None, tol):
+                 sphere_sample: np.ndarray | None):
     """Capra conjugate of f at the rows of Y, and the tolerance it is tested
     with: ``(values, tol)``.
 
     The route is analytic for phi∘l0 with an lp normalization, p >= 1
-    (exact up to rounding; default tolerance ``ANALYTIC_TOL``).  Otherwise
-    it is the sphere route, the max over ``sphere_sample`` (built by
-    :func:`build_sphere_sample` when None).  A sup over a sample of the
-    sphere misses the optimum by the coverage gap ``count^(-1/(d-1))`` times
-    a Lipschitz factor of order ``1 + |y|``, so the default tolerance is
-    ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
-    sample holds the whole sphere).  A given ``tol`` is returned as is.
+    (exact up to rounding; tolerance ``ANALYTIC_TOL``).  Otherwise it is the
+    sphere route over ``sphere_sample`` (built by :func:`build_sphere_sample`
+    when None).  A sup over a sample of the sphere misses the optimum by the
+    coverage gap ``count^(-1/(d-1))`` times a Lipschitz factor of order
+    ``1 + |y|``, so the tolerance is ``5 gap (1 + |y|)`` per row
+    (``ANALYTIC_TOL`` for d = 1, where the sample holds the whole sphere).
     """
     dim = Y.shape[1]
     if _analytic_applicable(f, nu):
-        conj = capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim))
-        return conj, ANALYTIC_TOL if tol is None else tol
-    if sphere_sample is None:
-        sphere_sample = build_sphere_sample(nu, dim)
-    sphere_sample = np.asarray(sphere_sample, dtype=float)
-    _check_sphere_sample(sphere_sample, nu)
-    conj = _conjugate_values(sphere_sample, f.batch(sphere_sample), Y)
-    if tol is None:
-        if dim <= 1:
-            tol = ANALYTIC_TOL
-        else:
-            gap = float(sphere_sample.shape[0]) ** (-1.0 / (dim - 1))
-            tol = 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=1))
-    return conj, tol
+        return (capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim)),
+                ANALYTIC_TOL)
+    sample = build_sphere_sample(nu, dim) if sphere_sample is None else sphere_sample
+    conj = _sphere_route(f, nu, Y, sample)
+    if dim <= 1:
+        return conj, ANALYTIC_TOL
+    gap = float(len(sample)) ** (-1.0 / (dim - 1))
+    return conj, 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=1))
 
 
 def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
-                           sphere_sample: np.ndarray | None = None,
-                           tol: float | None = None) -> bool:
+                           sphere_sample: np.ndarray | None = None) -> bool:
     """Membership of y in the Capra subdifferential of f at x: equality of
     the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
     route tolerance of :func:`_capra_route`.
@@ -558,14 +559,13 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
-    conj, tol = _capra_route(f, coupling.nu, y[None, :], sphere_sample, tol)
+    conj, tol = _capra_route(f, coupling.nu, y[None, :], sphere_sample)
     rhs = low_add(capra_coupling(x, y, coupling), -fx)
     return bool((np.abs(conj - rhs) <= tol)[0])
 
 
 def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec, candidates,
-                          sphere_sample: np.ndarray | None = None,
-                          tol: float | None = None) -> np.ndarray:
+                          sphere_sample: np.ndarray | None = None) -> np.ndarray:
     """Candidates belonging to the Capra subdifferential of f at 0, i.e.
     those with conjugate value <= 0 (up to the route tolerance of
     :func:`_capra_route`).
@@ -577,5 +577,5 @@ def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec, candidates,
     f0 = f.value(np.zeros(candidates.shape[1]))
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")
-    conj, tol = _capra_route(f, coupling.nu, candidates, sphere_sample, tol)
+    conj, tol = _capra_route(f, coupling.nu, candidates, sphere_sample)
     return candidates[conj <= tol]

@@ -65,17 +65,18 @@ __all__ = [
 BALL_TOL = 1e-9
 
 
-def ball_box_grid(dim: int, count: int, radius: float = 1.0) -> Grid:
-    """Symmetric grid over the unit-ball bounding box inflated by one cell.
+def ball_box_grid(dim: int, count: int) -> Grid:
+    """Symmetric grid over the unit-ball bounding box ``[-1, 1]^dim`` inflated
+    by one cell.
 
-    The step is ``2 * radius / (count - 3)``, so the sphere's axis points
-    sit exactly one cell inside the box boundary and are grid nodes.
+    The step is ``2 / (count - 3)``, so the sphere's axis points sit exactly
+    one cell inside the box boundary and are grid nodes.
     """
     if dim < 1:
         raise ValueError(f"invalid-dim: a ball grid needs dim >= 1 (got {dim})")
     if count < 5 or count % 2 == 0:
         raise ValueError(f"invalid-grid: ball grid needs an odd count >= 5 (got {count})")
-    h = 2.0 * radius / (count - 3)
+    h = 2.0 / (count - 3)
     half = (count - 1) // 2
     hi = half * h
     return Grid((-hi,) * dim, (hi,) * dim, (count,) * dim)
@@ -177,20 +178,22 @@ def l0_envelope_linf(x, phi: PhiSpec | None = None) -> float:
     return math.inf
 
 
+def _support(accepted: np.ndarray, x) -> float:
+    """``max <y, x>`` over the accepted rows y; -inf when there is none."""
+    return float(np.max(accepted @ np.asarray(x, dtype=float), initial=-math.inf))
+
+
 def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
-                             dual_candidates, **kwargs) -> float:
+                             dual_candidates) -> float:
     """Tightest closed convex positively 1-homogeneous minorant of f on the
     unit ball of nu, evaluated at x as the support function of the Capra
-    subdifferential at 0 over the candidate cloud.
+    subdifferential at 0 (:func:`capra.conjugacy.capra_subdiff_at_zero`, at
+    its route tolerance) over the candidate cloud.
 
     A lower bound of the true support function; exact when the accepted set
     is analytic and the candidates contain its extreme points.
     """
-    accepted = capra_subdiff_at_zero(f, CouplingSpec(nu), dual_candidates, **kwargs)
-    if accepted.shape[0] == 0:
-        return -math.inf
-    x = np.asarray(x, dtype=float)
-    return float(np.max(accepted @ x))
+    return _support(capra_subdiff_at_zero(f, CouplingSpec(nu), dual_candidates), x)
 
 
 def _restricted(f: FunctionSample, subset) -> tuple[np.ndarray, FunctionSample]:
@@ -241,11 +244,7 @@ def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
     if tol is None:
         h = max(f.grid.steps)
         tol = 5.0 * h * (1.0 + np.linalg.norm(candidates, axis=1))
-    accepted = candidates[conj <= tol]
-    if accepted.shape[0] == 0:
-        return -math.inf
-    x = np.asarray(x, dtype=float)
-    return float(np.max(accepted @ x))
+    return _support(candidates[conj <= tol], x)
 
 
 def surface_summary(sample: FunctionSample, checkpoints: Sequence = ()) -> dict:

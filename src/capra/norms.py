@@ -42,6 +42,9 @@ __all__ = [
 
 SPHERE_TOL = 1e-9
 
+# Directions per support of a custom source's sampled restricted duals.
+_DIRECTIONS_PER_SUBSET = 512
+
 
 def conj_exponent(p: float) -> float:
     """Conjugate exponent q with 1/p + 1/q = 1 (q = inf for p = 1)."""
@@ -154,9 +157,7 @@ class NormalizationSpec:
             return lp_value(x, self.p)
         x = np.asarray(x, dtype=float)
         v = float(self.fn(x))
-        if not 0.0 < v < math.inf and np.any(x != 0.0):
-            raise ValueError(f"invalid-normalization: nu(x) = {v} at the nonzero point "
-                             f"x = {x.tolist()}")
+        _check_custom_values(x[None], np.array([v]))
         return v
 
     def batch(self, X: np.ndarray) -> np.ndarray:
@@ -164,15 +165,19 @@ class NormalizationSpec:
         X = np.asarray(X, dtype=float)
         if self.kind == "lp":
             return lp_value_batch(X, self.p)
-        if self.batch_fn is None:
-            return np.array([self.value(row) for row in X])
-        vals = np.asarray(self.batch_fn(X), dtype=float)
-        bad = ~((vals > 0.0) & (vals < math.inf)) & np.any(X != 0.0, axis=1)
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise ValueError(f"invalid-normalization: nu(x) = {vals[i]} at the nonzero "
-                             f"point x = {X[i].tolist()}")
-        return vals
+        vals = self.batch_fn(X) if self.batch_fn else [float(self.fn(row)) for row in X]
+        return _check_custom_values(X, np.asarray(vals, dtype=float))
+
+
+def _check_custom_values(X: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """``vals``, a custom nu at the rows of X, if positive and finite at the
+    nonzero rows; else ``invalid-normalization`` for the first bad row."""
+    bad = ~((vals > 0.0) & (vals < math.inf)) & np.any(X != 0.0, axis=-1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValueError(f"invalid-normalization: nu(x) = {float(vals[i])} at the nonzero "
+                         f"point x = {X[i].tolist()}")
+    return vals
 
 
 def _check_homogeneous(nu: NormalizationSpec, dim: int) -> None:
@@ -225,7 +230,7 @@ class SourceNormSpec:
     p: float | None = None
     fn: Callable | None = None
     # Restricted dual-ball clouds of a custom source, built on first use by
-    # _restricted_dual_cloud: (support, n_directions) -> (directions, values).
+    # _restricted_dual_cloud: support -> (directions, values).
     _restricted_clouds: dict = field(default_factory=dict, init=False,
                                      compare=False, repr=False)
 
@@ -385,28 +390,27 @@ def k_support_norm(x, p: float, k: int) -> float:
     )
 
 
-def _restricted_dual_cloud(source: SourceNormSpec, support: tuple,
-                           n_directions: int) -> tuple[np.ndarray, np.ndarray]:
+def _restricted_dual_cloud(source: SourceNormSpec,
+                           support: tuple) -> tuple[np.ndarray, np.ndarray]:
     """Directions u in R^|K| and the source values t of u placed on the
-    support K, for the u with ``0 < t < inf``: ``n_directions`` quasi-uniform
-    directions plus every sign pattern.  The cloud does not depend on y, so
-    it is built once per ``(support, n_directions)`` and kept on the spec.
+    support K, for the u with ``0 < t < inf``: ``_DIRECTIONS_PER_SUBSET``
+    quasi-uniform directions plus every sign pattern.  The cloud does not
+    depend on y, so it is built once per support and kept on the spec.
     """
-    key = (support, n_directions)
-    cloud = source._restricted_clouds.get(key)
+    cloud = source._restricted_clouds.get(support)
     if cloud is None:
         m = len(support)
-        dirs = np.vstack([unit_directions(n_directions, m), sign_patterns(m)])
+        dirs = np.vstack([unit_directions(_DIRECTIONS_PER_SUBSET, m), sign_patterns(m)])
         Z = np.zeros((dirs.shape[0], source.dim))
         Z[:, list(support)] = dirs
         t = np.array([source.value(z) for z in Z])
         keep = (t > 0.0) & (t < math.inf)
-        cloud = source._restricted_clouds[key] = (dirs[keep], t[keep])
+        cloud = source._restricted_clouds[support] = (dirs[keep], t[keep])
     return cloud
 
 
 def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
-                             support: tuple, n_directions: int) -> float:
+                             support: tuple) -> float:
     """Lower estimate of sup{<y, z>: z supported on K, source(z) <= 1}:
     the max of 0 and of ``<y_K, u> / t`` over the cloud of
     :func:`_restricted_dual_cloud`.
@@ -421,7 +425,7 @@ def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
     +0.0 where ``np.dot`` gives -0.0, which the max with 0.0 hides).  A
     matrix product rounds differently.
     """
-    U, t = _restricted_dual_cloud(source, support, n_directions)
+    U, t = _restricted_dual_cloud(source, support)
     # An infinite coordinate times a zero one gives nan, which max skips.
     with np.errstate(invalid="ignore"):
         dots = np.vecdot(U, y_sub)
@@ -429,20 +433,19 @@ def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
 
 
 def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
-                           method: str = "auto", directions_per_subset: int = 512) -> float:
+                           method: str = "sort") -> float:
     """Dual coordinate-k norm: sup over supports K with |K| <= k of the
     restricted dual norm of y_K.
 
-    For an lp source this equals the top-(q, k) norm with 1/p + 1/q = 1;
-    ``method="enumerate"`` forces the subset-enumeration route (exact for lp
-    sources, used for cross-checks).  Custom sources always enumerate, with
-    sampled restricted duals, and require d <= 12.  The first call on a
-    spec evaluates the source once per direction of each size-k support
-    (``directions_per_subset`` plus ``3^k - 1``); the spec keeps those
-    clouds, ``k + 1`` floats per evaluation made, and later calls with the
-    same k and ``directions_per_subset`` only pair y with them.  So the
-    source function must be deterministic.  A NaN coordinate raises
-    ``nan-input``.
+    For an lp source this equals the top-(q, k) norm with 1/p + 1/q = 1
+    (``method="sort"``); ``method="enumerate"`` forces the subset-enumeration
+    route (exact for lp sources, used for cross-checks).  Custom sources
+    always enumerate, with sampled restricted duals, and require d <= 12.
+    The first call on a spec evaluates the source once per direction of
+    each size-k support (``_DIRECTIONS_PER_SUBSET`` = 512 plus ``3^k - 1``);
+    the spec keeps those clouds, ``k + 1`` floats per evaluation made, and
+    later calls with the same k only pair y with them.  So the source
+    function must be deterministic.  A NaN coordinate raises ``nan-input``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
@@ -450,7 +453,7 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
     if source.kind == "lp":
         q = conj_exponent(source.p)
-        if method in ("auto", "sort"):
+        if method == "sort":
             return top_k_norm(y, q, k)
         if method != "enumerate":
             raise ValueError(f"unknown method {method!r}")
@@ -465,14 +468,11 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     _abs_point(y)
     best = 0.0
     for K in itertools.combinations(range(d), k):
-        best = max(
-            best,
-            _restricted_dual_sampled(y[list(K)], source, K, directions_per_subset),
-        )
+        best = max(best, _restricted_dual_sampled(y[list(K)], source, K))
     return best
 
 
-def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec, **kwargs) -> float:
+def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
     """Gauge of ``cap_l phi(l) * B_l`` where B_l is the dual coordinate-l ball.
 
     Computed as ``sup_l dual_coordinate_k_norm(y, source, l) / phi(l)``;
@@ -498,7 +498,7 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec, **kwargs) -> float:
     for l in range(1, d + 1):
         w = phi(l)
         if math.isfinite(w):
-            best = max(best, dual_coordinate_k_norm(y, source, l, **kwargs) / w)
+            best = max(best, dual_coordinate_k_norm(y, source, l) / w)
     return best
 
 

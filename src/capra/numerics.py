@@ -49,6 +49,24 @@ def _check_work(work: int, what: str, unit: str = "updates") -> None:
                          f"over the cap of {MAX_TRANSFORM_WORK:.3g}")
 
 
+def _check_pairing(xmax: float, ymax1: float, fmax: float, what: str) -> float:
+    """Refuse with ``pairing-overflow`` scores ``<x, y> - f(x)`` whose bound
+    ``max|x| max|y|_1 + max|f|`` is not finite, and return the bound.  It is
+    computed in Python floats, which overflow to inf without a warning."""
+    xmax, ymax1, fmax = float(xmax), float(ymax1), float(fmax)
+    bound = (xmax * ymax1 if xmax > 0.0 else 0.0) + fmax
+    if not math.isfinite(bound):
+        raise ValueError(f"pairing-overflow: {what} scores reach max|x| |y|_1 + max|f| = "
+                         f"{xmax:.3g} * {ymax1:.3g} + {fmax:.3g}, beyond the largest float")
+    return bound
+
+
+def _axis_extent(grid: Grid) -> tuple[float, float]:
+    """``max|x|`` and ``max|x|_1`` over the nodes of ``grid``, from its axes."""
+    tops = [float(np.abs(ax).max()) for ax in grid.axes]
+    return max(tops), sum(tops)
+
+
 def as_extreal(value) -> float:
     """Coerce ``value`` to a float in [-inf, +inf]; NaN is rejected."""
     v = float(value)
@@ -207,7 +225,10 @@ def default_dual_grid(dim: int, scale: float, step: float = 1.0 / 16.0) -> Grid:
     """
     if not math.isfinite(scale):
         scale = 1.0
-    radius = max(2, int(math.ceil(2.0 * (1.0 + max(scale, 0.0)))))
+    reach = max(2.0, 2.0 * (1.0 + max(scale, 0.0)))
+    # A float bound of the count, refused before math.ceil can meet an inf:
+    _check_work(2.0 * (reach + 1.0) / step + 1.0, "default dual grid", "nodes per axis")
+    radius = int(math.ceil(reach))
     per_axis = int(round(2 * radius / step)) + 1
     return Grid((-float(radius),) * dim, (float(radius),) * dim, (per_axis,) * dim)
 

@@ -20,7 +20,8 @@ import math
 import numpy as np
 
 from ._directions import sign_patterns
-from .numerics import FunctionSample, Grid, _check_work, _finite_scale, build_grid, default_dual_grid
+from .numerics import (FunctionSample, Grid, _axis_extent, _check_pairing, _check_work,
+                       _finite_scale, build_grid, default_dual_grid)
 from .norms import PhiSpec, SourceNormSpec, _in_phi_dual_ball, conj_exponent, top_k_norm_table
 
 __all__ = [
@@ -65,12 +66,15 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     transform sums the same terms in another order, so it must match the
     +-inf pattern exactly and finite values within
     ``4 eps (max|x| |y|_1 + max|f|)``.  Refuses more than
-    ``MAX_TRANSFORM_WORK`` pairs before it builds a node.
+    ``MAX_TRANSFORM_WORK`` pairs (``work-too-large``) and scores beyond the
+    largest float (``pairing-overflow``) before it builds a node.
     """
     d = f.grid.dim
     if dual_grid.dim != d:
         raise ValueError(f"dual grid dimension {dual_grid.dim} != {d}")
     _check_work(f.grid.node_count * dual_grid.node_count, "conjugate oracle", "pairs")
+    _check_pairing(_axis_extent(f.grid)[0], _axis_extent(dual_grid)[1], _finite_scale(f.values),
+                   "conjugate oracle")
     cols = np.ascontiguousarray(f.grid.nodes.T)
     vals = f.values
     *head_axes, ylast = dual_grid.axes

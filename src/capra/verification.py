@@ -266,7 +266,6 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
         samp = cj.build_sphere_sample(nu, 2, sphere_count)
         for f in _l0_and_doubled(2):
             fvals = ev._on_ball(f, nu, grid)[1]
-            svals = f.batch(samp)
             Y = rng.uniform(-3.0, 3.0, size=(n_duals, 2))
             # Stress duals: diagonal-corner and near-axis regions, where the
             # binding sparsity stratum switches.
@@ -274,8 +273,8 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
                                [0.2, -2.7], [2.2, 2.0]]])
             ball_route = cj._conjugate_values(grid.nodes, fvals, Y)
             direct_route = cj.capra_conjugate_direct(f, cj.CouplingSpec(nu), Y, grid)
-            for y, bv, dv in zip(Y, ball_route, direct_route):
-                sv = cj.capra_conjugate(f, cj.CouplingSpec(nu), y, samp, svals)
+            sphere_route = cj._sphere_route(f, nu, Y, samp)
+            for y, bv, dv, sv in zip(Y, ball_route, direct_route, sphere_route):
                 tol = 5.0 * h * (1.0 + float(np.linalg.norm(y)))
                 worst = max(worst, abs(bv - sv) / tol, abs(dv - sv) / tol)
     return CheckResult("two-route-capra-conjugate", bool(worst <= 1.0), 1.0, float(worst),

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -189,6 +190,38 @@ def test_envelope_work_too_large_exit_3(capsys, monkeypatch):
     assert code == 0 and "value near (1,0): 1" in out
 
 
+@pytest.mark.parametrize("weight, count", [("1e308", "inf"), ("1e300", "6.4e+301")])
+def test_envelope_huge_phi_weight_exit_3(capsys, monkeypatch, weight, count):
+    # The default dual grid's half-range grows with the largest finite phi
+    # weight.  1e308 used to end in an OverflowError traceback (math.ceil of
+    # inf) and 1e300 in numpy's untagged "Maximum allowed size exceeded";
+    # both are refused before a dual axis is built.
+    counts = []
+    monkeypatch.setattr("capra.numerics._axis", lambda lo, hi, n: counts.append(n))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "envelope", "--f", f"phi:0,{weight},2",
+                                 "--nu", "lp:2", "--grid", "21")
+    assert (code, out, counts) == (3, "", [21, 21])  # the two ball-grid axes only
+    assert err.strip() == (f"error: work-too-large: default dual grid needs {count} "
+                           f"nodes per axis, over the cap of 2e+09")
+
+
+def test_verify_oracle_conjugate_pairing_overflow_exit_3(capsys):
+    # |y|_1 of the dual point overflows: the point transform used to print
+    # +inf with an overflow RuntimeWarning, a traceback under -W error.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli(capsys, "verify", "--oracle", "conjugate", "--nu", "lp:2",
+                                 "--grid", "41", "--at", "1.7e308,1.7e308")
+    assert (code, out) == (3, "") and err.startswith("error: pairing-overflow: point transform ")
+    code, out, _ = run_cli(capsys, "verify", "--oracle", "conjugate", "--nu", "lp:2",
+                           "--grid", "41", "--at", "1e308,0.5e308")
+    # Finite pairings near the largest float still give the grid value,
+    # which lies below |y|_2 = 1.118e308.
+    assert (code, out) == (0, "1.10526315789e+308\n")
+
+
 def test_envelope_3d_grid_201_is_under_the_cap():
     # The analytic chain of --dim 3 --grid 201 folds every axis: 5.19e8
     # updates, under the 2e9 cap; unfolded it would count 8.17e9, over it.
@@ -324,13 +357,6 @@ def test_infinity_spellings(tmp_path, capsys):
     code, _, err = run_cli(capsys, "norm", "--kind", "best", "--p", "2",
                            "--phi", "0,1,nan", "--x", "1,-1")
     assert code == 3 and "nan" in err
-
-
-def test_capra_threads_env(monkeypatch, capsys):
-    monkeypatch.setenv("CAPRA_THREADS", "1")
-    code, out, _ = run_cli(capsys, "norm", "--kind", "topk", "--q", "1",
-                           "--k", "1", "--x", "2,-3")
-    assert code == 0 and out.strip() == "3"
 
 
 def test_main_reuses_parser_without_leaking_state(capsys):

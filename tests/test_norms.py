@@ -25,6 +25,7 @@ from capra.norms import (
     top_k_norm,
     top_k_norm_table,
 )
+import capra.norms as norms_module
 from capra._directions import sign_patterns, unit_directions
 from capra.oracle import default_direction_set, k_support_bruteforce
 
@@ -212,10 +213,12 @@ def _python_restricted_dual(y_sub, source, support, n_directions):
     return best
 
 
-def test_restricted_dual_bit_identical_to_loop():
+def test_restricted_dual_bit_identical_to_loop(monkeypatch):
     # Each spec serves several y from its cached clouds; values, including
     # +inf from an infinite coordinate, equal the per-direction loop.  The
-    # weights make every support's cloud its own.
+    # weights make every support's cloud its own.  64 directions per support
+    # keep the Python loop short.
+    monkeypatch.setattr(norms_module, "_DIRECTIONS_PER_SUBSET", 64)
     for d in (2, 3, 4):
         w = np.arange(1.0, d + 1.0)
         for p in (1.0, 1.5, 2.0, math.inf):
@@ -229,7 +232,7 @@ def test_restricted_dual_bit_identical_to_loop():
                         want = max(want, _python_restricted_dual(y[list(K)], src, K, 64))
                     with warnings.catch_warnings():
                         warnings.simplefilter("error")
-                        got = dual_coordinate_k_norm(y, src, k, directions_per_subset=64)
+                        got = dual_coordinate_k_norm(y, src, k)
                     assert got == want, (d, p, k, y)
                     if np.isinf(y).any():
                         assert got == math.inf

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capra import conjugacy, oracle
-from capra.conjugacy import conjugate_at_points, fenchel_conjugate
+from capra.conjugacy import conjugate_at_points, fenchel_biconjugate, fenchel_conjugate
 from capra.norms import conj_exponent, k_support_norm, lp_value_batch, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
 from capra.oracle import (
@@ -216,6 +216,40 @@ def test_point_transform_equals_naive_in_value(monkeypatch):
                 assert np.array_equal(got, want), (counts, budget)
         assert np.all(np.isneginf(conjugate_at_points(samples[-2], gd.nodes)))
         assert np.all(np.isposinf(conjugate_at_points(samples[-1], gd.nodes)))
+
+
+def test_overflowing_pairings_refused_by_every_transform():
+    # The l1-ball indicator on a 3x3 grid onto duals near the largest float:
+    # |y|_1 overflows.  The referee used to raise the untagged "sample values
+    # must not contain NaN" (inf - inf at the +inf nodes), the point
+    # transform to warn of an overflow, and the grid transforms returned
+    # values.  A huge finite f overflows the scores as well.
+    g = build_grid([(-1.0, 1.0)] * 2, [3, 3])
+    ball = np.abs(g.nodes).sum(axis=1) <= 1.0
+    big = build_grid([(-1.7e308, 1.7e308)] * 2, [3, 3])
+    indicator = FunctionSample(g, np.where(ball, 0.0, math.inf))
+    low = FunctionSample(g, np.where(ball, -1.7e308, math.inf))
+    near = build_grid([(-1e308, 1e308)] * 2, [3, 3])
+    calls = [
+        lambda: naive_conjugate(indicator, big),
+        lambda: fenchel_conjugate(indicator, big),
+        lambda: fenchel_biconjugate(indicator, big),
+        lambda: conjugate_at_points(indicator, [[1.7e308, 1.7e308]]),
+        lambda: naive_conjugate(low, near),
+        lambda: fenchel_conjugate(low, near),
+        lambda: conjugate_at_points(low, [[1e308, 0.0]]),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in calls:
+            with pytest.raises(ValueError, match="^pairing-overflow: "):
+                call()
+        # Scores that fit a float are scored, the same by all three.
+        dual = build_grid([(-8e307, 8e307)] * 2, [3, 3])
+        ref = naive_conjugate(indicator, dual).values
+        assert np.array_equal(fenchel_conjugate(indicator, dual).values, ref)
+        assert np.array_equal(conjugate_at_points(indicator, dual.nodes), ref)
+        assert ref.max() == 8e307
 
 
 def test_naive_conjugate_of_origin_indicator():
