@@ -26,15 +26,19 @@ def _parse_point(text: str):
     try:
         return np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
-        raise ValueError(f"could not parse point {text!r}: {exc}") from None
+        raise ValueError(f"invalid-point: could not parse point {text!r}: {exc}") from None
 
 
 def _parse_nu(text: str):
     from .norms import NormalizationSpec
 
     if not text.startswith("lp:"):
-        raise ValueError(f"normalization must be 'lp:<p>' (got {text!r})")
-    return NormalizationSpec.lp(float(text[3:]))
+        raise ValueError(f"invalid-nu: normalization must be 'lp:<p>' (got {text!r})")
+    try:
+        p = float(text[3:])
+    except ValueError:
+        raise ValueError(f"invalid-nu: p in {text!r} is not a number") from None
+    return NormalizationSpec.lp(p)
 
 
 def _parse_phi(text: str, dim: int):
@@ -61,14 +65,24 @@ def _parse_function(text: str, dim: int):
         return ZeroHomFnSpec.constant_zero()
     if text.startswith("phi:"):
         return ZeroHomFnSpec.phi_l0(_parse_phi(text[4:], dim))
-    raise ValueError(f"unknown function {text!r} (use l0, zero, or phi:<weights>)")
+    raise ValueError(f"unknown-function: {text!r} (use l0, zero, or phi:<weights>)")
+
+
+def _parse_seed(text: str) -> int:
+    try:
+        return int(text, 0)
+    except ValueError:
+        raise ValueError(f"invalid-seed: {text!r} is not an integer") from None
 
 
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"invalid-config: {path} is not JSON: {exc}") from None
 
 
 def cmd_norm(args) -> int:
@@ -80,11 +94,11 @@ def cmd_norm(args) -> int:
     config = parse_config(_load_config(args.config), dim=d)
     if args.kind == "topk":
         if args.q is None or args.k is None:
-            raise ValueError("topk needs --q and --k")
+            raise ValueError("missing-argument: --kind topk needs --q and --k")
         value = top_k_norm(x, float(args.q), args.k)
     elif args.kind == "ksupport":
         if args.p is None or args.k is None:
-            raise ValueError("ksupport needs --p and --k")
+            raise ValueError("missing-argument: --kind ksupport needs --p and --k")
         value = k_support_norm(x, float(args.p), args.k)
     elif args.kind == "best":
         if args.p is not None:
@@ -92,7 +106,7 @@ def cmd_norm(args) -> int:
         elif config["source"] is not None:
             source = config["source"]
         else:
-            raise ValueError("best needs --p or a config source norm")
+            raise ValueError("missing-argument: --kind best needs --p or a config source norm")
         if args.phi is not None:
             phi = _parse_phi(args.phi, d)
         elif config["phi"] is not None:
@@ -148,7 +162,7 @@ def cmd_oracle(args) -> int:
     from .norms import SourceNormSpec, conj_exponent, dual_coordinate_k_norm
     from .numerics import FunctionSample, write_sample_csv
 
-    seed = int(args.seed, 0)
+    seed = _parse_seed(args.seed)
     if args.oracle == "topk-enum":
         _require(args, "x", "k")
         x = _parse_point(args.x)
@@ -200,8 +214,8 @@ def cmd_verify(args) -> int:
     if args.oracle:
         return cmd_oracle(args)
     if not args.suite:
-        raise ValueError("verify needs --suite or --oracle")
-    seed = int(args.seed, 0)
+        raise ValueError("missing-argument: verify needs --suite or --oracle")
+    seed = _parse_seed(args.seed)
     results = run_suite(args.suite, seed)
     for r in results:
         print(r.line())

@@ -266,7 +266,8 @@ def conjugate_at_points(f: FunctionSample, points) -> np.ndarray:
     """Values of the discrete conjugate of ``f`` at arbitrary dual points."""
     points = np.atleast_2d(np.asarray(points, dtype=float))
     if points.shape[1] != f.grid.dim:
-        raise ValueError(f"dual points must have dimension {f.grid.dim}")
+        raise ValueError(f"dimension-mismatch: dual points must have dimension {f.grid.dim} "
+                         f"(got {points.shape[1]})")
     return _conjugate_values(f.grid.nodes, f.values, points)
 
 

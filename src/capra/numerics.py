@@ -194,7 +194,8 @@ class Grid:
         ``nonfinite-input``."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
-            raise ValueError(f"point must have shape ({self.dim},)")
+            raise ValueError(f"dimension-mismatch: point must have shape ({self.dim},) "
+                             f"(got {point.shape})")
         _refuse_nonfinite(point, "a point")
         multi = []
         for k in range(self.dim):

@@ -35,10 +35,11 @@ __all__ = [
 
 SEED = 0x5EED
 
-# Scores per block of naive_conjugate (512 KB, with a product block of the
-# same size beside it).  The envelope suite's oracle calls took 0.48-0.52 s
-# at 2^16, against 0.56-0.58 s at 2^15, 0.62-0.67 s at 2^14 and 0.54-0.61 s
-# at 2^17 (in process, three runs each).
+# Scores per block of naive_conjugate (512 KB, with a product block and a
+# tiled copy of f of the same size beside it).  The envelope suite's four
+# oracle envelopes took 0.28-0.31 s at 2^16, against 0.31-0.32 s at 2^15,
+# 0.37 s at 2^14 and 0.45-0.47 s at 2^17 (in process, best of four, twice;
+# on a busier host 0.46-0.48 s at 2^14 to 2^16 and 0.68-0.70 s at 2^17).
 _BLOCK_FLOATS = 1 << 16
 
 
@@ -48,18 +49,27 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
 
     Pairwise, O(primal x dual): each pair's score is ``x_0 y_0``, then
     ``+ x_k y_k`` for k ascending, then ``- f(x)``, and each dual node takes
-    the exact max over every primal node in one ``np.max``.  Dual nodes run
-    in blocks of ``r`` values of the last dual axis (one at least, about
-    ``_BLOCK_FLOATS`` scores): a block's products with the last primal
-    coordinate are formed once, then for each index of the other dual axes
-    (a head) the partial sum of the leading terms, a 1-d array over the
-    primal nodes, is added to them.  So a pair costs an add, a subtract and
-    its share of a row max, and no longer a broadcast multiply per axis as
-    well: the first passes of the envelope suite's four oracle envelopes
-    went from 0.52-0.57 s to 0.24-0.27 s in process (2-vCPU VM, numpy 2.4).
-    Every product and sum is the same IEEE operation whatever the blocking,
-    so the output does not depend on it, signed zeros included.  Only the
-    dual grid's axes are read; its node array is never built.
+    the exact max over every primal node in one ``np.max``.  The dual
+    indices of all axes but the last form the heads; each head's partial
+    sum of the leading terms is a 1-d array over the primal nodes.  Dual
+    nodes run in blocks of ``r`` values of the last dual axis, about
+    ``_BLOCK_FLOATS`` scores:
+
+    - ``r > 1`` (at most ``_BLOCK_FLOATS // 2`` primal nodes): a block's
+      products with the last primal coordinate are formed once and each
+      head's partial sum is added to them, so a pair costs a broadcast
+      add, a subtract of ``f`` tiled to the block, and its share of a row
+      max;
+    - ``r = 1``: heads run outermost, so each partial sum is built once,
+      and a pair costs a multiply, an add and a subtract, each in place in
+      one score row, and its share of the row max.
+
+    The envelope suite's four oracle envelopes took 0.40-0.43 s with the
+    head loop inside every block and an untiled ``f``, and take 0.29-0.32 s
+    (in process, 2-vCPU VM, numpy 2.4).  Every product and sum is the same
+    IEEE operation whatever the regime or blocking, so the output does not
+    depend on it, signed zeros included.  Only the dual grid's axes are
+    read; its node array is never built.
 
     The point transform equals this output in value, with the same +-inf
     pattern; only the sign of a zero can differ.  The separable grid
@@ -81,25 +91,45 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     n, m = cols.shape[1], ylast.size
     out = np.empty((math.prod(dual_grid.counts[:-1]), m))
     r = max(1, min(m, _BLOCK_FLOATS // max(n, 1)))
+    base = np.empty(n)
+    # Scores are finite, so score - vals realizes the lower addition
+    # low_add(<x,y>, -f(x)) including both infinite branches.  At d = 1
+    # there is one empty head and no add: 0.0 + t would turn -0.0 into 0.0.
+    if r == 1:
+        row = np.empty(n)
+        for h, head in enumerate(itertools.product(*head_axes)):
+            if head:
+                _partial_sum(head, cols, base)
+            for j, y in enumerate(ylast):
+                np.multiply(cols[-1], y, out=row)
+                if head:
+                    np.add(row, base, out=row)  # t + base has the bits of base + t
+                np.subtract(row, vals, out=row)
+                out[h, j] = row.max()
+        return FunctionSample(dual_grid, out.reshape(-1))
     scores = np.empty((r, n))
     term = np.empty((r, n))
-    base = np.empty(n)
+    tiled = np.tile(vals, (r, 1))
     for j in range(0, m, r):
         t = term[:min(r, m - j)]
         np.multiply(ylast[j:j + r, None], cols[-1], out=t)
         for h, head in enumerate(itertools.product(*head_axes)):
             if head:
-                np.multiply(head[0], cols[0], out=base)
-                for k in range(1, d - 1):
-                    base += head[k] * cols[k]
+                _partial_sum(head, cols, base)
                 s = np.add(base, t, out=scores[:len(t)])
             else:
-                s = t  # d = 1: one head; 0.0 + t would turn -0.0 into 0.0
-            # scores are finite, so scores - vals realizes the lower addition
-            # low_add(<x,y>, -f(x)) including both infinite branches.
-            s -= vals
+                s = t
+            s -= tiled[:len(t)]
             np.max(s, axis=1, out=out[h, j:j + len(t)])
     return FunctionSample(dual_grid, out.reshape(-1))
+
+
+def _partial_sum(head, cols, out) -> None:
+    """``head[0] x_0 + head[1] x_1 + ...`` over the leading primal
+    coordinates, summed in that order into ``out``."""
+    np.multiply(head[0], cols[0], out=out)
+    for k in range(1, len(head)):
+        out += head[k] * cols[k]
 
 
 def convex_envelope_2d(f: FunctionSample, dual_grid: Grid | None = None) -> FunctionSample:

@@ -339,6 +339,35 @@ def test_verify_requires_suite_or_oracle(capsys):
     assert code == 3 and "--suite or --oracle" in err
 
 
+@pytest.mark.parametrize("argv, tag", [
+    (("verify", "--oracle", "topk-enum", "--x", ",", "--k", "1"), "invalid-point"),
+    (("norm", "--kind", "topk", "--q", "1", "--k", "1", "--x", "1,,2"), "invalid-point"),
+    (("envelope", "--nu", "lp:abc"), "invalid-nu"),
+    (("envelope", "--nu", "l2"), "invalid-nu"),
+    (("verify", "--oracle", "conjugate", "--nu", "l2", "--grid", "11", "--at", "1,1"),
+     "invalid-nu"),
+    (("envelope", "--f", "bogus", "--nu", "lp:2"), "unknown-function"),
+    (("norm", "--kind", "topk", "--x", "1,2"), "missing-argument"),
+    (("norm", "--kind", "ksupport", "--x", "1,2"), "missing-argument"),
+    (("norm", "--kind", "best", "--x", "1,2"), "missing-argument"),
+    (("verify",), "missing-argument"),
+    (("verify", "--oracle", "envelope2d", "--grid", "41", "--at", "0.3"), "dimension-mismatch"),
+    (("verify", "--oracle", "conjugate", "--grid", "41", "--at", "1,2,3"),
+     "dimension-mismatch"),
+    (("verify", "--suite", "norms", "--seed", "abc"), "invalid-seed"),
+    (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--seed", "0xz"),
+     "invalid-seed"),
+    (("norm", "--kind", "best", "--x", "1,2", "--config", "CONFIG"), "invalid-config"),
+])
+def test_domain_errors_carry_a_tag(tmp_path, capsys, argv, tag):
+    config = tmp_path / "config.json"
+    config.write_text("{not json")
+    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_infinity_spellings(tmp_path, capsys):
     # Exponents and weights are read by float: any case, either sign,
     # surrounding whitespace, "inf" or "infinity".
@@ -421,6 +450,25 @@ ENVELOPE_DIGESTS = {
     "lp:inf": ("a2677b1186a4c34688e840c9ccb45be36f9f9266a0da3ed4fb5fa6f46add26e0",
                "6d2bb9d01dac2ef8d245dadf3063186f5fa354956fa90dad75907d8fd759c38d"),
 }
+
+
+# SHA-256 of the CSV of ``capra verify --oracle envelope2d --nu <nu> --grid
+# 41``.  Ball masks with no pow, and only add, multiply and max in the
+# referee, so the digests hold on every platform; the CSV writes -0.0 as
+# -0.0, so they pin the sign of every zero too.
+REFEREE_DIGESTS = {
+    "lp:1": "0178f747582103aaa920a1f097e66f04f67e637d6e4710160b0af401e4717519",
+    "lp:inf": "def074821e2cf659e9acd8a346b193186113450c53262b5252aea4985ecde942",
+}
+
+
+@pytest.mark.parametrize("nu", sorted(REFEREE_DIGESTS))
+def test_referee_output_bytes_are_frozen(tmp_path, capsys, nu):
+    csv = tmp_path / "referee.csv"
+    code, _, _ = run_cli(capsys, "verify", "--oracle", "envelope2d", "--nu", nu,
+                         "--grid", "41", "--out", str(csv))
+    assert code == 0
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == REFEREE_DIGESTS[nu]
 
 
 @pytest.mark.parametrize("nu", sorted(ENVELOPE_DIGESTS))

@@ -138,6 +138,36 @@ def test_naive_keeps_flat_row_bits_signed_zeros_included(monkeypatch):
     assert zeros[False] > 0 and zeros[True] > 0
 
 
+@pytest.mark.parametrize("d, n", [(1, 40001), (2, 183), (3, 33)])
+def test_naive_keeps_flat_row_bits_in_both_loop_regimes(d, n):
+    # More than _BLOCK_FLOATS // 2 primal nodes: one last-axis value per
+    # block, heads outermost.  Back onto that grid from the small dual grid
+    # (d <= 2, to keep each case fast): blocks of many last-axis values.
+    # Same bits as flat rows either way.
+    g = build_grid([(-1.0, 1.0)] * d, [n] * d)
+    gd = build_grid([(-2.0, 2.0)] * d, [5] * d)
+    assert g.node_count > oracle._BLOCK_FLOATS // 2 >= 2 * gd.node_count
+    l1 = np.abs(g.nodes).sum(axis=1)
+    samples = [np.zeros(g.node_count),
+               np.count_nonzero(g.nodes, axis=1).astype(float),
+               2.0 * l1,
+               3.0 * np.abs(g.nodes).max(axis=1),
+               np.where(l1 <= 1.0, 0.0, math.inf)]
+    signs = set()
+    for vals in samples:
+        f = FunctionSample(g, vals)
+        want = _flat_row_conjugate(f, gd)
+        cases = [(f, gd, want)]
+        if d <= 2:
+            back = FunctionSample(gd, want)
+            cases.append((back, g, _flat_row_conjugate(back, g)))
+        for h, grid, want in cases:
+            got = naive_conjugate(h, grid).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), grid.counts
+            signs |= set(np.signbit(want[want == 0.0]).tolist())
+    assert signs == {False, True}
+
+
 def _assert_transform_contract(f, dual_grid):
     """The grid transform against the referee: identical +-inf pattern, and
     finite values within 4 eps (max|x| |y|_1 + max|f|) of it."""
