@@ -178,17 +178,27 @@ def l0_envelope_linf(x, phi: PhiSpec | None = None) -> float:
     return math.inf
 
 
-def _support(accepted: np.ndarray, x) -> float:
-    """``max <y, x>`` over the accepted rows y; -inf when there is none."""
-    return float(np.max(accepted @ np.asarray(x, dtype=float), initial=-math.inf))
+def _support(accepted: np.ndarray, x) -> float | np.ndarray:
+    """``max <y, x>`` over the accepted rows y, -inf when there is none: a
+    float for one point x, an array with one value per row for an (n, d)
+    array of points.  The stacked product ``accepted @ x[..., None]`` runs
+    one matrix-vector product per point, so each row gets the bits of the
+    point passed alone."""
+    x = np.asarray(x, dtype=float)
+    best = np.max((accepted @ x[..., None])[..., 0], axis=-1, initial=-math.inf)
+    return float(best) if x.ndim == 1 else best
 
 
 def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
-                             dual_candidates) -> float:
+                             dual_candidates) -> float | np.ndarray:
     """Tightest closed convex positively 1-homogeneous minorant of f on the
     unit ball of nu, evaluated at x as the support function of the Capra
     subdifferential at 0 (:func:`capra.conjugacy.capra_subdiff_at_zero`, at
     its route tolerance) over the candidate cloud.
+
+    ``x`` is one point (the value is a float) or an (n, d) array of points
+    (an array of n values); the subdifferential is computed once per call,
+    whatever n is, and each row gets the bits of its single-point call.
 
     A lower bound of the true support function; exact when the accepted set
     is analytic and the candidates contain its extreme points.
@@ -223,14 +233,16 @@ def best_cvx_on_subset(f: FunctionSample, subset, dual_grid: Grid) -> FunctionSa
 
 
 def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
-                           tol: float | None = None) -> float:
+                           tol: float | None = None) -> float | np.ndarray:
     """Best closed convex positively 1-homogeneous approximation of f on U,
     evaluated at x: the support function over candidates y accepted by the
     Fenchel-Young membership test ``(f + indicator_U)*(y) <= 0``.
 
-    Requires 0 in U and f(0) = 0.  The default membership tolerance is
-    ``5 h (1 + |y|)`` per candidate (grid conjugates under-estimate by a
-    step times a Lipschitz factor).
+    ``x`` is one point (a float) or an (n, d) array of points (n values),
+    as for :func:`tightest_pos_hom_on_ball`: the accepted set is built once
+    per call.  Requires 0 in U and f(0) = 0.  The default membership
+    tolerance is ``5 h (1 + |y|)`` per candidate (grid conjugates
+    under-estimate by a step times a Lipschitz factor).
     """
     mask, masked = _restricted(f, subset)
     zero_rows = np.flatnonzero(np.all(f.grid.nodes == 0.0, axis=1))

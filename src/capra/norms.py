@@ -619,6 +619,17 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     return NormObject(primal, dual, exact=False, label="support(dual gauge ball)")
 
 
+def _config_lp(obj: dict, key: str) -> float:
+    """The exponent of the ``{"lp": p}`` object under ``key`` of a config."""
+    spec = obj[key]
+    if not isinstance(spec, dict) or "lp" not in spec:
+        raise ValueError(f'invalid-config: {key} must be an object {{"lp": p}} (got {spec!r})')
+    try:
+        return float(spec["lp"])
+    except (TypeError, ValueError):
+        raise ValueError(f"invalid-config: {key} lp must be a number (got {spec['lp']!r})") from None
+
+
 def parse_config(obj: dict, dim: int | None = None) -> dict:
     """Parse a JSON config object into norm specs.
 
@@ -626,8 +637,12 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
     every key is optional.  ``dim`` is inferred from ``phi`` when absent,
     and a phi of another dimension than a given ``dim`` is refused.
     Exponents and weights are numbers or strings that ``float`` reads, so
-    ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give +inf.
+    ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give +inf.  A config that
+    is not an object, or a ``source`` or ``nu`` that is not an object with
+    such an ``lp``, raises ``invalid-config``.
     """
+    if not isinstance(obj, dict):
+        raise ValueError(f"invalid-config: a config must be a JSON object (got {obj!r})")
     out: dict = {"source": None, "phi": None, "nu": None}
     if "phi" in obj and obj["phi"] is not None:
         out["phi"] = PhiSpec.from_values(obj["phi"])
@@ -637,10 +652,10 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
             raise ValueError(f"invalid-phi: phi has dim {out['phi'].dim}, "
                              f"config dimension is {dim}")
     if "nu" in obj and obj["nu"] is not None:
-        out["nu"] = NormalizationSpec.lp(float(obj["nu"]["lp"]))
+        out["nu"] = NormalizationSpec.lp(_config_lp(obj, "nu"))
     if "source" in obj and obj["source"] is not None:
         if dim is None:
             raise ValueError("config with a source norm needs a dimension "
                              "(provide phi or pass dim)")
-        out["source"] = SourceNormSpec.lp(float(obj["source"]["lp"]), dim)
+        out["source"] = SourceNormSpec.lp(_config_lp(obj, "source"), dim)
     return out

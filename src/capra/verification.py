@@ -7,8 +7,12 @@ with the same seed are reproducible bit for bit.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import inspect
 import math
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,6 +46,31 @@ class CheckResult:
         if self.details:
             parts.append(f"({self.details})")
         return " ".join(parts)
+
+
+# Results of the run_suite call in progress, keyed by (check, arguments); None
+# outside a call, so no result outlives the run that computed it.
+_RUN_MEMO: ContextVar[dict | None] = ContextVar("capra_run_memo", default=None)
+
+
+def _once_per_run(check):
+    """Run ``check`` once per distinct arguments within one :func:`run_suite`
+    call (``--suite all`` runs four conjugacy checks again in criterion 7).
+    Each caller gets its own copy of the result."""
+    signature = inspect.signature(check)
+
+    @functools.wraps(check)
+    def wrapper(*args, **kwargs):
+        memo = _RUN_MEMO.get()
+        if memo is None:
+            return check(*args, **kwargs)
+        bound = signature.bind(*args, **kwargs)
+        bound.apply_defaults()
+        key = (check, tuple(bound.arguments.items()))
+        if key not in memo:
+            memo[key] = check(*args, **kwargs)
+        return dataclasses.replace(memo[key])
+    return wrapper
 
 
 # ---------------------------------------------------------------------------
@@ -301,6 +330,7 @@ def _conjugacy_test_functions(rng: np.random.Generator):
             for name, g, v in fns]
 
 
+@_once_per_run
 def _check_biconjugate_below(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 11)
     worst = -math.inf
@@ -312,6 +342,7 @@ def _check_biconjugate_below(seed: int) -> CheckResult:
     return CheckResult("biconjugate-below-f", worst <= 1e-12, 1e-12, worst)
 
 
+@_once_per_run
 def _check_triple_conjugate(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 12)
     worst = 0.0
@@ -322,6 +353,7 @@ def _check_triple_conjugate(seed: int) -> CheckResult:
     return CheckResult("triple-conjugate-idempotence", worst <= 1e-10, 1e-10, worst)
 
 
+@_once_per_run
 def _check_order_reversal(seed: int, n_pairs: int = 100) -> CheckResult:
     rng = np.random.default_rng(seed + 13)
     g = nx.build_grid([(-1.0, 1.0), (-1.0, 1.0)], [15, 15])
@@ -349,6 +381,7 @@ def _midpoint_violation(sample: nx.FunctionSample) -> float:
     return worst
 
 
+@_once_per_run
 def _check_conjugate_convexity(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 14)
     worst = -math.inf
@@ -509,16 +542,15 @@ def _check_maximality_vs_oracle(seed: int) -> CheckResult:
 def _check_pos_hom(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 21)
     cand = nx.build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
+    f = cj.ZeroHomFnSpec.l0(2)
     worst = -math.inf
     for p in (1.0, 2.0, math.inf):
         nu = nm.NormalizationSpec.lp(p)
-        f = cj.ZeroHomFnSpec.l0(2)
-        for _ in range(25):
-            x = rng.standard_normal(2)
-            rho = float(rng.uniform(0.1, 3.0))
-            v1 = ev.tightest_pos_hom_on_ball(f, nu, x, cand)
-            v2 = ev.tightest_pos_hom_on_ball(f, nu, rho * x, cand)
-            worst = max(worst, abs(v2 - rho * v1) - 1e-9 * (1 + abs(v1)))
+        draws = [(rng.standard_normal(2), float(rng.uniform(0.1, 3.0))) for _ in range(25)]
+        x, rho = map(np.array, zip(*draws))
+        v1 = ev.tightest_pos_hom_on_ball(f, nu, x, cand)
+        v2 = ev.tightest_pos_hom_on_ball(f, nu, rho[:, None] * x, cand)
+        worst = max(worst, float((np.abs(v2 - rho * v1) - 1e-9 * (1 + np.abs(v1))).max()))
     return CheckResult("pos-hom-positive-homogeneity", worst <= 0.0, 0.0, worst)
 
 
@@ -529,10 +561,9 @@ def _check_ordering(seed: int) -> CheckResult:
     worst = -math.inf
     for p in (2.0, math.inf):
         env, ball, _ = _l0_on_lp_ball(p, grid)
-        for idx in np.flatnonzero(ball)[::7]:
-            x = grid.nodes[idx]
-            ph = ev.tightest_pos_hom_on_ball(f, nm.NormalizationSpec.lp(p), x, cand)
-            worst = max(worst, ph - float(env.values[idx]))
+        idx = np.flatnonzero(ball)[::7]
+        ph = ev.tightest_pos_hom_on_ball(f, nm.NormalizationSpec.lp(p), grid.nodes[idx], cand)
+        worst = max(worst, float((ph - env.values[idx]).max()))
     return CheckResult("pos-hom-below-convex-envelope", worst <= 1e-9, 1e-9, worst)
 
 
@@ -738,15 +769,15 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
-    if name == "all":
-        out = []
-        for key in ("norms", "conjugacy", "envelope", "acceptance"):
-            out.extend(SUITES[key](seed))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
-    return SUITES[name](seed)
+    names = ("norms", "conjugacy", "envelope", "acceptance") if name == "all" else (name,)
+    token = _RUN_MEMO.set({})
+    try:
+        return [result for key in names for result in SUITES[key](seed)]
+    finally:
+        _RUN_MEMO.reset(token)
 
 
 def _plain(value: float | None) -> float | None:

@@ -479,3 +479,36 @@ def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
     assert code == 0
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, summary))
     assert digests == ENVELOPE_DIGESTS[nu]
+
+
+@pytest.mark.parametrize("config, argv", [
+    ({"source": {"xx": 2}}, ()),
+    ({"nu": {"x": 1}}, ("--p", "2")),
+    ({"source": 5}, ()),
+    ({"nu": 5}, ("--p", "2")),
+    ({"source": {"lp": "abc"}}, ()),
+    ({"source": {"lp": [2]}}, ()),
+    ({"nu": {"lp": None}}, ("--p", "2")),
+    ([{"lp": 2}], ("--p", "2")),
+])
+def test_malformed_config_exit_3_as_invalid_config(tmp_path, capsys, config, argv):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(config))
+    code, out, err = run_cli(capsys, "norm", "--kind", "best", "--x", "1,2",
+                             "--config", str(path), *argv)
+    assert (code, out) == (3, "") and err.startswith("error: invalid-config: "), err
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+# SHA-256 of the report of ``capra verify --suite envelope --seed 7``: its
+# values come from pow and BLAS products as well as add, multiply and max, so
+# unlike the digests above it is pinned for the x86-64 numpy wheels.
+ENVELOPE_SUITE_REPORT_DIGEST = "f96e259df1159bd5e218eefc9fd280f1a0f4bd53e92158cc1017b101d26c2980"
+
+
+def test_envelope_suite_report_bytes_are_frozen(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "envelope", "--seed", "7",
+                         "--report", str(report))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == ENVELOPE_SUITE_REPORT_DIGEST

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from capra import numerics
-from capra.conjugacy import ZeroHomFnSpec
+from capra.conjugacy import CouplingSpec, ZeroHomFnSpec, capra_subdiff_at_zero
 from capra.envelope import (
     BALL_TOL,
     ball_box_grid,
@@ -216,6 +216,53 @@ def test_pos_hom_homogeneity_and_ordering():
         ph = tightest_pos_hom_on_ball(f, nu, x, cand)
         assert ph <= env.values[idx] + 1e-9
         assert abs(tightest_pos_hom_on_ball(f, nu, 2.5 * x, cand) - 2.5 * ph) <= 1e-9
+
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.uint64)
+
+
+# Scattered candidates put the support's maximum off the exact products of a
+# grid's vertices, where the rounding of the dot product shows.
+ROW_POINTS = np.vstack([RNG.standard_normal((12, 2)), [[0.0, 0.0], [-1.0, 0.5]]])
+ROW_CANDIDATES = RNG.uniform(-1.5, 1.5, (600, 2))
+
+
+@pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 0.5])
+def test_pos_hom_rows_match_single_points_bit_for_bit(p):
+    # lp:0.5 takes the sphere route of the Capra conjugate.
+    nu = NormalizationSpec.lp(p)
+    for f in (ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()):
+        rows = tightest_pos_hom_on_ball(f, nu, ROW_POINTS, ROW_CANDIDATES)
+        single = [tightest_pos_hom_on_ball(f, nu, x, ROW_CANDIDATES) for x in ROW_POINTS]
+        assert rows.shape == (len(ROW_POINTS),) and isinstance(single[0], float)
+        assert np.array_equal(_bits(rows), _bits(single))
+        # ... and each row is the matrix-vector product of its point alone.
+        accepted = capra_subdiff_at_zero(f, CouplingSpec(nu), ROW_CANDIDATES)
+        direct = [np.max(accepted @ x, initial=-math.inf) for x in ROW_POINTS]
+        assert np.array_equal(_bits(rows), _bits(direct))
+
+
+def test_best_pos_hom_on_subset_rows_match_single_points_bit_for_bit():
+    g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
+    f = FunctionSample(g, lp_value_batch(g.nodes, 2.0) ** 2)
+    for subset in (lambda x: True, lambda x: abs(x[0]) <= 0.5):
+        rows = best_pos_hom_on_subset(f, subset, ROW_POINTS, ROW_CANDIDATES)
+        single = [best_pos_hom_on_subset(f, subset, x, ROW_CANDIDATES) for x in ROW_POINTS]
+        assert rows.shape == (len(ROW_POINTS),) and np.isfinite(rows).all()
+        assert np.array_equal(_bits(rows), _bits(single))
+
+
+def test_pos_hom_empty_accepted_set_is_minus_inf_in_every_row():
+    far = np.array([[5.0, 5.0], [3.0, -4.0]])
+    f, nu = ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0)
+    assert capra_subdiff_at_zero(f, CouplingSpec(nu), far).size == 0
+    assert np.all(tightest_pos_hom_on_ball(f, nu, ROW_POINTS, far) == -math.inf)
+    assert tightest_pos_hom_on_ball(f, nu, ROW_POINTS[0], far) == -math.inf
+    g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
+    fs = FunctionSample(g, np.count_nonzero(g.nodes, axis=1).astype(float))
+    rows = best_pos_hom_on_subset(fs, lambda x: True, ROW_POINTS, far, tol=1e-9)
+    assert rows.shape == (len(ROW_POINTS),) and np.all(rows == -math.inf)
 
 
 def test_monotone_ratio_check_examples():
