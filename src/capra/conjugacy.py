@@ -300,7 +300,6 @@ class ZeroHomFnSpec:
     phi: PhiSpec | None = None
     fn: Callable | None = None
     batch_fn: Callable | None = None
-    label: str = ""
 
     @classmethod
     def l0(cls, dim: int) -> "ZeroHomFnSpec":
@@ -308,7 +307,7 @@ class ZeroHomFnSpec:
 
     @classmethod
     def phi_l0(cls, phi: PhiSpec) -> "ZeroHomFnSpec":
-        return cls(kind="phi_l0", phi=phi, label=f"phi∘l0(d={phi.dim})")
+        return cls(kind="phi_l0", phi=phi)
 
     @classmethod
     def constant_zero(cls) -> "ZeroHomFnSpec":
@@ -316,13 +315,11 @@ class ZeroHomFnSpec:
             kind="custom",
             fn=lambda x: 0.0,
             batch_fn=lambda X: np.zeros(X.shape[0]),
-            label="0",
         )
 
     @classmethod
-    def custom(cls, fn: Callable, batch: Callable | None = None,
-               label: str = "custom") -> "ZeroHomFnSpec":
-        return cls(kind="custom", fn=fn, batch_fn=batch, label=label)
+    def custom(cls, fn: Callable, batch: Callable | None = None) -> "ZeroHomFnSpec":
+        return cls(kind="custom", fn=fn, batch_fn=batch)
 
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
@@ -379,10 +376,10 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
 
 
 def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
-                  sphere_sample, values: np.ndarray | None = None) -> np.ndarray:
+                  sphere_sample) -> np.ndarray:
     """The Capra conjugate at the rows of Y by the sphere route: the max over
     sample points s of ``low_add(<s, y>, -f(s))``.  Checks the sample, then
-    evaluates f on it once unless ``values`` are given."""
+    evaluates f on it once."""
     sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
@@ -396,21 +393,20 @@ def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
         nv = nu.batch(sample[idx])
         if np.any(np.abs(nv - 1.0) > 1e-6):
             raise ValueError("sphere sample contains points off the unit sphere of nu")
-    return _conjugate_values(sample, f.batch(sample) if values is None else values, Y)
+    return _conjugate_values(sample, f.batch(sample), Y)
 
 
 def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
-                    sphere_sample: np.ndarray,
-                    sample_values: np.ndarray | None = None) -> float:
+                    sphere_sample: np.ndarray) -> float:
     """Capra conjugate of a 0-homogeneous f at y, via the sphere route
-    (:func:`_sphere_route`); ``sample_values`` are f on the sample, if known.
+    (:func:`_sphere_route`).
 
     The sample must lie on the unit sphere of the coupling's normalization
     function and contain the origin; with dense samples this converges to
     the Fenchel conjugate of f restricted to the unit ball.
     """
     y = np.asarray(y, dtype=float)
-    return float(_sphere_route(f, coupling.nu, y[None, :], sphere_sample, sample_values)[0])
+    return float(_sphere_route(f, coupling.nu, y[None, :], sphere_sample)[0])
 
 
 def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _refuse_nan
+from .numerics import _check_work, _refuse_nan
 
 __all__ = [
     "conj_exponent",
@@ -44,6 +44,9 @@ SPHERE_TOL = 1e-9
 
 # Directions per support of a custom source's sampled restricted duals.
 _DIRECTIONS_PER_SUBSET = 512
+
+# Pairings per row block of a custom source's sampled duals (512 KB).
+_BLOCK_FLOATS = 1 << 16
 
 
 def conj_exponent(p: float) -> float:
@@ -230,7 +233,7 @@ class SourceNormSpec:
     p: float | None = None
     fn: Callable | None = None
     # Restricted dual-ball clouds of a custom source, built on first use by
-    # _restricted_dual_cloud: support -> (directions, values).
+    # _restricted_dual_cloud: level k -> (supports, directions, values).
     _restricted_clouds: dict = field(default_factory=dict, init=False,
                                      compare=False, repr=False)
 
@@ -391,45 +394,58 @@ def k_support_norm(x, p: float, k: int) -> float:
 
 
 def _restricted_dual_cloud(source: SourceNormSpec,
-                           support: tuple) -> tuple[np.ndarray, np.ndarray]:
-    """Directions u in R^|K| and the source values t of u placed on the
-    support K, for the u with ``0 < t < inf``: ``_DIRECTIONS_PER_SUBSET``
-    quasi-uniform directions plus every sign pattern.  The cloud does not
-    depend on y, so it is built once per support and kept on the spec.
-    """
-    cloud = source._restricted_clouds.get(support)
+                           k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A custom source's sampled restricted dual balls on its size-k
+    supports: ``(supports, directions, values)``.  One support per row; the
+    ``_DIRECTIONS_PER_SUBSET`` quasi-uniform directions of R^k plus every
+    sign pattern; the source at each direction placed on each support, NaN
+    where not in (0, inf).  Built once per level and kept on the spec.
+    Custom sources need d <= 12."""
+    cloud = source._restricted_clouds.get(k)
     if cloud is None:
-        m = len(support)
-        dirs = np.vstack([unit_directions(_DIRECTIONS_PER_SUBSET, m), sign_patterns(m)])
-        Z = np.zeros((dirs.shape[0], source.dim))
-        Z[:, list(support)] = dirs
-        t = np.array([source.value(z) for z in Z])
-        keep = (t > 0.0) & (t < math.inf)
-        cloud = source._restricted_clouds[support] = (dirs[keep], t[keep])
+        d = source.dim
+        if d > 12:
+            raise ValueError(f"dimension-too-large: custom sources need d <= 12 (got {d})")
+        supports = np.array(list(itertools.combinations(range(d), k)))
+        dirs = np.vstack([unit_directions(_DIRECTIONS_PER_SUBSET, k), sign_patterns(k)])
+        t = np.empty((len(supports), len(dirs)))
+        for i, K in enumerate(supports):
+            Z = np.zeros((len(dirs), d))
+            Z[:, K] = dirs
+            t[i] = [source.value(z) for z in Z]
+        values = np.where((t > 0.0) & (t < math.inf), t, math.nan)
+        cloud = source._restricted_clouds[k] = (supports, dirs, values)
     return cloud
 
 
-def _restricted_dual_sampled(y_sub: np.ndarray, source: SourceNormSpec,
-                             support: tuple) -> float:
-    """Lower estimate of sup{<y, z>: z supported on K, source(z) <= 1}:
-    the max of 0 and of ``<y_K, u> / t`` over the cloud of
-    :func:`_restricted_dual_cloud`.
-
-    The first call on a spec and support costs one source evaluation per
-    direction; later calls only pair y with the cached cloud.  The source
-    function must be deterministic, and the cache holds ``|K| + 1`` floats
-    per source evaluation already made.
-
-    The pairing is ``np.vecdot``, which rounds each row as ``np.dot`` of
-    that row does (bit for bit for |K| >= 2; at |K| = 1 a zero product is
-    +0.0 where ``np.dot`` gives -0.0, which the max with 0.0 hides).  A
-    matrix product rounds differently.
-    """
-    U, t = _restricted_dual_cloud(source, support)
-    # An infinite coordinate times a zero one gives nan, which max skips.
-    with np.errstate(invalid="ignore"):
-        dots = np.vecdot(U, y_sub)
-    return max([0.0, *(dots / t).tolist()])
+def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndarray:
+    """Sampled dual coordinate-l norms of a custom source at the rows of Y,
+    a column per level l: the max of 0 and of ``<y_K, u> / t`` over the
+    clouds of :func:`_restricted_dual_cloud`.  ``np.vecdot`` of C-ordered
+    operands rounds each pairing as ``np.dot(y_K, u)`` does (a strided y_K
+    or a matrix product would not; at l = 1 only the sign of a zero
+    differs, which the max with 0 hides), and NaN pairings (inf times 0)
+    are skipped.  Rows run in blocks of ``_BLOCK_FLOATS`` pairings, or one
+    row, and more than ``MAX_TRANSFORM_WORK`` pairings in all raise
+    ``work-too-large`` before any cloud is built."""
+    n, d = Y.shape
+    if d != source.dim:
+        raise ValueError(f"dimension-mismatch: points have dim {d}, the source {source.dim}")
+    _refuse_nan(Y, "a point")
+    per_row = sum(math.comb(d, l) * (_DIRECTIONS_PER_SUBSET + 3**l - 1) for l in levels)
+    _check_work(n * per_row, "custom dual gauge", "pairings")
+    out = np.zeros((n, len(levels)))
+    for col, l in enumerate(levels):
+        supports, dirs, values = _restricted_dual_cloud(source, l)
+        step = max(1, _BLOCK_FLOATS // values.size)
+        for i in range(0, n, step):
+            ys = np.ascontiguousarray(Y[i:i + step, supports])  # strided along K
+            with np.errstate(invalid="ignore"):
+                r = np.vecdot(ys[:, :, None, :], dirs)
+                r /= values
+            best = np.fmax.reduce(r.reshape(r.shape[0], -1), axis=1)
+            out[i:i + step, col] = np.where(best > 0.0, best, 0.0)
+    return out
 
 
 def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
@@ -440,35 +456,28 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     For an lp source this equals the top-(q, k) norm with 1/p + 1/q = 1
     (``method="sort"``); ``method="enumerate"`` forces the subset-enumeration
     route (exact for lp sources, used for cross-checks).  Custom sources
-    always enumerate, with sampled restricted duals, and require d <= 12.
-    The first call on a spec evaluates the source once per direction of
-    each size-k support (``_DIRECTIONS_PER_SUBSET`` = 512 plus ``3^k - 1``);
-    the spec keeps those clouds, ``k + 1`` floats per evaluation made, and
-    later calls with the same k only pair y with them.  So the source
-    function must be deterministic.  A NaN coordinate raises ``nan-input``.
+    always enumerate, with sampled restricted duals, and require d <= 12:
+    the first call on a spec with a given k evaluates the source at 512 +
+    3^k - 1 directions on each size-k support, and later calls reuse that
+    cloud, so the source must be deterministic.  A NaN coordinate raises
+    ``nan-input``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
-    if source.kind == "lp":
-        q = conj_exponent(source.p)
-        if method == "sort":
-            return top_k_norm(y, q, k)
-        if method != "enumerate":
-            raise ValueError(f"unknown method {method!r}")
-        # The restricted dual of lp on a support K is lq on K, and it is
-        # monotone in K, so size-k supports suffice.
-        best = 0.0
-        for K in itertools.combinations(range(d), k):
-            best = max(best, lp_value(y[list(K)], q))
-        return best
-    if d > 12:
-        raise ValueError(f"dimension-too-large: custom sources need d <= 12 (got {d})")
-    _abs_point(y)
+    if source.kind != "lp":
+        return float(_custom_dual_table(y[None], source, (k,))[0, 0])
+    q = conj_exponent(source.p)
+    if method == "sort":
+        return top_k_norm(y, q, k)
+    if method != "enumerate":
+        raise ValueError(f"unknown method {method!r}")
+    # The restricted dual of lp on a support K is lq on K, and it is
+    # monotone in K, so size-k supports suffice.
     best = 0.0
     for K in itertools.combinations(range(d), k):
-        best = max(best, _restricted_dual_sampled(y[list(K)], source, K))
+        best = max(best, lp_value(y[list(K)], q))
     return best
 
 
@@ -477,49 +486,44 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
 
     Computed as ``sup_l dual_coordinate_k_norm(y, source, l) / phi(l)``;
     levels with phi(l) = +inf contribute 0 (``+inf * B_l`` is all of R^d).
+    A custom source is :func:`phi_dual_gauge_batch` of the one row.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
     if phi.dim != d:
         raise ValueError(f"invalid-phi: phi has dim {phi.dim}, point has dim {d}")
+    if source.kind != "lp":
+        return float(phi_dual_gauge_batch(y[None], phi, source)[0])
     a, m = _abs_point(y, ascending=True)
     if m == 0.0:
         return 0.0
-    if source.kind == "lp":
-        q = conj_exponent(source.p)
-        table = _top_k_table(a[None, ::-1], q)[0]
-        best = 0.0
-        for l in range(1, d + 1):
-            w = phi(l)
-            if math.isfinite(w):
-                best = max(best, float(table[l - 1]) / w)
-        return best
+    table = _top_k_table(a[None, ::-1], conj_exponent(source.p))[0]
     best = 0.0
     for l in range(1, d + 1):
         w = phi(l)
         if math.isfinite(w):
-            best = max(best, dual_coordinate_k_norm(y, source, l) / w)
+            best = max(best, float(table[l - 1]) / w)
     return best
 
 
 def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
-    """Row-wise :func:`phi_dual_gauge` of an (n, d) array, bit for bit.
-
-    For an lp source this is one :func:`top_k_norm_table` pass and a
-    divide-and-max over the levels with finite phi(l); a custom source is
-    evaluated row by row.  A NaN coordinate raises ``nan-input``.
+    """Row-wise :func:`phi_dual_gauge` of an (n, d) array, bit for bit: a
+    divide-and-max over a table of the dual coordinate-l norms at the levels
+    with finite phi(l) (:func:`top_k_norm_table` for an lp source,
+    :func:`_custom_dual_table` for a custom one).  NaN raises ``nan-input``.
     """
     Y = np.asarray(Y, dtype=float)
     if Y.ndim != 2:
         raise ValueError("expected a 2-d array of row vectors")
     if phi.dim != Y.shape[1]:
         raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {Y.shape[1]}")
-    if source.kind != "lp":
-        return np.array([phi_dual_gauge(y, phi, source) for y in Y], dtype=float)
-    table = top_k_norm_table(Y, conj_exponent(source.p))
     w = phi.values[1:]
     finite = np.isfinite(w)
-    return np.max(table[:, finite] / w[finite], axis=1, initial=0.0)
+    if source.kind == "lp":
+        table = top_k_norm_table(Y, conj_exponent(source.p))[:, finite]
+    else:
+        table = _custom_dual_table(Y, source, (np.flatnonzero(finite) + 1).tolist())
+    return np.max(table / w[finite], axis=1, initial=0.0)
 
 
 def _in_phi_dual_ball(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
@@ -540,7 +544,6 @@ class NormObject:
     evaluator: Callable
     dual_evaluator: Callable
     exact: bool = True
-    label: str = ""
 
     def value(self, x) -> float:
         return float(self.evaluator(np.asarray(x, dtype=float)))
@@ -597,7 +600,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
         def primal(x):
             return scale * lp_value(x, 1.0)
 
-        return NormObject(primal, dual, exact=True, label=f"{scale:g}*l1")
+        return NormObject(primal, dual, exact=True)
 
     cloud = None
 
@@ -616,46 +619,43 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
         with np.errstate(invalid="ignore"):
             return float(np.fmax.reduce(np.vecdot(cloud, x)))
 
-    return NormObject(primal, dual, exact=False, label="support(dual gauge ball)")
-
-
-def _config_lp(obj: dict, key: str) -> float:
-    """The exponent of the ``{"lp": p}`` object under ``key`` of a config."""
-    spec = obj[key]
-    if not isinstance(spec, dict) or "lp" not in spec:
-        raise ValueError(f'invalid-config: {key} must be an object {{"lp": p}} (got {spec!r})')
-    try:
-        return float(spec["lp"])
-    except (TypeError, ValueError):
-        raise ValueError(f"invalid-config: {key} lp must be a number (got {spec['lp']!r})") from None
+    return NormObject(primal, dual, exact=False)
 
 
 def parse_config(obj: dict, dim: int | None = None) -> dict:
     """Parse a JSON config object into norm specs.
 
-    Accepts ``{"source": {"lp": 2}, "phi": [0, 1, 2], "nu": {"lp": 0.5}}``;
-    every key is optional.  ``dim`` is inferred from ``phi`` when absent,
-    and a phi of another dimension than a given ``dim`` is refused.
-    Exponents and weights are numbers or strings that ``float`` reads, so
-    ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give +inf.  A config that
-    is not an object, or a ``source`` or ``nu`` that is not an object with
-    such an ``lp``, raises ``invalid-config``.
+    Accepts ``{"source": {"lp": 2}, "phi": [0, 1, 2]}``; both keys are
+    optional.  ``dim`` is inferred from ``phi`` when absent, and a phi of
+    another dimension than a given ``dim`` is refused.  Exponents and weights
+    are numbers or strings that ``float`` reads, so ``"inf"``, ``"+inf"`` and
+    ``"Infinity"`` all give +inf.  A config that is not an object, that has
+    any other key, or whose ``source`` is not an object with such an ``lp``,
+    raises ``invalid-config``.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"invalid-config: a config must be a JSON object (got {obj!r})")
-    out: dict = {"source": None, "phi": None, "nu": None}
-    if "phi" in obj and obj["phi"] is not None:
+    if not set(obj) <= {"source", "phi"}:
+        raise ValueError(f"invalid-config: a config has only source and phi (got {sorted(obj)})")
+    out: dict = {"source": None, "phi": None}
+    if obj.get("phi") is not None:
         out["phi"] = PhiSpec.from_values(obj["phi"])
         if dim is None:
             dim = out["phi"].dim
         elif out["phi"].dim != dim:
             raise ValueError(f"invalid-phi: phi has dim {out['phi'].dim}, "
                              f"config dimension is {dim}")
-    if "nu" in obj and obj["nu"] is not None:
-        out["nu"] = NormalizationSpec.lp(_config_lp(obj, "nu"))
-    if "source" in obj and obj["source"] is not None:
+    spec = obj.get("source")
+    if spec is not None:
         if dim is None:
             raise ValueError("config with a source norm needs a dimension "
                              "(provide phi or pass dim)")
-        out["source"] = SourceNormSpec.lp(_config_lp(obj, "source"), dim)
+        if not isinstance(spec, dict) or "lp" not in spec:
+            raise ValueError(f'invalid-config: source must be {{"lp": p}} (got {spec!r})')
+        try:
+            p = float(spec["lp"])
+        except (TypeError, ValueError):
+            raise ValueError(f"invalid-config: source lp must be a number "
+                             f"(got {spec['lp']!r})") from None
+        out["source"] = SourceNormSpec.lp(p, dim)
     return out

@@ -490,6 +490,8 @@ def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
     ({"source": {"lp": [2]}}, ()),
     ({"nu": {"lp": None}}, ("--p", "2")),
     ([{"lp": 2}], ("--p", "2")),
+    ({"nu": {"lp": 0.5}}, ("--p", "2")),
+    ({"sourc": {"lp": 1}}, ("--p", "2")),
 ])
 def test_malformed_config_exit_3_as_invalid_config(tmp_path, capsys, config, argv):
     path = tmp_path / "c.json"
@@ -512,3 +514,16 @@ def test_envelope_suite_report_bytes_are_frozen(tmp_path, capsys):
                          "--report", str(report))
     assert code == 0
     assert hashlib.sha256(report.read_bytes()).hexdigest() == ENVELOPE_SUITE_REPORT_DIGEST
+
+
+# The same for ``capra verify --suite norms --seed 7``, whose custom-source
+# check reads the sampled restricted duals.
+NORMS_SUITE_REPORT_DIGEST = "169a54530e989f9d911cc58e944d8c9d211c2a7ffd4edbf60fcc16f7cc62c0c2"
+
+
+def test_norms_suite_report_bytes_are_frozen(tmp_path, capsys):
+    report = tmp_path / "report.json"
+    code, _, _ = run_cli(capsys, "verify", "--suite", "norms", "--seed", "7",
+                         "--report", str(report))
+    assert code == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == NORMS_SUITE_REPORT_DIGEST

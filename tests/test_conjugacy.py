@@ -413,7 +413,7 @@ def test_capra_conjugate_direct_rows_equal_single_calls(monkeypatch):
                 assert rows.shape == (Y.shape[0],)
                 single = [capra_conjugate_direct(f, coup, y, grid) for y in Y]
                 assert all(type(v) is float for v in single)
-                assert np.array_equal(rows, single), (p, f.label, budget)
+                assert np.array_equal(rows, single), (p, f.kind, budget)
 
 
 def _full_grid_conjugate(grid: Grid, values: np.ndarray, dual_grid: Grid) -> np.ndarray:

@@ -26,6 +26,7 @@ from capra.norms import (
     top_k_norm_table,
 )
 import capra.norms as norms_module
+from capra import numerics
 from capra._directions import sign_patterns, unit_directions
 from capra.oracle import default_direction_set, k_support_bruteforce
 
@@ -263,10 +264,81 @@ def test_restricted_dual_cloud_built_once_per_spec():
     assert a == SourceNormSpec.custom(linf, 3) and "_restricted_clouds" not in repr(a)
 
 
+def test_custom_rows_in_blocks_bit_identical_to_support_loop(monkeypatch):
+    # The kernel's table, and the gauge taken from it, equal the per-support
+    # loop bit for bit.  A block of 300 pairings holds several rows of some
+    # levels and less than one row of others, so both regimes run.  The rows
+    # include zero and an infinite coordinate; the second source is 0 on
+    # every direction along the first axis, so those pairings are skipped.
+    monkeypatch.setattr(norms_module, "_DIRECTIONS_PER_SUBSET", 64)
+    monkeypatch.setattr(norms_module, "_BLOCK_FLOATS", 300)
+    rng = np.random.default_rng(17)
+    for d in (3, 4):
+        w = np.arange(1.0, d + 1.0)
+        levels = list(range(1, d + 1))
+        phi = PhiSpec.from_values([0.0, 1.0, math.inf, *np.linspace(1.2, 1.5, d - 2)])
+        Y = rng.standard_normal((7, d)) * 3.0
+        Y[0] = 0.0
+        Y[1, 1] = -math.inf
+        for fn in (lambda z: lp_value(w * z, 2.0), lambda z: lp_value(w[1:] * z[1:], 1.5)):
+            src = SourceNormSpec.custom(fn, d)
+            want = np.array([[max([0.0] + [_python_restricted_dual(y[list(K)], src, K, 64)
+                                           for K in itertools.combinations(range(d), k)])
+                              for k in levels] for y in Y])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                table = norms_module._custom_dual_table(Y, src, levels)
+                gauge = phi_dual_gauge_batch(Y, phi, src)
+            assert table.tobytes() == want.tobytes(), (d, table, want)
+            finite = np.isfinite(phi.values[1:])
+            want_gauge = [max([0.0] + (row[finite] / phi.values[1:][finite]).tolist())
+                          for row in want]
+            assert gauge.tobytes() == np.array(want_gauge).tobytes()
+            assert table[0].tolist() == [0.0] * d and math.isinf(table[1, 0])
+
+
+def test_custom_gauge_work_cap(monkeypatch):
+    calls = []
+
+    def linf(z):
+        calls.append(1)
+        return float(np.max(np.abs(z)))
+
+    # Levels 1 and 3 are finite: 3 * (512 + 2) + 1 * (512 + 26) pairings a row.
+    phi = PhiSpec.from_values([0.0, 1.0, math.inf, 2.0])
+    Y = np.ones((5, 3))
+    work = 5 * (3 * 514 + 538)
+    src = SourceNormSpec.custom(linf, 3)
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work - 1)
+    with pytest.raises(ValueError, match="work-too-large: custom dual gauge needs"):
+        phi_dual_gauge_batch(Y, phi, src)
+    assert calls == [] and src._restricted_clouds == {}
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work)
+    assert phi_dual_gauge_batch(Y, phi, src).tolist() == [1.5] * 5
+    assert sorted(src._restricted_clouds) == [1, 3]
+    # The d <= 12 guard lives in the cloud builder, behind the work check.
+    src13 = SourceNormSpec.custom(linf, 13)
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 10**12)
+    with pytest.raises(ValueError, match="dimension-too-large"):
+        phi_dual_gauge_batch(np.ones((100, 13)), PhiSpec.identity(13), src13)
+    monkeypatch.undo()
+    with pytest.raises(ValueError, match="work-too-large"):
+        phi_dual_gauge_batch(np.ones((100, 13)), PhiSpec.identity(13), src13)
+    # At d = 8 the cloud of best_norm_object needs 10,656 rows times 195,840
+    # pairings, about 2.1e9: refused at once, before the source runs.
+    src8 = SourceNormSpec.custom(linf, 8)
+    with pytest.raises(ValueError, match="work-too-large"):
+        best_norm_object(PhiSpec.identity(8), src8).value(np.ones(8))
+    assert src8._restricted_clouds == {}
+
+
 def test_dual_coordinate_custom_dimension_guard():
     src = SourceNormSpec.custom(lambda x: float(np.max(np.abs(x))), 13)
     with pytest.raises(ValueError, match="dimension-too-large"):
         dual_coordinate_k_norm(np.ones(13), src, 2)
+    # The clouds are built on the source's dimension, so points need it too.
+    with pytest.raises(ValueError, match="dimension-mismatch"):
+        dual_coordinate_k_norm(np.ones(2), SourceNormSpec.custom(src.fn, 3), 1)
 
 
 def test_phi_dual_gauge_examples():
@@ -495,13 +567,17 @@ def test_duality_pairing_property():
 
 
 def test_parse_config():
-    cfg = parse_config({"source": {"lp": 2}, "phi": [0, 1, 2], "nu": {"lp": 0.5}})
+    cfg = parse_config({"source": {"lp": 2}, "phi": [0, 1, 2]})
     assert cfg["source"].p == 2.0 and cfg["source"].dim == 2
     assert cfg["phi"].dim == 2 and cfg["phi"](2) == 2.0
-    assert cfg["nu"].p == 0.5
+    assert sorted(cfg) == ["phi", "source"]
     for spelling in ("inf", "+inf", " Infinity ", "INF"):
-        cfg2 = parse_config({"source": {"lp": spelling}, "nu": {"lp": spelling}}, dim=3)
-        assert cfg2["source"].p == math.inf and cfg2["nu"].p == math.inf
+        cfg2 = parse_config({"source": {"lp": spelling}}, dim=3)
+        assert cfg2["source"].p == math.inf
+    # No command reads a nu, so a config has none; other keys are refused too.
+    for extra in ({"nu": {"lp": 0.5}}, {"sourc": {"lp": 1}}):
+        with pytest.raises(ValueError, match="invalid-config: a config has only source and phi"):
+            parse_config({"phi": [0, 1, 2], **extra})
     cfg3 = parse_config({"phi": [0, "1", "inf"]})
     assert cfg3["phi"](2) == math.inf
     with pytest.raises(ValueError, match="nan"):
