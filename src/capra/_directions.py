@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import itertools
 import math
 
 import numpy as np
+
+from .numerics import _check_work
 
 
 def kronecker_sequence(count: int, dim: int) -> np.ndarray:
@@ -61,9 +62,10 @@ def sign_patterns(dim: int) -> np.ndarray:
 
     These are the extreme directions of the cube/cross-polytope family, so
     direction clouds augmented with them attain polyhedral support functions
-    exactly.
+    exactly.  Rows come in ``itertools.product`` order; above
+    ``MAX_TRANSFORM_WORK`` floats (``3^dim dim``) ``work-too-large`` is raised
+    before any is built.
     """
-    cols = [np.array(p, dtype=float) for p in itertools.product((-1.0, 0.0, 1.0), repeat=dim)]
-    pts = np.stack(cols)
-    keep = np.any(pts != 0.0, axis=1)
-    return pts[keep]
+    _check_work(3**dim * dim, "sign patterns", "floats")
+    pts = np.indices((3,) * dim).reshape(dim, 3**dim).T - 1.0
+    return pts[np.any(pts != 0.0, axis=1)]

@@ -177,6 +177,7 @@ def cmd_oracle(args) -> int:
     if args.oracle == "ksupport":
         _require(args, "x", "p", "k")
         x = _parse_point(args.x)
+        orc._check_bruteforce_dim(x.size)
         dirs = orc.default_direction_set(x.size, args.count, seed=seed)
         print(_fmt(orc.k_support_bruteforce(x, float(args.p), args.k, dirs)))
         return 0

@@ -58,8 +58,8 @@ from .norms import (
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import (FunctionSample, Grid, _axis_extent, _check_pairing, _check_work,
-                       _finite_scale, _refuse_nonfinite, as_extreal, low_add)
+from .numerics import (FunctionSample, Grid, _axis_extent, _block_rows, _check_pairing,
+                       _check_work, _finite_scale, _refuse_nonfinite, as_extreal, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -79,13 +79,6 @@ __all__ = [
 ]
 
 ANALYTIC_TOL = 1e-9
-
-# Work-array budget of both transforms, in floats per block (512 KB): every
-# broadcast and temporary fits in a core's L2 cache.  Blocks of 2^16 floats
-# ran the grid transform 15-30 % faster than 2^20, and the point transform
-# with tens to hundreds of duals 3-6x faster than chunks of 2^24, which
-# stream each temporary through memory.
-_BLOCK_FLOATS = 1 << 16
 
 
 def _symmetric_axes(grids) -> list:
@@ -119,9 +112,9 @@ def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray,
     A, n, B = g.shape
     m = y.size
     out = np.empty((A, m, B))
-    bc = max(1, min(B, _BLOCK_FLOATS // n))
-    mc = max(1, min(m, _BLOCK_FLOATS // (n * bc)))
-    ac = max(1, _BLOCK_FLOATS // (n * mc * bc))
+    bc = _block_rows(B, n)
+    mc = _block_rows(m, n * bc)
+    ac = _block_rows(A, n * mc * bc)
     for j in range(0, m, mc):
         xy = np.multiply.outer(x, y[j:j + mc])[:, :, None]
         for b in range(0, B, bc):
@@ -230,8 +223,8 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
     _check_pairing(max(cols.max(initial=0.0), -cols.min(initial=0.0)), ymax1,
                    max(vals.max(initial=0.0), -vals.min(initial=0.0)), "point transform")
     d, n = cols.shape
-    pc = max(1, min(n, _BLOCK_FLOATS))
-    dc = max(1, _BLOCK_FLOATS // pc)
+    pc = _block_rows(n, 1)
+    dc = _block_rows(duals.shape[0], pc)
     for j in range(0, duals.shape[0], dc):
         yc = duals[j:j + dc]
         best = out[j:j + dc]
@@ -507,8 +500,9 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     # Flat orthant position of an index tuple: its dot with the strides,
     # permuted over every order of the tuple on equal axes.
     orders = list(itertools.permutations(strides)) if equal else [strides]
-    for start in range(0, total, _BLOCK_FLOATS):
-        rows = np.arange(start, min(start + _BLOCK_FLOATS, total))
+    step = _block_rows(total, 1)
+    for start in range(0, total, step):
+        rows = np.arange(start, min(start + step, total))
         if equal:
             index = _sorted_index_columns(rows, shape[0], d)
         else:
@@ -520,24 +514,23 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     return conj.reshape(shape), [inv for _, inv in folds]
 
 
-def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
-                 sphere_sample: np.ndarray | None):
+def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     """Capra conjugate of f at the rows of Y, and the tolerance it is tested
     with: ``(values, tol)``.
 
     The route is analytic for phi∘l0 with an lp normalization, p >= 1
     (exact up to rounding; tolerance ``ANALYTIC_TOL``).  Otherwise it is the
-    sphere route over ``sphere_sample`` (built by :func:`build_sphere_sample`
-    when None).  A sup over a sample of the sphere misses the optimum by the
-    coverage gap ``count^(-1/(d-1))`` times a Lipschitz factor of order
-    ``1 + |y|``, so the tolerance is ``5 gap (1 + |y|)`` per row
-    (``ANALYTIC_TOL`` for d = 1, where the sample holds the whole sphere).
+    sphere route over ``build_sphere_sample(nu, d)``.  A sup over a sample of
+    the sphere misses the optimum by the coverage gap ``count^(-1/(d-1))``
+    times a Lipschitz factor of order ``1 + |y|``, so the tolerance is
+    ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
+    sample holds the whole sphere).
     """
     dim = Y.shape[1]
     if _analytic_applicable(f, nu):
         return (capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim)),
                 ANALYTIC_TOL)
-    sample = build_sphere_sample(nu, dim) if sphere_sample is None else sphere_sample
+    sample = build_sphere_sample(nu, dim)
     conj = _sphere_route(f, nu, Y, sample)
     if dim <= 1:
         return conj, ANALYTIC_TOL
@@ -545,8 +538,7 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
     return conj, 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=1))
 
 
-def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
-                           sphere_sample: np.ndarray | None = None) -> bool:
+def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bool:
     """Membership of y in the Capra subdifferential of f at x: equality of
     the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
     route tolerance of :func:`_capra_route`.
@@ -556,13 +548,13 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec,
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
-    conj, tol = _capra_route(f, coupling.nu, y[None, :], sphere_sample)
+    conj, tol = _capra_route(f, coupling.nu, y[None, :])
     rhs = low_add(capra_coupling(x, y, coupling), -fx)
     return bool((np.abs(conj - rhs) <= tol)[0])
 
 
-def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec, candidates,
-                          sphere_sample: np.ndarray | None = None) -> np.ndarray:
+def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec,
+                          candidates) -> np.ndarray:
     """Candidates belonging to the Capra subdifferential of f at 0, i.e.
     those with conjugate value <= 0 (up to the route tolerance of
     :func:`_capra_route`).
@@ -574,5 +566,5 @@ def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec, candidates,
     f0 = f.value(np.zeros(candidates.shape[1]))
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")
-    conj, tol = _capra_route(f, coupling.nu, candidates, sphere_sample)
+    conj, tol = _capra_route(f, coupling.nu, candidates)
     return candidates[conj <= tol]

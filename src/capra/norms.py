@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _check_work, _refuse_nan
+from .numerics import _block_rows, _check_work, _refuse_nan
 
 __all__ = [
     "conj_exponent",
@@ -45,9 +45,6 @@ SPHERE_TOL = 1e-9
 # Directions per support of a custom source's sampled restricted duals.
 _DIRECTIONS_PER_SUBSET = 512
 
-# Pairings per row block of a custom source's sampled duals (512 KB).
-_BLOCK_FLOATS = 1 << 16
-
 
 def conj_exponent(p: float) -> float:
     """Conjugate exponent q with 1/p + 1/q = 1 (q = inf for p = 1)."""
@@ -55,7 +52,7 @@ def conj_exponent(p: float) -> float:
         return math.inf
     if p == math.inf:
         return 1.0
-    if p <= 1.0:
+    if not p > 1.0:  # NaN too
         raise ValueError(f"invalid-p: conjugate exponent requires p >= 1 (got {p})")
     return p / (p - 1.0)
 
@@ -210,14 +207,14 @@ def normalize(x, nu: NormalizationSpec) -> np.ndarray:
     return x / nu.value(x)
 
 
-def ball_contains(x, nu: NormalizationSpec, tol: float = 0.0) -> bool:
-    """True iff nu(x) <= 1 (+ optional slack)."""
-    return nu.value(x) <= 1.0 + tol
+def ball_contains(x, nu: NormalizationSpec) -> bool:
+    """True iff nu(x) <= 1."""
+    return nu.value(x) <= 1.0
 
 
-def sphere_contains(x, nu: NormalizationSpec, tol: float = SPHERE_TOL) -> bool:
-    """True iff |nu(x) - 1| <= tol."""
-    return abs(nu.value(x) - 1.0) <= tol
+def sphere_contains(x, nu: NormalizationSpec) -> bool:
+    """True iff |nu(x) - 1| <= ``SPHERE_TOL``."""
+    return abs(nu.value(x) - 1.0) <= SPHERE_TOL
 
 
 @dataclass
@@ -437,7 +434,7 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     out = np.zeros((n, len(levels)))
     for col, l in enumerate(levels):
         supports, dirs, values = _restricted_dual_cloud(source, l)
-        step = max(1, _BLOCK_FLOATS // values.size)
+        step = _block_rows(n, values.size)
         for i in range(0, n, step):
             ys = np.ascontiguousarray(Y[i:i + step, supports])  # strided along K
             with np.errstate(invalid="ignore"):
@@ -622,16 +619,16 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     return NormObject(primal, dual, exact=False)
 
 
-def parse_config(obj: dict, dim: int | None = None) -> dict:
-    """Parse a JSON config object into norm specs.
+def parse_config(obj: dict, dim: int) -> dict:
+    """Parse a JSON config object into norm specs of dimension ``dim``.
 
     Accepts ``{"source": {"lp": 2}, "phi": [0, 1, 2]}``; both keys are
-    optional.  ``dim`` is inferred from ``phi`` when absent, and a phi of
-    another dimension than a given ``dim`` is refused.  Exponents and weights
-    are numbers or strings that ``float`` reads, so ``"inf"``, ``"+inf"`` and
-    ``"Infinity"`` all give +inf.  A config that is not an object, that has
-    any other key, or whose ``source`` is not an object with such an ``lp``,
-    raises ``invalid-config``.
+    optional.  A phi of another dimension than ``dim`` raises
+    ``invalid-phi``.  Exponents and weights are numbers or strings that
+    ``float`` reads, so ``"inf"``, ``"+inf"`` and ``"Infinity"`` all give
+    +inf.  A config that is not an object, that has any other key, or whose
+    ``source`` is not an object with such an ``lp``, raises
+    ``invalid-config``.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"invalid-config: a config must be a JSON object (got {obj!r})")
@@ -640,16 +637,11 @@ def parse_config(obj: dict, dim: int | None = None) -> dict:
     out: dict = {"source": None, "phi": None}
     if obj.get("phi") is not None:
         out["phi"] = PhiSpec.from_values(obj["phi"])
-        if dim is None:
-            dim = out["phi"].dim
-        elif out["phi"].dim != dim:
+        if out["phi"].dim != dim:
             raise ValueError(f"invalid-phi: phi has dim {out['phi'].dim}, "
                              f"config dimension is {dim}")
     spec = obj.get("source")
     if spec is not None:
-        if dim is None:
-            raise ValueError("config with a source norm needs a dimension "
-                             "(provide phi or pass dim)")
         if not isinstance(spec, dict) or "lp" not in spec:
             raise ValueError(f'invalid-config: source must be {{"lp": p}} (got {spec!r})')
         try:

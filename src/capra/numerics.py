@@ -42,6 +42,17 @@ _CSV_BLOCK_ROWS = 4096
 # above the budget it is refused with ``work-too-large`` before it starts.
 MAX_TRANSFORM_WORK = 2_000_000_000
 
+# Floats per block of every blocked kernel (512 KB, within a core's L2
+# cache).  The grid transform ran 15-30 % faster than at 2^20, the point
+# transform 3-6x faster than at 2^24, and the referee's envelope-suite
+# calls 0.28-0.31 s against 0.31-0.47 s at 2^14, 2^15 and 2^17.
+_BLOCK_FLOATS = 1 << 16
+
+
+def _block_rows(rows: int, per_row: int) -> int:
+    """Rows of ``per_row`` floats per block: at least one, at most ``rows``."""
+    return max(1, min(rows, _BLOCK_FLOATS // per_row))
+
 
 def _check_work(work: int, what: str, unit: str = "updates") -> None:
     if work > MAX_TRANSFORM_WORK:
@@ -115,15 +126,19 @@ def _axis(lower: float, upper: float, count: int) -> np.ndarray:
         raise ValueError(
             f"invalid-bounds: axis requires lower < upper (got [{lower}, {upper}])"
         )
-    if lower == -upper:
-        # Symmetric axes are built from the midpoint outward so that 0 is an
-        # exact node and integer multiples of the step stay exact.
-        c = (count - 1) / 2.0
-        ax = (np.arange(count) - c) * (upper / c)
-        ax[0] = lower
-        ax[-1] = upper
-    else:
-        ax = np.linspace(lower, upper, count)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        if lower == -upper:
+            # Symmetric axes are built from the midpoint outward so that 0 is
+            # an exact node and integer multiples of the step stay exact.
+            c = (count - 1) / 2.0
+            ax = (np.arange(count) - c) * (upper / c)
+            ax[0] = lower
+            ax[-1] = upper
+        else:
+            ax = np.linspace(lower, upper, count)
+    if not (np.isfinite(ax).all() and (ax[1:] > ax[:-1]).all()):
+        raise ValueError(f"invalid-bounds: the {count} nodes of [{lower}, {upper}] are not "
+                         f"finite and strictly increasing")
     ax.flags.writeable = False
     return ax
 
@@ -134,7 +149,8 @@ class Grid:
 
     Nodes are enumerated row-major: the last axis varies fastest, so node
     ``i`` has multi-index ``np.unravel_index(i, counts)``.  Instances are
-    immutable after construction.
+    immutable after construction, and equal when their bounds and counts
+    are.
 
     Parameters
     ----------
@@ -147,7 +163,7 @@ class Grid:
     lowers: tuple
     uppers: tuple
     counts: tuple
-    axes: tuple = field(init=False, repr=False)
+    axes: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.lowers = tuple(float(v) for v in self.lowers)
@@ -242,12 +258,13 @@ def _finite_scale(values) -> float:
     return float(np.abs(finite).max()) if finite.size else 1.0
 
 
-@dataclass
+@dataclass(eq=False)
 class FunctionSample:
     """Extended-real values of a function on the nodes of a :class:`Grid`.
 
     ``values[i]`` is the value at ``grid.nodes[i]``; entries may be ±inf but
-    never NaN.  Indicator functions are encoded as 0 / +inf values.
+    never NaN.  Indicator functions are encoded as 0 / +inf values.  ``==``
+    is identity.
     """
 
     grid: Grid

@@ -20,8 +20,8 @@ import math
 import numpy as np
 
 from ._directions import sign_patterns
-from .numerics import (FunctionSample, Grid, _axis_extent, _check_pairing, _check_work,
-                       _finite_scale, build_grid, default_dual_grid)
+from .numerics import (FunctionSample, Grid, _axis_extent, _block_rows, _check_pairing,
+                       _check_work, _finite_scale, build_grid, default_dual_grid)
 from .norms import PhiSpec, SourceNormSpec, _in_phi_dual_ball, conj_exponent, top_k_norm_table
 
 __all__ = [
@@ -34,13 +34,6 @@ __all__ = [
 ]
 
 SEED = 0x5EED
-
-# Scores per block of naive_conjugate (512 KB, with a product block and a
-# tiled copy of f of the same size beside it).  The envelope suite's four
-# oracle envelopes took 0.28-0.31 s at 2^16, against 0.31-0.32 s at 2^15,
-# 0.37 s at 2^14 and 0.45-0.47 s at 2^17 (in process, best of four, twice;
-# on a busier host 0.46-0.48 s at 2^14 to 2^16 and 0.68-0.70 s at 2^17).
-_BLOCK_FLOATS = 1 << 16
 
 
 def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
@@ -90,7 +83,7 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     *head_axes, ylast = dual_grid.axes
     n, m = cols.shape[1], ylast.size
     out = np.empty((math.prod(dual_grid.counts[:-1]), m))
-    r = max(1, min(m, _BLOCK_FLOATS // max(n, 1)))
+    r = _block_rows(m, n)
     base = np.empty(n)
     # Scores are finite, so score - vals realizes the lower addition
     # low_add(<x,y>, -f(x)) including both infinite branches.  At d = 1
@@ -212,6 +205,12 @@ def default_direction_set(dim: int, count: int, seed: int = SEED) -> np.ndarray:
     return np.vstack([z / norms[:, None], sign_patterns(dim)])
 
 
+def _check_bruteforce_dim(d: int) -> None:
+    """``dimension-too-large`` above d = 6, before any direction is built."""
+    if d > 6:
+        raise ValueError(f"dimension-too-large: brute force supports d <= 6 (got {d})")
+
+
 def k_support_bruteforce(x, p: float, k: int, directions) -> float:
     """Lower estimate of the coordinate-k norm for an lp source by duality.
 
@@ -228,8 +227,7 @@ def k_support_bruteforce(x, p: float, k: int, directions) -> float:
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.size
-    if d > 6:
-        raise ValueError(f"dimension-too-large: brute force supports d <= 6 (got {d})")
+    _check_bruteforce_dim(d)
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
     q = conj_exponent(p)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import inspect
 import math
 import time
 from contextvars import ContextVar
@@ -48,27 +47,24 @@ class CheckResult:
         return " ".join(parts)
 
 
-# Results of the run_suite call in progress, keyed by (check, arguments); None
+# Results of the run_suite call in progress, keyed by (check, seed); None
 # outside a call, so no result outlives the run that computed it.
 _RUN_MEMO: ContextVar[dict | None] = ContextVar("capra_run_memo", default=None)
 
 
 def _once_per_run(check):
-    """Run ``check`` once per distinct arguments within one :func:`run_suite`
-    call (``--suite all`` runs four conjugacy checks again in criterion 7).
-    Each caller gets its own copy of the result."""
-    signature = inspect.signature(check)
+    """Run the seed-only ``check`` once per seed within one
+    :func:`run_suite` call (``--suite all`` runs four conjugacy checks again
+    in criterion 7).  Each caller gets its own copy of the result."""
 
     @functools.wraps(check)
-    def wrapper(*args, **kwargs):
+    def wrapper(seed: int) -> CheckResult:
         memo = _RUN_MEMO.get()
         if memo is None:
-            return check(*args, **kwargs)
-        bound = signature.bind(*args, **kwargs)
-        bound.apply_defaults()
-        key = (check, tuple(bound.arguments.items()))
+            return check(seed)
+        key = (check, seed)
         if key not in memo:
-            memo[key] = check(*args, **kwargs)
+            memo[key] = check(seed)
         return dataclasses.replace(memo[key])
     return wrapper
 
@@ -218,14 +214,13 @@ def _check_permutation_invariance(seed: int) -> CheckResult:
     return CheckResult("topk-permutation-sign-invariance", worst <= 1e-12, 1e-12, worst)
 
 
-def norm_object_violations(obj: nm.NormObject, dim: int, seed: int,
-                           n_trials: int = 60) -> float:
+def norm_object_violations(obj: nm.NormObject, dim: int, seed: int) -> float:
     """Worst violation of homogeneity, subadditivity and the pairing
-    inequality ``<x, y> <= eval(x) * dual(y)`` over random samples."""
+    inequality ``<x, y> <= eval(x) * dual(y)`` over 60 random samples."""
     rng = np.random.default_rng(seed)
     slack = 1e-9 if obj.exact else 1e-6
     worst = -math.inf
-    for _ in range(n_trials):
+    for _ in range(60):
         x = rng.standard_normal(dim) * 2.0
         z = rng.standard_normal(dim) * 2.0
         rho = float(rng.uniform(-3.0, 3.0))
@@ -284,15 +279,14 @@ def _l0_on_lp_ball(p: float, grid: nx.Grid, dual: nx.Grid | None = None):
     return (ev.tightest_convex_on_ball(f, nu, grid, dual), *ev._on_ball(f, nu, grid))
 
 
-def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20,
-                     sphere_count: int = 10_000) -> CheckResult:
+def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20) -> CheckResult:
     rng = np.random.default_rng(seed + 10)
     grid = ev.ball_box_grid(2, grid_count)
     h = grid.steps[0]
     worst = 0.0
     for p in (1.0, 2.0, math.inf, 0.5):
         nu = nm.NormalizationSpec.lp(p)
-        samp = cj.build_sphere_sample(nu, 2, sphere_count)
+        samp = cj.build_sphere_sample(nu, 2, 10_000)
         for f in _l0_and_doubled(2):
             fvals = ev._on_ball(f, nu, grid)[1]
             Y = rng.uniform(-3.0, 3.0, size=(n_duals, 2))
@@ -354,13 +348,13 @@ def _check_triple_conjugate(seed: int) -> CheckResult:
 
 
 @_once_per_run
-def _check_order_reversal(seed: int, n_pairs: int = 100) -> CheckResult:
+def _check_order_reversal(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 13)
     g = nx.build_grid([(-1.0, 1.0), (-1.0, 1.0)], [15, 15])
     # Order reversal holds for any dual grid; a coarse one keeps this cheap.
     dual = nx.default_dual_grid(2, 3.0, step=0.25)
     worst = -math.inf
-    for _ in range(n_pairs):
+    for _ in range(100):
         fv = rng.uniform(-2.0, 2.0, g.node_count)
         gv = fv + rng.uniform(0.0, 2.0, g.node_count)
         cf = cj.fenchel_conjugate(nx.FunctionSample(g, fv), dual).values
@@ -391,14 +385,14 @@ def _check_conjugate_convexity(seed: int) -> CheckResult:
     return CheckResult("conjugate-midpoint-convexity", worst <= 1e-10, 1e-10, worst)
 
 
-def _check_analytic_vs_sphere(seed: int, sphere_count: int = 10_000) -> CheckResult:
+def _check_analytic_vs_sphere(seed: int) -> CheckResult:
     rng = np.random.default_rng(seed + 15)
     worst = 0.0
     for p in (1.0, 2.0, math.inf):
         for d in (1, 2, 3):
             nu = nm.NormalizationSpec.lp(p)
             src = nm.SourceNormSpec.lp(p, d)
-            samp = cj.build_sphere_sample(nu, d, sphere_count)
+            samp = cj.build_sphere_sample(nu, d, 10_000)
             for f in _l0_and_doubled(d):
                 rows = []
                 for _ in range(40):
@@ -707,7 +701,7 @@ def criterion_5(seed: int = DEFAULT_SEED) -> CheckResult:
 
 
 def criterion_6(seed: int = DEFAULT_SEED) -> CheckResult:
-    res = _check_two_route(seed, grid_count=201, n_duals=50, sphere_count=10_000)
+    res = _check_two_route(seed, grid_count=201, n_duals=50)
     res.name = "criterion-6-two-route-capra-conjugate"
     return res
 
@@ -716,7 +710,7 @@ def criterion_7(seed: int = DEFAULT_SEED) -> CheckResult:
     checks = [
         _check_biconjugate_below(seed),
         _check_triple_conjugate(seed),
-        _check_order_reversal(seed, n_pairs=100),
+        _check_order_reversal(seed),
         _check_conjugate_convexity(seed),
     ]
     worst = max(c.observed for c in checks)

@@ -88,6 +88,8 @@ def test_domain_error_exit_3(capsys):
                       (("norm", "--kind", "best", "--p", "0.5", "--x", "1,2"), "invalid-p"),
                       (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "0.5", "--k", "1"),
                        "invalid-p"),
+                      (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "nan", "--k", "1"),
+                       "invalid-p"),
                       (("envelope", "--nu", "lp:2", "--grid", "10"), "invalid-grid")):
         code, out, err = run_cli(capsys, *argv)
         assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), argv
@@ -316,6 +318,34 @@ def test_verify_oracle_refuses_before_allocating(capsys, argv, tag):
     code, out, err = run_cli(capsys, "verify", "--oracle", *argv)
     assert time.perf_counter() - t0 < 1.0
     assert code == 3 and out == "" and err.startswith(f"error: {tag}: ")
+
+
+def test_ksupport_oracle_refuses_dimension_before_building_directions(capsys, monkeypatch):
+    import capra.oracle
+
+    def no_directions(*args, **kwargs):
+        raise AssertionError("directions built before the dimension check")
+
+    monkeypatch.setattr(capra.oracle, "default_direction_set", no_directions)
+    code, out, err = run_cli(capsys, "verify", "--oracle", "ksupport", "--x", ",".join(["1"] * 12),
+                             "--p", "2", "--k", "1", "--count", "10")
+    assert (code, out) == (3, "")
+    assert err == "error: dimension-too-large: brute force supports d <= 6 (got 12)\n"
+
+
+def test_best_norm_sign_patterns_work_cap(capsys, monkeypatch):
+    # A phi that does not collapse samples the dual ball on 3^d - 1 sign
+    # patterns; their 3^d d floats are counted before any is built.
+    from capra import numerics
+
+    argv = ("norm", "--kind", "best", "--p", "2", "--phi", "0,inf,1,1,1", "--x", "1,1,1,1")
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**4 * 4 - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: work-too-large: sign patterns needs 324 floats")
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**4 * 4)
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0 and float(out) > 0.0
 
 
 @pytest.mark.parametrize("oracle, given, missing", [

@@ -360,18 +360,17 @@ def test_sphere_route_default_tolerance():
     # lp:0.5 has no analytic route.  The sample holds the signed axes, where
     # the conjugate of l0, max(0, |y|inf - 1), is attained, so at y = (1 + t, 0)
     # the sampled value is t.  Both membership tests accept exactly when t is
-    # within 5 gap (1 + |y|), gap = count^(-1/(d-1)).
+    # within 5 gap (1 + |y|), gap = count^(-1/(d-1)), on the default sample.
     nu = NormalizationSpec.lp(0.5)
     f, coup = ZeroHomFnSpec.l0(2), CouplingSpec(nu)
-    samp = build_sphere_sample(nu, 2, 2000)
-    gap = 1.0 / samp.shape[0]
+    gap = 1.0 / build_sphere_sample(nu, 2).shape[0]
     for ratio, member in ((0.9, True), (1.1, False)):
         t = 0.1
         for _ in range(50):  # fixed point of t = ratio * 5 gap (2 + t)
             t = ratio * 5.0 * gap * (2.0 + t)
         y = np.array([1.0 + t, 0.0])
-        assert capra_subdiff_contains(y, [0.0, 0.0], f, coup, sphere_sample=samp) is member
-        acc = capra_subdiff_at_zero(f, coup, y[None, :], sphere_sample=samp)
+        assert capra_subdiff_contains(y, [0.0, 0.0], f, coup) is member
+        acc = capra_subdiff_at_zero(f, coup, y[None, :])
         assert acc.shape[0] == int(member)
 
 
@@ -404,8 +403,8 @@ def test_capra_conjugate_direct_rows_equal_single_calls(monkeypatch):
     fns = [ZeroHomFnSpec.l0(2), ZeroHomFnSpec.phi_l0(PhiSpec.scaled_identity(2.0, 2)),
            ZeroHomFnSpec.custom(lambda x: float(x[0] != 0.0),
                                 batch=lambda X: 1.0 * (X[:, 0] != 0.0))]
-    for budget in (conjugacy._BLOCK_FLOATS, 3 * grid.node_count + 7):
-        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+    for budget in (numerics._BLOCK_FLOATS, 3 * grid.node_count + 7):
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
         for p in (1.0, 2.0, math.inf, 0.5):
             coup = CouplingSpec(NormalizationSpec.lp(p))
             for f in fns:
@@ -545,8 +544,8 @@ def test_analytic_grid_conjugate_bit_identical_to_batch(d, monkeypatch):
         phis.append(PhiSpec.from_values([0.0, 1.0, math.inf, 3.0][:d + 1]))
     # The orthant rows run in blocks of _BLOCK_FLOATS: one block, and many
     # with a partial last one.
-    for budget, grid in itertools.product((conjugacy._BLOCK_FLOATS, 7), _analytic_grids(d)):
-        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+    for budget, grid in itertools.product((numerics._BLOCK_FLOATS, 7), _analytic_grids(d)):
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
         for p in (1.0, 1.5, 2.0, math.inf):
             src = SourceNormSpec.lp(p, d)
             for phi in phis:
@@ -575,8 +574,8 @@ def test_analytic_grid_evaluates_sorted_rows_on_equal_axes(d, monkeypatch):
     unequal = [Grid((-2.0,) * d, (2.0,) * (d - 1) + (3.0,), (9,) * d),
                Grid((-2.0,) * d, (2.0,) * d, (9,) * (d - 1) + (17,))]
     phi = PhiSpec.from_values([0.0, 0.7, 1.9, 2.5][:d + 1])
-    for budget in (conjugacy._BLOCK_FLOATS, 7):
-        monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+    for budget in (numerics._BLOCK_FLOATS, 7):
+        monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
         for grid in equal + unequal:
             for p in (1.0, 1.5, 2.0, math.inf):
                 src = SourceNormSpec.lp(p, d)
@@ -653,7 +652,7 @@ def test_nan_duals_raise_nan_input():
         lambda y: capra_conjugate_direct(l0, lp2, y, grid),
         lambda y: conjugate_at_points(masked, y),
         lambda y: capra_subdiff_at_zero(l0, lp2, [[0.5, 0.5], y]),  # analytic route
-        lambda y: capra_subdiff_at_zero(f0, half, [[0.5, 0.5], y], samp),  # sphere route
+        lambda y: capra_subdiff_at_zero(f0, half, [[0.5, 0.5], y]),  # sphere route
         lambda y: capra_subdiff_contains(y, [1.0, 0.0], l0, lp2),
     ]
     for probe in probes:

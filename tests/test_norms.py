@@ -271,7 +271,7 @@ def test_custom_rows_in_blocks_bit_identical_to_support_loop(monkeypatch):
     # include zero and an infinite coordinate; the second source is 0 on
     # every direction along the first axis, so those pairings are skipped.
     monkeypatch.setattr(norms_module, "_DIRECTIONS_PER_SUBSET", 64)
-    monkeypatch.setattr(norms_module, "_BLOCK_FLOATS", 300)
+    monkeypatch.setattr(numerics, "_BLOCK_FLOATS", 300)
     rng = np.random.default_rng(17)
     for d in (3, 4):
         w = np.arange(1.0, d + 1.0)
@@ -376,7 +376,7 @@ def test_phi_weights_that_are_not_numbers_raise_invalid_phi():
         with pytest.raises(ValueError, match="invalid-phi"):
             PhiSpec.from_values(values)
         with pytest.raises(ValueError, match="invalid-phi"):
-            parse_config({"phi": values})
+            parse_config({"phi": values}, 2)
     assert PhiSpec.from_values(["0", " 1 ", "+Infinity"]).values.tolist() == [0.0, 1.0, math.inf]
 
 
@@ -567,7 +567,7 @@ def test_duality_pairing_property():
 
 
 def test_parse_config():
-    cfg = parse_config({"source": {"lp": 2}, "phi": [0, 1, 2]})
+    cfg = parse_config({"source": {"lp": 2}, "phi": [0, 1, 2]}, 2)
     assert cfg["source"].p == 2.0 and cfg["source"].dim == 2
     assert cfg["phi"].dim == 2 and cfg["phi"](2) == 2.0
     assert sorted(cfg) == ["phi", "source"]
@@ -577,13 +577,11 @@ def test_parse_config():
     # No command reads a nu, so a config has none; other keys are refused too.
     for extra in ({"nu": {"lp": 0.5}}, {"sourc": {"lp": 1}}):
         with pytest.raises(ValueError, match="invalid-config: a config has only source and phi"):
-            parse_config({"phi": [0, 1, 2], **extra})
-    cfg3 = parse_config({"phi": [0, "1", "inf"]})
+            parse_config({"phi": [0, 1, 2], **extra}, 2)
+    cfg3 = parse_config({"phi": [0, "1", "inf"]}, 2)
     assert cfg3["phi"](2) == math.inf
     with pytest.raises(ValueError, match="nan"):
-        parse_config({"phi": [0, 1, "nan"]})
-    with pytest.raises(ValueError, match="dimension"):
-        parse_config({"source": {"lp": 2}})
+        parse_config({"phi": [0, 1, "nan"]}, 2)
     # A phi of another dimension than the given one is refused.
     with pytest.raises(ValueError, match="invalid-phi"):
         parse_config({"phi": [0, 1, 2], "source": {"lp": 2}}, dim=3)
@@ -595,3 +593,25 @@ def test_conj_exponent():
     assert conj_exponent(math.inf) == 1.0
     assert conj_exponent(2.0) == 2.0
     assert math.isclose(conj_exponent(4.0), 4.0 / 3.0)
+    # NaN fails every comparison, so it gave a conjugate exponent of NaN.
+    for p in (0.5, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"invalid-p: conjugate exponent requires p >= 1"):
+            conj_exponent(p)
+
+
+def test_sign_patterns_in_product_order():
+    for d in range(1, 8):
+        want = np.array([p for p in itertools.product((-1.0, 0.0, 1.0), repeat=d) if any(p)])
+        got = sign_patterns(d)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes(), d
+    assert sign_patterns(0).shape == (0, 0)
+
+
+def test_sign_patterns_work_cap(monkeypatch):
+    # 3^d d floats are counted before any array is built.
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**5 * 5 - 1)
+    with pytest.raises(ValueError, match="work-too-large: sign patterns needs 1.22e.03 floats"):
+        sign_patterns(5)
+    assert sign_patterns(4).shape == (80, 4)
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**5 * 5)
+    assert sign_patterns(5).shape == (242, 5)

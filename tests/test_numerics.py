@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -71,6 +72,35 @@ def test_build_grid_invalid_bounds():
         build_grid([(1.0, 1.0)], [5])
     with pytest.raises(ValueError, match="invalid-bounds"):
         build_grid([(2.0, -2.0)], [5])
+    # Infinite bounds gave the nodes [-inf, nan, inf] and [nan, inf, inf],
+    # and a width beyond the largest float overflowed inside linspace.  The
+    # widest symmetric axes, which the pairing-overflow tests use, build.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bounds in ((-math.inf, math.inf), (0.0, math.inf), (-math.inf, 0.0),
+                       (-1.7e308, 1.6e308)):
+            with pytest.raises(ValueError, match="invalid-bounds: the 3 nodes of .* are not "
+                                                 "finite and strictly increasing"):
+                build_grid([bounds], [3])
+        g = build_grid([(-1.7e308, 1.7e308)] * 2, [3, 3])
+    assert [ax.tolist() for ax in g.axes] == [[-1.7e308, 0.0, 1.7e308]] * 2
+
+
+def test_grid_equality_compares_bounds_and_counts():
+    a = build_grid([(-1.0, 1.0), (0.0, 2.0)], [5, 3])
+    b = build_grid([(-1.0, 1.0), (0.0, 2.0)], [5, 3])
+    assert b.nodes.shape == (15, 2)  # a built node array is no part of it
+    assert a == b and not a != b
+    assert a != build_grid([(-1.0, 1.0), (0.0, 2.0)], [5, 4])
+    assert a != build_grid([(-1.0, 1.0), (0.0, 3.0)], [5, 3])
+    assert a != "grid"
+
+
+def test_function_sample_equality_is_identity():
+    g = build_grid([(-1.0, 1.0)], [3])
+    s, t = FunctionSample(g, np.zeros(3)), FunctionSample(g, np.zeros(3))
+    assert s == s and s != t
+    assert s in [t, s] and len({s, t}) == 2
 
 
 def test_symmetric_axis_center_is_exact_zero():

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capra import conjugacy, oracle
+from capra import numerics
 from capra.conjugacy import conjugate_at_points, fenchel_biconjugate, fenchel_conjugate
 from capra.norms import conj_exponent, k_support_norm, lp_value_batch, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
@@ -73,7 +73,7 @@ def test_naive_matches_python_reference(monkeypatch):
         for f in samples:
             want = _python_conjugate(f, gd)
             for budget in (1, n * ragged, n * (m_last + 5)):
-                monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+                monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
                 assert np.array_equal(naive_conjugate(f, gd).values, want), (counts, budget)
         assert np.all(np.isneginf(naive_conjugate(samples[1], gd).values))
         assert np.all(np.isposinf(naive_conjugate(samples[2], gd).values))
@@ -126,7 +126,7 @@ def test_naive_keeps_flat_row_bits_signed_zeros_included(monkeypatch):
             back = FunctionSample(gd, want)
             want_back = _flat_row_conjugate(back, g)
             for budget in (1, 2 * g.node_count + 1, 1 << 16):
-                monkeypatch.setattr(oracle, "_BLOCK_FLOATS", budget)
+                monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
                 got = naive_conjugate(f, gd).values
                 assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, budget)
                 got = naive_conjugate(back, g).values
@@ -146,7 +146,7 @@ def test_naive_keeps_flat_row_bits_in_both_loop_regimes(d, n):
     # Same bits as flat rows either way.
     g = build_grid([(-1.0, 1.0)] * d, [n] * d)
     gd = build_grid([(-2.0, 2.0)] * d, [5] * d)
-    assert g.node_count > oracle._BLOCK_FLOATS // 2 >= 2 * gd.node_count
+    assert g.node_count > numerics._BLOCK_FLOATS // 2 >= 2 * gd.node_count
     l1 = np.abs(g.nodes).sum(axis=1)
     samples = [np.zeros(g.node_count),
                np.count_nonzero(g.nodes, axis=1).astype(float),
@@ -241,7 +241,7 @@ def test_point_transform_equals_naive_in_value(monkeypatch):
             want = naive_conjugate(f, gd).values
             kept = int(np.count_nonzero(~np.isposinf(f.values)))
             for budget in _ragged_budgets(max(kept, 3), gd.node_count):
-                monkeypatch.setattr(conjugacy, "_BLOCK_FLOATS", budget)
+                monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
                 got = conjugate_at_points(f, gd.nodes)
                 assert np.array_equal(got, want), (counts, budget)
         assert np.all(np.isneginf(conjugate_at_points(samples[-2], gd.nodes)))

@@ -63,23 +63,23 @@ def test_checks_run_once_per_run_suite_call(monkeypatch):
     calls = []
 
     @ver._once_per_run
-    def check(seed, n=3):
-        calls.append((seed, n))
-        return ver.CheckResult("probe", True, 0.0, float(seed + n))
+    def check(seed):
+        calls.append(seed)
+        return ver.CheckResult("probe", True, 0.0, float(seed))
 
     def suite(seed):
-        # n=3 given or defaulted is one key; n=4 is another.
-        return [check(seed), check(seed, n=3), check(seed, 4)]
+        # The same seed is one key; another seed is another.
+        return [check(seed), check(seed), check(seed + 1)]
 
     for name in ("norms", "conjugacy", "envelope", "acceptance"):
         monkeypatch.setitem(ver.SUITES, name, suite)
     results = ver.run_suite("all", seed=1)
-    assert calls == [(1, 3), (1, 4)]
-    assert [r.observed for r in results] == [4.0, 4.0, 5.0] * 4
+    assert calls == [1, 2]
+    assert [r.observed for r in results] == [1.0, 1.0, 2.0] * 4
     # Each caller owns its copy, and no result outlives the call.
     results[0].name = "renamed"
     assert results[1].name == "probe"
     assert ver._RUN_MEMO.get() is None
     ver.run_suite("norms", seed=1)
     check(1)
-    assert calls == [(1, 3), (1, 4), (1, 3), (1, 4), (1, 3)]
+    assert calls == [1, 2, 1, 2, 1]
