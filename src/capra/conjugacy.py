@@ -42,6 +42,7 @@ the point transform refuses infinite ones with ``nonfinite-input``.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -59,7 +60,8 @@ from .norms import (
     top_k_norm_table,
 )
 from .numerics import (FunctionSample, Grid, _axis_extent, _block_rows, _check_pairing,
-                       _check_work, _finite_scale, _refuse_nonfinite, as_extreal, low_add)
+                       _check_work, _count_nonzero_rows, _finite_scale, _nonzero_rows,
+                       _refuse_nonfinite, as_extreal, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -207,6 +209,9 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
     duals = np.asarray(duals, dtype=float)
     if duals.ndim != 2:
         raise ValueError("expected a 2-d array of dual points")
+    if duals.shape[1] != points.shape[1]:
+        raise ValueError(f"dimension-mismatch: dual points must have dimension {points.shape[1]} "
+                         f"(got {duals.shape[1]})")
     _refuse_nonfinite(duals, "a dual point")
     _check_work(len(points) * duals.shape[0], "point transform")
     out = np.full(duals.shape[0], -math.inf)
@@ -214,10 +219,17 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
         out.fill(math.inf)
         return out
     keep = ~np.isposinf(values)
-    # One contiguous row per axis; np.compress selects rows several times
-    # faster than a boolean index.
-    cols = np.ascontiguousarray(np.compress(keep, points, axis=0).T)
-    vals = values[keep]
+    # One contiguous row per axis.  Copied column by column when every row is
+    # kept (several times faster than a transposing copy of the short rows);
+    # else np.compress selects rows several times faster than a boolean index.
+    if keep.all():
+        cols = np.empty(points.shape[::-1])
+        for k in range(points.shape[1]):
+            cols[k] = points[:, k]
+        vals = values
+    else:
+        cols = np.ascontiguousarray(np.compress(keep, points, axis=0).T)
+        vals = values[keep]
     with np.errstate(over="ignore"):  # an overflowing |y|_1 is refused
         ymax1 = np.abs(duals).sum(axis=1).max(initial=0.0)
     _check_pairing(max(cols.max(initial=0.0), -cols.min(initial=0.0)), ymax1,
@@ -314,17 +326,27 @@ class ZeroHomFnSpec:
     def custom(cls, fn: Callable, batch: Callable | None = None) -> "ZeroHomFnSpec":
         return cls(kind="custom", fn=fn, batch_fn=batch)
 
+    def _check_phi_dim(self, X: np.ndarray) -> None:
+        """``invalid-phi`` unless the points (the last axis of X) have the
+        dimension of phi."""
+        if X.shape[-1:] != (self.phi.dim,):
+            raise ValueError(f"invalid-phi: phi has dim {self.phi.dim}, "
+                             f"points have dim {X.shape[-1] if X.ndim else 0}")
+
     def value(self, x) -> float:
         x = np.asarray(x, dtype=float)
         if self.kind == "phi_l0":
+            self._check_phi_dim(x)
             return self.phi(int(np.count_nonzero(x)))
         return as_extreal(self.fn(x))
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if self.kind == "phi_l0":
-            counts = np.count_nonzero(X, axis=1)
-            return self.phi.values[counts]
+            if X.ndim != 2:
+                raise ValueError("expected a 2-d array of row vectors")
+            self._check_phi_dim(X)
+            return self.phi.values[_count_nonzero_rows(X)]
         if self.batch_fn is not None:
             return np.asarray(self.batch_fn(X), dtype=float)
         return np.array([self.value(row) for row in X])
@@ -332,13 +354,18 @@ class ZeroHomFnSpec:
 
 def build_sphere_sample(nu: NormalizationSpec, dim: int,
                         count: int = 8192) -> np.ndarray:
-    """Deterministic sample of the unit sphere of nu, plus the origin.
+    """Deterministic sample of the unit sphere of nu, plus the origin, as a
+    fresh, writable (rows, dim) array; dim < 1 raises ``invalid-dim``.
 
     Every sparse coordinate subspace is represented (signed axes exactly;
     low-discrepancy directions within larger supports), so functions whose
     level sets are tied to support size have all strata covered.  Directions
     are mapped to the sphere by the normalization mapping x -> x / nu(x).
+    The sphere route of :func:`_capra_route` builds the sample of an lp nu
+    once per ``(p, dim)`` and shares it read-only; see :func:`_lp_sphere_sample`.
     """
+    if dim < 1:
+        raise ValueError(f"invalid-dim: a sphere sample needs dim >= 1 (got {dim})")
     _check_homogeneous(nu, dim)
     rows = [np.zeros((1, dim))]
     for i in range(dim):
@@ -350,7 +377,7 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
         # Normalized sign patterns: for polyhedral spheres (l1, linf) the
         # per-stratum maxima of linear forms sit exactly at these points.
         corners = sign_patterns(dim)
-        corners = corners[np.count_nonzero(corners, axis=1) >= 2]
+        corners = corners[_count_nonzero_rows(corners) >= 2]
         rows.append(corners / nu.batch(corners)[:, None])
     used = sum(r.shape[0] for r in rows)
     for m in range(2, dim + 1):
@@ -368,6 +395,21 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     return np.vstack(rows)
 
 
+@functools.lru_cache(maxsize=4)
+def _lp_sphere_sample(p: float, dim: int) -> np.ndarray:
+    """``build_sphere_sample(lp(p), dim)``, built on the first call for
+    ``(p, dim)`` and then shared, read-only, while the pair is among the
+    last four used.
+
+    Keyed by value, not by the spec object, so that a new spec per call
+    finds the sample too.  The build goes through the module global, so a
+    wrapper bound in its place sees it.
+    """
+    sample = build_sphere_sample(NormalizationSpec.lp(p), dim)
+    sample.flags.writeable = False
+    return sample
+
+
 def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
                   sphere_sample) -> np.ndarray:
     """The Capra conjugate at the rows of Y by the sphere route: the max over
@@ -376,7 +418,7 @@ def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
     sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
-    nonzero = np.any(sample != 0.0, axis=1)
+    nonzero = _nonzero_rows(sample)
     if nonzero.all():
         raise ValueError("sphere sample must contain the origin")
     _check_homogeneous(nu, sample.shape[1])
@@ -520,7 +562,10 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
 
     The route is analytic for phi∘l0 with an lp normalization, p >= 1
     (exact up to rounding; tolerance ``ANALYTIC_TOL``).  Otherwise it is the
-    sphere route over ``build_sphere_sample(nu, d)``.  A sup over a sample of
+    sphere route over ``build_sphere_sample(nu, d)``: for an lp nu the sample
+    of :func:`_lp_sphere_sample`, built once per ``(p, d)``, and for a custom
+    nu one built (and spot-checked) on every call.  The sample is checked on
+    every call by :func:`_sphere_route`.  A sup over a sample of
     the sphere misses the optimum by the coverage gap ``count^(-1/(d-1))``
     times a Lipschitz factor of order ``1 + |y|``, so the tolerance is
     ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
@@ -530,7 +575,7 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     if _analytic_applicable(f, nu):
         return (capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim)),
                 ANALYTIC_TOL)
-    sample = build_sphere_sample(nu, dim)
+    sample = _lp_sphere_sample(nu.p, dim) if nu.kind == "lp" else build_sphere_sample(nu, dim)
     conj = _sphere_route(f, nu, Y, sample)
     if dim <= 1:
         return conj, ANALYTIC_TOL
@@ -541,10 +586,17 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
 def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bool:
     """Membership of y in the Capra subdifferential of f at x: equality of
     the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
-    route tolerance of :func:`_capra_route`.
+    route tolerance of :func:`_capra_route`.  x and y must be finite points
+    of one dimension (else ``dimension-mismatch``, ``nan-input`` or
+    ``nonfinite-input``), on either route.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError(f"dimension-mismatch: x and y must be points of one dimension "
+                         f"(got shapes {x.shape} and {y.shape})")
+    _refuse_nonfinite(x, "a point")
+    _refuse_nonfinite(y, "a dual point")
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")

@@ -16,7 +16,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _block_rows, _check_work, _refuse_nan
+from .numerics import _block_rows, _check_work, _nonzero_rows, _refuse_nan
 
 __all__ = [
     "conj_exponent",
@@ -172,7 +172,7 @@ class NormalizationSpec:
 def _check_custom_values(X: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """``vals``, a custom nu at the rows of X, if positive and finite at the
     nonzero rows; else ``invalid-normalization`` for the first bad row."""
-    bad = ~((vals > 0.0) & (vals < math.inf)) & np.any(X != 0.0, axis=-1)
+    bad = ~((vals > 0.0) & (vals < math.inf)) & _nonzero_rows(X)
     if bad.any():
         i = int(np.argmax(bad))
         raise ValueError(f"invalid-normalization: nu(x) = {float(vals[i])} at the nonzero "

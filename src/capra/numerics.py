@@ -78,6 +78,27 @@ def _axis_extent(grid: Grid) -> tuple[float, float]:
     return max(tops), sum(tops)
 
 
+# numpy reduces an (n, d) array over its short rows several times slower than
+# it combines its d columns (at 10k x 2, about 270 us against 40 us on a
+# 2-vCPU VM, numpy 2.4), so these integer and boolean row reductions run
+# column by column; neither rounds.
+
+def _nonzero_rows(X: np.ndarray) -> np.ndarray:
+    """``np.any(X != 0.0, axis=1)`` for a 2-d X, one column at a time."""
+    mask = np.zeros(len(X), dtype=bool)
+    for k in range(X.shape[1]):
+        mask |= X[:, k] != 0.0
+    return mask
+
+
+def _count_nonzero_rows(X: np.ndarray) -> np.ndarray:
+    """``np.count_nonzero(X, axis=1)`` for a 2-d X, one column at a time."""
+    counts = np.zeros(len(X), dtype=np.intp)
+    for k in range(X.shape[1]):
+        counts += X[:, k] != 0.0
+    return counts
+
+
 def as_extreal(value) -> float:
     """Coerce ``value`` to a float in [-inf, +inf]; NaN is rejected."""
     v = float(value)
@@ -207,17 +228,27 @@ class Grid:
     def nearest_index(self, point) -> int:
         """Flat index of the node nearest to ``point`` (clipped to the box).
         A NaN coordinate raises ``nan-input``, an infinite one
-        ``nonfinite-input``."""
+        ``nonfinite-input``.
+
+        Coordinates are clipped to the box first, so ``x - lower`` never
+        exceeds the width.  Every axis keeps ``round((x - lower) / h)``, ties
+        included, but one wider than the largest float (whose step is inf):
+        there the coordinate and the bounds are halved first, so the width
+        and the step are finite."""
         point = np.asarray(point, dtype=float)
         if point.shape != (self.dim,):
             raise ValueError(f"dimension-mismatch: point must have shape ({self.dim},) "
                              f"(got {point.shape})")
         _refuse_nonfinite(point, "a point")
         multi = []
-        for k in range(self.dim):
-            h = self.steps[k]
-            i = int(round((point[k] - self.lowers[k]) / h))
-            multi.append(min(max(i, 0), self.counts[k] - 1))
+        for x, lo, hi, h, n in zip(point.tolist(), self.lowers, self.uppers, self.steps,
+                                   self.counts):
+            x = min(max(x, lo), hi)
+            if math.isinf(h):
+                t = (x / 2 - lo / 2) / ((hi / 2 - lo / 2) / (n - 1))
+            else:
+                t = (x - lo) / h
+            multi.append(min(round(t), n - 1))
         return int(np.ravel_multi_index(tuple(multi), self.counts))
 
 

@@ -659,3 +659,136 @@ def test_nan_duals_raise_nan_input():
         for y in ([math.nan, 1.0], [0.0, math.nan], [math.inf, math.nan]):
             with pytest.raises(ValueError, match="nan-input"):
                 probe(y)
+
+
+_HALF = CouplingSpec(NormalizationSpec.lp(0.5))  # no analytic route: the sphere route
+_L0 = ZeroHomFnSpec.l0(2)
+_SAMPLE_2D = build_sphere_sample(_HALF.nu, 2, count=64)
+
+
+@pytest.mark.parametrize("run, match", [
+    # A 3-d dual against a 2-d sample paired only its first two coordinates.
+    (lambda: capra_conjugate(_L0, _HALF, np.ones(3), _SAMPLE_2D), "dimension-mismatch"),
+    (lambda: _L0.value([1.0, 0.0, 0.0]), "invalid-phi: phi has dim 2, points have dim 3"),
+    (lambda: _L0.value([1.0]), "invalid-phi: phi has dim 2, points have dim 1"),
+    (lambda: _L0.batch(np.ones((2, 1))), "invalid-phi: phi has dim 2, points have dim 1"),
+    (lambda: _L0.batch(np.ones((2, 3))), "invalid-phi: phi has dim 2, points have dim 3"),
+    (lambda: capra_subdiff_contains(np.ones(3), np.ones(2), _L0, _HALF), "dimension-mismatch"),
+    (lambda: capra_subdiff_contains(np.ones(2), np.ones(3), _L0, _HALF), "dimension-mismatch"),
+    (lambda: capra_subdiff_at_zero(_L0, _HALF, np.ones((4, 3))),
+     "invalid-phi: phi has dim 2, points have dim 3"),
+    (lambda: capra_subdiff_contains([1.0, 0.0], [math.inf, 0.0], _L0, _HALF), "nonfinite-input"),
+    # The analytic route compared inf with inf (a RuntimeWarning); the sphere
+    # route refused.
+    (lambda: capra_subdiff_contains([math.inf, 0.0], [1.0, 0.0], _L0,
+                                    CouplingSpec(NormalizationSpec.lp(2.0))), "nonfinite-input"),
+    (lambda: build_sphere_sample(_HALF.nu, -1), "invalid-dim"),
+], ids=["conjugate-dual", "value-3d", "value-1d", "batch-1d", "batch-3d", "subdiff-y3-x2",
+        "subdiff-y2-x3", "subdiff-at-zero-3d", "subdiff-infinite-x", "subdiff-infinite-y",
+        "sample-negative-dim"])
+def test_sphere_route_refuses_mismatches_by_name(run, match):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=match):
+            run()
+
+
+@pytest.fixture
+def fresh_sphere_memo():
+    conjugacy._lp_sphere_sample.cache_clear()
+    yield
+    conjugacy._lp_sphere_sample.cache_clear()
+
+
+def _count_builds(monkeypatch, make=build_sphere_sample) -> list:
+    """Route every build of the conjugacy module through ``make``, counting
+    the normalization kinds it is called with."""
+    builds = []
+
+    def counted(nu, dim, *args):
+        builds.append(nu.kind)
+        return make(nu, dim, *args)
+    monkeypatch.setattr(conjugacy, "build_sphere_sample", counted)
+    return builds
+
+
+def test_lp_sphere_sample_is_built_once(monkeypatch, fresh_sphere_memo):
+    builds = _count_builds(monkeypatch)
+    rng = np.random.default_rng(4)
+    for y in rng.uniform(-3.0, 3.0, (50, 2)):
+        capra_subdiff_contains(y, [1.0, 0.0], _L0, _HALF)
+    capra_subdiff_at_zero(_L0, CouplingSpec(NormalizationSpec.lp(0.5)), rng.uniform(-2, 2, (5, 2)))
+    assert builds == ["lp"]
+    # A custom nu is built, and spot-checked, on every call.
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
+                                  batch=lambda X: np.abs(X).sum(axis=1))
+    for y in rng.uniform(-3.0, 3.0, (5, 2)):
+        capra_subdiff_contains(y, [1.0, 0.0], _L0, CouplingSpec(l1))
+    assert builds == ["lp"] + ["custom"] * 5
+
+
+def test_memoized_sphere_sample_is_read_only_and_equal_to_a_fresh_one(fresh_sphere_memo):
+    for p, d in ((0.5, 2), (2.0, 3), (math.inf, 1), (1.5, 4)):
+        memo = conjugacy._lp_sphere_sample(p, d)
+        fresh = build_sphere_sample(NormalizationSpec.lp(p), d)
+        assert not memo.flags.writeable and fresh.flags.writeable
+        assert memo.shape == fresh.shape and memo.tobytes() == fresh.tobytes()
+        assert conjugacy._lp_sphere_sample(p, d) is memo
+        with pytest.raises(ValueError, match="read-only"):
+            memo[0, 0] = 1.0
+
+
+@pytest.mark.parametrize("bad, match", [
+    (lambda s: s[1:], "origin"),
+    (lambda s: 2.0 * s, "off the unit sphere"),
+], ids=["no-origin", "off-sphere"])
+def test_memoized_sample_is_checked(monkeypatch, fresh_sphere_memo, bad, match):
+    # The route checks the sample it reads from the memo, on every call.
+    builds = _count_builds(monkeypatch, lambda nu, dim: bad(build_sphere_sample(nu, dim)))
+    for _ in range(2):
+        with pytest.raises(ValueError, match=match):
+            capra_subdiff_contains([1.0, 0.5], [1.0, 0.0], _L0, _HALF)
+    assert builds == ["lp"]
+
+
+@pytest.mark.parametrize("d", range(1, 10))
+def test_row_reductions_by_columns_equal_numpy(d):
+    rng = np.random.default_rng(d)
+    X = rng.choice([0.0, -0.0, 1.5, -2.0, 5e-324, math.inf, -math.inf], size=(300, d))
+    counts = numerics._count_nonzero_rows(X)
+    assert counts.dtype == np.intp
+    assert np.array_equal(counts, np.count_nonzero(X, axis=1))
+    assert np.array_equal(numerics._nonzero_rows(X), np.any(X != 0.0, axis=1))
+    phi = PhiSpec.from_values(np.arange(d + 1.0) ** 2)
+    assert np.array_equal(ZeroHomFnSpec.phi_l0(phi).batch(X), phi.values[np.count_nonzero(X, axis=1)])
+
+
+def test_capra_route_is_the_sphere_transform(fresh_sphere_memo):
+    rng = np.random.default_rng(8)
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
+                                  batch=lambda X: np.abs(X).sum(axis=1))
+    for d in (2, 3):
+        Y = rng.uniform(-3.0, 3.0, (40, d))
+        for f in (ZeroHomFnSpec.l0(d), ZeroHomFnSpec.constant_zero()):
+            for nu in (NormalizationSpec.lp(0.5), l1):
+                sample = build_sphere_sample(nu, d)
+                want = conjugacy._conjugate_values(sample, f.batch(sample), Y)
+                for _ in range(2):  # the second lp call reads the memo
+                    got, _ = conjugacy._capra_route(f, nu, Y)
+                    assert got.tobytes() == want.tobytes()
+
+
+def test_point_transform_drops_plus_inf_rows_bit_for_bit():
+    # Rows with value +inf never attain the max: appending them (the
+    # compress path) gives the bits of the transform without them (the
+    # column-copy path).
+    rng = np.random.default_rng(9)
+    for d in (1, 2, 3):
+        points = rng.uniform(-1.0, 1.0, (500, d))
+        values = rng.uniform(-1.0, 1.0, 500)
+        Y = rng.uniform(-3.0, 3.0, (30, d))
+        want = conjugacy._conjugate_values(points, values, Y)
+        at = [0, 100, 100, 499, 500, 500, 500]
+        mixed = np.insert(points, at, rng.uniform(-5.0, 5.0, (len(at), d)), axis=0)
+        got = conjugacy._conjugate_values(mixed, np.insert(values, at, math.inf), Y)
+        assert got.tobytes() == want.tobytes()

@@ -265,3 +265,46 @@ def test_finite_scale_is_the_largest_finite_magnitude():
     assert numerics._finite_scale([0.0, math.inf]) == 0.0
     for values in ([math.inf, -math.inf], []):
         assert numerics._finite_scale(values) == 1.0
+
+
+def _nearest_index_unclipped(grid, point) -> int:
+    """The rounded index as computed before points were clipped to the box:
+    the reference on every grid of finite width."""
+    point = np.asarray(point, dtype=float)
+    multi = [min(max(int(round((point[k] - grid.lowers[k]) / grid.steps[k])), 0),
+                 grid.counts[k] - 1) for k in range(grid.dim)]
+    return int(np.ravel_multi_index(tuple(multi), grid.counts))
+
+
+def test_nearest_index_keeps_the_rounded_index():
+    # Grids the CLI and the verify suites build, at random points in and
+    # around the box and at the float midpoints of neighbouring nodes, where
+    # round() breaks ties.
+    from capra.envelope import ball_box_grid
+
+    rng = np.random.default_rng(12)
+    grids = [ball_box_grid(d, n) for d, n in ((1, 201), (2, 41), (2, 83), (2, 101), (3, 41))]
+    grids += [numerics.default_dual_grid(2, 1.0), build_grid([(-2.0, 2.0)], [81])]
+    for grid in grids:
+        top = np.array(grid.uppers)
+        points = [rng.uniform(-1.2, 1.2, grid.dim) * top for _ in range(300)]
+        for k, ax in enumerate(grid.axes):
+            for mid in (ax[:-1] + ax[1:]) / 2.0:
+                point = rng.uniform(-1.0, 1.0, grid.dim) * top
+                point[k] = mid
+                points.append(point)
+        for point in points:
+            assert grid.nearest_index(point) == _nearest_index_unclipped(grid, point)
+
+
+def test_nearest_index_on_a_grid_wider_than_the_largest_float():
+    # The width overflows to inf, and so does the step; x - lower overflowed
+    # for far points.
+    wide = build_grid([(-1.7e308, 1.7e308)], [3])
+    square = build_grid([(-1.7e308, 1.7e308)] * 2, [3, 3])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = [wide.nearest_index([x]) for x in (0.0, 1e308, -1e308, 5e307, 1.7e308, -1.7e308)]
+        assert got == [1, 2, 0, 1, 2, 0]
+        assert square.nearest_index([0.0, 1e308]) == 5
+        assert FunctionSample(wide, np.array([2.0, 3.0, 4.0])).value_near([1e308]) == 4.0
