@@ -42,7 +42,6 @@ the point transform refuses infinite ones with ``nonfinite-input``.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -395,21 +394,6 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     return np.vstack(rows)
 
 
-@functools.lru_cache(maxsize=4)
-def _lp_sphere_sample(p: float, dim: int) -> np.ndarray:
-    """``build_sphere_sample(lp(p), dim)``, built on the first call for
-    ``(p, dim)`` and then shared, read-only, while the pair is among the
-    last four used.
-
-    Keyed by value, not by the spec object, so that a new spec per call
-    finds the sample too.  The build goes through the module global, so a
-    wrapper bound in its place sees it.
-    """
-    sample = build_sphere_sample(NormalizationSpec.lp(p), dim)
-    sample.flags.writeable = False
-    return sample
-
-
 def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
                   sphere_sample) -> np.ndarray:
     """The Capra conjugate at the rows of Y by the sphere route: the max over
@@ -466,7 +450,15 @@ def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
 
 
 def _analytic_applicable(f: ZeroHomFnSpec, nu: NormalizationSpec) -> bool:
-    return f.kind == "phi_l0" and nu.kind == "lp" and nu.p >= 1.0
+    return f.kind == "phi_l0" and nu.kind == "lp"
+
+
+def _lp_source(nu: NormalizationSpec, dim: int) -> SourceNormSpec:
+    """The source norm of an lp nu on R^dim, ``lp(max(p, 1))``: its ball is
+    the closed convex hull of nu's (for p < 1, star-shaped with the signed
+    axes as extreme points, the l1 ball), so on each support K both give
+    the same sup of a linear form, ``|y_K|_inf`` for p < 1."""
+    return SourceNormSpec.lp(max(nu.p, 1.0), dim)
 
 
 def capra_conjugate_l0_analytic(y, phi: PhiSpec, source: SourceNormSpec) -> float:
@@ -560,22 +552,20 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     """Capra conjugate of f at the rows of Y, and the tolerance it is tested
     with: ``(values, tol)``.
 
-    The route is analytic for phi∘l0 with an lp normalization, p >= 1
-    (exact up to rounding; tolerance ``ANALYTIC_TOL``).  Otherwise it is the
-    sphere route over ``build_sphere_sample(nu, d)``: for an lp nu the sample
-    of :func:`_lp_sphere_sample`, built once per ``(p, d)``, and for a custom
-    nu one built (and spot-checked) on every call.  The sample is checked on
-    every call by :func:`_sphere_route`.  A sup over a sample of
-    the sphere misses the optimum by the coverage gap ``count^(-1/(d-1))``
-    times a Lipschitz factor of order ``1 + |y|``, so the tolerance is
+    The route is analytic for phi∘l0 with any lp normalization, p > 0, from
+    the source of :func:`_lp_source` (exact up to rounding; tolerance
+    ``ANALYTIC_TOL``).  Only a custom f or a custom nu takes the sphere
+    route over ``build_sphere_sample(nu, d)``, built on every call and
+    checked by :func:`_sphere_route`.  A sup over a sample of the sphere
+    misses the optimum by the coverage gap ``count^(-1/(d-1))`` times a
+    Lipschitz factor of order ``1 + |y|``, so the tolerance is
     ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
     sample holds the whole sphere).
     """
     dim = Y.shape[1]
     if _analytic_applicable(f, nu):
-        return (capra_conjugate_l0_analytic_batch(Y, f.phi, SourceNormSpec.lp(nu.p, dim)),
-                ANALYTIC_TOL)
-    sample = _lp_sphere_sample(nu.p, dim) if nu.kind == "lp" else build_sphere_sample(nu, dim)
+        return capra_conjugate_l0_analytic_batch(Y, f.phi, _lp_source(nu, dim)), ANALYTIC_TOL
+    sample = build_sphere_sample(nu, dim)
     conj = _sphere_route(f, nu, Y, sample)
     if dim <= 1:
         return conj, ANALYTIC_TOL
@@ -586,9 +576,10 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
 def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bool:
     """Membership of y in the Capra subdifferential of f at x: equality of
     the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
-    route tolerance of :func:`_capra_route`.  x and y must be finite points
-    of one dimension (else ``dimension-mismatch``, ``nan-input`` or
-    ``nonfinite-input``), on either route.
+    route tolerance of :func:`_capra_route` (sampled for a custom f or nu
+    only).  x and y must be finite points of one dimension (else
+    ``dimension-mismatch``, ``nan-input`` or ``nonfinite-input``), on either
+    route.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -612,9 +603,12 @@ def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec,
     :func:`_capra_route`).
 
     This is the Rockafellar-Moreau subdifferential at 0 of f plus the
-    indicator of the unit ball of nu, filtered to the candidate set.
+    indicator of the unit ball of nu, filtered to the candidate set.  The
+    candidates must be finite (else ``nan-input`` or ``nonfinite-input``),
+    on either route.
     """
     candidates = np.atleast_2d(np.asarray(candidates, dtype=float))
+    _refuse_nonfinite(candidates, "a dual point")
     f0 = f.value(np.zeros(candidates.shape[1]))
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")

@@ -34,6 +34,7 @@ from .conjugacy import (
     _capra_conjugate_l0_analytic_grid,
     _check_grid_work,
     _grid_transform,
+    _lp_source,
     _symmetric_axes,
     capra_subdiff_at_zero,
     conjugate_at_points,
@@ -42,7 +43,6 @@ from .conjugacy import (
 from .norms import (
     NormalizationSpec,
     PhiSpec,
-    SourceNormSpec,
     _check_homogeneous,
     lp_value,
 )
@@ -97,15 +97,16 @@ def _on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     return ball, np.where(ball, f.batch(nodes), math.inf)
 
 
-def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray,
+def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray | None,
                dual_grid: Grid) -> np.ndarray:
-    """Nodes inside the closed convex hull of the unit ball of nu."""
+    """Nodes inside the closed convex hull of the unit ball of nu, whose
+    mask on ``grid`` is ``ball`` (None when not built: an lp nu's hull is
+    the ball of its source, :func:`capra.conjugacy._lp_source`)."""
     if nu.kind == "lp":
-        if nu.p >= 1.0:
-            return ball
-        # For p < 1 the ball is star-shaped with the signed axes as extreme
-        # points, so its closed convex hull is the l1 ball.
-        return _ball_mask(NormalizationSpec.lp(1.0), grid.nodes)
+        p = _lp_source(nu, grid.dim).p
+        if ball is None or p != nu.p:
+            ball = _ball_mask(NormalizationSpec.lp(p), grid.nodes)
+        return ball
     _, indicator = _restricted(FunctionSample(grid, np.zeros(grid.node_count)), ball)
     return fenchel_biconjugate(indicator, dual_grid).values <= 1e-7
 
@@ -117,10 +118,12 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     ball of nu, sampled on ``eval_grid``.
 
     Computed as the Fenchel conjugate (over ``dual_grid``) of the Capra
-    conjugate.  The Capra conjugate itself is analytic for phi∘l0 with an lp
-    normalization (``route="analytic"``); otherwise it is the grid conjugate
-    of f masked to the ball (``route="ball"``).  Nodes outside the closed
-    convex hull of the ball are set to +inf by predicate.
+    conjugate.  The Capra conjugate itself is analytic for phi∘l0 with any
+    lp normalization, from the source of
+    :func:`capra.conjugacy._lp_source` (``route="analytic"``); for a custom
+    f or a custom nu it is the grid conjugate of f masked to the ball
+    (``route="ball"``).  Nodes outside the closed convex hull of the ball
+    are set to +inf by predicate.
     """
     dim = eval_grid.dim
     if route == "auto":
@@ -128,7 +131,7 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     if route not in ("analytic", "ball"):
         raise ValueError(f"unknown route {route!r}")
     if route == "analytic" and not _analytic_applicable(f, nu):
-        raise ValueError("analytic route requires phi∘l0 and an lp norm with p >= 1")
+        raise ValueError("analytic route requires phi∘l0 and an lp normalization")
     # A custom f is evaluated once: when its values on the ball size the dual
     # grid, they feed the transform too.
     sized = dual_grid is None and f.kind != "phi_l0"
@@ -142,9 +145,7 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     fold = _symmetric_axes(chain) if route == "analytic" else [False] * dim
     _check_grid_work(chain, fold, "envelope transform")
     if route == "analytic":
-        ball = _ball_mask(nu, eval_grid.nodes)
-        values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi,
-                                                   SourceNormSpec.lp(nu.p, dim))
+        values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, _lp_source(nu, dim))
     elif values is None:
         ball, values = _on_ball(f, nu, eval_grid)
     out = _grid_transform(chain, values)

@@ -120,6 +120,16 @@ def _checked_and_run(monkeypatch, run) -> tuple:
     return checked, sum(updates)
 
 
+# l0 as a custom f, which takes the sphere and ball routes on any nu.
+_CUSTOM_L0 = ZeroHomFnSpec.custom(lambda x: float(np.count_nonzero(x)),
+                                  batch=lambda X: 1.0 * np.count_nonzero(X, axis=1))
+
+
+def _as_custom(nu: NormalizationSpec) -> NormalizationSpec:
+    """nu wrapped as a custom normalization, which takes the sphere route."""
+    return NormalizationSpec.custom(nu.value, batch=nu.batch)
+
+
 def test_checked_grid_work_is_the_updates_that_run(monkeypatch):
     rng = np.random.default_rng(12)
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [9, 8])
@@ -153,15 +163,16 @@ def test_checked_grid_work_is_the_updates_that_run(monkeypatch):
     assert unfold((half, square)) == 540
     assert unfold((dual3, eval3)) == 824_699_379
     assert conjugacy._check_grid_work((dual3, eval3), (True,) * 3) == 53_613_819
-    # The envelope checks first, before f on the ball exists: the analytic
-    # route with the fold that runs, the ball route unfolded, which is never
-    # below the updates that run.
+    # The envelope checks first, before f on the ball is known to be even:
+    # the analytic route (phi∘l0, any lp nu) with the fold that runs, the
+    # ball route (a custom f) unfolded, which is never below the updates
+    # that run.
     g21 = ball_box_grid(2, 21)
-    for nu in (NormalizationSpec.lp(2.0), NormalizationSpec.lp(0.5)):
+    for f, p in ((ZeroHomFnSpec.l0(2), 2.0), (ZeroHomFnSpec.l0(2), 0.5), (_CUSTOM_L0, 0.5)):
         (early, late), updates = _checked_and_run(
-            monkeypatch, lambda: tightest_convex_on_ball(ZeroHomFnSpec.l0(2), nu, g21))
+            monkeypatch, lambda: tightest_convex_on_ball(f, NormalizationSpec.lp(p), g21))
         assert late == updates and early >= updates
-        assert (early == updates) == (nu.p == 2.0)
+        assert (early == updates) == (f.kind == "phi_l0")
 
 
 def test_capra_coupling():
@@ -357,11 +368,12 @@ def test_subdiff_at_zero_requires_f0_zero():
 
 
 def test_sphere_route_default_tolerance():
-    # lp:0.5 has no analytic route.  The sample holds the signed axes, where
-    # the conjugate of l0, max(0, |y|inf - 1), is attained, so at y = (1 + t, 0)
-    # the sampled value is t.  Both membership tests accept exactly when t is
-    # within 5 gap (1 + |y|), gap = count^(-1/(d-1)), on the default sample.
-    nu = NormalizationSpec.lp(0.5)
+    # lp:0.5 wrapped as a custom nu takes the sphere route.  The sample holds
+    # the signed axes, where the conjugate of l0, max(0, |y|inf - 1), is
+    # attained, so at y = (1 + t, 0) the sampled value is t.  Both membership
+    # tests accept exactly when t is within 5 gap (1 + |y|),
+    # gap = count^(-1/(d-1)), on the default sample.
+    nu = _as_custom(NormalizationSpec.lp(0.5))
     f, coup = ZeroHomFnSpec.l0(2), CouplingSpec(nu)
     gap = 1.0 / build_sphere_sample(nu, 2).shape[0]
     for ratio, member in ((0.9, True), (1.1, False)):
@@ -661,7 +673,7 @@ def test_nan_duals_raise_nan_input():
                 probe(y)
 
 
-_HALF = CouplingSpec(NormalizationSpec.lp(0.5))  # no analytic route: the sphere route
+_HALF = CouplingSpec(_as_custom(NormalizationSpec.lp(0.5)))  # the sphere route
 _L0 = ZeroHomFnSpec.l0(2)
 _SAMPLE_2D = build_sphere_sample(_HALF.nu, 2, count=64)
 
@@ -693,14 +705,7 @@ def test_sphere_route_refuses_mismatches_by_name(run, match):
             run()
 
 
-@pytest.fixture
-def fresh_sphere_memo():
-    conjugacy._lp_sphere_sample.cache_clear()
-    yield
-    conjugacy._lp_sphere_sample.cache_clear()
-
-
-def _count_builds(monkeypatch, make=build_sphere_sample) -> list:
+def _count_builds(monkeypatch, make) -> list:
     """Route every build of the conjugacy module through ``make``, counting
     the normalization kinds it is called with."""
     builds = []
@@ -712,43 +717,17 @@ def _count_builds(monkeypatch, make=build_sphere_sample) -> list:
     return builds
 
 
-def test_lp_sphere_sample_is_built_once(monkeypatch, fresh_sphere_memo):
-    builds = _count_builds(monkeypatch)
-    rng = np.random.default_rng(4)
-    for y in rng.uniform(-3.0, 3.0, (50, 2)):
-        capra_subdiff_contains(y, [1.0, 0.0], _L0, _HALF)
-    capra_subdiff_at_zero(_L0, CouplingSpec(NormalizationSpec.lp(0.5)), rng.uniform(-2, 2, (5, 2)))
-    assert builds == ["lp"]
-    # A custom nu is built, and spot-checked, on every call.
-    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
-                                  batch=lambda X: np.abs(X).sum(axis=1))
-    for y in rng.uniform(-3.0, 3.0, (5, 2)):
-        capra_subdiff_contains(y, [1.0, 0.0], _L0, CouplingSpec(l1))
-    assert builds == ["lp"] + ["custom"] * 5
-
-
-def test_memoized_sphere_sample_is_read_only_and_equal_to_a_fresh_one(fresh_sphere_memo):
-    for p, d in ((0.5, 2), (2.0, 3), (math.inf, 1), (1.5, 4)):
-        memo = conjugacy._lp_sphere_sample(p, d)
-        fresh = build_sphere_sample(NormalizationSpec.lp(p), d)
-        assert not memo.flags.writeable and fresh.flags.writeable
-        assert memo.shape == fresh.shape and memo.tobytes() == fresh.tobytes()
-        assert conjugacy._lp_sphere_sample(p, d) is memo
-        with pytest.raises(ValueError, match="read-only"):
-            memo[0, 0] = 1.0
-
-
 @pytest.mark.parametrize("bad, match", [
     (lambda s: s[1:], "origin"),
     (lambda s: 2.0 * s, "off the unit sphere"),
 ], ids=["no-origin", "off-sphere"])
-def test_memoized_sample_is_checked(monkeypatch, fresh_sphere_memo, bad, match):
-    # The route checks the sample it reads from the memo, on every call.
+def test_sphere_sample_is_checked_on_every_call(monkeypatch, bad, match):
+    # The route builds its sample, and checks it, on every call.
     builds = _count_builds(monkeypatch, lambda nu, dim: bad(build_sphere_sample(nu, dim)))
     for _ in range(2):
         with pytest.raises(ValueError, match=match):
             capra_subdiff_contains([1.0, 0.5], [1.0, 0.0], _L0, _HALF)
-    assert builds == ["lp"]
+    assert builds == ["custom", "custom"]
 
 
 @pytest.mark.parametrize("d", range(1, 10))
@@ -763,19 +742,21 @@ def test_row_reductions_by_columns_equal_numpy(d):
     assert np.array_equal(ZeroHomFnSpec.phi_l0(phi).batch(X), phi.values[np.count_nonzero(X, axis=1)])
 
 
-def test_capra_route_is_the_sphere_transform(fresh_sphere_memo):
+def test_capra_route_is_the_sphere_transform():
+    # A custom f on an lp nu, and any f on a custom nu.
     rng = np.random.default_rng(8)
+    half = NormalizationSpec.lp(0.5)
     l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
                                   batch=lambda X: np.abs(X).sum(axis=1))
     for d in (2, 3):
         Y = rng.uniform(-3.0, 3.0, (40, d))
-        for f in (ZeroHomFnSpec.l0(d), ZeroHomFnSpec.constant_zero()):
-            for nu in (NormalizationSpec.lp(0.5), l1):
-                sample = build_sphere_sample(nu, d)
-                want = conjugacy._conjugate_values(sample, f.batch(sample), Y)
-                for _ in range(2):  # the second lp call reads the memo
-                    got, _ = conjugacy._capra_route(f, nu, Y)
-                    assert got.tobytes() == want.tobytes()
+        zero = ZeroHomFnSpec.constant_zero()
+        for f, nu in ((zero, half), (ZeroHomFnSpec.l0(d), _as_custom(half)),
+                      (zero, _as_custom(half)), (ZeroHomFnSpec.l0(d), l1), (zero, l1)):
+            sample = build_sphere_sample(nu, d)
+            want = conjugacy._conjugate_values(sample, f.batch(sample), Y)
+            got, _ = conjugacy._capra_route(f, nu, Y)
+            assert got.tobytes() == want.tobytes()
 
 
 def test_point_transform_drops_plus_inf_rows_bit_for_bit():
@@ -792,3 +773,79 @@ def test_point_transform_drops_plus_inf_rows_bit_for_bit():
         mixed = np.insert(points, at, rng.uniform(-5.0, 5.0, (len(at), d)), axis=0)
         got = conjugacy._conjugate_values(mixed, np.insert(values, at, math.inf), Y)
         assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("p", [0.25, 0.5, 0.9])
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+def test_lp_below_one_conjugate_is_the_linf_formula(p, d):
+    # For p < 1 the hull of the lp ball is the l1 ball, so the Capra
+    # conjugate of phi∘l0 is max(0, |y|inf - min_{l >= 1} phi(l)), exactly.
+    rng = np.random.default_rng(int(100 * p) + d)
+    nu = NormalizationSpec.lp(p)
+    for _ in range(5):
+        phi = PhiSpec.from_values(np.concatenate([[0.0], rng.uniform(0.1, 3.0, d)]))
+        Y = np.vstack([rng.uniform(-4.0, 4.0, (30, d)), np.zeros((1, d))])
+        got, tol = conjugacy._capra_route(ZeroHomFnSpec.phi_l0(phi), nu, Y)
+        want = np.maximum(0.0, np.abs(Y).max(axis=1) - phi.values[1:].min())
+        assert got.tobytes() == want.tobytes() and tol == conjugacy.ANALYTIC_TOL
+
+
+def test_lp_below_one_values_and_memberships_are_exact():
+    # The sampled sphere route read these below the optimum by more than its
+    # tolerance scale suggests, and accepted by its wide tolerance at d >= 3.
+    half = CouplingSpec(NormalizationSpec.lp(0.5))
+    # Non-monotone phi: min phi = 0.5 at l = 2 (the route read 1.4554,
+    # 0.4778 and 2.4331).
+    f = ZeroHomFnSpec.phi_l0(PhiSpec.from_values([0.0, 1.0, 0.5]))
+    got, _ = conjugacy._capra_route(f, half.nu, np.array([[2.0, 0.0], [1.0, 1.0], [3.0, -0.5]]))
+    assert got.tolist() == [1.5, 0.5, 2.5]
+    # conj(y) = max(0, y1 - 1) against <e1, y> - 1 = y1 - 1: equal iff y1 >= 1.
+    l0_3, l0_4 = ZeroHomFnSpec.l0(3), ZeroHomFnSpec.l0(4)
+    e1 = np.eye(4)[0]
+    assert not capra_subdiff_contains([0.9, 0.0, 0.0], e1[:3], l0_3, half)
+    assert capra_subdiff_at_zero(l0_3, half, [[1.1, 0.0, 0.0], [1.0, -1.0, 0.5]]).tolist() == [
+        [1.0, -1.0, 0.5]]
+    for y1, member in ((0.7, False), (0.99, False), (1.0, True), (1.3, True)):
+        assert capra_subdiff_contains([y1, 0.0, 0.0, 0.0], e1, l0_4, half) is member
+    assert capra_subdiff_at_zero(l0_4, half, [[1.2, 0.0, 0.0, 0.0]]).shape == (0, 4)
+
+
+def test_subdiff_at_zero_lp_half_is_the_linf_box():
+    # On criterion 8's lattice (step 1/16) the accepted set is the box
+    # {|y|inf <= min phi}, exactly: {|y|inf <= 1} for l0.
+    cand = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [65, 65]).nodes
+    half = CouplingSpec(NormalizationSpec.lp(0.5))
+    for phi, side in ((PhiSpec.identity(2), 1.0), (PhiSpec.from_values([0.0, 1.5, 0.75]), 0.75)):
+        acc = capra_subdiff_at_zero(ZeroHomFnSpec.phi_l0(phi), half, cand)
+        assert np.array_equal(acc, cand[np.abs(cand).max(axis=1) <= side])
+
+
+def test_subdiff_at_zero_refuses_infinite_candidates():
+    # One rule on every route: an infinite candidate is refused by name, as
+    # capra_subdiff_contains and the point transform refuse one.
+    nus = (NormalizationSpec.lp(2.0), NormalizationSpec.lp(0.5),
+           _as_custom(NormalizationSpec.lp(0.5)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in nus:
+            for f in (ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()):
+                for bad in ([math.inf, 0.0], [0.0, -math.inf]):
+                    with pytest.raises(ValueError, match="nonfinite-input"):
+                        capra_subdiff_at_zero(f, CouplingSpec(nu), [[0.5, 0.5], bad])
+                    with pytest.raises(ValueError, match="nonfinite-input"):
+                        envelope.tightest_pos_hom_on_ball(f, nu, [1.0, 0.0], [[0.5, 0.5], bad])
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_sphere_route_is_below_the_analytic_route(d):
+    # A sample of the sphere can only miss the sup: for lp:0.5 the sphere
+    # route reads at most the analytic value.
+    rng = np.random.default_rng(20 + d)
+    nu = NormalizationSpec.lp(0.5)
+    sample = build_sphere_sample(nu, d)
+    Y = rng.uniform(-3.0, 3.0, (60, d))
+    for phi in (PhiSpec.identity(d), PhiSpec.from_values([0.0, 1.0, 0.5, 2.0][:d + 1])):
+        f = ZeroHomFnSpec.phi_l0(phi)
+        analytic, _ = conjugacy._capra_route(f, nu, Y)
+        sphere = conjugacy._sphere_route(f, nu, Y, sample)
+        assert np.all(sphere <= analytic + 1e-12)

@@ -129,18 +129,21 @@ def test_envelope_refuses_oversized_work_before_building_nodes(monkeypatch):
     def grids():
         return ball_box_grid(2, 21), build_grid([(-3.0, 3.0), (-3.0, 3.0)], [25, 9])
 
-    l0 = ZeroHomFnSpec.l0(2)
-    cases = ((15749, NormalizationSpec.lp(0.5), "ball"),
-             (1319, NormalizationSpec.lp(2.0), "analytic"))
-    for cap, nu, route in cases:
+    # l0 as a custom f takes the ball route.
+    custom_l0 = ZeroHomFnSpec.custom(lambda x: float(np.count_nonzero(x)),
+                                     batch=lambda X: 1.0 * np.count_nonzero(X, axis=1))
+    cases = ((15749, custom_l0, NormalizationSpec.lp(0.5), "ball"),
+             (1319, ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0), "analytic"),
+             (1319, ZeroHomFnSpec.l0(2), NormalizationSpec.lp(0.5), "analytic"))
+    for cap, f, nu, route in cases:
         monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", cap)
         eval_grid, dual_grid = grids()
         with pytest.raises(ValueError, match="work-too-large"):
-            tightest_convex_on_ball(l0, nu, eval_grid, dual_grid, route=route)
+            tightest_convex_on_ball(f, nu, eval_grid, dual_grid, route=route)
         assert eval_grid._nodes is None and dual_grid._nodes is None
         # One update more and the route runs.
         monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", cap + 1)
-        tightest_convex_on_ball(l0, nu, *grids(), route=route)
+        tightest_convex_on_ball(f, nu, *grids(), route=route)
 
 
 def test_envelope_half_ball_is_finite_on_hull():
@@ -230,7 +233,7 @@ ROW_CANDIDATES = RNG.uniform(-1.5, 1.5, (600, 2))
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 0.5])
 def test_pos_hom_rows_match_single_points_bit_for_bit(p):
-    # lp:0.5 takes the sphere route of the Capra conjugate.
+    # A custom f takes the sphere route of the Capra conjugate.
     nu = NormalizationSpec.lp(p)
     for f in (ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()):
         rows = tightest_pos_hom_on_ball(f, nu, ROW_POINTS, ROW_CANDIDATES)
