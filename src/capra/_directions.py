@@ -26,7 +26,7 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
 def unit_directions(count: int, dim: int) -> np.ndarray:
     """Deterministic quasi-uniform points on the Euclidean unit sphere."""
     if dim < 1:
-        raise ValueError(f"dimension must be >= 1 (got {dim})")
+        raise ValueError(f"invalid-dim: dimension must be >= 1 (got {dim})")
     if dim == 1:
         reps = (count + 1) // 2
         out = np.tile([[1.0], [-1.0]], (reps, 1))[:count]

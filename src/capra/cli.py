@@ -115,7 +115,7 @@ def cmd_norm(args) -> int:
             phi = PhiSpec.identity(d)
         value = best_norm_object(phi, source).value(x)
     else:
-        raise ValueError(f"unknown norm kind {args.kind!r}")
+        raise ValueError(f"unknown-kind: unknown norm kind {args.kind!r}")
     print(_fmt(value))
     return 0
 
@@ -206,7 +206,7 @@ def cmd_oracle(args) -> int:
             write_sample_csv(ref, args.out)
             print(f"surface written to {args.out}")
         return 0
-    raise ValueError(f"unknown oracle {args.oracle!r}")
+    raise ValueError(f"unknown-oracle: unknown oracle {args.oracle!r}")
 
 
 def cmd_verify(args) -> int:

@@ -55,12 +55,13 @@ from .norms import (
     PhiSpec,
     SourceNormSpec,
     _check_homogeneous,
+    _check_phi_dim,
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import (FunctionSample, Grid, _axis_extent, _block_rows, _check_pairing,
-                       _check_work, _count_nonzero_rows, _finite_scale, _nonzero_rows,
-                       _refuse_nonfinite, as_extreal, low_add)
+from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _block_rows,
+                       _check_pairing, _check_work, _count_nonzero_rows, _finite_scale,
+                       _nonzero_rows, _refuse_nan, _refuse_nonfinite, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -131,8 +132,10 @@ def _grid_transform(grids, values) -> np.ndarray:
     then of that onto ``grids[2]`` if given: the flat values on the last
     grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
     ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
-    Once the fold is decided, :func:`_check_grid_work` and, transform by
-    transform, :func:`_check_pairing` refuse the chain before the first pass.
+    Grids of another dimension than ``grids[0]`` raise
+    ``dimension-mismatch``; once the fold is decided,
+    :func:`_check_grid_work` and, transform by transform,
+    :func:`_check_pairing` refuse the chain before the first pass.
 
     On a product grid the max over primal nodes factors by axis (the
     separability behind Lucet's discrete Legendre transform), e.g. in 2-d
@@ -153,6 +156,9 @@ def _grid_transform(grids, values) -> np.ndarray:
     equals the unfolded one in value; only the sign of a zero can differ
     (the max of sums that tie at +0.0 and -0.0).
     """
+    if any(grid.dim != grids[0].dim for grid in grids):
+        raise ValueError(f"dimension-mismatch: dual grid dimension {grids[1].dim} != "
+                         f"{grids[0].dim}")
     symmetric = _symmetric_axes(grids)
     if isinstance(values, tuple):
         # Even by construction; the orthant is the non-negative half of each
@@ -205,9 +211,7 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
     differ.  A NaN dual coordinate raises ``nan-input`` and an infinite one
     ``nonfinite-input`` (its pairing with a zero coordinate would be NaN).
     """
-    duals = np.asarray(duals, dtype=float)
-    if duals.ndim != 2:
-        raise ValueError("expected a 2-d array of dual points")
+    duals = _as_rows(duals)
     if duals.shape[1] != points.shape[1]:
         raise ValueError(f"dimension-mismatch: dual points must have dimension {points.shape[1]} "
                          f"(got {duals.shape[1]})")
@@ -252,8 +256,6 @@ def fenchel_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     """Discrete Fenchel conjugate: ``f*(y) = max_x (<x, y> - f(x))`` with the
     max over the primal grid nodes and lower-addition rules for infinities.
     """
-    if dual_grid.dim != f.grid.dim:
-        raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
     return FunctionSample(dual_grid, _grid_transform((f.grid, dual_grid), f.values))
 
 
@@ -261,18 +263,13 @@ def fenchel_biconjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     """Conjugate twice through ``dual_grid``; result is <= f at every node and
     is the grid-restricted closed convex envelope of the samples (for dual
     grids covering the supporting slopes)."""
-    if dual_grid.dim != f.grid.dim:
-        raise ValueError(f"dual grid dimension {dual_grid.dim} != {f.grid.dim}")
     return FunctionSample(f.grid, _grid_transform((f.grid, dual_grid, f.grid), f.values))
 
 
 def conjugate_at_points(f: FunctionSample, points) -> np.ndarray:
-    """Values of the discrete conjugate of ``f`` at arbitrary dual points."""
-    points = np.atleast_2d(np.asarray(points, dtype=float))
-    if points.shape[1] != f.grid.dim:
-        raise ValueError(f"dimension-mismatch: dual points must have dimension {f.grid.dim} "
-                         f"(got {points.shape[1]})")
-    return _conjugate_values(f.grid.nodes, f.values, points)
+    """Values of the discrete conjugate of ``f`` at arbitrary dual points
+    (:func:`_conjugate_values` of one point or an (n, d) array of them)."""
+    return _conjugate_values(f.grid.nodes, f.values, np.atleast_2d(points))
 
 
 @dataclass
@@ -297,7 +294,8 @@ class ZeroHomFnSpec:
 
     The main family is ``phi_l0``: f(x) = phi(number of nonzeros of x).
     Custom callables are accepted; 0-homogeneity is the caller's contract
-    and is spot-checked by the test suite.
+    and is spot-checked by the test suite.  A spec given both ``fn`` (one
+    point) and ``batch`` ((n, d) points) must have them agree at every point.
     """
 
     kind: str
@@ -315,40 +313,33 @@ class ZeroHomFnSpec:
 
     @classmethod
     def constant_zero(cls) -> "ZeroHomFnSpec":
-        return cls(
-            kind="custom",
-            fn=lambda x: 0.0,
-            batch_fn=lambda X: np.zeros(X.shape[0]),
-        )
+        return cls.custom(lambda x: 0.0, batch=lambda X: np.zeros(X.shape[0]))
 
     @classmethod
     def custom(cls, fn: Callable, batch: Callable | None = None) -> "ZeroHomFnSpec":
         return cls(kind="custom", fn=fn, batch_fn=batch)
 
-    def _check_phi_dim(self, X: np.ndarray) -> None:
-        """``invalid-phi`` unless the points (the last axis of X) have the
-        dimension of phi."""
-        if X.shape[-1:] != (self.phi.dim,):
-            raise ValueError(f"invalid-phi: phi has dim {self.phi.dim}, "
-                             f"points have dim {X.shape[-1] if X.ndim else 0}")
-
     def value(self, x) -> float:
-        x = np.asarray(x, dtype=float)
+        """f(x): phi of the nonzero count, or for a custom f the one-row case
+        of :meth:`batch`."""
+        x = np.asarray(x, dtype=float).reshape(-1)
         if self.kind == "phi_l0":
-            self._check_phi_dim(x)
+            _check_phi_dim(self.phi, x.size)
             return self.phi(int(np.count_nonzero(x)))
-        return as_extreal(self.fn(x))
+        return float(self.batch(x[None])[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
+        """f at each row of the (n, d) array X.  The one place a custom f is
+        evaluated: by ``batch_fn`` if given, else by ``fn`` row by row; a NaN
+        value raises ``nan-input``."""
+        X = _as_rows(X)
         if self.kind == "phi_l0":
-            if X.ndim != 2:
-                raise ValueError("expected a 2-d array of row vectors")
-            self._check_phi_dim(X)
+            _check_phi_dim(self.phi, X.shape[1])
             return self.phi.values[_count_nonzero_rows(X)]
-        if self.batch_fn is not None:
-            return np.asarray(self.batch_fn(X), dtype=float)
-        return np.array([self.value(row) for row in X])
+        vals = self.batch_fn(X) if self.batch_fn else [float(self.fn(row)) for row in X]
+        vals = np.asarray(vals, dtype=float)
+        _refuse_nan(vals, "a value of f")
+        return vals
 
 
 def build_sphere_sample(nu: NormalizationSpec, dim: int,
@@ -360,8 +351,8 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     low-discrepancy directions within larger supports), so functions whose
     level sets are tied to support size have all strata covered.  Directions
     are mapped to the sphere by the normalization mapping x -> x / nu(x).
-    The sphere route of :func:`_capra_route` builds the sample of an lp nu
-    once per ``(p, dim)`` and shares it read-only; see :func:`_lp_sphere_sample`.
+    The sphere route of :func:`_capra_route`, taken only for a custom f or
+    a custom nu, builds its sample on every call.
     """
     if dim < 1:
         raise ValueError(f"invalid-dim: a sphere sample needs dim >= 1 (got {dim})")
@@ -404,14 +395,15 @@ def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
     nonzero = _nonzero_rows(sample)
     if nonzero.all():
-        raise ValueError("sphere sample must contain the origin")
+        raise ValueError("invalid-sample: sphere sample must contain the origin")
     _check_homogeneous(nu, sample.shape[1])
     # Spot-check membership of the sphere on a few nonzero rows.
     idx = np.flatnonzero(nonzero)[:64]
     if idx.size:
         nv = nu.batch(sample[idx])
         if np.any(np.abs(nv - 1.0) > 1e-6):
-            raise ValueError("sphere sample contains points off the unit sphere of nu")
+            raise ValueError("invalid-sample: sphere sample contains points off the unit "
+                             "sphere of nu")
     return _conjugate_values(sample, f.batch(sample), Y)
 
 
@@ -474,12 +466,9 @@ def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
     """:func:`capra_conjugate_l0_analytic` at each row of the (n, d) array
     ``Y``; a NaN coordinate raises ``nan-input``."""
     if source.kind != "lp":
-        raise ValueError("analytic conjugate requires an lp source norm")
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
-    if phi.dim != Y.shape[1]:
-        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {Y.shape[1]}")
+        raise ValueError("unsupported-source: analytic conjugate requires an lp source norm")
+    Y = _as_rows(Y)
+    _check_phi_dim(phi, Y.shape[1])
     table = top_k_norm_table(Y, conj_exponent(source.p))
     terms = table - phi.values[None, 1:]
     return np.maximum(0.0, terms.max(axis=1))

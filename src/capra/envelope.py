@@ -44,6 +44,7 @@ from .norms import (
     NormalizationSpec,
     PhiSpec,
     _check_homogeneous,
+    _check_phi_dim,
     lp_value,
 )
 from .numerics import FunctionSample, Grid, _finite_scale, default_dual_grid, format_extreal
@@ -129,9 +130,10 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     if route == "auto":
         route = "analytic" if _analytic_applicable(f, nu) else "ball"
     if route not in ("analytic", "ball"):
-        raise ValueError(f"unknown route {route!r}")
+        raise ValueError(f"unknown-route: unknown route {route!r}")
     if route == "analytic" and not _analytic_applicable(f, nu):
-        raise ValueError("analytic route requires phi∘l0 and an lp normalization")
+        raise ValueError("unsupported-route: analytic route requires phi∘l0 and an lp "
+                         "normalization")
     # A custom f is evaluated once: when its values on the ball size the dual
     # grid, they feed the transform too.
     sized = dual_grid is None and f.kind != "phi_l0"
@@ -165,15 +167,12 @@ def l0_envelope_linf(x, phi: PhiSpec | None = None) -> float:
     x = np.asarray(x, dtype=float).reshape(-1)
     if phi is None:
         phi = PhiSpec.identity(x.size)
-    if phi.dim != x.size:
-        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, point has dim {x.size}")
+    _check_phi_dim(phi, x.size)
     c = phi(1)
     for l in range(1, phi.dim + 1):
         if not math.isfinite(phi(l)) or abs(phi(l) - c * l) > 1e-12 * max(1.0, c * l):
-            raise ValueError(
-                "closed form requires phi proportional to the identity; "
-                "use tightest_convex_on_ball for general weights"
-            )
+            raise ValueError("unsupported-phi: closed form requires phi proportional to the "
+                             "identity; use tightest_convex_on_ball for general weights")
     if lp_value(x, math.inf) <= 1.0:
         return c * lp_value(x, 1.0)
     return math.inf
@@ -209,8 +208,8 @@ def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
 
 def _restricted(f: FunctionSample, subset) -> tuple[np.ndarray, FunctionSample]:
     """The node mask of the subset U (a node predicate or a boolean mask),
-    and f plus the indicator of U (f on U, +inf off it); an empty U raises
-    ``empty-U``."""
+    and f plus the indicator of U (f on U, +inf off it); a mask of another
+    length raises ``invalid-shape`` and an empty U ``empty-subset``."""
     grid = f.grid
     if callable(subset):
         mask = np.fromiter((bool(subset(x)) for x in grid.nodes), dtype=bool,
@@ -218,9 +217,9 @@ def _restricted(f: FunctionSample, subset) -> tuple[np.ndarray, FunctionSample]:
     else:
         mask = np.asarray(subset, dtype=bool).reshape(-1)
         if mask.shape[0] != grid.node_count:
-            raise ValueError("subset mask length does not match node count")
+            raise ValueError("invalid-shape: subset mask length does not match node count")
     if not mask.any():
-        raise ValueError("empty-U: subset contains no grid node")
+        raise ValueError("empty-subset: subset contains no grid node")
     return mask, FunctionSample(grid, np.where(mask, f.values, math.inf))
 
 
@@ -248,7 +247,7 @@ def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
     mask, masked = _restricted(f, subset)
     zero_rows = np.flatnonzero(np.all(f.grid.nodes == 0.0, axis=1))
     if zero_rows.size == 0 or not mask[zero_rows[0]]:
-        raise ValueError("zero-not-in-U: the origin must be a subset node")
+        raise ValueError("zero-not-in-subset: the origin must be a subset node")
     f0 = float(f.values[zero_rows[0]])
     if f0 != 0.0:
         raise ValueError(f"f-at-zero-nonzero: f(0) = {f0}")

@@ -10,13 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _block_rows, _check_work, _nonzero_rows, _refuse_nan
+from .numerics import _as_rows, _block_rows, _check_work, _nonzero_rows, _refuse_nan
 
 __all__ = [
     "conj_exponent",
@@ -97,9 +98,7 @@ def lp_value(x, p: float) -> float:
 def _abs_rows(X) -> np.ndarray:
     """``|X|`` as a 2-d float array of at least one column: the shape
     check of the batch entry points."""
-    a = np.abs(np.asarray(X, dtype=float))
-    if a.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
+    a = np.abs(_as_rows(X))
     if a.shape[1] == 0:
         raise ValueError("empty-point: rows need at least one coordinate")
     return a
@@ -113,7 +112,7 @@ def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
     a = _abs_rows(X)
     m = a.max(axis=1)
     # The row maximum propagates NaN.
-    _refuse_nan(m, "a row")
+    _refuse_nan(m, "a row coordinate")
     if p == math.inf:
         return m
     # Rows with maximum 0 or +inf keep it as their value.
@@ -132,7 +131,9 @@ class NormalizationSpec:
 
     Use :meth:`lp` for the lp family (any p > 0, including p < 1) or
     :meth:`custom` to wrap an arbitrary evaluator, whose homogeneity is
-    spot-checked where it first meets a grid or a sphere sample.
+    spot-checked where it first meets a grid or a sphere sample.  A spec
+    given both ``fn`` (one point) and ``batch`` ((n, d) points) must have
+    them agree at every point.
     """
 
     kind: str
@@ -151,33 +152,28 @@ class NormalizationSpec:
         return cls(kind="custom", fn=fn, batch_fn=batch)
 
     def value(self, x) -> float:
-        """nu(x); a custom evaluator's value at a nonzero point must be
-        positive and finite, else ``invalid-normalization`` is raised."""
+        """nu(x): :func:`lp_value`, or for a custom nu the one-row case of
+        :meth:`batch`."""
         if self.kind == "lp":
             return lp_value(x, self.p)
-        x = np.asarray(x, dtype=float)
-        v = float(self.fn(x))
-        _check_custom_values(x[None], np.array([v]))
-        return v
+        return float(self.batch(np.asarray(x, dtype=float).reshape(1, -1))[0])
 
     def batch(self, X: np.ndarray) -> np.ndarray:
-        """nu at each row of X, checked as in :meth:`value`."""
-        X = np.asarray(X, dtype=float)
+        """nu at each row of the (n, d) array X.  The one place a custom nu
+        is evaluated: by ``batch_fn`` if given, else by ``fn`` row by row; its
+        value at a nonzero row must be positive and finite, else
+        ``invalid-normalization`` names the first bad row."""
         if self.kind == "lp":
             return lp_value_batch(X, self.p)
+        X = _as_rows(X)
         vals = self.batch_fn(X) if self.batch_fn else [float(self.fn(row)) for row in X]
-        return _check_custom_values(X, np.asarray(vals, dtype=float))
-
-
-def _check_custom_values(X: np.ndarray, vals: np.ndarray) -> np.ndarray:
-    """``vals``, a custom nu at the rows of X, if positive and finite at the
-    nonzero rows; else ``invalid-normalization`` for the first bad row."""
-    bad = ~((vals > 0.0) & (vals < math.inf)) & _nonzero_rows(X)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise ValueError(f"invalid-normalization: nu(x) = {float(vals[i])} at the nonzero "
-                         f"point x = {X[i].tolist()}")
-    return vals
+        vals = np.asarray(vals, dtype=float)
+        bad = ~((vals > 0.0) & (vals < math.inf)) & _nonzero_rows(X)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ValueError(f"invalid-normalization: nu(x) = {float(vals[i])} at the nonzero "
+                             f"point x = {X[i].tolist()}")
+        return vals
 
 
 def _check_homogeneous(nu: NormalizationSpec, dim: int) -> None:
@@ -309,6 +305,13 @@ class PhiSpec:
         return cls(vals)
 
 
+def _check_phi_dim(phi: PhiSpec, dim: int) -> None:
+    """``invalid-phi`` unless phi has a level for each sparsity of points
+    in R^dim."""
+    if phi.dim != dim:
+        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {dim}")
+
+
 def top_k_norm(y, q: float, k: int) -> float:
     """q-norm of the k largest-magnitude components of y."""
     a, m = _abs_point(y, ascending=True)
@@ -330,7 +333,7 @@ def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
     """
     a = -np.sort(-_abs_rows(Y), axis=1)
     # The sort puts NaN last, so the last column holds every row's NaN.
-    _refuse_nan(a[:, -1], "a row")
+    _refuse_nan(a[:, -1], "a row coordinate")
     return _top_k_table(a, q)
 
 
@@ -355,6 +358,11 @@ def _k_support_l2(x, k: int) -> float:
     # are averaged; r is the unique split with
     #   z_{k-r-1} > (sum of the trailing d-k+r+1 terms) / (r+1) >= z_{k-r}.
     z = np.ascontiguousarray(_abs_point(x, ascending=True)[0][::-1])
+    # Where the products below, up to (d max|x|)^2, leave the normal float
+    # range, the norm is taken at x / max|x| and scaled back.
+    m, top = float(z[0]), float(z[0]) * z.size
+    if 0.0 < m < math.inf and not (m * m >= sys.float_info.min and top * top < math.inf):
+        return m * _k_support_l2(z / m, k)
     tail = np.concatenate([np.cumsum(z[::-1])[::-1], [0.0]])
     for r in range(k):
         upper = math.inf if k - r - 1 == 0 else float(z[k - r - 2])
@@ -381,7 +389,11 @@ def k_support_norm(x, p: float, k: int) -> float:
     if p == 1.0:
         return lp_value(x, 1.0)
     if p == math.inf:
-        return max(lp_value(x, 1.0) / k, lp_value(x, math.inf))
+        l1, linf = lp_value(x, 1.0), lp_value(x, math.inf)
+        if l1 == math.inf and linf < math.inf:
+            # l1 overflows, l1 / k may not: take it at x / max|x|.
+            return linf * max(lp_value(x / linf, 1.0) / k, 1.0)
+        return max(l1 / k, linf)
     if p == 2.0:
         return _k_support_l2(x, k)
     raise ValueError(
@@ -428,7 +440,7 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     n, d = Y.shape
     if d != source.dim:
         raise ValueError(f"dimension-mismatch: points have dim {d}, the source {source.dim}")
-    _refuse_nan(Y, "a point")
+    _refuse_nan(Y, "a point coordinate")
     per_row = sum(math.comb(d, l) * (_DIRECTIONS_PER_SUBSET + 3**l - 1) for l in levels)
     _check_work(n * per_row, "custom dual gauge", "pairings")
     out = np.zeros((n, len(levels)))
@@ -469,7 +481,7 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     if method == "sort":
         return top_k_norm(y, q, k)
     if method != "enumerate":
-        raise ValueError(f"unknown method {method!r}")
+        raise ValueError(f"unknown-method: unknown method {method!r}")
     # The restricted dual of lp on a support K is lq on K, and it is
     # monotone in K, so size-k supports suffice.
     best = 0.0
@@ -487,8 +499,7 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
-    if phi.dim != d:
-        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, point has dim {d}")
+    _check_phi_dim(phi, d)
     if source.kind != "lp":
         return float(phi_dual_gauge_batch(y[None], phi, source)[0])
     a, m = _abs_point(y, ascending=True)
@@ -509,11 +520,8 @@ def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
     with finite phi(l) (:func:`top_k_norm_table` for an lp source,
     :func:`_custom_dual_table` for a custom one).  NaN raises ``nan-input``.
     """
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError("expected a 2-d array of row vectors")
-    if phi.dim != Y.shape[1]:
-        raise ValueError(f"invalid-phi: phi has dim {phi.dim}, points have dim {Y.shape[1]}")
+    Y = _as_rows(Y)
+    _check_phi_dim(phi, Y.shape[1])
     w = phi.values[1:]
     finite = np.isfinite(w)
     if source.kind == "lp":
@@ -583,10 +591,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     coordinate times a zero one, are skipped, so an infinite coordinate
     gives +inf.
     """
-    if phi.dim != source.dim:
-        raise ValueError(
-            f"invalid-phi: phi has dim {phi.dim}, source has dim {source.dim}"
-        )
+    _check_phi_dim(phi, source.dim)
 
     def dual(y):
         return phi_dual_gauge(y, phi, source)
@@ -637,9 +642,7 @@ def parse_config(obj: dict, dim: int) -> dict:
     out: dict = {"source": None, "phi": None}
     if obj.get("phi") is not None:
         out["phi"] = PhiSpec.from_values(obj["phi"])
-        if out["phi"].dim != dim:
-            raise ValueError(f"invalid-phi: phi has dim {out['phi'].dim}, "
-                             f"config dimension is {dim}")
+        _check_phi_dim(out["phi"], dim)
     spec = obj.get("source")
     if spec is not None:
         if not isinstance(spec, dict) or "lp" not in spec:

@@ -100,24 +100,33 @@ def _count_nonzero_rows(X: np.ndarray) -> np.ndarray:
 
 
 def as_extreal(value) -> float:
-    """Coerce ``value`` to a float in [-inf, +inf]; NaN is rejected."""
+    """Coerce ``value`` to a float in [-inf, +inf]; NaN raises ``nan-input``."""
     v = float(value)
     if math.isnan(v):
-        raise ValueError("extended real must be finite, +inf or -inf (got nan)")
+        raise ValueError("nan-input: extended real must be finite, +inf or -inf (got nan)")
     return v
 
 
+def _as_rows(X) -> np.ndarray:
+    """X as a 2-d float array of row vectors; any other shape raises
+    ``invalid-shape``."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise ValueError("invalid-shape: expected a 2-d array of row vectors")
+    return X
+
+
 def _refuse_nan(a: np.ndarray, what: str) -> None:
-    """The array-level NaN check of the batch and conjugacy entry points:
-    raises ``nan-input`` when ``a`` holds a NaN (``what`` names whose
-    coordinate it is)."""
+    """The array-level NaN check: raises ``nan-input`` when ``a`` holds a
+    NaN (``what`` names the entry, e.g. "a point coordinate")."""
     if np.isnan(a).any():
-        raise ValueError(f"nan-input: {what} coordinate is NaN")
+        raise ValueError(f"nan-input: {what} is NaN")
 
 
 def _refuse_nonfinite(a: np.ndarray, what: str) -> None:
-    """:func:`_refuse_nan`, then ``nonfinite-input`` when ``a`` holds +-inf."""
-    _refuse_nan(a, what)
+    """:func:`_refuse_nan`, then ``nonfinite-input`` when ``a`` holds +-inf
+    (``what`` names whose coordinate it is)."""
+    _refuse_nan(a, f"{what} coordinate")
     if np.isinf(a).any():
         raise ValueError(f"nonfinite-input: {what} coordinate is infinite")
 
@@ -294,7 +303,7 @@ class FunctionSample:
     """Extended-real values of a function on the nodes of a :class:`Grid`.
 
     ``values[i]`` is the value at ``grid.nodes[i]``; entries may be ±inf but
-    never NaN.  Indicator functions are encoded as 0 / +inf values.  ``==``
+    never NaN (``nan-input``).  Indicator functions are encoded as 0 / +inf values.  ``==``
     is identity.
     """
 
@@ -304,12 +313,9 @@ class FunctionSample:
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float).reshape(-1)
         if vals.shape[0] != self.grid.node_count:
-            raise ValueError(
-                f"values length {vals.shape[0]} does not match node count "
-                f"{self.grid.node_count}"
-            )
-        if np.isnan(vals).any():
-            raise ValueError("sample values must not contain NaN")
+            raise ValueError(f"invalid-sample: values length {vals.shape[0]} does not match "
+                             f"node count {self.grid.node_count}")
+        _refuse_nan(vals, "a sample value")
         vals = vals.copy()
         vals.flags.writeable = False
         self.values = vals
@@ -321,7 +327,7 @@ class FunctionSample:
 
 def sample(fn: Callable, grid: Grid) -> FunctionSample:
     """Evaluate ``fn`` at every grid node (row-major order)."""
-    return FunctionSample(grid, np.array([as_extreal(fn(x)) for x in grid.nodes]))
+    return FunctionSample(grid, np.array([float(fn(x)) for x in grid.nodes]))
 
 
 def format_extreal(v: float, finite: Callable = repr):
@@ -376,13 +382,13 @@ def read_sample_csv(path):
     with open(path, "r", encoding="ascii") as fh:
         header = fh.readline().strip().split(",")
         if header[-1] != "value" or not header[0].startswith("x_"):
-            raise ValueError(f"unrecognized sample CSV header: {header}")
+            raise ValueError(f"invalid-sample: unrecognized sample CSV header: {header}")
         d = len(header) - 1
         pts, vals = [], []
         for line in fh:
             cells = line.strip().split(",")
             if len(cells) != d + 1:
-                raise ValueError(f"malformed sample CSV row: {line!r}")
+                raise ValueError(f"invalid-sample: malformed sample CSV row: {line!r}")
             pts.append([float(c) for c in cells[:d]])
             vals.append(as_extreal(cells[d]))
     return np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)

@@ -74,7 +74,7 @@ def naive_conjugate(f: FunctionSample, dual_grid: Grid) -> FunctionSample:
     """
     d = f.grid.dim
     if dual_grid.dim != d:
-        raise ValueError(f"dual grid dimension {dual_grid.dim} != {d}")
+        raise ValueError(f"dimension-mismatch: dual grid dimension {dual_grid.dim} != {d}")
     _check_work(f.grid.node_count * dual_grid.node_count, "conjugate oracle", "pairs")
     _check_pairing(_axis_extent(f.grid)[0], _axis_extent(dual_grid)[1], _finite_scale(f.values),
                    "conjugate oracle")
@@ -164,7 +164,7 @@ def support_function_bruteforce(x, membership, candidates) -> float:
         raise ValueError("nonfinite-input: every candidate must be finite")
     mask = np.asarray(membership(candidates), dtype=bool)
     if mask.shape != candidates.shape[:1]:
-        raise ValueError(f"membership must return a mask of shape "
+        raise ValueError(f"invalid-shape: membership must return a mask of shape "
                          f"{candidates.shape[:1]} (got {mask.shape})")
     if not mask.any():
         raise ValueError("no-member-found: no candidate passed membership")
@@ -237,7 +237,8 @@ def k_support_bruteforce(x, p: float, k: int, directions) -> float:
     if Y.size == 0:
         return 0.0
     if Y.ndim != 2 or Y.shape[1] != d:
-        raise ValueError(f"directions must be an (n, {d}) array (got shape {Y.shape})")
+        raise ValueError(f"invalid-shape: directions must be an (n, {d}) array "
+                         f"(got shape {Y.shape})")
     if not np.isfinite(Y).all():
         raise ValueError("nonfinite-input: every direction must be finite")
     t = top_k_norm_table(Y, q)[:, k - 1]

@@ -765,7 +765,7 @@ SUITES = {
 
 def run_suite(name: str, seed: int = DEFAULT_SEED) -> list[CheckResult]:
     if name != "all" and name not in SUITES:
-        raise ValueError(f"unknown suite {name!r}; choose from "
+        raise ValueError(f"unknown-suite: unknown suite {name!r}; choose from "
                          f"{sorted(SUITES)} or 'all'")
     names = ("norms", "conjugacy", "envelope", "acceptance") if name == "all" else (name,)
     token = _RUN_MEMO.set({})

@@ -37,6 +37,22 @@ def test_norm_ksupport(capsys):
     assert code == 0 and out.strip() == "1.5"
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("p, k, x, want", [
+    # k = d: the l2 norm, as --kind topk --q 2 --k 2 prints it.
+    ("2", "2", "1e200,1e200", "1.41421356237e+200"),
+    ("2", "2", "1e-200,1e-200", "1.41421356237e-200"),
+    ("2", "2", "3e160,4e160", "5e+160"),
+    # max(l1 / k, linf), whose l1 alone overflows.
+    ("inf", "2", "1e308,1e308", "1e+308"),
+    # The l1 norm, 2e308, overflows: +inf, without an overflow warning.
+    ("2", "1", "1e308,1e308", "+inf"),
+])
+def test_norm_ksupport_at_extreme_scales(capsys, p, k, x, want):
+    code, out, err = run_cli(capsys, "norm", "--kind", "ksupport", "--p", p, "--k", k, "--x", x)
+    assert (code, out, err) == (0, want + "\n", "")
+
+
 def test_norm_best(capsys):
     code, out, _ = run_cli(capsys, "norm", "--kind", "best", "--p", "2",
                            "--phi", "id", "--x", "1,-1")

@@ -849,3 +849,58 @@ def test_sphere_route_is_below_the_analytic_route(d):
         analytic, _ = conjugacy._capra_route(f, nu, Y)
         sphere = conjugacy._sphere_route(f, nu, Y, sample)
         assert np.all(sphere <= analytic + 1e-12)
+
+
+# f is 0 at the origin and NaN elsewhere, given by fn alone and with a batch.
+_NAN_F = (ZeroHomFnSpec.custom(lambda x: math.nan if x.any() else 0.0),
+          ZeroHomFnSpec.custom(lambda x: math.nan if x.any() else 0.0,
+                               batch=lambda X: np.where(X.any(axis=1), math.nan, 0.0)))
+
+
+@pytest.mark.parametrize("f", _NAN_F, ids=["fn", "batch"])
+def test_custom_f_returning_nan_raises_nan_input(f):
+    # The point transforms reported the NaN as pairing-overflow, and the
+    # envelope as an untagged sample error.
+    nu = NormalizationSpec.lp(2.0)
+    coupling, grid = CouplingSpec(nu), ball_box_grid(2, 11)
+    runs = (lambda: capra_conjugate(f, coupling, [1.0, 0.5], build_sphere_sample(nu, 2, 64)),
+            lambda: capra_conjugate_direct(f, coupling, [1.0, 0.5], grid),
+            lambda: capra_subdiff_at_zero(f, coupling, [[0.5, 0.5]]),
+            lambda: tightest_convex_on_ball(f, nu, grid))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for run in runs:
+            with pytest.raises(ValueError, match="^nan-input: "):
+                run()
+
+
+@pytest.mark.parametrize("transform", [fenchel_conjugate, fenchel_biconjugate])
+def test_fenchel_transforms_refuse_a_dual_grid_of_another_dimension(transform):
+    f = sample(lambda x: 0.0, build_grid([(-1.0, 1.0)] * 2, [5, 5]))
+    for dual in (build_grid([(-1.0, 1.0)], [5]), build_grid([(-1.0, 1.0)] * 3, [5] * 3)):
+        with pytest.raises(ValueError, match="^dimension-mismatch: dual grid dimension "):
+            transform(f, dual)
+
+
+def test_custom_value_is_the_one_row_batch():
+    # fn sums |x| in ascending and batch in descending coordinate order:
+    # equal values that round apart at about a third of these points.  With
+    # a batch given, value(x) takes it, as every batch of rows does.
+    X = np.random.default_rng(3).standard_normal((50, 3))
+
+    def l1_rev(X):
+        return np.abs(X)[:, ::-1].sum(axis=1)
+
+    def ratio_rev(X):
+        return l1_rev(X) / np.abs(X).max(axis=1)
+
+    specs = [NormalizationSpec.custom(lambda v: float(np.abs(v).sum())),
+             NormalizationSpec.custom(lambda v: float(np.abs(v).sum()), batch=l1_rev),
+             ZeroHomFnSpec.custom(lambda x: float(np.abs(x).sum() / np.abs(x).max())),
+             ZeroHomFnSpec.custom(lambda x: float(np.abs(x).sum() / np.abs(x).max()),
+                                  batch=ratio_rev)]
+    for spec in specs:
+        for x in X:
+            got = spec.value(x)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == spec.batch(x[None])[0].tobytes()

@@ -294,7 +294,7 @@ def test_best_cvx_on_subset_two_interval_u():
 def test_best_cvx_on_subset_empty_error():
     g = build_grid([(-1.0, 1.0)], [11])
     f = FunctionSample(g, np.zeros(11))
-    with pytest.raises(ValueError, match="empty-U"):
+    with pytest.raises(ValueError, match="empty-subset"):
         best_cvx_on_subset(f, lambda x: False, default_dual_grid(1, 1.0))
 
 
@@ -321,7 +321,7 @@ def test_best_pos_hom_on_subset_errors():
     g = build_grid([(-1.0, 1.0)], [11])
     f = FunctionSample(g, np.abs(g.nodes[:, 0]))
     cand = np.array([[0.0]])
-    with pytest.raises(ValueError, match="zero-not-in-U"):
+    with pytest.raises(ValueError, match="zero-not-in-subset"):
         best_pos_hom_on_subset(f, lambda x: abs(x[0]) > 0.5, [1.0], cand)
     f_bad = FunctionSample(g, np.abs(g.nodes[:, 0]) + 1.0)
     with pytest.raises(ValueError, match="f-at-zero-nonzero"):
