@@ -24,9 +24,11 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
 
 
 def unit_directions(count: int, dim: int) -> np.ndarray:
-    """Deterministic quasi-uniform points on the Euclidean unit sphere."""
+    """Deterministic quasi-uniform points on the Euclidean unit sphere, (count,
+    dim); above ``MAX_TRANSFORM_WORK`` floats refused with ``work-too-large``."""
     if dim < 1:
         raise ValueError(f"invalid-dim: dimension must be >= 1 (got {dim})")
+    _check_work(count * dim, "unit directions", "floats")
     if dim == 1:
         reps = (count + 1) // 2
         out = np.tile([[1.0], [-1.0]], (reps, 1))[:count]

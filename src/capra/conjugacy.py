@@ -60,8 +60,8 @@ from .norms import (
     top_k_norm_table,
 )
 from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _block_rows,
-                       _check_pairing, _check_work, _count_nonzero_rows, _finite_scale,
-                       _nonzero_rows, _refuse_nan, _refuse_nonfinite, low_add)
+                       _check_pairing, _check_work, _count_nonzero_rows, _evaluate_rows,
+                       _finite_scale, _nonzero_rows, _refuse_nan, _refuse_nonfinite, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -89,12 +89,16 @@ def _symmetric_axes(grids) -> list:
             for axes in zip(*(grid.axes for grid in grids))]
 
 
-def _check_grid_work(grids, fold, what: str = "grid transform") -> int:
+def _check_grid_work(grids, fold, what: str = "grid transform", dual: int = 1) -> int:
     """The updates of the chain of transforms through ``grids`` with the axes
-    in ``fold`` folded; each transform, last first, is refused above
-    ``MAX_TRANSFORM_WORK``.  Pass k updates the target counts of the axes
-    before k, both counts of axis k and the source counts of the axes after
-    k, with ``n - n // 2`` of the n nodes of a folded axis."""
+    in ``fold`` folded; grids of two dimensions raise ``dimension-mismatch``
+    (``grids[dual]`` is the dual one), and each transform, last first, is
+    refused above ``MAX_TRANSFORM_WORK``.  Pass k updates the target counts
+    of the axes before k, both counts of axis k and the source counts of
+    the axes after k, with ``n - n // 2`` of the n nodes of a folded axis."""
+    if any(grid.dim != grids[dual].dim for grid in grids):
+        raise ValueError(f"dimension-mismatch: dual grid dimension {grids[dual].dim} != "
+                         f"primal grid dimension {grids[1 - dual].dim}")
     counts = [[n - n // 2 if f else n for n, f in zip(grid.counts, fold)] for grid in grids]
     work = [sum(math.prod(dst[:k + 1]) * math.prod(src[k:]) for k in range(len(src)))
             for src, dst in zip(counts, counts[1:])]
@@ -132,9 +136,8 @@ def _grid_transform(grids, values) -> np.ndarray:
     then of that onto ``grids[2]`` if given: the flat values on the last
     grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
     ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
-    Grids of another dimension than ``grids[0]`` raise
-    ``dimension-mismatch``; once the fold is decided,
-    :func:`_check_grid_work` and, transform by transform,
+    Once the fold is decided, :func:`_check_grid_work` (which also refuses
+    grids of two dimensions) and, transform by transform,
     :func:`_check_pairing` refuse the chain before the first pass.
 
     On a product grid the max over primal nodes factors by axis (the
@@ -156,16 +159,13 @@ def _grid_transform(grids, values) -> np.ndarray:
     equals the unfolded one in value; only the sign of a zero can differ
     (the max of sums that tie at +0.0 and -0.0).
     """
-    if any(grid.dim != grids[0].dim for grid in grids):
-        raise ValueError(f"dimension-mismatch: dual grid dimension {grids[1].dim} != "
-                         f"{grids[0].dim}")
     symmetric = _symmetric_axes(grids)
     if isinstance(values, tuple):
         # Even by construction; the orthant is the non-negative half of each
         # folded axis, and the other axes are gathered onto the whole axis.
         g, inverse = values
         fold = symmetric
-        _check_grid_work(grids, fold)
+        _check_grid_work(grids, fold, "grid transform", 0)
         if not all(fold):
             g = g[np.ix_(*(np.arange(n) if f else inv
                            for n, f, inv in zip(g.shape, fold, inverse)))]
@@ -330,14 +330,13 @@ class ZeroHomFnSpec:
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """f at each row of the (n, d) array X.  The one place a custom f is
-        evaluated: by ``batch_fn`` if given, else by ``fn`` row by row; a NaN
-        value raises ``nan-input``."""
+        evaluated, by :func:`capra.numerics._evaluate_rows`; a NaN value
+        raises ``nan-input``."""
         X = _as_rows(X)
         if self.kind == "phi_l0":
             _check_phi_dim(self.phi, X.shape[1])
             return self.phi.values[_count_nonzero_rows(X)]
-        vals = self.batch_fn(X) if self.batch_fn else [float(self.fn(row)) for row in X]
-        vals = np.asarray(vals, dtype=float)
+        vals = _evaluate_rows(self.fn, self.batch_fn, X, "f")
         _refuse_nan(vals, "a value of f")
         return vals
 
@@ -349,47 +348,64 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
 
     Every sparse coordinate subspace is represented (signed axes exactly;
     low-discrepancy directions within larger supports), so functions whose
-    level sets are tied to support size have all strata covered.  Directions
-    are mapped to the sphere by the normalization mapping x -> x / nu(x).
-    The sphere route of :func:`_capra_route`, taken only for a custom f or
-    a custom nu, builds its sample on every call.
+    level sets are tied to support size have all strata covered.  One array
+    holds the origin, the signed axes, the other sign patterns and each
+    stratum's directions on each support (above ``MAX_TRANSFORM_WORK``
+    floats, ``work-too-large`` before it is built); one ``nu.batch`` maps
+    its nonzero rows to the sphere, x -> x / nu(x).  The sphere route of
+    :func:`_capra_route`, taken only for a custom f or a custom nu, builds
+    its sample on every call.
     """
     if dim < 1:
         raise ValueError(f"invalid-dim: a sphere sample needs dim >= 1 (got {dim})")
     _check_homogeneous(nu, dim)
-    rows = [np.zeros((1, dim))]
-    for i in range(dim):
-        for s in (1.0, -1.0):
-            e = np.zeros((1, dim))
-            e[0, i] = s
-            rows.append(e / nu.value(e[0]))
-    if dim >= 2:
-        # Normalized sign patterns: for polyhedral spheres (l1, linf) the
-        # per-stratum maxima of linear forms sit exactly at these points.
-        corners = sign_patterns(dim)
-        corners = corners[_count_nonzero_rows(corners) >= 2]
-        rows.append(corners / nu.batch(corners)[:, None])
-    used = sum(r.shape[0] for r in rows)
+    # The origin and the 3^dim - 1 sign patterns, then the strata's rows.
+    rows = 3**dim
+    strata = []
     for m in range(2, dim + 1):
-        subsets = list(itertools.combinations(range(dim), m))
         if m == dim:
-            per = max(2 * dim, count - used)
+            per = max(2 * dim, count - rows)
         else:
             per = max(4 * m, 2 * int(round(count ** ((m - 1) / (dim - 1)))))
-        used += per * len(subsets)
+        strata.append((m, per))
+        rows += per * math.comb(dim, m)
+    _check_work(rows * dim, "sphere sample", "floats")
+    sample = np.zeros((rows, dim))
+    # +1 and -1 placed into zeros: a negated identity row would hold -0.0.
+    axes = np.arange(dim)
+    sample[1 + 2 * axes, axes] = 1.0
+    sample[2 + 2 * axes, axes] = -1.0
+    at = 1 + 2 * dim
+    if dim >= 2:
+        # Sign patterns: for polyhedral spheres (l1, linf) the normalized
+        # patterns are where the per-stratum maxima of linear forms sit.
+        corners = sign_patterns(dim)
+        corners = corners[_count_nonzero_rows(corners) >= 2]
+        sample[at:at + len(corners)] = corners
+        at += len(corners)
+    for m, per in strata:
         dirs = unit_directions(per, m)
-        for K in subsets:
-            z = np.zeros((per, dim))
-            z[:, list(K)] = dirs
-            rows.append(z / nu.batch(z)[:, None])
-    return np.vstack(rows)
+        for K in itertools.combinations(range(dim), m):
+            sample[at:at + per, list(K)] = dirs
+            at += per
+    sample[1:] /= nu.batch(sample[1:])[:, None]
+    return sample
 
 
-def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
-                  sphere_sample) -> np.ndarray:
-    """The Capra conjugate at the rows of Y by the sphere route: the max over
-    sample points s of ``low_add(<s, y>, -f(s))``.  Checks the sample, then
-    evaluates f on it once."""
+def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
+                    sphere_sample: np.ndarray) -> float | np.ndarray:
+    """Capra conjugate of a 0-homogeneous f by the sphere route: the max
+    over the sample points s of ``low_add(<s, y>, -f(s))``.
+
+    ``y`` is one dual point, which gives a float, or an (n, d) array of
+    them, which gives one value per row from a single evaluation of f on the
+    sample.  The sample must be a nonempty 2-d array (else
+    ``empty-sample``) that holds the origin and whose first 64 nonzero rows
+    lie on the unit sphere of the coupling's normalization function (else
+    ``invalid-sample``); with dense samples this converges to the Fenchel
+    conjugate of f restricted to the unit ball.
+    """
+    nu = coupling.nu
     sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
@@ -404,20 +420,9 @@ def _sphere_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray,
         if np.any(np.abs(nv - 1.0) > 1e-6):
             raise ValueError("invalid-sample: sphere sample contains points off the unit "
                              "sphere of nu")
-    return _conjugate_values(sample, f.batch(sample), Y)
-
-
-def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
-                    sphere_sample: np.ndarray) -> float:
-    """Capra conjugate of a 0-homogeneous f at y, via the sphere route
-    (:func:`_sphere_route`).
-
-    The sample must lie on the unit sphere of the coupling's normalization
-    function and contain the origin; with dense samples this converges to
-    the Fenchel conjugate of f restricted to the unit ball.
-    """
     y = np.asarray(y, dtype=float)
-    return float(_sphere_route(f, coupling.nu, y[None, :], sphere_sample)[0])
+    conj = _conjugate_values(sample, f.batch(sample), y[None, :] if y.ndim == 1 else y)
+    return float(conj[0]) if y.ndim == 1 else conj
 
 
 def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
@@ -545,7 +550,7 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     the source of :func:`_lp_source` (exact up to rounding; tolerance
     ``ANALYTIC_TOL``).  Only a custom f or a custom nu takes the sphere
     route over ``build_sphere_sample(nu, d)``, built on every call and
-    checked by :func:`_sphere_route`.  A sup over a sample of the sphere
+    checked by :func:`capra_conjugate`.  A sup over a sample of the sphere
     misses the optimum by the coverage gap ``count^(-1/(d-1))`` times a
     Lipschitz factor of order ``1 + |y|``, so the tolerance is
     ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
@@ -555,7 +560,7 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     if _analytic_applicable(f, nu):
         return capra_conjugate_l0_analytic_batch(Y, f.phi, _lp_source(nu, dim)), ANALYTIC_TOL
     sample = build_sphere_sample(nu, dim)
-    conj = _sphere_route(f, nu, Y, sample)
+    conj = capra_conjugate(f, CouplingSpec(nu), Y, sample)
     if dim <= 1:
         return conj, ANALYTIC_TOL
     gap = float(len(sample)) ** (-1.0 / (dim - 1))

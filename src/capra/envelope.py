@@ -141,11 +141,12 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     if dual_grid is None:
         dual_grid = default_dual_grid(dim, _finite_scale(values if sized else f.phi.values))
     chain = (dual_grid, eval_grid) if route == "analytic" else (eval_grid, dual_grid, eval_grid)
-    # Refuse oversized requests before any dual node is built (or primal one,
-    # unless a custom f sized the dual grid).  The analytic orthant folds every
-    # sign-symmetric axis; f on the ball is not known yet, so no ball axis folds.
+    # Refuse mismatched or oversized grids before any dual node is built (or
+    # primal one, unless a custom f sized the dual grid).  The analytic orthant
+    # folds every sign-symmetric axis; f on the ball is not known yet, so no
+    # ball axis folds.
     fold = _symmetric_axes(chain) if route == "analytic" else [False] * dim
-    _check_grid_work(chain, fold, "envelope transform")
+    _check_grid_work(chain, fold, "envelope transform", 0 if route == "analytic" else 1)
     if route == "analytic":
         values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, _lp_source(nu, dim))
     elif values is None:

@@ -17,7 +17,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import _as_rows, _block_rows, _check_work, _nonzero_rows, _refuse_nan
+from .numerics import (_as_rows, _block_rows, _check_work, _evaluate_rows, _nonzero_rows,
+                       _refuse_nan)
 
 __all__ = [
     "conj_exponent",
@@ -160,14 +161,13 @@ class NormalizationSpec:
 
     def batch(self, X: np.ndarray) -> np.ndarray:
         """nu at each row of the (n, d) array X.  The one place a custom nu
-        is evaluated: by ``batch_fn`` if given, else by ``fn`` row by row; its
-        value at a nonzero row must be positive and finite, else
+        is evaluated, by :func:`capra.numerics._evaluate_rows`; its value at a
+        nonzero row must be positive and finite, else
         ``invalid-normalization`` names the first bad row."""
         if self.kind == "lp":
             return lp_value_batch(X, self.p)
         X = _as_rows(X)
-        vals = self.batch_fn(X) if self.batch_fn else [float(self.fn(row)) for row in X]
-        vals = np.asarray(vals, dtype=float)
+        vals = _evaluate_rows(self.fn, self.batch_fn, X, "nu")
         bad = ~((vals > 0.0) & (vals < math.inf)) & _nonzero_rows(X)
         if bad.any():
             i = int(np.argmax(bad))
@@ -242,9 +242,11 @@ class SourceNormSpec:
         return cls(kind="custom", dim=int(dim), fn=fn)
 
     def value(self, x) -> float:
+        """The source at x; for a custom source, ``fn`` at x as one row."""
         if self.kind == "lp":
             return lp_value(x, self.p)
-        return float(self.fn(np.asarray(x, dtype=float)))
+        return float(_evaluate_rows(self.fn, None, np.asarray(x, dtype=float).reshape(1, -1),
+                                    "the source")[0])
 
 
 @dataclass
@@ -421,7 +423,7 @@ def _restricted_dual_cloud(source: SourceNormSpec,
         for i, K in enumerate(supports):
             Z = np.zeros((len(dirs), d))
             Z[:, K] = dirs
-            t[i] = [source.value(z) for z in Z]
+            t[i] = _evaluate_rows(source.fn, None, Z, "the source")
         values = np.where((t > 0.0) & (t < math.inf), t, math.nan)
         cloud = source._restricted_clouds[k] = (supports, dirs, values)
     return cloud
@@ -612,8 +614,8 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
         if _abs_point(x)[1] == 0.0:
             return 0.0
         if cloud is None:
-            U = np.vstack([unit_directions(n_directions, source.dim),
-                           sign_patterns(source.dim)])
+            patterns = sign_patterns(source.dim)  # refused before the directions
+            U = np.vstack([unit_directions(n_directions, source.dim), patterns])
             g = phi_dual_gauge_batch(U, phi, source)
             keep = (g > 0.0) & (g < math.inf)
             C = U[keep] / g[keep, None]

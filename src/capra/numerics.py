@@ -116,6 +116,25 @@ def _as_rows(X) -> np.ndarray:
     return X
 
 
+def _evaluate_rows(fn: Callable | None, batch_fn: Callable | None, X: np.ndarray,
+                   what: str) -> np.ndarray:
+    """The one call of a user's function ``what`` at the rows of the 2-d X:
+    ``batch_fn(X)`` if given, else ``fn`` at each row.  One real number per
+    row (Python or numpy floats, ints or bools, 0-d arrays) comes back as
+    floats with its bits; anything else, None included, raises
+    ``invalid-shape``.  Each caller applies its own value rule."""
+    raw = batch_fn(X) if batch_fn is not None else [fn(row) for row in X]
+    try:
+        vals = np.asarray(raw)
+    except ValueError:  # a ragged sequence
+        vals = None
+    if vals is None or vals.shape != (len(X),) or vals.dtype.kind not in "biuf":
+        got = "a ragged sequence" if vals is None else f"shape {vals.shape}, dtype {vals.dtype}"
+        raise ValueError(f"invalid-shape: {what} must give one real number per row, "
+                         f"{len(X)} in all (got {got})")
+    return vals.astype(float, copy=False)
+
+
 def _refuse_nan(a: np.ndarray, what: str) -> None:
     """The array-level NaN check: raises ``nan-input`` when ``a`` holds a
     NaN (``what`` names the entry, e.g. "a point coordinate")."""
@@ -326,8 +345,9 @@ class FunctionSample:
 
 
 def sample(fn: Callable, grid: Grid) -> FunctionSample:
-    """Evaluate ``fn`` at every grid node (row-major order)."""
-    return FunctionSample(grid, np.array([float(fn(x)) for x in grid.nodes]))
+    """Evaluate ``fn`` at every grid node (row-major order); a value that is
+    not one real number raises ``invalid-shape``."""
+    return FunctionSample(grid, _evaluate_rows(fn, None, grid.nodes, "fn"))
 
 
 def format_extreal(v: float, finite: Callable = repr):

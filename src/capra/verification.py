@@ -296,7 +296,7 @@ def _check_two_route(seed: int, grid_count: int = 101, n_duals: int = 20) -> Che
                                [0.2, -2.7], [2.2, 2.0]]])
             ball_route = cj._conjugate_values(grid.nodes, fvals, Y)
             direct_route = cj.capra_conjugate_direct(f, cj.CouplingSpec(nu), Y, grid)
-            sphere_route = cj._sphere_route(f, nu, Y, samp)
+            sphere_route = cj.capra_conjugate(f, cj.CouplingSpec(nu), Y, samp)
             for y, bv, dv, sv in zip(Y, ball_route, direct_route, sphere_route):
                 tol = 5.0 * h * (1.0 + float(np.linalg.norm(y)))
                 worst = max(worst, abs(bv - sv) / tol, abs(dv - sv) / tol)
@@ -401,7 +401,7 @@ def _check_analytic_vs_sphere(seed: int) -> CheckResult:
                     rows.append(u * rng.uniform(0.0, 4.0))
                 Y = np.array(rows)
                 a = cj.capra_conjugate_l0_analytic_batch(Y, f.phi, src)
-                s = cj._sphere_route(f, nu, Y, samp)
+                s = cj.capra_conjugate(f, cj.CouplingSpec(nu), Y, samp)
                 worst = max(worst, float(np.abs(a - s).max()))
     return CheckResult("analytic-vs-sphere-route", worst <= 1e-3, 1e-3, worst)
 

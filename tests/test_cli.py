@@ -351,7 +351,8 @@ def test_ksupport_oracle_refuses_dimension_before_building_directions(capsys, mo
 
 def test_best_norm_sign_patterns_work_cap(capsys, monkeypatch):
     # A phi that does not collapse samples the dual ball on 3^d - 1 sign
-    # patterns; their 3^d d floats are counted before any is built.
+    # patterns and 4096 directions; the 3^d d floats of the patterns, then
+    # the 4096 d of the directions, are counted before any is built.
     from capra import numerics
 
     argv = ("norm", "--kind", "best", "--p", "2", "--phi", "0,inf,1,1,1", "--x", "1,1,1,1")
@@ -359,7 +360,11 @@ def test_best_norm_sign_patterns_work_cap(capsys, monkeypatch):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "")
     assert err.startswith("error: work-too-large: sign patterns needs 324 floats")
-    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**4 * 4)
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 4096 * 4 - 1)
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (3, "")
+    assert err.startswith("error: work-too-large: unit directions needs 1.64e+04 floats")
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 4096 * 4)
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0 and float(out) > 0.0
 

@@ -342,6 +342,18 @@ def test_subdiff_at_zero_1d():
     assert np.array_equal(np.sort(acc[:, 0]), np.sort(want[:, 0]))
 
 
+def test_custom_nu_sphere_route_in_one_dimension():
+    # At d = 1 the sample holds the whole sphere {-1, 1}, so the route is
+    # exact: conj(y) = max(0, |y| - 1) for l0 on the ball of |x_0|.
+    coupling = CouplingSpec(NormalizationSpec.custom(lambda x: abs(float(x[0]))))
+    f = ZeroHomFnSpec.l0(1)
+    for y, member in ((1.5, True), (1.0, True), (0.5, False), (-2.0, False)):
+        assert capra_subdiff_contains([y], [1.0], f, coupling) is member
+    cand = np.linspace(-2.0, 2.0, 17)[:, None]
+    acc = capra_subdiff_at_zero(f, coupling, cand)
+    assert np.array_equal(acc, cand[np.abs(cand[:, 0]) <= 1.0]) and len(acc) == 9
+
+
 def test_subdiff_at_zero_lp_sources_linf_ball():
     cand = build_grid([(-2.0, 2.0), (-2.0, 2.0)], [33, 33]).nodes
     for p in (1.0, 2.0, math.inf):
@@ -631,6 +643,12 @@ def test_analytic_batch_rejects_non_2d_points():
             capra_conjugate_l0_analytic_batch(Y, PhiSpec.identity(2), lp2)
 
 
+def test_analytic_batch_refuses_a_custom_source():
+    custom = SourceNormSpec.custom(lambda x: float(np.abs(x).max()), 2)
+    with pytest.raises(ValueError, match="^unsupported-source: analytic conjugate requires an lp"):
+        capra_conjugate_l0_analytic_batch(np.ones((1, 2)), PhiSpec.identity(2), custom)
+
+
 def test_infinite_duals_raise_nonfinite_input():
     # inf * 0.0 is NaN: a point transform refuses an infinite dual
     # coordinate rather than return NaN.
@@ -847,7 +865,7 @@ def test_sphere_route_is_below_the_analytic_route(d):
     for phi in (PhiSpec.identity(d), PhiSpec.from_values([0.0, 1.0, 0.5, 2.0][:d + 1])):
         f = ZeroHomFnSpec.phi_l0(phi)
         analytic, _ = conjugacy._capra_route(f, nu, Y)
-        sphere = conjugacy._sphere_route(f, nu, Y, sample)
+        sphere = capra_conjugate(f, CouplingSpec(nu), Y, sample)
         assert np.all(sphere <= analytic + 1e-12)
 
 

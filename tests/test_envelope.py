@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capra import numerics
+from capra import envelope, numerics
 from capra.conjugacy import CouplingSpec, ZeroHomFnSpec, capra_subdiff_at_zero
 from capra.envelope import (
     BALL_TOL,
@@ -296,6 +296,36 @@ def test_best_cvx_on_subset_empty_error():
     f = FunctionSample(g, np.zeros(11))
     with pytest.raises(ValueError, match="empty-subset"):
         best_cvx_on_subset(f, lambda x: False, default_dual_grid(1, 1.0))
+    for mask in (np.ones(10, dtype=bool), np.ones(12, dtype=bool)):
+        with pytest.raises(ValueError, match="^invalid-shape: subset mask length does not match"):
+            best_cvx_on_subset(f, mask, default_dual_grid(1, 1.0))
+
+
+@pytest.mark.parametrize("f", [ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()],
+                         ids=["analytic", "ball"])
+@pytest.mark.parametrize("dual_dim", [1, 3])
+def test_envelope_refuses_a_dual_grid_of_another_dimension(f, dual_dim, monkeypatch):
+    # Both routes refuse before any node is built or any f or phi is read:
+    # the analytic one read phi on the dual grid first (invalid-phi).
+    eval_grid, dual_grid = ball_box_grid(2, 21), default_dual_grid(dual_dim, 2.0)
+    monkeypatch.setattr(envelope, "_on_ball", lambda *a: pytest.fail("f read on the ball"))
+    monkeypatch.setattr(envelope, "_capra_conjugate_l0_analytic_grid",
+                        lambda *a: pytest.fail("the analytic conjugate ran"))
+    with pytest.raises(ValueError, match=rf"^dimension-mismatch: dual grid dimension {dual_dim} "
+                                         r"!= primal grid dimension 2$"):
+        tightest_convex_on_ball(f, NormalizationSpec.lp(2.0), eval_grid, dual_grid)
+    assert eval_grid._nodes is None and dual_grid._nodes is None
+
+
+def test_envelope_refuses_unknown_and_unsupported_routes():
+    g = ball_box_grid(2, 11)
+    with pytest.raises(ValueError, match="^unknown-route: unknown route 'sphere'"):
+        tightest_convex_on_ball(ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0), g, route="sphere")
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()))
+    for f, nu in ((ZeroHomFnSpec.constant_zero(), NormalizationSpec.lp(2.0)),
+                  (ZeroHomFnSpec.l0(2), l1)):
+        with pytest.raises(ValueError, match="^unsupported-route: analytic route requires"):
+            tightest_convex_on_ball(f, nu, g, route="analytic")
 
 
 def test_best_pos_hom_on_subset_examples():

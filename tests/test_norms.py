@@ -128,6 +128,8 @@ def test_top_k_errors():
         top_k_norm([1.0, 2.0], 1.0, 3)
     with pytest.raises(ValueError, match="k-out-of-range"):
         top_k_norm([1.0, 2.0], 1.0, 0)
+    with pytest.raises(ValueError, match=r"^invalid-q: top-k norm requires q in \[1, inf\]"):
+        top_k_norm_table(np.ones((2, 3)), 0.5)
 
 
 def test_top_k_table_matches_scalar():
@@ -184,6 +186,11 @@ def test_dual_coordinate_k_examples():
     # subset enumeration with sampled restricted duals for a wrapped linf
     src = SourceNormSpec.custom(lambda x: float(np.max(np.abs(x))), 2)
     assert abs(dual_coordinate_k_norm([1.0, 1.0], src, 2) - 2.0) <= 1e-9
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="^k-out-of-range: need 1 <= k <= 2"):
+            dual_coordinate_k_norm([1.0, 1.0], src, k)
+    with pytest.raises(ValueError, match="^unknown-method: unknown method 'scan'"):
+        dual_coordinate_k_norm([1.0, 1.0], SourceNormSpec.lp(2.0, 2), 1, method="scan")
 
 
 def test_dual_coordinate_enumeration_exact():
@@ -367,6 +374,9 @@ def test_phi_spec_validation():
         PhiSpec.from_values([0.0, math.inf, math.inf])
     with pytest.raises(ValueError, match="invalid-phi"):
         PhiSpec(np.array([0.0]))
+    for level in (-1, 3):
+        with pytest.raises(ValueError, match=rf"^invalid-phi: level {level} outside \[0, 2\]"):
+            PhiSpec.identity(2)(level)
 
 
 def test_phi_weights_that_are_not_numbers_raise_invalid_phi():
@@ -400,6 +410,7 @@ def test_best_norm_object_noncollapsing():
                             abs_tol=1e-12)
     assert abs(obj.value([1.0, 0.0]) - 1.0) <= 1e-9
     assert abs(obj.value([1.0, -1.0]) - 1.0) <= 1e-9
+    assert obj.value([0.0, -0.0]) == 0.0
 
 
 @pytest.mark.parametrize("phi,p,n_directions", [
@@ -615,3 +626,23 @@ def test_sign_patterns_work_cap(monkeypatch):
     assert sign_patterns(4).shape == (80, 4)
     monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 3**5 * 5)
     assert sign_patterns(5).shape == (242, 5)
+
+
+def test_unit_directions_work_cap(monkeypatch):
+    # count x dim floats are counted before any array is built, whatever the
+    # dimension's construction.
+    for dim in (1, 2, 3, 5):
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 100 * dim - 1)
+        with pytest.raises(ValueError, match=f"^work-too-large: unit directions needs {100 * dim} "
+                                             "floats"):
+            unit_directions(100, dim)
+        monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 100 * dim)
+        assert unit_directions(100, dim).shape == (100, dim)
+    # best_norm_object builds its cloud of n_directions at the first nonzero x.
+    obj = best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), SourceNormSpec.lp(2.0, 2),
+                           n_directions=51)
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 101)
+    with pytest.raises(ValueError, match="^work-too-large: unit directions needs 102 floats"):
+        obj.value([1.0, 0.0])
+    with pytest.raises(ValueError, match=r"^invalid-dim: dimension must be >= 1 \(got 0\)"):
+        unit_directions(10, 0)

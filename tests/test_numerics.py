@@ -72,6 +72,12 @@ def test_build_grid_invalid_bounds():
         build_grid([(1.0, 1.0)], [5])
     with pytest.raises(ValueError, match="invalid-bounds"):
         build_grid([(2.0, -2.0)], [5])
+    for run in (lambda: build_grid([(0.0, 1.0)] * 2, [5]),
+                lambda: Grid((0.0, 0.0), (1.0,), (5, 5)),
+                lambda: build_grid([], [])):
+        with pytest.raises(ValueError, match="^invalid-bounds: (bounds and counts must have "
+                                             "equal length|grid needs at least one axis)$"):
+            run()
     # Infinite bounds gave the nodes [-inf, nan, inf] and [nan, inf, inf],
     # and a width beyond the largest float overflowed inside linspace.  The
     # widest symmetric axes, which the pairing-overflow tests use, build.
@@ -245,6 +251,12 @@ def test_csv_reads_any_float_spelling_of_infinity(tmp_path):
     path.write_text("x_1,value\n0.0,nan\n")
     with pytest.raises(ValueError, match="nan"):
         read_sample_csv(path)
+    for text in ("x_1,v\n0.0,1.0\n", "y_1,value\n0.0,1.0\n", "x_1,value\n0.0,1.0,2.0\n",
+                 "x_1,x_2,value\n0.0,1.0\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="^invalid-sample: (unrecognized sample CSV header|"
+                                             "malformed sample CSV row)"):
+            read_sample_csv(path)
 
 
 def test_nearest_index():

@@ -289,6 +289,10 @@ def test_naive_conjugate_of_origin_indicator():
     c = naive_conjugate(ind, dual)
     assert np.allclose(c.values, 0.0)
     assert dual._nodes is None  # the oracle reads the dual axes only
+    for dual in (build_grid([(-3.0, 3.0)] * 2, [5, 5]), build_grid([(-3.0, 3.0)] * 3, [3] * 3)):
+        with pytest.raises(ValueError, match=rf"^dimension-mismatch: dual grid dimension "
+                                             rf"{dual.dim} != 1$"):
+            naive_conjugate(ind, dual)
 
 
 def test_naive_conjugate_of_linear_function():
@@ -417,6 +421,12 @@ def test_k_support_bruteforce_never_exceeds_closed_form():
 def test_k_support_bruteforce_dimension_guard():
     with pytest.raises(ValueError, match="dimension-too-large"):
         k_support_bruteforce(np.ones(7), 2.0, 1, np.ones((1, 7)))
+    for k in (0, 3):
+        with pytest.raises(ValueError, match="^k-out-of-range: need 1 <= k <= 2"):
+            k_support_bruteforce(np.ones(2), 2.0, k, np.ones((1, 2)))
+    for dirs in (np.ones((4, 3)), np.ones(4), np.ones((2, 2, 2))):
+        with pytest.raises(ValueError, match=r"^invalid-shape: directions must be an \(n, 2\)"):
+            k_support_bruteforce(np.ones(2), 2.0, 1, dirs)
 
 
 def test_direction_set_deterministic():
