@@ -61,7 +61,8 @@ from .norms import (
 )
 from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _block_rows,
                        _check_pairing, _check_work, _count_nonzero_rows, _evaluate_rows,
-                       _finite_scale, _nonzero_rows, _refuse_nan, _refuse_nonfinite, low_add)
+                       _finite_scale, _fold_axes, _half_index, _nonzero_rows, _refuse_nan,
+                       _refuse_nonfinite, _symmetric_axes, _unfold, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -81,12 +82,6 @@ __all__ = [
 ]
 
 ANALYTIC_TOL = 1e-9
-
-
-def _symmetric_axes(grids) -> list:
-    """Per axis: is it sign-symmetric (``ax == -ax[::-1]``) on every grid?"""
-    return [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
-            for axes in zip(*(grid.axes for grid in grids))]
 
 
 def _check_grid_work(grids, fold, what: str = "grid transform", dual: int = 1) -> int:
@@ -159,23 +154,20 @@ def _grid_transform(grids, values) -> np.ndarray:
     equals the unfolded one in value; only the sign of a zero can differ
     (the max of sums that tie at +0.0 and -0.0).
     """
-    symmetric = _symmetric_axes(grids)
     if isinstance(values, tuple):
         # Even by construction; the orthant is the non-negative half of each
         # folded axis, and the other axes are gathered onto the whole axis.
         g, inverse = values
-        fold = symmetric
+        fold = _symmetric_axes(grids)
         _check_grid_work(grids, fold, "grid transform", 0)
         if not all(fold):
             g = g[np.ix_(*(np.arange(n) if f else inv
                            for n, f, inv in zip(g.shape, fold, inverse)))]
     else:
         values = np.asarray(values, dtype=float).reshape(grids[0].counts)
-        fold = [s and np.array_equal(values, np.flip(values, k))
-                for k, s in enumerate(symmetric)]
+        fold = _fold_axes(grids, values)
         _check_grid_work(grids, fold)
-        g = values[tuple(slice(n // 2, None) if f else slice(None)
-                         for n, f in zip(values.shape, fold))]
+        g = values[_half_index(values.shape, fold)]
     bound = _finite_scale(g)
     for src, dst in zip(grids, grids[1:]):
         bound = _check_pairing(_axis_extent(src)[0], _axis_extent(dst)[1], bound, "grid transform")
@@ -188,9 +180,7 @@ def _grid_transform(grids, values) -> np.ndarray:
             g = _axis_pass(g.reshape(math.prod(shape[:k]), shape[k], -1), x, y, k == 0)
             g = g.reshape(shape[:k] + (y.size,) + shape[k + 1:])
     if any(fold):
-        # Node j of an axis of m nodes reads half node max(j, m - 1 - j) - m // 2.
-        g = g[np.ix_(*(np.maximum(np.arange(m), np.arange(m)[::-1]) - m // 2 if f
-                       else np.arange(m) for m, f in zip(grids[-1].counts, fold)))]
+        g = _unfold(g, grids[-1].counts, fold)
     return g.reshape(-1)
 
 

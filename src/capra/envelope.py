@@ -35,7 +35,6 @@ from .conjugacy import (
     _check_grid_work,
     _grid_transform,
     _lp_source,
-    _symmetric_axes,
     capra_subdiff_at_zero,
     conjugate_at_points,
     fenchel_biconjugate,
@@ -47,7 +46,8 @@ from .norms import (
     _check_phi_dim,
     lp_value,
 )
-from .numerics import FunctionSample, Grid, _finite_scale, default_dual_grid, format_extreal
+from .numerics import (FunctionSample, Grid, _finite_scale, _symmetric_axes, default_dual_grid,
+                       format_extreal)
 
 __all__ = [
     "BALL_TOL",

@@ -72,6 +72,36 @@ def _check_pairing(xmax: float, ymax1: float, fmax: float, what: str) -> float:
     return bound
 
 
+def _symmetric_axes(grids) -> list:
+    """Per axis: is it sign-symmetric (``ax == -ax[::-1]``) on every grid?"""
+    return [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
+            for axes in zip(*(grid.axes for grid in grids))]
+
+
+def _fold_axes(grids, values: np.ndarray) -> list:
+    """Per axis: does a transform of ``values`` (shaped by the counts of
+    ``grids[0]``) through ``grids`` fold it?  It does when the axis is
+    sign-symmetric on every grid and the values are even along it, in value
+    (``-0.0`` and ``0.0`` are equal)."""
+    return [s and np.array_equal(values, np.flip(values, k))
+            for k, s in enumerate(_symmetric_axes(grids))]
+
+
+def _half_index(counts, fold) -> tuple:
+    """The index of the non-negative half (the last ``m - m // 2`` nodes of
+    m) of each folded axis of an array of shape ``counts``, and of the whole
+    of each other axis."""
+    return tuple(slice(m // 2, None) if f else slice(None) for m, f in zip(counts, fold))
+
+
+def _unfold(half: np.ndarray, counts, fold) -> np.ndarray:
+    """A new array of shape ``counts`` from ``half``, its
+    :func:`_half_index` part: node j of a folded axis of m nodes reads half
+    node ``max(j, m - 1 - j) - m // 2``, its own or its mirror image's."""
+    return half[np.ix_(*(np.maximum(np.arange(m), np.arange(m)[::-1]) - m // 2 if f
+                         else np.arange(m) for m, f in zip(counts, fold)))]
+
+
 def _axis_extent(grid: Grid) -> tuple[float, float]:
     """``max|x|`` and ``max|x|_1`` over the nodes of ``grid``, from its axes."""
     tops = [float(np.abs(ax).max()) for ax in grid.axes]

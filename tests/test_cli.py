@@ -504,22 +504,26 @@ ENVELOPE_DIGESTS = {
 
 
 # SHA-256 of the CSV of ``capra verify --oracle envelope2d --nu <nu> --grid
-# 41``.  Ball masks with no pow, and only add, multiply and max in the
-# referee, so the digests hold on every platform; the CSV writes -0.0 as
-# -0.0, so they pin the sign of every zero too.
+# 41``, with the options that follow the nu in the key.  Ball masks with no
+# pow, and only add, multiply and max in the referee, so the digests hold on
+# every platform; the CSV writes -0.0 as -0.0, so they pin the sign of every
+# zero too.  At d = 1 the lp:1 and lp:inf balls are one interval.
 REFEREE_DIGESTS = {
     "lp:1": "0178f747582103aaa920a1f097e66f04f67e637d6e4710160b0af401e4717519",
     "lp:inf": "def074821e2cf659e9acd8a346b193186113450c53262b5252aea4985ecde942",
+    "lp:1 --dim 1": "2a3beac579244c2a6c4c74774167e32732cfbe1f72b785fea73784d067375d22",
+    "lp:inf --dim 1": "2a3beac579244c2a6c4c74774167e32732cfbe1f72b785fea73784d067375d22",
 }
 
 
-@pytest.mark.parametrize("nu", sorted(REFEREE_DIGESTS))
-def test_referee_output_bytes_are_frozen(tmp_path, capsys, nu):
+@pytest.mark.parametrize("case", sorted(REFEREE_DIGESTS))
+def test_referee_output_bytes_are_frozen(tmp_path, capsys, case):
     csv = tmp_path / "referee.csv"
-    code, _, _ = run_cli(capsys, "verify", "--oracle", "envelope2d", "--nu", nu,
+    nu, *options = case.split()
+    code, _, _ = run_cli(capsys, "verify", "--oracle", "envelope2d", "--nu", nu, *options,
                          "--grid", "41", "--out", str(csv))
     assert code == 0
-    assert hashlib.sha256(csv.read_bytes()).hexdigest() == REFEREE_DIGESTS[nu]
+    assert hashlib.sha256(csv.read_bytes()).hexdigest() == REFEREE_DIGESTS[case]
 
 
 @pytest.mark.parametrize("nu", sorted(ENVELOPE_DIGESTS))

@@ -6,7 +6,7 @@ import pytest
 
 from capra import numerics
 from capra.conjugacy import conjugate_at_points, fenchel_biconjugate, fenchel_conjugate
-from capra.norms import conj_exponent, k_support_norm, lp_value_batch, top_k_norm
+from capra.norms import conj_exponent, k_support_norm, lp_value, lp_value_batch, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
 from capra.oracle import (
     convex_envelope_2d,
@@ -50,6 +50,40 @@ def _random_sample(grid, inf_fraction=0.2):
     return FunctionSample(grid, vals)
 
 
+def _fold_cases():
+    """(grid, dual grid, values) on which the referee folds some axes and
+    not others.  An axis folds when it is sign-symmetric on both grids and
+    the values are even along it in value."""
+    sym, dual = build_grid([(-1.0, 1.0)] * 2, [7, 7]), build_grid([(-2.0, 2.0)] * 2, [9, 9])
+    x = sym.nodes
+    ball = np.where(np.abs(x).sum(axis=1) <= 1.0, 0.0, math.inf)
+    origin = np.full(sym.node_count, math.inf)
+    origin[sym.node_count // 2] = -math.inf
+    even = build_grid([(-1.0, 1.0), (-1.5, 1.5)], [8, 6])  # no zero node
+    g3 = build_grid([(-1.0, 1.0), (-0.5, 1.0), (-1.0, 1.0)], [5, 4, 5])
+    sym3 = build_grid([(-1.0, 1.0)] * 3, [5, 5, 5])
+    l1_3 = np.abs(sym3.nodes).sum(axis=1)
+    return [
+        (even, build_grid([(-2.0, 2.0)] * 2, [10, 4]), 2.0 * np.abs(even.nodes).sum(axis=1)),
+        (even, build_grid([(-2.0, 2.0)] * 2, [9, 5]), np.zeros(even.node_count)),
+        # a symmetric primal axis 0 against an asymmetric dual one, and the
+        # reverse on axis 1: axis 1, then axis 0 folds
+        (sym, build_grid([(-2.0, 2.5), (-2.0, 2.0)], [9, 9]), ball),
+        (build_grid([(-1.0, 1.0), (-0.5, 1.5)], [7, 9]), dual, np.zeros(63)),
+        # even along axis 0 only
+        (sym, dual, np.abs(x[:, 0]) + x[:, 1]),
+        (sym, dual, np.where(x[:, 1] <= 0.0, ball, math.inf)),
+        # even in value, with 0.0 and -0.0 swapped across the mirror of axis 0
+        (sym, dual, np.where((x[:, 0] < 0.0) & (ball == 0.0), -0.0, ball)),
+        (sym, dual, np.full(sym.node_count, math.inf)),
+        (sym, dual, origin),
+        (g3, build_grid([(-2.0, 2.0), (-2.0, 2.0), (-1.0, 3.0)], [5, 5, 4]),
+         np.count_nonzero(g3.nodes, axis=1).astype(float)),
+        (sym3, build_grid([(-2.0, 2.0)] * 3, [5, 5, 5]),
+         np.where(l1_3 > 1.0, 1.0 + l1_3, np.where(sym3.nodes[:, 2] < 0.0, -0.0, 0.0))),
+    ]
+
+
 def test_naive_matches_python_reference(monkeypatch):
     # The oracle's blocks of last-axis dual values change no output bit:
     # blocks of unequal size, one value each, and one block larger than the
@@ -77,6 +111,11 @@ def test_naive_matches_python_reference(monkeypatch):
                 assert np.array_equal(naive_conjugate(f, gd).values, want), (counts, budget)
         assert np.all(np.isneginf(naive_conjugate(samples[1], gd).values))
         assert np.all(np.isposinf(naive_conjugate(samples[2], gd).values))
+    # Folded axes change no value either (the sign of a zero is pinned by
+    # the flat-row test below).
+    for g, gd, vals in _fold_cases():
+        f = FunctionSample(g, vals)
+        assert np.array_equal(naive_conjugate(f, gd).values, _python_conjugate(f, gd)), g.counts
 
 
 def _flat_row_conjugate(f, dual_grid, block_floats=1 << 15):
@@ -110,30 +149,33 @@ def test_naive_keeps_flat_row_bits_signed_zeros_included(monkeypatch):
     # with a -0.0 one, so the sign of a zero output shows the order of the
     # reduction: each dual row must still take one np.max over every primal
     # node, whatever the blocking.
+    # The referee scores one node of each sign orbit of the folded axes and
+    # rescores the mirrored zeros: the fold cases pin that as well.
     zeros = {False: 0, True: 0}
+    cases = []
     for d, n, m in ((1, 9, 13), (2, 7, 9), (3, 5, 5)):
         g = build_grid([(-1.0, 1.0)] * d, [n] * d)
         gd = build_grid([(-2.0, 2.0)] * d, [m] * d)
         l1 = np.abs(g.nodes).sum(axis=1)
-        samples = [np.zeros(g.node_count),
-                   np.count_nonzero(g.nodes, axis=1).astype(float),
-                   2.0 * l1,
-                   3.0 * np.abs(g.nodes).max(axis=1),
-                   np.where(l1 <= 1.0, 0.0, math.inf)]
-        for vals in samples:
-            f = FunctionSample(g, vals)
-            want = _flat_row_conjugate(f, gd)
-            back = FunctionSample(gd, want)
-            want_back = _flat_row_conjugate(back, g)
-            for budget in (1, 2 * g.node_count + 1, 1 << 16):
-                monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
-                got = naive_conjugate(f, gd).values
-                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (d, budget)
-                got = naive_conjugate(back, g).values
-                assert np.array_equal(got.view(np.uint64), want_back.view(np.uint64)), (d, budget)
-            for z in (want, want_back):
-                zeros[False] += int(np.count_nonzero((z == 0.0) & ~np.signbit(z)))
-                zeros[True] += int(np.count_nonzero((z == 0.0) & np.signbit(z)))
+        cases += [(g, gd, vals) for vals in (np.zeros(g.node_count),
+                                             np.count_nonzero(g.nodes, axis=1).astype(float),
+                                             2.0 * l1,
+                                             3.0 * np.abs(g.nodes).max(axis=1),
+                                             np.where(l1 <= 1.0, 0.0, math.inf))]
+    for g, gd, vals in cases + _fold_cases():
+        f = FunctionSample(g, vals)
+        want = _flat_row_conjugate(f, gd)
+        back = FunctionSample(gd, want)
+        want_back = _flat_row_conjugate(back, g)
+        for budget in (1, 2 * g.node_count + 1, 1 << 16):
+            monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
+            got = naive_conjugate(f, gd).values
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), g.counts
+            got = naive_conjugate(back, g).values
+            assert np.array_equal(got.view(np.uint64), want_back.view(np.uint64)), g.counts
+        for z in (want, want_back):
+            zeros[False] += int(np.count_nonzero((z == 0.0) & ~np.signbit(z)))
+            zeros[True] += int(np.count_nonzero((z == 0.0) & np.signbit(z)))
     # Both signs of zero occur, so the pin sees a flipped sign.
     assert zeros[False] > 0 and zeros[True] > 0
 
@@ -393,6 +435,11 @@ def test_support_function_bruteforce_rescales_overflowing_pairings():
         assert support_function_bruteforce([-1e308, 1e308], every, cand) == 1e308
         # a support value beyond the largest float is +inf
         assert support_function_bruteforce([1e308, -1e308], every, cand) == math.inf
+        # Members so large that the rescaled pairing overflows as well: +inf,
+        # as lp_value gives for their l1 norm, and no warning.
+        huge = np.array([[1e308, 1e308]])
+        assert support_function_bruteforce([1.0, 1.0], every, huge) == math.inf
+        assert lp_value([1e308, 1e308], 1.0) == math.inf
 
 
 def test_k_support_bruteforce_examples():
