@@ -212,17 +212,14 @@ def _conjugate_values(points: np.ndarray, values: np.ndarray,
         out.fill(math.inf)
         return out
     keep = ~np.isposinf(values)
-    # One contiguous row per axis.  Copied column by column when every row is
-    # kept (several times faster than a transposing copy of the short rows);
-    # else np.compress selects rows several times faster than a boolean index.
-    if keep.all():
-        cols = np.empty(points.shape[::-1])
-        for k in range(points.shape[1]):
-            cols[k] = points[:, k]
-        vals = values
-    else:
-        cols = np.ascontiguousarray(np.compress(keep, points, axis=0).T)
-        vals = values[keep]
+    # One contiguous row per axis, copied column by column: several times
+    # faster than a transposing copy of the short rows, and a boolean index
+    # of one column is faster than np.compress of rows.
+    rows = slice(None) if keep.all() else keep
+    vals = values[rows]
+    cols = np.empty((points.shape[1], vals.size))
+    for k in range(points.shape[1]):
+        cols[k] = points[:, k][rows]
     with np.errstate(over="ignore"):  # an overflowing |y|_1 is refused
         ymax1 = np.abs(duals).sum(axis=1).max(initial=0.0)
     _check_pairing(max(cols.max(initial=0.0), -cols.min(initial=0.0)), ymax1,

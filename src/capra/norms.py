@@ -8,6 +8,7 @@ form ``cap_l phi(l) * B_l`` together with their support-function norms.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import sys
@@ -46,6 +47,10 @@ SPHERE_TOL = 1e-9
 
 # Directions per support of a custom source's sampled restricted duals.
 _DIRECTIONS_PER_SUBSET = 512
+
+# Rows per comparator from which a top-k table sorts its columns with the
+# merge network rather than each row with np.sort.
+_NETWORK_ROWS_PER_COMPARATOR = 64
 
 
 def conj_exponent(p: float) -> float:
@@ -331,28 +336,122 @@ def top_k_norm(y, q: float, k: int) -> float:
 def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
     """All top-(q, k) values of each row: entry (i, k-1) is top-(q,k)(Y[i]).
 
-    A NaN coordinate raises ``nan-input`` and d = 0 ``empty-point``.
+    A NaN coordinate raises ``nan-input`` (before ``invalid-q``) and d = 0
+    ``empty-point``.  At q = inf every entry is the row max, taken without
+    a sort.  Otherwise each row's magnitudes are sorted in descending order
+    and :func:`_top_k_table` runs on the (d, n) columns.  Below
+    ``_NETWORK_ROWS_PER_COMPARATOR`` rows per comparator of
+    :func:`_merge_network`, ``np.sort`` sorts each row; from there |Y| is
+    copied column by column and :func:`_sort_columns` sorts every row at
+    once.  The two give the same bits, since magnitudes (``abs`` leaves no
+    -0.0) have one sorted order.  The crossover, measured on a 2-vCPU VM
+    (numpy 2.4), is about 64 rows at d = 2 (1 comparator), 200-320 at d = 4
+    (5), about 1k at d = 8 (19), about 4k at d = 16 (63) and 12-16k at
+    d = 32 (191); at d = 16 and 32 the two stay within 10 % of each other
+    for a few thousand rows either side.  At 10k rows and d = 2..6 a table
+    at q = 2 takes 0.2-1.0 ms, against 1.2-2.5 ms for a sort and cumsum of
+    each row.  The table is the transpose of the (d, n) work array, so it
+    is in Fortran order and each of its columns is contiguous.
     """
-    a = -np.sort(-_abs_rows(Y), axis=1)
-    # The sort puts NaN last, so the last column holds every row's NaN.
-    _refuse_nan(a[:, -1], "a row coordinate")
-    return _top_k_table(a, q)
+    Y = _as_rows(Y)
+    n, d = Y.shape
+    if d == 0:
+        raise ValueError("empty-point: rows need at least one coordinate")
+    network = _merge_network(d)
+    if n < _NETWORK_ROWS_PER_COMPARATOR * len(network):
+        a = np.abs(Y)
+        if q == math.inf:
+            return _max_table(a.max(axis=1), d)
+        cols = -np.sort(-a, axis=1).T
+    else:
+        cols = np.empty((d + 1, n))  # a spare row for the network
+        for k in range(d):
+            np.abs(Y[:, k], out=cols[k])
+        if q == math.inf:
+            return _max_table(cols[:d].max(axis=0), d)
+        cols = _sort_columns(cols, network)
+    # np.sort puts NaN last, and the network's minimum propagates it.
+    _refuse_nan(cols[-1], "a row coordinate")
+    return _top_k_table(cols, q).T
+
+
+def _max_table(m: np.ndarray, d: int) -> np.ndarray:
+    """The top-(inf, k) table of rows with maxima ``m``: m in every column;
+    a NaN maximum raises ``nan-input``."""
+    _refuse_nan(m, "a row coordinate")
+    return np.repeat(m[:, None], d, axis=1)
+
+
+@functools.cache
+def _merge_network(d: int) -> tuple:
+    """Batcher's odd-even merge sort on d positions: the comparators
+    ``(i, j)``, i < j, in order.  Run on a power of two and with the
+    comparators that reach past d dropped, which is the same as padding
+    with values below every input."""
+    pairs = []
+    p = 1
+    while p < d:
+        k = p
+        while k >= 1:
+            for j in range(k % p, d - k, 2 * k):
+                for i in range(min(k, d - j - k)):
+                    if (i + j) // (2 * p) == (i + j + k) // (2 * p):
+                        pairs.append((i + j, i + j + k))
+            k //= 2
+        p *= 2
+    return tuple(pairs)
+
+
+def _sort_columns(buf: np.ndarray, network: tuple) -> np.ndarray:
+    """The first d rows of the (d + 1, n) ``buf`` sorted in descending
+    order down each column, as a new (d, n) array; ``buf`` is overwritten.
+    Each comparator of ``network`` is an ``np.maximum`` and an
+    ``np.minimum`` of two whole rows; the maximum goes to the spare row,
+    and ``order`` records which row of ``buf`` holds each position."""
+    order, spare = list(range(len(buf) - 1)), len(buf) - 1
+    for i, j in network:
+        hi, lo = buf[order[i]], buf[order[j]]
+        np.maximum(hi, lo, out=buf[spare])
+        np.minimum(hi, lo, out=lo)
+        order[i], spare = spare, order[i]
+    return buf[order]
 
 
 def _top_k_table(a: np.ndarray, q: float) -> np.ndarray:
-    """:func:`top_k_norm_table` of rows of magnitudes already sorted in
-    descending order and free of NaN."""
-    m = a[:, 0].copy()
+    """The top-(q, k) values of columns of magnitudes sorted in descending
+    order down axis 0 and free of NaN: a (d, n) array whose row k-1 holds
+    top-(q, k), overwriting ``a``.  Each step runs over all columns at once,
+    in the order of a row-wise evaluation: rescale by the column max, the
+    power q, the sequential sum down each column (a row's ``cumsum``), the
+    power 1/q and the scale back.  So every value has the bits of the
+    row-wise ``np.cumsum`` form."""
+    m = a[0].copy()
     if q == math.inf:
-        return np.repeat(m[:, None], a.shape[1], axis=1)
+        return np.repeat(m[None], a.shape[0], axis=0)
     if not q >= 1.0:
         raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
-    # Rows with maximum 0 or +inf stay out of the rescale and keep it as
-    # every top-(q, k) value.
+    # Columns with maximum 0 or +inf stay out of the rescale (where an
+    # infinite column would overflow in the power) and keep it as every
+    # top-(q, k) value.
     ok = (m > 0.0) & (m < math.inf)
-    safe = np.where(ok, m, 1.0)
-    cums = np.cumsum((a / safe[:, None]) ** q, axis=1)
-    return np.where(ok[:, None], safe[:, None] * cums ** (1.0 / q), m[:, None])
+    every = bool(ok.all())
+    t, s = (a, m) if every else (a[:, ok], m[ok])
+    t /= s
+    t **= q
+    # One accumulate call is quicker on a few columns, adding row after row
+    # on many; both sum each column in order.
+    if t.shape[1] < 256:
+        np.add.accumulate(t, axis=0, out=t)
+    else:
+        for k in range(1, len(t)):
+            t[k] += t[k - 1]
+    t **= 1.0 / q
+    t *= s
+    if every:
+        return t
+    out = np.repeat(m[None], a.shape[0], axis=0)
+    out[:, ok] = t
+    return out
 
 
 def _k_support_l2(x, k: int) -> float:
@@ -507,7 +606,7 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
     a, m = _abs_point(y, ascending=True)
     if m == 0.0:
         return 0.0
-    table = _top_k_table(a[None, ::-1], conj_exponent(source.p))[0]
+    table = _top_k_table(a[::-1, None], conj_exponent(source.p))[:, 0]
     best = 0.0
     for l in range(1, d + 1):
         w = phi(l)

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import warnings
@@ -27,6 +28,7 @@ from capra.norms import (
 )
 import capra.norms as norms_module
 from capra import numerics
+from capra.conjugacy import capra_conjugate_l0_analytic_batch
 from capra._directions import sign_patterns, unit_directions
 from capra.oracle import default_direction_set, k_support_bruteforce
 
@@ -132,6 +134,42 @@ def test_top_k_errors():
         top_k_norm_table(np.ones((2, 3)), 0.5)
 
 
+# Comparators of Batcher's odd-even merge sort on d = 1..13 positions.
+_MERGE_COMPARATORS = (0, 1, 3, 5, 9, 12, 16, 19, 28, 32, 38, 42, 48)
+
+
+def _table_corpus():
+    """Seeded inputs of the top-k tables' byte freeze.  For d = 1..13: one
+    row, one row below and at the network's threshold, 10k rows, with ties,
+    0, -0.0, +-inf, 1e+-300 and subnormals; then a non-contiguous view."""
+    rng = np.random.default_rng(0x70C)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                         5e-324, -2.5e-310, 2.2250738585072014e-308])
+    for d, count in enumerate(_MERGE_COMPARATORS, start=1):
+        t = 64 * count
+        for n in sorted({1, max(t - 1, 1), max(t, 1), 10_000}):
+            Y = rng.standard_normal((n, d)) * np.exp(rng.uniform(-5.0, 5.0, (n, 1)))
+            ties = rng.random(n) < 0.2
+            Y[ties] = rng.integers(-2, 3, (int(ties.sum()), d))
+            hit = rng.random((n, d)) < 0.1
+            Y[hit] = rng.choice(specials, int(hit.sum()))
+            yield Y
+        # Every other row of a reversed-column view.
+        Z = rng.standard_normal((2 * max(t, 1) + 6, d + 2))
+        Z[rng.random(Z.shape) < 0.1] = 0.0
+        yield Z[::2, d:0:-1] if d > 1 else Z[::2, 1:2]
+
+
+# SHA-256 of the corpus's top_k_norm_table, capra_conjugate_l0_analytic_batch
+# and k_support_bruteforce outputs, computed with the row-by-row np.sort
+# kernel that the column network replaced.
+TOP_K_CORPUS_DIGESTS = (
+    "fc0a096b5295c4b95034edfc5acc240ece16f9d8baaaeabfbe713af3c949ac9f",
+    "55a3e80f82162e9034433a887ceb4d93c1972789cdbfc578b8e52e721bbfb767",
+    "60d946e9dadca09e3577833cf029b04cae6b261c7d7e442ec7d4271c7e67f839",
+)
+
+
 def test_top_k_table_matches_scalar():
     Y = RNG.standard_normal((30, 5)) * 3.0
     for q in (1.0, 2.0, math.inf):
@@ -140,6 +178,39 @@ def test_top_k_table_matches_scalar():
             for k in range(1, 6):
                 assert math.isclose(table[i, k - 1], top_k_norm(y, q, k),
                                     rel_tol=1e-13, abs_tol=1e-13)
+    # Both sides of the network's threshold keep the same bytes, with no
+    # RuntimeWarning on rows that hold +inf.
+    for d, count in enumerate(_MERGE_COMPARATORS, start=1):
+        assert (norms_module._NETWORK_ROWS_PER_COMPARATOR * len(norms_module._merge_network(d))
+                == 64 * count)
+    rng = np.random.default_rng(0xD16E57)
+    hashes = [hashlib.sha256() for _ in TOP_K_CORPUS_DIGESTS]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for Y in _table_corpus():
+            d = Y.shape[1]
+            phi = PhiSpec(np.concatenate([[0.0], rng.uniform(0.1, 3.0, d)]))
+            x = rng.standard_normal(d) * 2.0
+            for q, p in zip((1.0, 1.5, 2.0, 3.0, 7.0, math.inf),
+                            (math.inf, 3.0, 2.0, 1.5, 7.0 / 6.0, 1.0)):
+                hashes[0].update(top_k_norm_table(Y, q).tobytes())
+                conj = capra_conjugate_l0_analytic_batch(Y, phi, SourceNormSpec.lp(p, d))
+                hashes[1].update(conj.tobytes())
+                if d <= 6:
+                    dirs = np.where(np.isfinite(Y), Y, 1.0)
+                    hashes[2].update(np.array([k_support_bruteforce(x, p, k, dirs)
+                                               for k in range(1, d + 1)]).tobytes())
+    assert tuple(h.hexdigest() for h in hashes) == TOP_K_CORPUS_DIGESTS
+
+
+def test_merge_network_sorts_every_zero_one_input():
+    # By the 0-1 principle a comparator network that sorts every 0-1 input
+    # sorts every input.
+    for d in range(1, 17):
+        cols = ((np.arange(2**d) >> np.arange(d)[:, None]) & 1).astype(float)
+        buf = np.vstack([cols, np.empty(2**d)])
+        out = norms_module._sort_columns(buf, norms_module._merge_network(d))
+        assert np.array_equal(out, -np.sort(-cols, axis=0))
 
 
 def test_k_support_examples():
@@ -471,6 +542,16 @@ def test_infinite_coordinates_give_plus_inf():
         sampled = best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), lp2,
                                    n_directions=64)
         assert sampled.value([math.inf, 1.0]) == math.inf
+        # 1e200 overflows at power 2, so the +inf rows stay out of the power
+        # too: on one row (np.sort) and on 64 (the network).
+        phi = PhiSpec.identity(2)
+        assert phi_dual_gauge([math.inf, 1e200], phi, lp2) == math.inf
+        for n in (1, 64):
+            Y = np.tile([math.inf, 1e200], (n, 1))
+            Y[0] = [1e200, -math.inf]
+            assert np.all(top_k_norm_table(Y, 2.0) == math.inf)
+            assert np.all(phi_dual_gauge_batch(Y, phi, lp2) == math.inf)
+            assert np.all(capra_conjugate_l0_analytic_batch(Y, phi, lp2) == math.inf)
 
 
 def test_phi_dual_gauge_batch_equals_scalar_bit_for_bit():
@@ -548,6 +629,11 @@ def test_nan_coordinates_raise_nan_input():
                                    n_directions=64).value(y),
         lambda y: top_k_norm_table(np.array([[1.0, 2.0], y]), 2.0),
         lambda y: top_k_norm_table(np.array([y]), math.inf),
+        lambda y: top_k_norm_table(np.array([y]), 0.5),  # before invalid-q
+        # 64 rows of d = 2 take the network.
+        lambda y: top_k_norm_table(np.vstack([np.ones((63, 2)), y]), 2.0),
+        lambda y: top_k_norm_table(np.vstack([y, np.ones((63, 2))]), math.inf),
+        lambda y: top_k_norm_table(np.vstack([np.ones((63, 2)), y]), 0.5),
         lambda y: lp_value_batch(np.array([[1.0, 2.0], y]), 2.0),
         lambda y: NormalizationSpec.lp(0.5).batch(np.array([y])),
     ]
