@@ -56,6 +56,7 @@ from .norms import (
     SourceNormSpec,
     _check_homogeneous,
     _check_phi_dim,
+    _finite_level_norms,
     conj_exponent,
     top_k_norm_table,
 )
@@ -269,10 +270,9 @@ class CouplingSpec:
 
 def capra_coupling(x, y, coupling: CouplingSpec) -> float:
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     if not np.any(x != 0.0):
         return 0.0
-    return float(np.dot(x, y)) / coupling.nu.value(x)
+    return float(np.dot(x, np.asarray(y, dtype=float))) / coupling.nu.value(x)
 
 
 @dataclass
@@ -392,14 +392,18 @@ def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
     ``invalid-sample``); with dense samples this converges to the Fenchel
     conjugate of f restricted to the unit ball.
     """
-    nu = coupling.nu
     sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
+    _check_homogeneous(coupling.nu, sample.shape[1])
+    return _sample_conjugate(f, coupling.nu, sample, y)
+
+
+def _sample_conjugate(f: ZeroHomFnSpec, nu: NormalizationSpec, sample: np.ndarray, y):
+    """:func:`capra_conjugate` past its shape and homogeneity checks."""
     nonzero = _nonzero_rows(sample)
     if nonzero.all():
         raise ValueError("invalid-sample: sphere sample must contain the origin")
-    _check_homogeneous(nu, sample.shape[1])
     # Spot-check membership of the sphere on a few nonzero rows.
     idx = np.flatnonzero(nonzero)[:64]
     if idx.size:
@@ -448,9 +452,11 @@ def _lp_source(nu: NormalizationSpec, dim: int) -> SourceNormSpec:
 def capra_conjugate_l0_analytic(y, phi: PhiSpec, source: SourceNormSpec) -> float:
     """Capra conjugate of ``phi(l0(.))`` for an lp source norm, p in [1, inf]:
     ``max over l in [0, d] of (top-(q, l)(y) - phi(l))`` with the l = 0 term
-    equal to 0 and 1/p + 1/q = 1."""
-    y = np.asarray(y, dtype=float).reshape(-1)
-    return float(capra_conjugate_l0_analytic_batch(y[None, :], phi, source)[0])
+    equal to 0 and 1/p + 1/q = 1: the batch's row, bit for bit."""
+    if source.kind != "lp":
+        raise ValueError("unsupported-source: analytic conjugate requires an lp source norm")
+    norms, w = _finite_level_norms(y, phi, source)
+    return max(0.0, *(norms - w).tolist())
 
 
 def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
@@ -461,9 +467,9 @@ def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
         raise ValueError("unsupported-source: analytic conjugate requires an lp source norm")
     Y = _as_rows(Y)
     _check_phi_dim(phi, Y.shape[1])
-    table = top_k_norm_table(Y, conj_exponent(source.p))
-    terms = table - phi.values[None, 1:]
-    return np.maximum(0.0, terms.max(axis=1))
+    finite = np.isfinite(phi.values[1:])
+    table = top_k_norm_table(Y, conj_exponent(source.p))[:, finite]
+    return np.maximum(0.0, (table - phi.values[1:][finite]).max(axis=1))
 
 
 def _sorted_index_columns(rows: np.ndarray, m: int, d: int) -> list:
@@ -530,28 +536,29 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
-    """Capra conjugate of f at the rows of Y, and the tolerance it is tested
-    with: ``(values, tol)``.
+    """Capra conjugate of f at the rows of Y (or at the 1-d point Y), and
+    the tolerance it is tested with: ``(values, tol)``.
 
     The route is analytic for phi∘l0 with any lp normalization, p > 0, from
     the source of :func:`_lp_source` (exact up to rounding; tolerance
     ``ANALYTIC_TOL``).  Only a custom f or a custom nu takes the sphere
-    route over ``build_sphere_sample(nu, d)``, built on every call and
-    checked by :func:`capra_conjugate`.  A sup over a sample of the sphere
-    misses the optimum by the coverage gap ``count^(-1/(d-1))`` times a
-    Lipschitz factor of order ``1 + |y|``, so the tolerance is
-    ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for d = 1, where the
-    sample holds the whole sphere).
+    route over ``build_sphere_sample(nu, d)``, built (homogeneity checked)
+    on every call and checked by the body of :func:`capra_conjugate`.  A sup
+    over a sample of the sphere misses the optimum by the coverage gap
+    ``count^(-1/(d-1))`` times a Lipschitz factor of order ``1 + |y|``, so
+    the tolerance is ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for
+    d = 1, where the sample holds the whole sphere).
     """
-    dim = Y.shape[1]
+    dim = Y.shape[-1]
     if _analytic_applicable(f, nu):
-        return capra_conjugate_l0_analytic_batch(Y, f.phi, _lp_source(nu, dim)), ANALYTIC_TOL
+        analytic = capra_conjugate_l0_analytic if Y.ndim == 1 else capra_conjugate_l0_analytic_batch
+        return analytic(Y, f.phi, _lp_source(nu, dim)), ANALYTIC_TOL
     sample = build_sphere_sample(nu, dim)
-    conj = capra_conjugate(f, CouplingSpec(nu), Y, sample)
+    conj = _sample_conjugate(f, nu, sample, Y)
     if dim <= 1:
         return conj, ANALYTIC_TOL
     gap = float(len(sample)) ** (-1.0 / (dim - 1))
-    return conj, 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=1))
+    return conj, 5.0 * gap * (1.0 + np.linalg.norm(Y, axis=-1))
 
 
 def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bool:
@@ -572,9 +579,9 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bo
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
-    conj, tol = _capra_route(f, coupling.nu, y[None, :])
+    conj, tol = _capra_route(f, coupling.nu, y)
     rhs = low_add(capra_coupling(x, y, coupling), -fx)
-    return bool((np.abs(conj - rhs) <= tol)[0])
+    return bool(abs(conj - rhs) <= tol)
 
 
 def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec,

@@ -4,6 +4,9 @@ Provides the lp family (p in (0, inf], with p < 1 admitted as a
 normalization function rather than a norm), the top-(q,k) norms, the
 k-support norms for lp sources, and gauges of intersected dual balls of the
 form ``cap_l phi(l) * B_l`` together with their support-function norms.
+
+A single-point call checks its point once and runs only the steps its value
+needs; where a batch form exists it shares its core, with its row's bits.
 """
 
 from __future__ import annotations
@@ -64,23 +67,32 @@ def conj_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _abs_point(x, ascending: bool = False) -> tuple[np.ndarray, float]:
-    """``|x|`` as a 1-d float array, sorted if ``ascending``, and its
-    maximum (0.0 when empty).
+def _abs_point(x, descending: bool = False) -> tuple[np.ndarray, float]:
+    """``|x|`` as a fresh 1-d float array, sorted in descending order in
+    place if ``descending``, and its maximum (0.0 when empty).
 
     The point check of the scalar norm entry points.  The maximum, which
     they need anyway, propagates NaN (a sort puts NaN last), so a NaN
-    coordinate raises ``nan-input``; an infinite one gives +inf.
+    coordinate raises ``nan-input``, also beside an infinite one.
     """
-    a = np.abs(np.asarray(x, dtype=float).reshape(-1))
-    if ascending:
-        a = np.sort(a)
-        m = float(a[-1]) if a.size else 0.0
+    a = np.abs(np.asarray(x, dtype=float))
+    a = a if a.ndim == 1 else a.reshape(-1)
+    if descending:
+        a[::-1].sort()
+        m = float(a[0]) if a.size else 0.0
     else:
-        m = float(a.max(initial=0.0))
+        m = float(np.maximum.reduce(a, initial=0.0))
     if m != m:
         raise ValueError("nan-input: a point coordinate is NaN")
     return a, m
+
+
+def _lp_of_abs(a: np.ndarray, m: float, p: float) -> float:
+    """:func:`lp_value` of magnitudes ``a`` with maximum ``m``.  An infinite
+    one stays out of the rescale, where inf / inf would give nan."""
+    if p == math.inf or m == 0.0 or m == math.inf:
+        return m
+    return m * float(np.add.reduce((a / m) ** p)) ** (1.0 / p)
 
 
 def lp_value(x, p: float) -> float:
@@ -94,11 +106,7 @@ def lp_value(x, p: float) -> float:
     a, m = _abs_point(x)
     if a.size == 0:
         raise ValueError("empty-point: lp_value needs at least one coordinate")
-    # An infinite coordinate makes the value +inf; it stays out of the
-    # rescale, where inf / inf would give nan.
-    if p == math.inf or m == 0.0 or m == math.inf:
-        return m
-    return m * float(np.sum((a / m) ** p)) ** (1.0 / p)
+    return _lp_of_abs(a, m, p)
 
 
 def _abs_rows(X) -> np.ndarray:
@@ -321,26 +329,23 @@ def _check_phi_dim(phi: PhiSpec, dim: int) -> None:
 
 def top_k_norm(y, q: float, k: int) -> float:
     """q-norm of the k largest-magnitude components of y."""
-    a, m = _abs_point(y, ascending=True)
+    a, m = _abs_point(y, descending=True)
     d = a.size
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
     if not (q >= 1.0 or q == math.inf):
         raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
-    if q == math.inf or m == 0.0 or m == math.inf:
-        return m
-    top = a[::-1][:k]
-    return m * float(np.sum((top / m) ** q)) ** (1.0 / q)
+    return _lp_of_abs(a[:k], m, q)
 
 
 def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
     """All top-(q, k) values of each row: entry (i, k-1) is top-(q,k)(Y[i]).
 
     A NaN coordinate raises ``nan-input`` (before ``invalid-q``) and d = 0
-    ``empty-point``.  At q = inf every entry is the row max, taken without
-    a sort.  Otherwise each row's magnitudes are sorted in descending order
-    and :func:`_top_k_table` runs on the (d, n) columns.  Below
-    ``_NETWORK_ROWS_PER_COMPARATOR`` rows per comparator of
+    ``empty-point``.  At q = inf every entry is the row max, taken without a
+    sort.  Otherwise each row's magnitudes are sorted in descending order
+    and :func:`_top_k_table` runs on the (d, n) columns of positive finite
+    maximum.  Below ``_NETWORK_ROWS_PER_COMPARATOR`` rows per comparator of
     :func:`_merge_network`, ``np.sort`` sorts each row; from there |Y| is
     copied column by column and :func:`_sort_columns` sorts every row at
     once.  The two give the same bits, since magnitudes (``abs`` leaves no
@@ -348,10 +353,9 @@ def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
     (numpy 2.4), is about 64 rows at d = 2 (1 comparator), 200-320 at d = 4
     (5), about 1k at d = 8 (19), about 4k at d = 16 (63) and 12-16k at
     d = 32 (191); at d = 16 and 32 the two stay within 10 % of each other
-    for a few thousand rows either side.  At 10k rows and d = 2..6 a table
-    at q = 2 takes 0.2-1.0 ms, against 1.2-2.5 ms for a sort and cumsum of
-    each row.  The table is the transpose of the (d, n) work array, so it
-    is in Fortran order and each of its columns is contiguous.
+    for a few thousand rows either side.  The table is the transpose of the
+    (d, n) work array, so it is in Fortran order and each of its columns is
+    contiguous.
     """
     Y = _as_rows(Y)
     n, d = Y.shape
@@ -372,7 +376,16 @@ def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
         cols = _sort_columns(cols, network)
     # np.sort puts NaN last, and the network's minimum propagates it.
     _refuse_nan(cols[-1], "a row coordinate")
-    return _top_k_table(cols, q).T
+    if not q >= 1.0:
+        raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
+    # Columns with maximum 0 or +inf keep it (an infinite one would overflow).
+    m = cols[0].copy()
+    ok = (m > 0.0) & (m < math.inf)
+    if ok.all():
+        return _top_k_table(cols, m, q).T
+    out = np.repeat(m[None], d, axis=0)
+    out[:, ok] = _top_k_table(cols[:, ok], m[ok], q)
+    return out.T
 
 
 def _max_table(m: np.ndarray, d: int) -> np.ndarray:
@@ -417,48 +430,33 @@ def _sort_columns(buf: np.ndarray, network: tuple) -> np.ndarray:
     return buf[order]
 
 
-def _top_k_table(a: np.ndarray, q: float) -> np.ndarray:
-    """The top-(q, k) values of columns of magnitudes sorted in descending
-    order down axis 0 and free of NaN: a (d, n) array whose row k-1 holds
-    top-(q, k), overwriting ``a``.  Each step runs over all columns at once,
-    in the order of a row-wise evaluation: rescale by the column max, the
-    power q, the sequential sum down each column (a row's ``cumsum``), the
-    power 1/q and the scale back.  So every value has the bits of the
-    row-wise ``np.cumsum`` form."""
-    m = a[0].copy()
-    if q == math.inf:
-        return np.repeat(m[None], a.shape[0], axis=0)
-    if not q >= 1.0:
-        raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
-    # Columns with maximum 0 or +inf stay out of the rescale (where an
-    # infinite column would overflow in the power) and keep it as every
-    # top-(q, k) value.
-    ok = (m > 0.0) & (m < math.inf)
-    every = bool(ok.all())
-    t, s = (a, m) if every else (a[:, ok], m[ok])
+def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
+    """The top-(q, k) values, k = 1..d down axis 0, of the (d, n) or, for one
+    point (:func:`_finite_level_norms`), (d,) descending magnitudes ``t``
+    with finite, positive maxima ``s`` and finite q >= 1, written over t.
+    Each step runs over all columns at once, in the order of a row-wise
+    evaluation: rescale by the column max, the power q, the sequential sum
+    down each column (a row's ``cumsum``), the power 1/q and the scale back.
+    So every value, a point's too, has the bits of the row-wise form."""
     t /= s
     t **= q
     # One accumulate call is quicker on a few columns, adding row after row
     # on many; both sum each column in order.
-    if t.shape[1] < 256:
+    if t.size < 256 * len(t):
         np.add.accumulate(t, axis=0, out=t)
     else:
         for k in range(1, len(t)):
             t[k] += t[k - 1]
     t **= 1.0 / q
     t *= s
-    if every:
-        return t
-    out = np.repeat(m[None], a.shape[0], axis=0)
-    out[:, ok] = t
-    return out
+    return t
 
 
 def _k_support_l2(x, k: int) -> float:
     # Sorted-split evaluation: the r+1 smallest of the k active magnitudes
     # are averaged; r is the unique split with
     #   z_{k-r-1} > (sum of the trailing d-k+r+1 terms) / (r+1) >= z_{k-r}.
-    z = np.ascontiguousarray(_abs_point(x, ascending=True)[0][::-1])
+    z = _abs_point(x, descending=True)[0]
     # Where the products below, up to (d max|x|)^2, leave the normal float
     # range, the norm is taken at x / max|x| and scaled back.
     m, top = float(z[0]), float(z[0]) * z.size
@@ -483,24 +481,22 @@ def k_support_norm(x, p: float, k: int) -> float:
     These are the closed-form cases; other exponents have no analytic
     expression and are served by the brute-force oracle instead.
     """
-    x = np.asarray(x, dtype=float).reshape(-1)
-    d = x.size
+    d = np.size(x)
     if not 1 <= k <= d:
         raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
-    if p == 1.0:
-        return lp_value(x, 1.0)
-    if p == math.inf:
-        l1, linf = lp_value(x, 1.0), lp_value(x, math.inf)
-        if l1 == math.inf and linf < math.inf:
-            # l1 overflows, l1 / k may not: take it at x / max|x|.
-            return linf * max(lp_value(x / linf, 1.0) / k, 1.0)
-        return max(l1 / k, linf)
     if p == 2.0:
         return _k_support_l2(x, k)
-    raise ValueError(
-        f"unsupported-p: closed forms exist for p in {{1, 2, inf}} (got {p}); "
-        "use the brute-force oracle for other exponents"
-    )
+    if p not in (1.0, math.inf):
+        raise ValueError(f"unsupported-p: closed forms exist for p in {{1, 2, inf}} (got {p}); "
+                         "use the brute-force oracle for other exponents")
+    a, linf = _abs_point(x)
+    l1 = _lp_of_abs(a, linf, 1.0)
+    if p == 1.0:
+        return l1
+    if l1 == math.inf and linf < math.inf:
+        # l1 overflows, l1 / k may not: take it at x / max|x|.
+        return linf * max(_lp_of_abs(a / linf, 1.0, 1.0) / k, 1.0)
+    return max(l1 / k, linf)
 
 
 def _restricted_dual_cloud(source: SourceNormSpec,
@@ -585,10 +581,8 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
         raise ValueError(f"unknown-method: unknown method {method!r}")
     # The restricted dual of lp on a support K is lq on K, and it is
     # monotone in K, so size-k supports suffice.
-    best = 0.0
-    for K in itertools.combinations(range(d), k):
-        best = max(best, lp_value(y[list(K)], q))
-    return best
+    A = _abs_point(y)[0][np.array(list(itertools.combinations(range(d), k)))]
+    return max(_lp_of_abs(a, m, q) for a, m in zip(A, np.maximum.reduce(A, axis=1).tolist()))
 
 
 def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
@@ -596,23 +590,14 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
 
     Computed as ``sup_l dual_coordinate_k_norm(y, source, l) / phi(l)``;
     levels with phi(l) = +inf contribute 0 (``+inf * B_l`` is all of R^d).
-    A custom source is :func:`phi_dual_gauge_batch` of the one row.
+    The value is its row of :func:`phi_dual_gauge_batch`, bit for bit: the
+    batch of the one row for a custom source, :func:`_finite_level_norms`
+    for an lp one.
     """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    d = y.size
-    _check_phi_dim(phi, d)
     if source.kind != "lp":
-        return float(phi_dual_gauge_batch(y[None], phi, source)[0])
-    a, m = _abs_point(y, ascending=True)
-    if m == 0.0:
-        return 0.0
-    table = _top_k_table(a[::-1, None], conj_exponent(source.p))[:, 0]
-    best = 0.0
-    for l in range(1, d + 1):
-        w = phi(l)
-        if math.isfinite(w):
-            best = max(best, float(table[l - 1]) / w)
-    return best
+        return float(phi_dual_gauge_batch(np.reshape(y, (1, -1)), phi, source)[0])
+    norms, w = _finite_level_norms(y, phi, source)
+    return max(0.0, *(norms / w).tolist())
 
 
 def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
@@ -630,6 +615,22 @@ def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
     else:
         table = _custom_dual_table(Y, source, (np.flatnonzero(finite) + 1).tolist())
     return np.max(table / w[finite], axis=1, initial=0.0)
+
+
+def _finite_level_norms(y, phi: PhiSpec, source: SourceNormSpec) -> tuple:
+    """The norms top-(q, l)(y) dual to the lp source at the levels l with
+    finite phi(l), and those phi(l): the row of y in :func:`top_k_norm_table`
+    bit for bit, from one point check and :func:`_top_k_table`."""
+    y = np.asarray(y, dtype=float).reshape(-1)
+    _check_phi_dim(phi, y.size)
+    q = conj_exponent(source.p)
+    a, m = _abs_point(y, descending=True)
+    if q == math.inf or m == 0.0 or m == math.inf:
+        a.fill(m)
+    else:
+        _top_k_table(a, m, q)
+    finite = np.isfinite(phi.values[1:])
+    return a[finite], phi.values[1:][finite]
 
 
 def _in_phi_dual_ball(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
@@ -693,23 +694,15 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     gives +inf.
     """
     _check_phi_dim(phi, source.dim)
-
-    def dual(y):
-        return phi_dual_gauge(y, phi, source)
-
+    dual = functools.partial(phi_dual_gauge, phi=phi, source=source)
     if source.kind == "lp" and lp_gauge_collapses(phi, source.p):
         scale = phi(1)
-
-        def primal(x):
-            return scale * lp_value(x, 1.0)
-
-        return NormObject(primal, dual, exact=True)
+        return NormObject(lambda x: scale * lp_value(x, 1.0), dual, exact=True)
 
     cloud = None
 
     def primal(x):
         nonlocal cloud
-        x = np.asarray(x, dtype=float)
         if _abs_point(x)[1] == 0.0:
             return 0.0
         if cloud is None:

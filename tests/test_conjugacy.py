@@ -922,3 +922,51 @@ def test_custom_value_is_the_one_row_batch():
             got = spec.value(x)
             assert type(got) is float
             assert np.float64(got).tobytes() == spec.batch(x[None])[0].tobytes()
+
+
+def test_analytic_conjugate_leaves_out_infinite_levels():
+    # An infinite coordinate met an infinite phi(l) as inf - inf = nan, with
+    # a RuntimeWarning.  A level with phi(l) = +inf gives a -inf term, which
+    # never wins the max(0, .), so only the finite levels are subtracted.
+    src = SourceNormSpec.lp(2.0, 2)
+    Y = np.array([[math.inf, 1.0], [-1.0, -math.inf], [math.inf, -math.inf], [3.0, -4.0],
+                  [0.0, -0.0]])
+    grid = Grid((-2.0, -3.0), (2.0, 1.0), (9, 5))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi, finite_want in (([0.0, 1.0, math.inf], [3.0, 0.0]),
+                                 ([0.0, math.inf, 2.0], [3.0, 0.0])):
+            phi = PhiSpec.from_values(phi)
+            want = [math.inf] * 3 + finite_want
+            assert capra_conjugate_l0_analytic_batch(Y, phi, src).tolist() == want
+            assert [capra_conjugate_l0_analytic(y, phi, src) for y in Y] == want
+            conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+            got = conj[np.ix_(*inverse)].reshape(-1)
+            assert got.tobytes() == capra_conjugate_l0_analytic_batch(grid.nodes, phi,
+                                                                      src).tobytes()
+    # phi = (0, 1, inf): max(0, |y|_inf - 1), exactly.
+    phi = PhiSpec.from_values([0.0, 1.0, math.inf])
+    conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
+    assert conj[np.ix_(*inverse)].reshape(-1).tolist() == np.maximum(
+        0.0, np.abs(grid.nodes).max(axis=1) - 1.0).tolist()
+
+
+def test_sphere_route_checks_a_custom_nu_once():
+    # The route checks nu's homogeneity where it builds its sample (3 calls
+    # on 8 rows), maps the sample to the sphere (1 call), spot-checks 64 of
+    # its rows (1 call), and the coupling takes nu(x) (1 call).  The body of
+    # capra_conjugate does not check the homogeneity a second time; the
+    # public function does.
+    half = NormalizationSpec.lp(0.5)
+    rows = []
+    nu = NormalizationSpec.custom(half.value,
+                                  batch=lambda X: rows.append(len(X)) or half.batch(X))
+    y, x = [1.0, 0.5], [1.0, 0.0]
+    assert capra_subdiff_contains(y, x, _L0, CouplingSpec(nu)) == capra_subdiff_contains(
+        y, x, _L0, CouplingSpec(half))
+    assert rows == [8, 8, 8, 8191, 64, 1]
+    rows.clear()
+    sample = build_sphere_sample(half, 2)
+    assert capra_conjugate(_L0, CouplingSpec(nu), y, sample) == conjugacy._capra_route(
+        _L0, nu, np.array(y))[0]
+    assert rows[:4] == [8, 8, 8, 64]

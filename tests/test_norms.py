@@ -28,7 +28,8 @@ from capra.norms import (
 )
 import capra.norms as norms_module
 from capra import numerics
-from capra.conjugacy import capra_conjugate_l0_analytic_batch
+from capra.conjugacy import (CouplingSpec, capra_conjugate_l0_analytic,
+                             capra_conjugate_l0_analytic_batch, capra_coupling)
 from capra._directions import sign_patterns, unit_directions
 from capra.oracle import default_direction_set, k_support_bruteforce
 
@@ -201,6 +202,184 @@ def test_top_k_table_matches_scalar():
                     hashes[2].update(np.array([k_support_bruteforce(x, p, k, dirs)
                                                for k in range(1, d + 1)]).tobytes())
     assert tuple(h.hexdigest() for h in hashes) == TOP_K_CORPUS_DIGESTS
+
+
+def _point_corpus():
+    """Seeded points of the scalar entry points' byte freeze.  For d =
+    1..13: points at scales from 1e-310 to 1e300, with ties, 0, -0.0, +-inf,
+    1e+-300 and subnormals, and all-zero points; then the last one as a
+    list, a (1, d) array and a strided view, and at d = 1 as a 0-d array."""
+    rng = np.random.default_rng(0x5CA1A)
+    specials = np.array([0.0, -0.0, math.inf, -math.inf, 1e300, -1e300, 1e-300, -1e-300,
+                         5e-324, -2.5e-310, 2.2250738585072014e-308])
+    scales = np.array([1.0, 1e200, 1e300, 1e-300, 1e-310])
+    for d in range(1, 14):
+        for i in range(12):
+            y = rng.standard_normal(d) * rng.choice(scales) * math.exp(rng.uniform(-3.0, 3.0))
+            if i % 4 == 1:
+                y = rng.integers(-2, 3, d) * rng.choice(scales)
+            elif i % 4 == 2:
+                hit = rng.random(d) < 0.3
+                y[hit] = rng.choice(specials, int(hit.sum()))
+            elif i == 11:
+                y = np.zeros(d) * rng.choice([1.0, -1.0], d)
+            yield y
+        y = rng.standard_normal(d) * 3.0
+        y[rng.random(d) < 0.2] = 0.0
+        yield y.tolist()
+        yield y[None]
+        yield np.repeat(y[::-1], 2)[::2]
+        if d == 1:
+            yield np.array(y[0])
+
+
+def _phi_with_infinite_levels(rng, d: int) -> PhiSpec:
+    w = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 1.5, d))])
+    w[1:][rng.random(d) < 0.3] = math.inf
+    w[1 + int(rng.integers(0, d))] = float(rng.uniform(0.2, 3.0))
+    return PhiSpec(w)
+
+
+# SHA-256 of the corpus's outputs of each scalar entry point, computed with
+# the per-call numpy reductions and one-column table that the shared
+# single-point bodies replaced.
+POINT_CORPUS_DIGESTS = {
+    "lp_value": "d70ba4fef547046e6ea3438cedeccac4f36e086d95ecd3ca26b4a75d612039ff",
+    "top_k_norm": "20de6a2e45652d1f4766e98eb5d74056c3fc7b5bb3228f53511493e073df13f4",
+    "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
+    "dck_sort": "aff2db93bdb7f84784fbdb116a3b4da061e2a38c05c8cef56120e1e4466ea4a1",
+    "dck_enumerate": "bb6281bce7ec036b22691c24cff8717711f266fe4e8e083578ee41189702b81e",
+    "phi_dual_gauge": "a18e9019ff4969a69b50129a6fab35eef5f5b26ee2aaac313c77a4fdd4e14854",
+    "l0_analytic": "f063f546d9c1a872eda16d3dadd5f64f6e50e8cdb59cafdf33d9c9c188207ee8",
+    "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
+    "best_norm_value": "57b667c9b4cf8ebea23443d43f2f21625f9c782d9c3655da1c18ada7c94f3ae3",
+}
+
+
+def test_scalar_entry_points_keep_their_bytes():
+    rng = np.random.default_rng(0xB175)
+    hashes = {name: hashlib.sha256() for name in (
+        "lp_value", "top_k_norm", "k_support_norm", "dck_sort", "dck_enumerate",
+        "phi_dual_gauge", "l0_analytic", "capra_coupling", "best_norm_value")}
+
+    def put(name, value):
+        hashes[name].update(np.float64(value).tobytes())
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for y in _point_corpus():
+            d = int(np.size(y))
+            ks = range(1, d + 1)
+            finite = bool(np.isfinite(y).all())
+            for p in (0.5, 1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+                put("lp_value", lp_value(y, p))
+            for q in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+                for k in ks:
+                    put("top_k_norm", top_k_norm(y, q, k))
+            for p in (1.0, 2.0, math.inf):
+                for k in ks:
+                    put("k_support_norm", k_support_norm(y, p, k))
+            phis = [_phi_with_infinite_levels(rng, d),
+                    PhiSpec(np.concatenate([[0.0], rng.uniform(0.1, 3.0, d)]))]
+            for p in (1.0, 1.5, 2.0, 3.0, math.inf):
+                src = SourceNormSpec.lp(p, d)
+                for k in ks:
+                    put("dck_sort", dual_coordinate_k_norm(y, src, k))
+                    if d <= 8:
+                        put("dck_enumerate", dual_coordinate_k_norm(y, src, k, method="enumerate"))
+                for phi in phis:
+                    put("phi_dual_gauge", phi_dual_gauge(y, phi, src))
+                for phi in phis if finite else phis[1:]:
+                    put("l0_analytic", capra_conjugate_l0_analytic(y, phi, src))
+            if np.ndim(y) == 1 and finite:
+                # A unit-scale partner: <x, y> of two points at 1e300 overflows.
+                w = rng.standard_normal(d)
+                w[rng.random(d) < 0.2] = 0.0
+                for p in (0.5, 1.0, 2.0, math.inf):
+                    coupling = CouplingSpec(NormalizationSpec.lp(p))
+                    put("capra_coupling", capra_coupling(w, y, coupling))
+                    put("capra_coupling", capra_coupling(y, w, coupling))
+            put("best_norm_value", best_norm_object(PhiSpec.identity(d),
+                                                    SourceNormSpec.lp(1.0, d)).value(y))
+            if 2 <= d <= 3:
+                sampled = best_norm_object(PhiSpec.from_values([0.0, math.inf] + [1.0] * (d - 1)),
+                                           SourceNormSpec.lp(2.0, d), n_directions=64)
+                put("best_norm_value", sampled.value(y))
+    assert {name: h.hexdigest() for name, h in hashes.items()} == POINT_CORPUS_DIGESTS
+
+
+
+def test_top_k_core_same_bits_on_a_contiguous_copy_and_a_reversed_view():
+    # A one-point call runs the top-k core on a contiguous descending |y|;
+    # the column it replaced was a (d, 1) view of an ascending sort, with a
+    # negative stride, and np.sort hands the table a transposed (d, n) view.
+    # numpy may pick another power loop for another layout, so the three are
+    # pinned equal bit for bit.
+    rng = np.random.default_rng(0xC0DE)
+    for d in range(1, 14):
+        phi = PhiSpec(np.arange(d + 1.0))
+        for _ in range(40):
+            y = rng.standard_normal(d) * 10.0 ** rng.uniform(-300.0, 300.0)
+            y[rng.random(d) < 0.2] = rng.integers(-2, 3)
+            for p in (1.0, 1.2, 1.5, 2.0, 3.0, 7.0, math.inf):
+                q = conj_exponent(p)
+                column = norms_module._finite_level_norms(y, phi, SourceNormSpec.lp(p, d))[0]
+                assert column.tobytes() == top_k_norm_table(y[None], q)[0].tobytes()
+                view = np.sort(np.abs(y))[::-1, None]
+                if q < math.inf and 0.0 < view[0, 0] < math.inf:
+                    view = norms_module._top_k_table(view, view[0].copy(), q)
+                    assert column.tobytes() == view[:, 0].tobytes()
+
+
+def _scalar_entry_points(d: int = 2) -> dict:
+    """Every scalar entry point as a function of one point of R^d, with the
+    tag it raises today on an empty point (None: it has no empty refusal)."""
+    lp2 = SourceNormSpec.lp(2.0, d)
+    phi = PhiSpec.identity(d)
+    sampled = best_norm_object(PhiSpec.from_values([0.0, math.inf] + [1.0] * (d - 1)), lp2,
+                               n_directions=64)
+    coupling = CouplingSpec(NormalizationSpec.lp(2.0))
+    return {
+        "lp_value": (lambda y: lp_value(y, 3.0), "empty-point"),
+        "lp_value-inf": (lambda y: lp_value(y, math.inf), "empty-point"),
+        "nu": (lambda y: NormalizationSpec.lp(0.5).value(y), "empty-point"),
+        "source": (lambda y: lp2.value(y), "empty-point"),
+        "top_k_norm": (lambda y: top_k_norm(y, 2.0, 1), "k-out-of-range"),
+        "k_support-1": (lambda y: k_support_norm(y, 1.0, 1), "k-out-of-range"),
+        "k_support-2": (lambda y: k_support_norm(y, 2.0, 1), "k-out-of-range"),
+        "k_support-inf": (lambda y: k_support_norm(y, math.inf, 1), "k-out-of-range"),
+        "dck-sort": (lambda y: dual_coordinate_k_norm(y, lp2, 1), "k-out-of-range"),
+        "dck-enumerate": (lambda y: dual_coordinate_k_norm(y, lp2, 1, method="enumerate"),
+                          "k-out-of-range"),
+        "phi_dual_gauge": (lambda y: phi_dual_gauge(y, phi, lp2), "invalid-phi"),
+        "l0_analytic": (lambda y: capra_conjugate_l0_analytic(y, phi, lp2), "invalid-phi"),
+        "best-collapsed": (lambda y: best_norm_object(phi, lp2).value(y), "empty-point"),
+        "best-sampled": (lambda y: sampled.value(y), None),
+        "capra_coupling": (lambda y: capra_coupling(np.reshape(y, -1), np.ones(np.size(y)),
+                                                    coupling), None),
+    }
+
+
+def test_scalar_entry_points_refuse_nan_beside_inf_and_keep_their_input():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for name, (call, empty) in _scalar_entry_points().items():
+            # A NaN is refused whatever its place beside an infinite
+            # coordinate: no +inf comes back.
+            for y in ([math.inf, math.nan], [math.nan, math.inf], [-math.inf, math.nan]):
+                with pytest.raises(ValueError, match="^nan-input"):
+                    call(y)
+            if empty is not None:
+                with pytest.raises(ValueError, match=f"^{empty}"):
+                    call(np.zeros(0))
+            # The sort and the arithmetic touch only a copy of |y|, also on
+            # read-only, 2-d and strided input.
+            base = np.array([[3.0, 0.0, -4.0, 1e300, -0.0]])
+            for y in (base[0, [2, 0]], base[:, [4, 2]], base[0, ::2][:2], base[0, 1:3]):
+                y.flags.writeable = False
+                before = y.tobytes()
+                call(y)
+                assert y.tobytes() == before, name
 
 
 def test_merge_network_sorts_every_zero_one_input():
