@@ -268,11 +268,37 @@ class CouplingSpec:
     nu: NormalizationSpec
 
 
+# A plain <x, y> of d coordinates cannot overflow while d max|x| max|y| is
+# below this: no product or partial sum is larger than about that.
+_DOT_SAFE = 2.0 ** 1022
+
+
 def capra_coupling(x, y, coupling: CouplingSpec) -> float:
+    """``<x, y> / nu(x)``, and 0 at x = 0.
+
+    The plain ``<x, y>`` keeps its bits whenever it does not overflow.  On
+    finite points where it does, the coupling is taken at ``x / max|x|`` and
+    ``y / max|y|`` and multiplied back by max|y| (it is 0-homogeneous in x
+    and 1-homogeneous in y), so it is finite wherever its value is, and
+    +-inf without a warning beyond the largest float.  The bound
+    ``d max|x| max|y|`` that tells when the plain product may overflow is
+    taken in Python floats, so below it the call pays for no
+    ``np.errstate``."""
     x = np.asarray(x, dtype=float)
-    if not np.any(x != 0.0):
+    xs = x.ravel().tolist()
+    if not any(xs):  # no nonzero coordinate (a NaN is one)
         return 0.0
-    return float(np.dot(x, np.asarray(y, dtype=float))) / coupling.nu.value(x)
+    y = np.asarray(y, dtype=float)
+    xmax = max(map(abs, xs))
+    ymax = max(map(abs, y.ravel().tolist()), default=0.0)
+    if not xmax * ymax * len(xs) > _DOT_SAFE:
+        return float(np.dot(x, y)) / coupling.nu.value(x)
+    with np.errstate(over="ignore", invalid="ignore"):
+        dot = float(np.dot(x, y))
+    if math.isfinite(dot) or not (xmax < math.inf and ymax < math.inf):
+        return dot / coupling.nu.value(x)
+    x = x / xmax
+    return float(np.dot(x, y / ymax)) / coupling.nu.value(x) * ymax
 
 
 @dataclass

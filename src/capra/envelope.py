@@ -45,9 +45,10 @@ from .norms import (
     _check_homogeneous,
     _check_phi_dim,
     lp_value,
+    lp_value_batch,
 )
-from .numerics import (FunctionSample, Grid, _finite_scale, _symmetric_axes, default_dual_grid,
-                       format_extreal)
+from .numerics import (FunctionSample, Grid, _block_rows, _finite_scale, _symmetric_axes,
+                       default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -83,30 +84,52 @@ def ball_box_grid(dim: int, count: int) -> Grid:
     return Grid((-hi,) * dim, (hi,) * dim, (count,) * dim)
 
 
-def _ball_mask(nu: NormalizationSpec, nodes: np.ndarray) -> np.ndarray:
-    _check_homogeneous(nu, nodes.shape[1])
-    return nu.batch(nodes) <= 1.0 + BALL_TOL
+def _ball_mask(nu: NormalizationSpec, grid: Grid) -> np.ndarray:
+    """The nodes of ``grid`` in the unit ball of nu, up to ``BALL_TOL``.
+
+    A custom nu is evaluated at the node rows.  lp reads |x|, so an lp ball
+    is evaluated once on the product of each axis's distinct magnitudes (on
+    a sign-symmetric axis, its non-negative half) and gathered back to the
+    nodes: each node gets the arithmetic of its own row.  Those rows are
+    built from the axes in blocks, so no node array is built."""
+    if nu.kind != "lp":
+        _check_homogeneous(nu, grid.dim)
+        return nu.batch(grid.nodes) <= 1.0 + BALL_TOL
+    folds = [np.unique(np.abs(ax), return_inverse=True) for ax in grid.axes]
+    mags = [m for m, _ in folds]
+    shape = tuple(m.size for m in mags)
+    mask = np.empty(math.prod(shape), dtype=bool)
+    step = _block_rows(mask.size, grid.dim)
+    for start in range(0, mask.size, step):
+        stop = min(start + step, mask.size)
+        index = np.unravel_index(np.arange(start, stop), shape)
+        rows = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
+        mask[start:stop] = lp_value_batch(rows, nu.p) <= 1.0 + BALL_TOL
+    return mask.reshape(shape)[np.ix_(*(inv for _, inv in folds))].reshape(-1)
 
 
 def _on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
              grid: Grid) -> tuple[np.ndarray, np.ndarray]:
     """The ball mask of nu on the nodes of ``grid``, and f restricted to the
     ball: f at the ball's nodes, +inf off it (one ``f.batch`` over the
-    nodes)."""
+    nodes, built first, so an oversized grid is refused before any mask)."""
     nodes = grid.nodes
-    ball = _ball_mask(nu, nodes)
+    ball = _ball_mask(nu, grid)
     return ball, np.where(ball, f.batch(nodes), math.inf)
 
 
 def _hull_mask(nu: NormalizationSpec, grid: Grid, ball: np.ndarray | None,
                dual_grid: Grid) -> np.ndarray:
     """Nodes inside the closed convex hull of the unit ball of nu, whose
-    mask on ``grid`` is ``ball`` (None when not built: an lp nu's hull is
-    the ball of its source, :func:`capra.conjugacy._lp_source`)."""
+    mask on ``grid`` is ``ball`` (None when not built).  An lp nu's hull is
+    the ball of its source (:func:`capra.conjugacy._lp_source`), masked by
+    :func:`_ball_mask` from the axes, so the analytic route never builds the
+    node array; a custom nu's hull is the biconjugate of its ball's
+    indicator."""
     if nu.kind == "lp":
         p = _lp_source(nu, grid.dim).p
         if ball is None or p != nu.p:
-            ball = _ball_mask(NormalizationSpec.lp(p), grid.nodes)
+            ball = _ball_mask(NormalizationSpec.lp(p), grid)
         return ball
     _, indicator = _restricted(FunctionSample(grid, np.zeros(grid.node_count)), ball)
     return fenchel_biconjugate(indicator, dual_grid).values <= 1e-7

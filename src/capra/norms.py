@@ -645,18 +645,30 @@ class NormObject:
 
     ``evaluator`` and ``dual_evaluator`` are mutually polar up to the
     documented estimation error of the evaluator (exact when a closed form
-    exists).
+    exists).  When ``dim`` is set, both refuse a point of another number of
+    coordinates before evaluating it: an empty one with ``empty-point``, any
+    other with ``dimension-mismatch``.
     """
 
     evaluator: Callable
     dual_evaluator: Callable
     exact: bool = True
+    dim: int | None = None
 
     def value(self, x) -> float:
-        return float(self.evaluator(np.asarray(x, dtype=float)))
+        return float(self.evaluator(self._point(x)))
 
     def dual_value(self, y) -> float:
-        return float(self.dual_evaluator(np.asarray(y, dtype=float)))
+        return float(self.dual_evaluator(self._point(y)))
+
+    def _point(self, x) -> np.ndarray:
+        x = np.asarray(x, dtype=float)
+        if self.dim is not None and x.size != self.dim:
+            if x.size == 0:
+                raise ValueError("empty-point: a point needs at least one coordinate")
+            raise ValueError(f"dimension-mismatch: the norm is on R^{self.dim}, the point has "
+                             f"{x.size} coordinates")
+        return x
 
 
 def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
@@ -697,7 +709,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     dual = functools.partial(phi_dual_gauge, phi=phi, source=source)
     if source.kind == "lp" and lp_gauge_collapses(phi, source.p):
         scale = phi(1)
-        return NormObject(lambda x: scale * lp_value(x, 1.0), dual, exact=True)
+        return NormObject(lambda x: scale * lp_value(x, 1.0), dual, True, source.dim)
 
     cloud = None
 
@@ -715,7 +727,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
         with np.errstate(invalid="ignore"):
             return float(np.fmax.reduce(np.vecdot(cloud, x)))
 
-    return NormObject(primal, dual, exact=False)
+    return NormObject(primal, dual, False, source.dim)
 
 
 def parse_config(obj: dict, dim: int) -> dict:

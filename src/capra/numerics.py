@@ -10,7 +10,6 @@ by branch in :func:`low_add` / :func:`upp_add` and never by rounding.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
@@ -399,27 +398,35 @@ def write_sample_csv(sample: FunctionSample, path) -> None:
 
     Coordinates and finite values are written by ``repr``, infinities as the
     literals ``+inf`` / ``-inf`` (:func:`format_extreal`).  Each axis value
-    is formatted once; a row's coordinates are the row-major product of
-    those strings, so no node array is built.  Each distinct value is
-    formatted once too, told apart by bit pattern so that ``-0.0`` and
-    ``0.0`` keep their own text, and a block's cells are gathered from the
-    distinct texts (a 201x201 envelope holds 853 distinct values in 40,401
-    nodes).  Rows are written in blocks of at most ``_CSV_BLOCK_ROWS``, one
-    ``write`` each, so the writer holds the axis strings, the distinct texts
-    and one block of text, never a string per node.
+    is formatted once, with its ``,``; each distinct value is formatted once
+    too, with its newline, told apart by bit pattern so that ``-0.0`` and
+    ``0.0`` keep their own text (a 201x201 envelope holds 853 distinct
+    values in 40,401 nodes).  Rows are written in blocks of at most
+    ``_CSV_BLOCK_ROWS``.  The texts sit in one object table, axis by axis and
+    then the values, and a block's cells are one gather of that table into a
+    ``(rows, d + 1)`` object array: a coordinate's index is its axis's
+    offset plus its node's multi-index (``np.unravel_index``, row-major).
+    The block is written by one ``"".join``, so no node array is built, and
+    the writer holds the table and one block of text, never a string per
+    node.
     """
     grid = sample.grid
-    axis_strs = [[repr(c) + "," for c in ax.tolist()] for ax in grid.axes]
-    prefixes = map("".join, itertools.product(*axis_strs))
     bits, which = np.unique(sample.values.view(np.int64), return_inverse=True)
-    texts = np.array([format_extreal(v) for v in bits.view(np.float64).tolist()], dtype=object)
+    table = np.array([repr(c) + "," for ax in grid.axes for c in ax.tolist()]
+                     + [format_extreal(v) + "\n" for v in bits.view(np.float64).tolist()],
+                     dtype=object)
+    offsets = np.cumsum([0, *grid.counts])
+    which += offsets[-1]
     header = ",".join(f"x_{k + 1}" for k in range(grid.dim)) + ",value\n"
     with open(path, "w", encoding="ascii") as fh:
         fh.write(header)
         for start in range(0, which.size, _CSV_BLOCK_ROWS):
-            cells = texts[which[start:start + _CSV_BLOCK_ROWS]].tolist()
-            rows = map(str.__add__, itertools.islice(prefixes, len(cells)), cells)
-            fh.write("\n".join(rows) + "\n")
+            stop = min(start + _CSV_BLOCK_ROWS, which.size)
+            index = np.empty((stop - start, grid.dim + 1), dtype=np.intp)
+            for k, idx in enumerate(np.unravel_index(np.arange(start, stop), grid.counts)):
+                np.add(idx, offsets[k], out=index[:, k])
+            index[:, -1] = which[start:stop]
+            fh.write("".join(table[index].ravel().tolist()))
 
 
 def read_sample_csv(path):

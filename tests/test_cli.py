@@ -536,6 +536,29 @@ def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
     assert digests == ENVELOPE_DIGESTS[nu]
 
 
+# SHA-256 of the CSV and JSON of ``capra envelope --nu <nu> --dim 3 --grid
+# <n>``, computed before the CSV writer gathered each block in one join and the
+# hull mask was taken on one orthant.  lp:1.5 takes powers in the ball mask
+# and the conjugate, so its digests hold where numpy's float64 power rounds
+# as it does on x86-64 Linux.
+DIM3_ENVELOPE_DIGESTS = {
+    ("lp:2", "21"): ("b9a55eaf30a80d6813536df1379fef31199df438a5a5f6556f7b17df5373231e",
+                     "b4bd514b9b310bc8311b7fd8353cad50b7a98b0984866d791d691f2c9fc71d9e"),
+    ("lp:1.5", "31"): ("dce72ddf3a13bfd1e4edbd2fdb21e93cdc65abac010683d1df6b331c33391270",
+                       "adb5c8bb834d838f1ec8885683c8b5533c9222feb59eabfd7e00fcd476783184"),
+}
+
+
+@pytest.mark.parametrize("nu, grid", sorted(DIM3_ENVELOPE_DIGESTS))
+def test_dim3_envelope_output_bytes_are_frozen(tmp_path, capsys, nu, grid):
+    csv, summary = tmp_path / "surface.csv", tmp_path / "surface.json"
+    code, _, _ = run_cli(capsys, "envelope", "--nu", nu, "--dim", "3", "--grid", grid,
+                         "--out", str(csv), "--json", str(summary))
+    assert code == 0
+    digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, summary))
+    assert digests == DIM3_ENVELOPE_DIGESTS[nu, grid]
+
+
 @pytest.mark.parametrize("config, argv", [
     ({"source": {"xx": 2}}, ()),
     ({"nu": {"x": 1}}, ("--p", "2")),

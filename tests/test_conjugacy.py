@@ -185,6 +185,40 @@ def test_capra_coupling():
                         rel_tol=1e-12)
 
 
+def test_capra_coupling_stays_finite_on_huge_finite_points():
+    # <x, y> of points at 1e300 overflows; the coupling pairs x / max|x| with
+    # y / max|y| and scales back, without a warning.
+    lp1 = NormalizationSpec.lp(1.0)
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
+                                  batch=lambda X: np.abs(X).sum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (NormalizationSpec.lp(2.0), lp1, l1):
+            c = CouplingSpec(nu)
+            for x, y in (([3.0, -4.0], [1.0, 2.0]), ([0.5, 0.25, -2.0], [-1.0, 3.0, 0.5])):
+                x, y = np.array(x), np.array(y)
+                want = capra_coupling(x, y, c)
+                for sx, sy in ((1e300, 1e300), (1e-300, 1e300), (1e300, 1.5e307)):
+                    got = capra_coupling(sx * x, sy * y, c)
+                    assert math.isclose(got, want * sy, rel_tol=1e-14), (nu, sx, sy)
+        c = CouplingSpec(NormalizationSpec.lp(2.0))
+        assert math.isclose(capra_coupling([1e300] * 2, [1e300] * 2, c), math.sqrt(2.0) * 1e300,
+                            rel_tol=1e-15)
+        assert capra_coupling([1e300, 1e300], [1e300, -1e300], c) == 0.0
+        # Beyond the largest float the coupling is +-inf.
+        assert capra_coupling([1.7e308] * 3, [1.7e308] * 3, c) == math.inf
+        assert capra_coupling([1.7e308] * 3, [-1.7e308] * 3, c) == -math.inf
+        # Within range the plain product keeps its bits, also where the bound
+        # d max|x| max|y| passes the largest float but no sum does.
+        assert capra_coupling([1e300], [1.5e8], c) == 1e300 * 1.5e8 / 1e300
+        rng = np.random.default_rng(1)
+        for _ in range(20):
+            x, y = rng.uniform(-1.0, 1.0, 3) * 1e300, rng.uniform(-1.0, 1.0, 3) * 5e7
+            assert capra_coupling(x, y, c) == float(np.dot(x, y)) / c.nu.value(x)
+        assert capra_coupling([1e300, 0.0], [1.5e8, 1e300], CouplingSpec(lp1)) == 1.5e8
+        assert capra_coupling([1e300, 1e300], [1.0, 1.0], CouplingSpec(lp1)) == 1.0
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_custom_normalization_refuses_bad_values(bad):
     # A custom nu must be positive and finite away from 0: a named error,

@@ -195,6 +195,60 @@ def test_custom_normalization_hull_matches_lp_ball():
             assert np.array_equal(tightest_convex_on_ball(f, wrapped, g).values, want)
 
 
+# d = 3 stops at 61 nodes per axis: the node-row reference at 201^3 needs
+# about 1 GB.
+MASK_COUNTS = {1: range(5, 202, 2), 2: range(5, 202, 6), 3: range(5, 62, 8)}
+
+
+def test_lp_ball_mask_on_magnitudes_equals_the_node_row_mask():
+    # lp reads |x|, so the rows of distinct magnitudes get each node's own
+    # arithmetic, also at the nodes that only BALL_TOL admits, e.g.
+    # (+-1, +-0.0404) at lp:6 on 201^2.
+    tol_only = 0
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0, 6.0, math.inf):
+        nu = NormalizationSpec.lp(p)
+        for d, counts in MASK_COUNTS.items():
+            for n in counts:
+                g = ball_box_grid(d, n)
+                v = lp_value_batch(g.nodes, p)
+                assert np.array_equal(envelope._ball_mask(nu, g), v <= 1.0 + BALL_TOL), (p, d, n)
+                tol_only += np.count_nonzero((v > 1.0) & (v <= 1.0 + BALL_TOL))
+    assert tol_only > 1000
+    g = ball_box_grid(2, 201)
+    mask = envelope._ball_mask(NormalizationSpec.lp(6.0), g)
+    for pt in ([1.0, 0.0404], [-1.0, 0.0404], [1.0, -0.0404], [-1.0, -0.0404]):
+        k = g.nearest_index(pt)
+        assert 1.0 < lp_value(g.nodes[k], 6.0) <= 1.0 + BALL_TOL and mask[k]
+
+
+@pytest.mark.parametrize("grid", [
+    build_grid([(-1.2, 1.3), (-0.7, 0.9)], [9, 7]),      # no magnitude shared by two nodes
+    build_grid([(-1.25, 1.25), (-0.5, 1.5)], [11, 9]),   # the second axis shares 0.25 and 0.5
+    build_grid([(-1.2, 1.2), (-1.0, 1.0)], [8, 6]),      # even counts: no node at 0
+    build_grid([(-1.0, 1.0), (0.0, 1.0), (-1.0, 1.0)], [7, 5, 9]),
+], ids=["asymmetric", "partly-symmetric", "even", "d3"])
+def test_lp_ball_mask_equals_the_node_row_mask_on_any_axes(grid, monkeypatch):
+    # Only magnitudes that two nodes of an axis share are evaluated once.
+    want = {p: lp_value_batch(grid.nodes, p) <= 1.0 + BALL_TOL for p in (0.5, 1.0, 2.0, math.inf)}
+    monkeypatch.setattr(numerics.Grid, "nodes", property(lambda self: pytest.fail("node array")))
+    for p, mask in want.items():
+        assert np.array_equal(envelope._ball_mask(NormalizationSpec.lp(p), grid), mask), p
+
+
+@pytest.mark.parametrize("d, n", [(1, 201), (2, 83), (3, 11)])
+def test_analytic_envelope_builds_no_node_array(d, n, monkeypatch):
+    # The analytic route masks the hull from the axes (at lp:0.5 the l1
+    # ball, a second mask): neither grid's node array is built.
+    g = ball_box_grid(d, n)
+    want = {p: tightest_convex_on_ball(ZeroHomFnSpec.l0(d), NormalizationSpec.lp(p), g).values
+            for p in (0.5, 1.5, 2.0, math.inf)}
+    monkeypatch.setattr(numerics.Grid, "nodes", property(lambda self: pytest.fail("node array")))
+    g = ball_box_grid(d, n)
+    for p, values in want.items():
+        env = tightest_convex_on_ball(ZeroHomFnSpec.l0(d), NormalizationSpec.lp(p), g)
+        assert env.values.tobytes() == values.tobytes(), p
+
+
 def test_pos_hom_examples():
     cand = build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
     f = ZeroHomFnSpec.l0(2)

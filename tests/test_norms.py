@@ -648,6 +648,24 @@ def test_best_norm_object_examples():
     assert obj2.value([0.0, 0.0]) == 0.0
 
 
+def test_best_norm_object_refuses_a_point_of_another_dimension():
+    # Collapsed and sampled, primal and dual: a point of R^3 or R^1 on a norm
+    # of R^2 is refused before it is evaluated, and so is an empty point.
+    lp2 = SourceNormSpec.lp(2.0, 2)
+    objects = (best_norm_object(PhiSpec.identity(2), lp2),
+               best_norm_object(PhiSpec.from_values([0.0, math.inf, 1.0]), lp2, n_directions=64))
+    assert objects[0].exact and not objects[1].exact
+    for obj in objects:
+        assert obj.dim == 2
+        for evaluate in (obj.value, obj.dual_value):
+            for x in ([1.0, 2.0, 3.0], [1.0], np.ones((2, 2)), np.ones((3, 1))):
+                with pytest.raises(ValueError, match="^dimension-mismatch: the norm is on R\\^2"):
+                    evaluate(x)
+            with pytest.raises(ValueError, match="^empty-point"):
+                evaluate([])
+            assert evaluate(np.array([[3.0, -4.0]])) == evaluate([3.0, -4.0])
+
+
 def test_best_norm_object_noncollapsing():
     # phi(1) = +inf, phi(2) = 1 with an linf source: the dual ball is the l1
     # ball, so the norm is linf (checked against the enumeration gauge).
