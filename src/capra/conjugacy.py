@@ -60,10 +60,11 @@ from .norms import (
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _block_rows,
-                       _check_pairing, _check_work, _count_nonzero_rows, _evaluate_rows,
-                       _finite_scale, _fold_axes, _half_index, _nonzero_rows, _refuse_nan,
-                       _refuse_nonfinite, _symmetric_axes, _unfold, low_add)
+from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _axis_magnitudes,
+                       _block_rows, _check_pairing, _check_work, _count_nonzero_rows,
+                       _evaluate_rows, _finite_scale, _fold_axes, _half_index, _nonzero_rows,
+                       _on_magnitudes, _refuse_nan, _refuse_nonfinite, _symmetric_axes, _unfold,
+                       low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -536,29 +537,26 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     ``_BLOCK_FLOATS``; each row is computed on its own, so neither the
     blocking nor the permuting changes a value.
     """
-    folds = [np.unique(np.abs(ax), return_inverse=True) for ax in dual_grid.axes]
-    mags = [m for m, _ in folds]
+    mags, inverses = _axis_magnitudes(dual_grid.axes)
+    if not all(np.array_equal(m, mags[0]) for m in mags):
+        return _on_magnitudes(lambda Y: capra_conjugate_l0_analytic_batch(Y, phi, source),
+                              mags, 1), inverses
     shape = tuple(m.size for m in mags)
     conj = np.empty(math.prod(shape))
     d = len(shape)
     strides = [math.prod(shape[k + 1:]) for k in range(d)]
-    equal = all(np.array_equal(m, mags[0]) for m in mags)
-    total = math.comb(shape[0] + d - 1, d) if equal else conj.size
     # Flat orthant position of an index tuple: its dot with the strides,
-    # permuted over every order of the tuple on equal axes.
-    orders = list(itertools.permutations(strides)) if equal else [strides]
+    # permuted over every order of the tuple.
+    orders = list(itertools.permutations(strides))
+    total = math.comb(shape[0] + d - 1, d)
     step = _block_rows(total, 1)
     for start in range(0, total, step):
-        rows = np.arange(start, min(start + step, total))
-        if equal:
-            index = _sorted_index_columns(rows, shape[0], d)
-        else:
-            index = np.unravel_index(rows, shape)
+        index = _sorted_index_columns(np.arange(start, min(start + step, total)), shape[0], d)
         Y = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
         values = capra_conjugate_l0_analytic_batch(Y, phi, source)
         for order in orders:
             conj[sum(s * i for s, i in zip(order, index))] = values
-    return conj.reshape(shape), [inv for _, inv in folds]
+    return conj.reshape(shape), inverses
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):

@@ -47,8 +47,8 @@ from .norms import (
     lp_value,
     lp_value_batch,
 )
-from .numerics import (FunctionSample, Grid, _block_rows, _finite_scale, _symmetric_axes,
-                       default_dual_grid, format_extreal)
+from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
+                       _symmetric_axes, default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -88,24 +88,17 @@ def _ball_mask(nu: NormalizationSpec, grid: Grid) -> np.ndarray:
     """The nodes of ``grid`` in the unit ball of nu, up to ``BALL_TOL``.
 
     A custom nu is evaluated at the node rows.  lp reads |x|, so an lp ball
-    is evaluated once on the product of each axis's distinct magnitudes (on
-    a sign-symmetric axis, its non-negative half) and gathered back to the
-    nodes: each node gets the arithmetic of its own row.  Those rows are
-    built from the axes in blocks, so no node array is built."""
+    is evaluated once on the product of each axis's distinct magnitudes
+    (:func:`capra.numerics._on_magnitudes`, in blocks, so no node array is
+    built) and gathered back to the nodes: each node gets the arithmetic of
+    its own row."""
     if nu.kind != "lp":
         _check_homogeneous(nu, grid.dim)
         return nu.batch(grid.nodes) <= 1.0 + BALL_TOL
-    folds = [np.unique(np.abs(ax), return_inverse=True) for ax in grid.axes]
-    mags = [m for m, _ in folds]
-    shape = tuple(m.size for m in mags)
-    mask = np.empty(math.prod(shape), dtype=bool)
-    step = _block_rows(mask.size, grid.dim)
-    for start in range(0, mask.size, step):
-        stop = min(start + step, mask.size)
-        index = np.unravel_index(np.arange(start, stop), shape)
-        rows = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
-        mask[start:stop] = lp_value_batch(rows, nu.p) <= 1.0 + BALL_TOL
-    return mask.reshape(shape)[np.ix_(*(inv for _, inv in folds))].reshape(-1)
+    mags, inverses = _axis_magnitudes(grid.axes)
+    orthant = _on_magnitudes(lambda rows: lp_value_batch(rows, nu.p) <= 1.0 + BALL_TOL,
+                             mags, grid.dim, dtype=bool)
+    return orthant[np.ix_(*inverses)].reshape(-1)
 
 
 def _on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,

@@ -645,15 +645,15 @@ class NormObject:
 
     ``evaluator`` and ``dual_evaluator`` are mutually polar up to the
     documented estimation error of the evaluator (exact when a closed form
-    exists).  When ``dim`` is set, both refuse a point of another number of
-    coordinates before evaluating it: an empty one with ``empty-point``, any
+    exists).  Both refuse a point of another number of coordinates than
+    ``dim`` before evaluating it: an empty one with ``empty-point``, any
     other with ``dimension-mismatch``.
     """
 
     evaluator: Callable
     dual_evaluator: Callable
-    exact: bool = True
-    dim: int | None = None
+    exact: bool
+    dim: int
 
     def value(self, x) -> float:
         return float(self.evaluator(self._point(x)))
@@ -663,7 +663,7 @@ class NormObject:
 
     def _point(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
-        if self.dim is not None and x.size != self.dim:
+        if x.size != self.dim:
             if x.size == 0:
                 raise ValueError("empty-point: a point needs at least one coordinate")
             raise ValueError(f"dimension-mismatch: the norm is on R^{self.dim}, the point has "

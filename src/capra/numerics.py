@@ -101,6 +101,31 @@ def _unfold(half: np.ndarray, counts, fold) -> np.ndarray:
                          else np.arange(m) for m, f in zip(counts, fold)))]
 
 
+def _axis_magnitudes(axes) -> tuple[list, list]:
+    """Each axis's distinct magnitudes |x|, ascending, and the index of
+    each node's magnitude: ``(magnitudes, inverses)``.  On a sign-symmetric
+    axis the magnitudes are its non-negative half."""
+    folds = [np.unique(np.abs(ax), return_inverse=True) for ax in axes]
+    return [m for m, _ in folds], [inv for _, inv in folds]
+
+
+def _on_magnitudes(row_fn: Callable, magnitudes, per_row: int, dtype=float) -> np.ndarray:
+    """``row_fn`` on the rows of the product of ``magnitudes`` (the first
+    output of :func:`_axis_magnitudes`), shaped by their sizes: its value at
+    ``orthant[np.ix_(*inverses)]`` is the value at each node's own row when
+    ``row_fn`` computes each row on its own.  The rows are built from the
+    axes and evaluated in blocks of ``_block_rows(total, per_row)``, so no
+    array of every row is built."""
+    shape = tuple(m.size for m in magnitudes)
+    out = np.empty(math.prod(shape), dtype=dtype)
+    step = _block_rows(out.size, per_row)
+    for start in range(0, out.size, step):
+        stop = min(start + step, out.size)
+        index = np.unravel_index(np.arange(start, stop), shape)
+        out[start:stop] = row_fn(np.stack([m[i] for m, i in zip(magnitudes, index)], axis=1))
+    return out.reshape(shape)
+
+
 def _axis_extent(grid: Grid) -> tuple[float, float]:
     """``max|x|`` and ``max|x|_1`` over the nodes of ``grid``, from its axes."""
     tops = [float(np.abs(ax).max()) for ax in grid.axes]

@@ -538,7 +538,7 @@ def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
 
 # SHA-256 of the CSV and JSON of ``capra envelope --nu <nu> --dim 3 --grid
 # <n>``, computed before the CSV writer gathered each block in one join and the
-# hull mask was taken on one orthant.  lp:1.5 takes powers in the ball mask
+# lp mask was evaluated on each axis's distinct magnitudes.  lp:1.5 takes powers in the ball mask
 # and the conjugate, so its digests hold where numpy's float64 power rounds
 # as it does on x86-64 Linux.
 DIM3_ENVELOPE_DIGESTS = {
