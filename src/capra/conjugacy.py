@@ -284,20 +284,32 @@ def capra_coupling(x, y, coupling: CouplingSpec) -> float:
     +-inf without a warning beyond the largest float.  The bound
     ``d max|x| max|y|`` that tells when the plain product may overflow is
     taken in Python floats, so below it the call pays for no
-    ``np.errstate``."""
+    ``np.errstate``.  A NaN coordinate in x or y raises ``nan-input`` and an
+    infinite one ``nonfinite-input`` (x's first).  Off x = 0 they are looked
+    for only when the product is not finite, which it is exactly when a
+    coordinate is not or, above the bound, when it overflows."""
     x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
     xs = x.ravel().tolist()
     if not any(xs):  # no nonzero coordinate (a NaN is one)
+        _refuse_nonfinite(y, "a dual point")
         return 0.0
-    y = np.asarray(y, dtype=float)
     xmax = max(map(abs, xs))
     ymax = max(map(abs, y.ravel().tolist()), default=0.0)
-    if not xmax * ymax * len(xs) > _DOT_SAFE:
-        return float(np.dot(x, y)) / coupling.nu.value(x)
-    with np.errstate(over="ignore", invalid="ignore"):
+    # Python's max passes over a NaN after the first entry, never over an
+    # inf: below the bound every coordinate is finite or NaN, and a NaN
+    # product raises no warning.
+    if xmax * ymax * len(xs) <= _DOT_SAFE:
         dot = float(np.dot(x, y))
-    if math.isfinite(dot) or not (xmax < math.inf and ymax < math.inf):
-        return dot / coupling.nu.value(x)
+        if dot == dot:
+            return dot / coupling.nu.value(x)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            dot = float(np.dot(x, y))
+        if math.isfinite(dot):
+            return dot / coupling.nu.value(x)
+    _refuse_nonfinite(x, "a point")
+    _refuse_nonfinite(y, "a dual point")
     x = x / xmax
     return float(np.dot(x, y / ymax)) / coupling.nu.value(x) * ymax
 

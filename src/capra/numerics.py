@@ -198,9 +198,10 @@ def _refuse_nan(a: np.ndarray, what: str) -> None:
 
 def _refuse_nonfinite(a: np.ndarray, what: str) -> None:
     """:func:`_refuse_nan`, then ``nonfinite-input`` when ``a`` holds +-inf
-    (``what`` names whose coordinate it is)."""
-    _refuse_nan(a, f"{what} coordinate")
-    if np.isinf(a).any():
+    (``what`` names whose coordinate it is).  Finite input pays for one
+    ``np.isfinite`` reduction; the tagged checks run only when it fails."""
+    if not np.isfinite(a).all():
+        _refuse_nan(a, f"{what} coordinate")
         raise ValueError(f"nonfinite-input: {what} coordinate is infinite")
 
 

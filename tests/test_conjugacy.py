@@ -219,6 +219,34 @@ def test_capra_coupling_stays_finite_on_huge_finite_points():
         assert capra_coupling([1e300, 1e300], [1.0, 1.0], CouplingSpec(lp1)) == 1.0
 
 
+def test_capra_coupling_refuses_nonfinite_coordinates():
+    # [inf, 1] used to give inf / nu(x) = nan.  A NaN is refused wherever it
+    # stands, also after the first coordinate, where Python's max passes
+    # over it, and beside an infinite or a huge coordinate.
+    inf, nan = math.inf, math.nan
+    cases = [
+        ([inf, 1.0], [1.0, 1.0], "nonfinite-input: a point"),
+        ([nan, 1.0], [1.0, 1.0], "nan-input: a point"),
+        ([1.0, nan], [1.0, 1.0], "nan-input: a point"),
+        ([1.0, nan, inf], [1.0, 0.0, 1.0], "nan-input: a point"),
+        ([1e300, nan], [1e10, 1.0], "nan-input: a point"),
+        ([inf, 1.0], [0.0, 0.0], "nonfinite-input: a point"),
+        ([1.0, 1.0], [inf, 1.0], "nonfinite-input: a dual point"),
+        ([1.0, 0.0], [0.0, -inf], "nonfinite-input: a dual point"),
+        ([1.0, 1.0], [1.0, nan], "nan-input: a dual point"),
+        ([0.0, 0.0], [nan, 1.0], "nan-input: a dual point"),
+        ([0.0, -0.0], [1.0, inf], "nonfinite-input: a dual point"),
+    ]
+    l1 = NormalizationSpec.custom(lambda v: float(np.abs(v).sum()),
+                                  batch=lambda X: np.abs(X).sum(axis=1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for nu in (NormalizationSpec.lp(2.0), NormalizationSpec.lp(math.inf), l1):
+            for x, y, tag in cases:
+                with pytest.raises(ValueError, match=f"^{tag}"):
+                    capra_coupling(x, y, CouplingSpec(nu))
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_custom_normalization_refuses_bad_values(bad):
     # A custom nu must be positive and finite away from 0: a named error,

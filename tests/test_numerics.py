@@ -320,3 +320,17 @@ def test_nearest_index_on_a_grid_wider_than_the_largest_float():
         assert got == [1, 2, 0, 1, 2, 0]
         assert square.nearest_index([0.0, 1e308]) == 5
         assert FunctionSample(wide, np.array([2.0, 3.0, 4.0])).value_near([1e308]) == 4.0
+
+
+def test_refuse_nonfinite_keeps_its_tags_and_messages():
+    # One isfinite reduction on finite input; the tagged checks on failure,
+    # NaN first wherever it stands beside an infinite coordinate.
+    for a in (np.zeros(0), np.array([1.0, -0.0, 1e308]), np.ones((2, 3))):
+        numerics._refuse_nonfinite(a, "a point")
+    for a in ([math.nan, 1.0], [math.inf, math.nan], [1.0, -math.inf, math.nan]):
+        with pytest.raises(ValueError, match=r"^nan-input: a point coordinate is NaN$"):
+            numerics._refuse_nonfinite(np.array(a), "a point")
+    for a in ([1.0, math.inf], [[-math.inf], [0.0]]):
+        with pytest.raises(ValueError,
+                           match=r"^nonfinite-input: a dual point coordinate is infinite$"):
+            numerics._refuse_nonfinite(np.array(a), "a dual point")

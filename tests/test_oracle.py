@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capra import numerics
+from capra import numerics, oracle
 from capra.conjugacy import conjugate_at_points, fenchel_biconjugate, fenchel_conjugate
 from capra.norms import conj_exponent, k_support_norm, lp_value, lp_value_batch, top_k_norm
 from capra.numerics import FunctionSample, build_grid, default_dual_grid, low_add
@@ -178,6 +178,81 @@ def test_naive_keeps_flat_row_bits_signed_zeros_included(monkeypatch):
             zeros[True] += int(np.count_nonzero((z == 0.0) & np.signbit(z)))
     # Both signs of zero occur, so the pin sees a flipped sign.
     assert zeros[False] > 0 and zeros[True] > 0
+
+
+def _swap_cases():
+    """(grid, dual grid, values, swaps) on which the referee's swap fold
+    (y0 <-> y1) must or must not engage: it does at d = 2 when axes 0 and 1
+    are equal on both grids and the values equal their transpose in value."""
+    sym, dual = build_grid([(-1.0, 1.0)] * 2, [7, 7]), build_grid([(-2.0, 2.0)] * 2, [9, 9])
+    skew = build_grid([(-0.5, 1.5)] * 2, [7, 7])  # no sign fold
+    skew_dual = build_grid([(-1.0, 2.0)] * 2, [11, 11])
+    x, s = sym.nodes, skew.nodes
+    ball = np.where(np.abs(x).sum(axis=1) <= 1.0, 0.0, math.inf)
+    sym3 = build_grid([(-1.0, 1.0)] * 3, [5, 5, 5])
+    # At y = (-1, -0.5) the scores tie at the -0.0 of the origin and the +0.0
+    # of (-0.25, 0); at (-0.5, -1) at the same -0.0 and the +0.0 of
+    # (0, -0.25).  On numpy 2.4 (x86-64) the reduction's order makes the
+    # first max -0.0 and the second +0.0: the copied zeros must be rescored.
+    tie = build_grid([(-0.25, 1.5)] * 2, [8, 8])
+    t = tie.nodes
+    return [
+        (tie, dual, np.maximum(0.0, -t[:, 0]) + np.maximum(0.0, -t[:, 1]) + 0.0, True),
+        (sym, dual, ball, True),
+        (sym, dual, 2.0 * np.abs(x).sum(axis=1), True),
+        (sym, dual, np.count_nonzero(x, axis=1).astype(float), True),
+        (sym, dual, 3.0 * np.abs(x).max(axis=1), True),
+        (skew, skew_dual, s.sum(axis=1) + np.abs(s[:, 0] - s[:, 1]), True),
+        (skew, skew_dual, np.where(s.max(axis=1) <= 0.5, 0.0, math.inf), True),
+        # equal in value, with 0.0 and -0.0 swapped across the diagonal
+        (sym, dual, np.where((x[:, 0] < x[:, 1]) & (ball == 0.0), -0.0, ball), True),
+        (skew, skew_dual, np.where(s[:, 0] > s[:, 1], -0.0, 0.0), True),
+        # equal counts, unequal bounds on the dual grid, then on the primal
+        (sym, build_grid([(-2.0, 2.0), (-2.5, 2.5)], [9, 9]), ball, False),
+        (build_grid([(-1.0, 1.0), (-1.5, 1.5)], [7, 7]), dual, ball, False),
+        # not symmetric
+        (sym, dual, np.abs(x[:, 0]) + 2.0 * np.abs(x[:, 1]), False),
+        (skew, skew_dual, np.where(s[:, 0] <= 0.5, 0.0, math.inf), False),
+        (build_grid([(-1.0, 1.0)], [9]), build_grid([(-2.0, 2.0)], [13]),
+         np.where(np.linspace(-1.0, 1.0, 9) == 0.0, 0.0, 1.0), False),
+        (sym3, build_grid([(-2.0, 2.0)] * 3, [5, 5, 5]), np.abs(sym3.nodes).sum(axis=1), False),
+    ]
+
+
+def test_swap_fold_keeps_flat_row_bits(monkeypatch):
+    # The swap fold scores one node of each orbit of the square's symmetry
+    # group (sign flips and the swap of axes 0 and 1) and rescores the
+    # copied zeros; under every blocking, one value per block or blocks
+    # that straddle the diagonal, the bits are those of flat rows.
+    real = oracle._score_product
+    scored = []
+
+    def counting(cols, vals, axes, swap):
+        out = real(cols, vals, axes, swap)
+        scored.append(([ax.size for ax in axes], int(np.count_nonzero(~np.isnan(out)))))
+        return out
+
+    monkeypatch.setattr(oracle, "_score_product", counting)
+    signs = set()
+    for g, gd, vals, swaps in _swap_cases():
+        f = FunctionSample(g, vals)
+        want = _flat_row_conjugate(f, gd)
+        back = FunctionSample(gd, want)
+        want_back = _flat_row_conjugate(back, g)
+        for h, grid, want in ((f, gd, want), (back, g, want_back)):
+            n = h.grid.node_count
+            for budget in (1, 2 * n, 3 * n, 1 << 16):
+                monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
+                scored.clear()
+                got = naive_conjugate(h, grid).values
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), g.axes
+                (sizes, count), = scored
+                if h is f:
+                    m = sizes[0]
+                    assert count == (m * (m + 1) // 2 if swaps else math.prod(sizes)), g.axes
+            signs |= set(np.signbit(want[want == 0.0]).tolist())
+    # Both signs of zero occur, so the pin sees a flipped sign.
+    assert signs == {False, True}
 
 
 @pytest.mark.parametrize("d, n", [(1, 40001), (2, 183), (3, 33)])
