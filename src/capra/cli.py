@@ -100,7 +100,7 @@ def cmd_norm(args) -> int:
         if args.p is None or args.k is None:
             raise ValueError("missing-argument: --kind ksupport needs --p and --k")
         value = k_support_norm(x, float(args.p), args.k)
-    elif args.kind == "best":
+    else:  # "best", the last of --kind's choices
         if args.p is not None:
             source = SourceNormSpec.lp(float(args.p), d)
         elif config["source"] is not None:
@@ -114,8 +114,6 @@ def cmd_norm(args) -> int:
         else:
             phi = PhiSpec.identity(d)
         value = best_norm_object(phi, source).value(x)
-    else:
-        raise ValueError(f"unknown-kind: unknown norm kind {args.kind!r}")
     print(_fmt(value))
     return 0
 
@@ -187,26 +185,25 @@ def cmd_oracle(args) -> int:
         src = SourceNormSpec.lp(float(args.p), x.size)
         print(_fmt(orc._phi_dual_support(x, _parse_phi(args.phi or "id", x.size), src)))
         return 0
-    if args.oracle in ("conjugate", "envelope2d"):
-        if args.oracle == "conjugate":
-            _require(args, "at")
-        at = _parse_point(args.at) if args.at else None
-        grid = ball_box_grid(args.dim, args.grid)
-        f = _parse_function(args.f, args.dim)
-        sample = FunctionSample(grid, _on_ball(f, _parse_nu(args.nu), grid)[1])
-        if args.oracle == "conjugate":
-            print(_fmt(float(conjugate_at_points(sample, at[None, :])[0])))
-            return 0
-        # A checkpoint that has no nearest node is refused before the oracle runs.
-        near = None if at is None else grid.nearest_index(at)
-        ref = orc.convex_envelope_2d(sample)
-        if near is not None:
-            print(f"value near ({args.at}): {_fmt(float(ref.values[near]))}")
-        if args.out:
-            write_sample_csv(ref, args.out)
-            print(f"surface written to {args.out}")
+    # "conjugate" or "envelope2d", the last of --oracle's choices.
+    if args.oracle == "conjugate":
+        _require(args, "at")
+    at = _parse_point(args.at) if args.at else None
+    grid = ball_box_grid(args.dim, args.grid)
+    f = _parse_function(args.f, args.dim)
+    sample = FunctionSample(grid, _on_ball(f, _parse_nu(args.nu), grid)[1])
+    if args.oracle == "conjugate":
+        print(_fmt(float(conjugate_at_points(sample, at[None, :])[0])))
         return 0
-    raise ValueError(f"unknown-oracle: unknown oracle {args.oracle!r}")
+    # A checkpoint that has no nearest node is refused before the oracle runs.
+    near = None if at is None else grid.nearest_index(at)
+    ref = orc.convex_envelope_2d(sample)
+    if near is not None:
+        print(f"value near ({args.at}): {_fmt(float(ref.values[near]))}")
+    if args.out:
+        write_sample_csv(ref, args.out)
+        print(f"surface written to {args.out}")
+    return 0
 
 
 def cmd_verify(args) -> int:

@@ -56,6 +56,7 @@ from .norms import (
     SourceNormSpec,
     _check_homogeneous,
     _check_phi_dim,
+    _check_spec,
     _finite_level_norms,
     conj_exponent,
     top_k_norm_table,
@@ -63,8 +64,7 @@ from .norms import (
 from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _axis_magnitudes,
                        _block_rows, _check_pairing, _check_work, _count_nonzero_rows,
                        _evaluate_rows, _finite_scale, _fold_axes, _half_index, _nonzero_rows,
-                       _on_magnitudes, _refuse_nan, _refuse_nonfinite, _symmetric_axes, _unfold,
-                       low_add)
+                       _on_magnitudes, _refuse_nan, _refuse_nonfinite, _unfold, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -160,7 +160,7 @@ def _grid_transform(grids, values) -> np.ndarray:
         # Even by construction; the orthant is the non-negative half of each
         # folded axis, and the other axes are gathered onto the whole axis.
         g, inverse = values
-        fold = _symmetric_axes(grids)
+        fold = _fold_axes(grids)
         _check_grid_work(grids, fold, "grid transform", 0)
         if not all(fold):
             g = g[np.ix_(*(np.arange(n) if f else inv
@@ -284,18 +284,23 @@ def capra_coupling(x, y, coupling: CouplingSpec) -> float:
     +-inf without a warning beyond the largest float.  The bound
     ``d max|x| max|y|`` that tells when the plain product may overflow is
     taken in Python floats, so below it the call pays for no
-    ``np.errstate``.  A NaN coordinate in x or y raises ``nan-input`` and an
-    infinite one ``nonfinite-input`` (x's first).  Off x = 0 they are looked
-    for only when the product is not finite, which it is exactly when a
-    coordinate is not or, above the bound, when it overflows."""
+    ``np.errstate``.  x and y that are not 1-d points of one size raise
+    ``dimension-mismatch``, also at x = 0.  A NaN coordinate raises
+    ``nan-input`` and an infinite one ``nonfinite-input`` (x's first).  Off
+    x = 0 they are looked for only when the product is not finite, which it
+    is exactly when a coordinate is not or, above the bound, when it
+    overflows.  :func:`capra_subdiff_contains` relies on these checks."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    xs = x.ravel().tolist()
+    if x.ndim != 1 or y.shape != x.shape:
+        raise ValueError(f"dimension-mismatch: x and y must be points of one dimension "
+                         f"(got shapes {x.shape} and {y.shape})")
+    xs = x.tolist()
     if not any(xs):  # no nonzero coordinate (a NaN is one)
         _refuse_nonfinite(y, "a dual point")
         return 0.0
     xmax = max(map(abs, xs))
-    ymax = max(map(abs, y.ravel().tolist()), default=0.0)
+    ymax = max(map(abs, y.tolist()), default=0.0)
     # Python's max passes over a NaN after the first entry, never over an
     # inf: below the bound every coordinate is finite or NaN, and a NaN
     # product raises no warning.
@@ -328,6 +333,9 @@ class ZeroHomFnSpec:
     phi: PhiSpec | None = None
     fn: Callable | None = None
     batch_fn: Callable | None = None
+
+    def __post_init__(self):
+        _check_spec(self, {"phi_l0": "phi", "custom": "fn"})
 
     @classmethod
     def l0(cls, dim: int) -> "ZeroHomFnSpec":
@@ -429,27 +437,28 @@ def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
     ``empty-sample``) that holds the origin and whose first 64 nonzero rows
     lie on the unit sphere of the coupling's normalization function (else
     ``invalid-sample``); with dense samples this converges to the Fenchel
-    conjugate of f restricted to the unit ball.
+    conjugate of f restricted to the unit ball.  This is the one entry that
+    takes a caller's sample, so these checks, and the homogeneity spot check
+    of a custom nu, run here and not in the transform.
     """
     sample = np.asarray(sphere_sample, dtype=float)
     if sample.ndim != 2 or sample.shape[0] == 0:
         raise ValueError("empty-sample: sphere sample must be a nonempty 2-d array")
     _check_homogeneous(coupling.nu, sample.shape[1])
-    return _sample_conjugate(f, coupling.nu, sample, y)
-
-
-def _sample_conjugate(f: ZeroHomFnSpec, nu: NormalizationSpec, sample: np.ndarray, y):
-    """:func:`capra_conjugate` past its shape and homogeneity checks."""
     nonzero = _nonzero_rows(sample)
     if nonzero.all():
         raise ValueError("invalid-sample: sphere sample must contain the origin")
     # Spot-check membership of the sphere on a few nonzero rows.
     idx = np.flatnonzero(nonzero)[:64]
-    if idx.size:
-        nv = nu.batch(sample[idx])
-        if np.any(np.abs(nv - 1.0) > 1e-6):
-            raise ValueError("invalid-sample: sphere sample contains points off the unit "
-                             "sphere of nu")
+    if idx.size and np.any(np.abs(coupling.nu.batch(sample[idx]) - 1.0) > 1e-6):
+        raise ValueError("invalid-sample: sphere sample contains points off the unit "
+                         "sphere of nu")
+    return _sample_conjugate(f, sample, y)
+
+
+def _sample_conjugate(f: ZeroHomFnSpec, sample: np.ndarray, y):
+    """The transform of :func:`capra_conjugate`, with no check of the
+    sample: the max over its rows s of ``low_add(<s, y>, -f(s))``."""
     y = np.asarray(y, dtype=float)
     conj = _conjugate_values(sample, f.batch(sample), y[None, :] if y.ndim == 1 else y)
     return float(conj[0]) if y.ndim == 1 else conj
@@ -578,9 +587,10 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
     The route is analytic for phi∘l0 with any lp normalization, p > 0, from
     the source of :func:`_lp_source` (exact up to rounding; tolerance
     ``ANALYTIC_TOL``).  Only a custom f or a custom nu takes the sphere
-    route over ``build_sphere_sample(nu, d)``, built (homogeneity checked)
-    on every call and checked by the body of :func:`capra_conjugate`.  A sup
-    over a sample of the sphere misses the optimum by the coverage gap
+    route over ``build_sphere_sample(nu, d)``, built (a custom nu's
+    homogeneity spot-checked) on every call and passed to the transform
+    unchecked: it holds the origin and lies on the sphere by construction.
+    A sup over a sample of the sphere misses the optimum by the coverage gap
     ``count^(-1/(d-1))`` times a Lipschitz factor of order ``1 + |y|``, so
     the tolerance is ``5 gap (1 + |y|)`` per row (``ANALYTIC_TOL`` for
     d = 1, where the sample holds the whole sphere).
@@ -590,7 +600,7 @@ def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):
         analytic = capra_conjugate_l0_analytic if Y.ndim == 1 else capra_conjugate_l0_analytic_batch
         return analytic(Y, f.phi, _lp_source(nu, dim)), ANALYTIC_TOL
     sample = build_sphere_sample(nu, dim)
-    conj = _sample_conjugate(f, nu, sample, Y)
+    conj = _sample_conjugate(f, sample, Y)
     if dim <= 1:
         return conj, ANALYTIC_TOL
     gap = float(len(sample)) ** (-1.0 / (dim - 1))
@@ -601,23 +611,17 @@ def capra_subdiff_contains(y, x, f: ZeroHomFnSpec, coupling: CouplingSpec) -> bo
     """Membership of y in the Capra subdifferential of f at x: equality of
     the conjugate value with ``low_add(coupling(x, y), -f(x))``, up to the
     route tolerance of :func:`_capra_route` (sampled for a custom f or nu
-    only).  x and y must be finite points of one dimension (else
-    ``dimension-mismatch``, ``nan-input`` or ``nonfinite-input``), on either
-    route.
+    only).  The coupling is taken first, so :func:`capra_coupling` refuses x
+    and y that are not finite points of one dimension
+    (``dimension-mismatch``, ``nan-input`` or ``nonfinite-input``), on
+    either route.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.ndim != 1 or y.shape != x.shape:
-        raise ValueError(f"dimension-mismatch: x and y must be points of one dimension "
-                         f"(got shapes {x.shape} and {y.shape})")
-    _refuse_nonfinite(x, "a point")
-    _refuse_nonfinite(y, "a dual point")
+    pairing = capra_coupling(x, y, coupling)
     fx = f.value(x)
     if not math.isfinite(fx):
         raise ValueError(f"infinite-f-at-x: f(x) = {fx}")
-    conj, tol = _capra_route(f, coupling.nu, y)
-    rhs = low_add(capra_coupling(x, y, coupling), -fx)
-    return bool(abs(conj - rhs) <= tol)
+    conj, tol = _capra_route(f, coupling.nu, np.asarray(y, dtype=float))
+    return bool(abs(conj - low_add(pairing, -fx)) <= tol)
 
 
 def capra_subdiff_at_zero(f: ZeroHomFnSpec, coupling: CouplingSpec,

@@ -47,8 +47,8 @@ from .norms import (
     lp_value,
     lp_value_batch,
 )
-from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
-                       _symmetric_axes, default_dual_grid, format_extreal)
+from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _fold_axes,
+                       _on_magnitudes, default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -161,7 +161,7 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     # primal one, unless a custom f sized the dual grid).  The analytic orthant
     # folds every sign-symmetric axis; f on the ball is not known yet, so no
     # ball axis folds.
-    fold = _symmetric_axes(chain) if route == "analytic" else [False] * dim
+    fold = _fold_axes(chain) if route == "analytic" else [False] * dim
     _check_grid_work(chain, fold, "envelope transform", 0 if route == "analytic" else 1)
     if route == "analytic":
         values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, _lp_source(nu, dim))

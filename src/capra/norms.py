@@ -138,6 +138,18 @@ def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
     return out
 
 
+def _check_spec(spec, reads: dict) -> None:
+    """Refuse with ``invalid-spec`` a spec built with a kind its methods do
+    not dispatch on, or without the field its kind reads (``reads`` maps
+    each kind to that field)."""
+    if spec.kind not in reads:
+        raise ValueError(f"invalid-spec: a {type(spec).__name__} kind is one of "
+                         f"{', '.join(reads)} (got {spec.kind!r})")
+    if getattr(spec, reads[spec.kind]) is None:
+        raise ValueError(f"invalid-spec: a {type(spec).__name__} of kind {spec.kind!r} "
+                         f"needs {reads[spec.kind]}")
+
+
 @dataclass
 class NormalizationSpec:
     """A normalization function: nonnegative, absolutely 1-homogeneous and
@@ -154,6 +166,9 @@ class NormalizationSpec:
     p: float | None = None
     fn: Callable | None = None
     batch_fn: Callable | None = None
+
+    def __post_init__(self):
+        _check_spec(self, {"lp": "p", "custom": "fn"})
 
     @classmethod
     def lp(cls, p: float) -> "NormalizationSpec":
@@ -242,6 +257,9 @@ class SourceNormSpec:
     # _restricted_dual_cloud: level k -> (supports, directions, values).
     _restricted_clouds: dict = field(default_factory=dict, init=False,
                                      compare=False, repr=False)
+
+    def __post_init__(self):
+        _check_spec(self, {"lp": "p", "custom": "fn"})
 
     @classmethod
     def lp(cls, p: float, dim: int) -> "SourceNormSpec":

@@ -71,19 +71,16 @@ def _check_pairing(xmax: float, ymax1: float, fmax: float, what: str) -> float:
     return bound
 
 
-def _symmetric_axes(grids) -> list:
-    """Per axis: is it sign-symmetric (``ax == -ax[::-1]``) on every grid?"""
-    return [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
-            for axes in zip(*(grid.axes for grid in grids))]
-
-
-def _fold_axes(grids, values: np.ndarray) -> list:
+def _fold_axes(grids, values: np.ndarray | None = None) -> list:
     """Per axis: does a transform of ``values`` (shaped by the counts of
     ``grids[0]``) through ``grids`` fold it?  It does when the axis is
-    sign-symmetric on every grid and the values are even along it, in value
-    (``-0.0`` and ``0.0`` are equal)."""
-    return [s and np.array_equal(values, np.flip(values, k))
-            for k, s in enumerate(_symmetric_axes(grids))]
+    sign-symmetric (``ax == -ax[::-1]``) on every grid and the values are
+    even along it, in value (``-0.0`` and ``0.0`` are equal); values of
+    None, as for input even by construction, fold every sign-symmetric
+    axis."""
+    return [all(np.array_equal(ax, -ax[::-1]) for ax in axes)
+            and (values is None or np.array_equal(values, np.flip(values, k)))
+            for k, axes in enumerate(zip(*(grid.axes for grid in grids)))]
 
 
 def _half_index(counts, fold) -> tuple:

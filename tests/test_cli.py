@@ -66,9 +66,14 @@ def test_norm_twelve_significant_digits(capsys):
 
 
 def test_parse_error_exit_2(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["norm", "--kind", "topk"])  # missing --x
-    assert exc.value.code == 2
+    # A missing --x, and a --kind or an --oracle outside argparse's choices,
+    # which the command handlers do not check again.
+    for argv, why in ((["norm", "--kind", "topk"], "required: --x"),
+                      (["norm", "--kind", "foo", "--x", "1"], "invalid choice: 'foo'"),
+                      (["verify", "--oracle", "foo"], "invalid choice: 'foo'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2 and why in capsys.readouterr().err
 
 
 def test_domain_error_exit_3(capsys):

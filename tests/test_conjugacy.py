@@ -247,6 +247,38 @@ def test_capra_coupling_refuses_nonfinite_coordinates():
                     capra_coupling(x, y, CouplingSpec(nu))
 
 
+@pytest.mark.parametrize("x, y", [
+    ([1.0, 2.0], [1.0, 2.0, 3.0]),
+    ([0.0, 0.0], [1.0, 2.0, 3.0]),  # at x = 0 too, where the coupling is 0
+    ([[1.0, 2.0]], [1.0, 2.0]),
+    ([1.0, 2.0], [[1.0, 2.0]]),
+    (1.0, 2.0),
+])
+def test_capra_coupling_refuses_mismatched_points(x, y):
+    # These ended in numpy's untagged ValueError, a TypeError, or 0.0.
+    for nu in (NormalizationSpec.lp(2.0), _as_custom(NormalizationSpec.lp(2.0))):
+        with pytest.raises(ValueError, match="^dimension-mismatch: x and y must be points"):
+            capra_coupling(x, y, CouplingSpec(nu))
+
+
+@pytest.mark.parametrize("build, match", [
+    (lambda: NormalizationSpec(kind="foo"), "a NormalizationSpec kind is one of lp, custom"),
+    (lambda: ZeroHomFnSpec(kind="x"), "a ZeroHomFnSpec kind is one of phi_l0, custom"),
+    (lambda: SourceNormSpec(kind="foo", dim=2), "a SourceNormSpec kind is one of lp, custom"),
+    (lambda: NormalizationSpec(kind="lp"), "a NormalizationSpec of kind 'lp' needs p"),
+    (lambda: NormalizationSpec(kind="custom"), "a NormalizationSpec of kind 'custom' needs fn"),
+    (lambda: ZeroHomFnSpec(kind="phi_l0"), "a ZeroHomFnSpec of kind 'phi_l0' needs phi"),
+    (lambda: ZeroHomFnSpec(kind="custom"), "a ZeroHomFnSpec of kind 'custom' needs fn"),
+    (lambda: SourceNormSpec(kind="lp", dim=2), "a SourceNormSpec of kind 'lp' needs p"),
+    (lambda: SourceNormSpec(kind="custom", dim=2), "a SourceNormSpec of kind 'custom' needs fn"),
+])
+def test_spec_built_directly_refuses_what_its_methods_cannot_dispatch(build, match):
+    # Each of these ended in a TypeError or an AttributeError at the first
+    # value, e.g. 'NoneType' object is not callable.
+    with pytest.raises(ValueError, match=f"^invalid-spec: {match}"):
+        build()
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_custom_normalization_refuses_bad_values(bad):
     # A custom nu must be positive and finite away from 0: a named error,
@@ -785,31 +817,6 @@ def test_sphere_route_refuses_mismatches_by_name(run, match):
             run()
 
 
-def _count_builds(monkeypatch, make) -> list:
-    """Route every build of the conjugacy module through ``make``, counting
-    the normalization kinds it is called with."""
-    builds = []
-
-    def counted(nu, dim, *args):
-        builds.append(nu.kind)
-        return make(nu, dim, *args)
-    monkeypatch.setattr(conjugacy, "build_sphere_sample", counted)
-    return builds
-
-
-@pytest.mark.parametrize("bad, match", [
-    (lambda s: s[1:], "origin"),
-    (lambda s: 2.0 * s, "off the unit sphere"),
-], ids=["no-origin", "off-sphere"])
-def test_sphere_sample_is_checked_on_every_call(monkeypatch, bad, match):
-    # The route builds its sample, and checks it, on every call.
-    builds = _count_builds(monkeypatch, lambda nu, dim: bad(build_sphere_sample(nu, dim)))
-    for _ in range(2):
-        with pytest.raises(ValueError, match=match):
-            capra_subdiff_contains([1.0, 0.5], [1.0, 0.0], _L0, _HALF)
-    assert builds == ["custom", "custom"]
-
-
 @pytest.mark.parametrize("d", range(1, 10))
 def test_row_reductions_by_columns_equal_numpy(d):
     rng = np.random.default_rng(d)
@@ -1014,11 +1021,11 @@ def test_analytic_conjugate_leaves_out_infinite_levels():
 
 
 def test_sphere_route_checks_a_custom_nu_once():
-    # The route checks nu's homogeneity where it builds its sample (3 calls
-    # on 8 rows), maps the sample to the sphere (1 call), spot-checks 64 of
-    # its rows (1 call), and the coupling takes nu(x) (1 call).  The body of
-    # capra_conjugate does not check the homogeneity a second time; the
-    # public function does.
+    # The coupling takes nu(x) first (1 call), then the route checks nu's
+    # homogeneity where it builds its sample (3 calls on 8 rows) and maps
+    # the sample to the sphere (1 call).  It passes the sample it built to
+    # the transform unchecked; capra_conjugate, which takes a caller's
+    # sample, checks the homogeneity and spot-checks 64 rows.
     half = NormalizationSpec.lp(0.5)
     rows = []
     nu = NormalizationSpec.custom(half.value,
@@ -1026,7 +1033,7 @@ def test_sphere_route_checks_a_custom_nu_once():
     y, x = [1.0, 0.5], [1.0, 0.0]
     assert capra_subdiff_contains(y, x, _L0, CouplingSpec(nu)) == capra_subdiff_contains(
         y, x, _L0, CouplingSpec(half))
-    assert rows == [8, 8, 8, 8191, 64, 1]
+    assert rows == [1, 8, 8, 8, 8191]
     rows.clear()
     sample = build_sphere_sample(half, 2)
     assert capra_conjugate(_L0, CouplingSpec(nu), y, sample) == conjugacy._capra_route(
