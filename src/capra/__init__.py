@@ -23,17 +23,14 @@ from .norms import (
     NormalizationSpec,
     PhiSpec,
     SourceNormSpec,
-    ball_contains,
     best_norm_object,
     conj_exponent,
     dual_coordinate_k_norm,
     k_support_norm,
     lp_value,
-    normalize,
     parse_config,
     phi_dual_gauge,
     phi_dual_gauge_batch,
-    sphere_contains,
     top_k_norm,
 )
 from .conjugacy import (

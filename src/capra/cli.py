@@ -13,16 +13,22 @@ import functools
 import json
 import sys
 
+import numpy as np
+
+from . import oracle as orc
+from .conjugacy import ZeroHomFnSpec, conjugate_at_points
+from .envelope import _on_ball, ball_box_grid, tightest_convex_on_ball, write_surface_json
+from .norms import (NormalizationSpec, PhiSpec, SourceNormSpec, best_norm_object,
+                    conj_exponent, dual_coordinate_k_norm, k_support_norm, parse_config,
+                    top_k_norm)
+from .numerics import FunctionSample, format_extreal, write_sample_csv
+
 
 def _fmt(value: float) -> str:
-    from .numerics import format_extreal
-
     return format_extreal(value, "{:.12g}".format)
 
 
 def _parse_point(text: str):
-    import numpy as np
-
     try:
         return np.array([float(tok) for tok in text.split(",")], dtype=float)
     except ValueError as exc:
@@ -30,8 +36,6 @@ def _parse_point(text: str):
 
 
 def _parse_nu(text: str):
-    from .norms import NormalizationSpec
-
     if not text.startswith("lp:"):
         raise ValueError(f"invalid-nu: normalization must be 'lp:<p>' (got {text!r})")
     try:
@@ -42,8 +46,6 @@ def _parse_nu(text: str):
 
 
 def _parse_phi(text: str, dim: int):
-    from .norms import PhiSpec
-
     t = text.strip().lower()
     if t == "id":
         return PhiSpec.identity(dim)
@@ -57,8 +59,6 @@ def _parse_phi(text: str, dim: int):
 
 
 def _parse_function(text: str, dim: int):
-    from .conjugacy import ZeroHomFnSpec
-
     if text == "l0":
         return ZeroHomFnSpec.l0(dim)
     if text == "zero":
@@ -86,9 +86,6 @@ def _load_config(path: str | None) -> dict:
 
 
 def cmd_norm(args) -> int:
-    from .norms import (PhiSpec, SourceNormSpec, best_norm_object,
-                        k_support_norm, parse_config, top_k_norm)
-
     x = _parse_point(args.x)
     d = x.size
     config = parse_config(_load_config(args.config), dim=d)
@@ -119,11 +116,6 @@ def cmd_norm(args) -> int:
 
 
 def cmd_envelope(args) -> int:
-    import numpy as np
-
-    from .envelope import ball_box_grid, tightest_convex_on_ball, write_surface_json
-    from .numerics import write_sample_csv
-
     nu = _parse_nu(args.nu)
     dim = args.dim
     grid = ball_box_grid(dim, args.grid)
@@ -154,12 +146,6 @@ def _require(args, *flags: str) -> None:
 def cmd_oracle(args) -> int:
     """Re-run a brute-force oracle so derived reference values are
     regenerable from the command line."""
-    from . import oracle as orc
-    from .conjugacy import conjugate_at_points
-    from .envelope import _on_ball, ball_box_grid
-    from .norms import SourceNormSpec, conj_exponent, dual_coordinate_k_norm
-    from .numerics import FunctionSample, write_sample_csv
-
     seed = _parse_seed(args.seed)
     if args.oracle == "topk-enum":
         _require(args, "x", "k")

@@ -457,8 +457,9 @@ def capra_conjugate(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
 
 
 def _sample_conjugate(f: ZeroHomFnSpec, sample: np.ndarray, y):
-    """The transform of :func:`capra_conjugate`, with no check of the
-    sample: the max over its rows s of ``low_add(<s, y>, -f(s))``."""
+    """The one sampled Capra conjugate, with no check of the sample (points
+    of the unit sphere of nu and the origin): the max over its rows s of
+    ``low_add(<s, y>, -f(s))``, a float for one dual point y."""
     y = np.asarray(y, dtype=float)
     conj = _conjugate_values(sample, f.batch(sample), y[None, :] if y.ndim == 1 else y)
     return float(conj[0]) if y.ndim == 1 else conj
@@ -469,20 +470,18 @@ def capra_conjugate_direct(f: ZeroHomFnSpec, coupling: CouplingSpec, y,
     """Capra conjugate straight from the definition: the max over grid
     nodes x of ``low_add(coupling(x, y), -f(x))``.
 
-    ``y`` is one dual point, which gives a float, or an (n, d) array of
-    them, which gives one value per row from a single normalization of the
-    grid.  The point transform is exact for any split of the duals, so each
-    row's value equals that of a call with the row alone.
+    That is :func:`_sample_conjugate` over the grid's normalized nodes: one
+    ``nu.batch`` maps the nonzero nodes x to x / nu(x), the zero node stays
+    0, and f is 0-homogeneous.  ``y`` is one dual point, which gives a
+    float, or an (n, d) array of them, one value per row, each equal to
+    that of a call with the row alone.
     """
     _check_homogeneous(coupling.nu, grid.dim)
     X = grid.nodes
-    y = np.asarray(y, dtype=float)
-    nuvals = coupling.nu.batch(X)
-    Xn = np.where(nuvals[:, None] > 0.0, X / np.where(nuvals == 0.0, 1.0, nuvals)[:, None], 0.0)
-    fvals = f.batch(X)
-    if y.ndim == 1:
-        return float(_conjugate_values(Xn, fvals, y[None, :])[0])
-    return _conjugate_values(Xn, fvals, y)
+    nonzero = _nonzero_rows(X)
+    points = np.zeros_like(X)
+    points[nonzero] = X[nonzero] / coupling.nu.batch(X[nonzero])[:, None]
+    return _sample_conjugate(f, points, y)
 
 
 def _analytic_applicable(f: ZeroHomFnSpec, nu: NormalizationSpec) -> bool:

@@ -29,9 +29,6 @@ __all__ = [
     "lp_value",
     "lp_value_batch",
     "NormalizationSpec",
-    "normalize",
-    "ball_contains",
-    "sphere_contains",
     "SourceNormSpec",
     "PhiSpec",
     "top_k_norm",
@@ -45,8 +42,6 @@ __all__ = [
     "lp_gauge_collapses",
     "parse_config",
 ]
-
-SPHERE_TOL = 1e-9
 
 # Directions per support of a custom source's sampled restricted duals.
 _DIRECTIONS_PER_SUBSET = 512
@@ -92,14 +87,27 @@ def _lp_of_abs(a: np.ndarray, m: float, p: float) -> float:
     one stays out of the rescale, where inf / inf would give nan."""
     if p == math.inf or m == 0.0 or m == math.inf:
         return m
-    return m * float(np.add.reduce((a / m) ** p)) ** (1.0 / p)
+    s = float(np.add.reduce((a / m) ** p))
+    try:
+        return m * s ** (1.0 / p)
+    except OverflowError:
+        return float(_lp_beyond_range(m, s, p))
+
+
+def _lp_beyond_range(m, s, p):
+    """``m s^(1/p)`` where ``s^(1/p)``, with s in [1, d] and p < 1, is
+    beyond the largest float: taken as ``exp(log m + log(s) / p)``, within
+    about 1e-13 relative, and +inf without a warning when it is beyond the
+    largest float too.  Float or array m and s alike."""
+    with np.errstate(over="ignore"):
+        return np.exp(np.log(m) + np.log(s) / p)
 
 
 def lp_value(x, p: float) -> float:
     """``(sum |x_i|^p)^(1/p)`` for finite p, ``max |x_i|`` for p = inf.
 
     Any p > 0 is accepted; for p < 1 the result is the (non-subadditive)
-    lp normalization function.
+    lp normalization function.  A value beyond the largest float is +inf.
     """
     if not p > 0.0:
         raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
@@ -133,8 +141,14 @@ def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
     out = m.copy()
     nz = (m > 0.0) & (m < math.inf)
     if nz.any():
-        scaled = a[nz] / m[nz, None]
-        out[nz] = m[nz] * np.sum(scaled**p, axis=1) ** (1.0 / p)
+        m = m[nz]
+        s = np.sum((a[nz] / m[:, None])**p, axis=1)
+        with np.errstate(over="ignore"):  # an overflowing product is +inf
+            root = s ** (1.0 / p)
+            out[nz] = m * root
+        if p < 1.0 and np.isinf(root).any():  # s <= d: only p < 1 can overflow it
+            big = np.isinf(root)
+            out[np.flatnonzero(nz)[big]] = _lp_beyond_range(m[big], s[big], p)
     return out
 
 
@@ -169,12 +183,14 @@ class NormalizationSpec:
 
     def __post_init__(self):
         _check_spec(self, {"lp": "p", "custom": "fn"})
+        if self.kind == "lp":
+            self.p = float(self.p)
+            if not self.p > 0.0:
+                raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {self.p})")
 
     @classmethod
     def lp(cls, p: float) -> "NormalizationSpec":
-        if not float(p) > 0.0:
-            raise ValueError(f"nonpositive-p: lp exponent must be > 0 (got {p})")
-        return cls(kind="lp", p=float(p))
+        return cls(kind="lp", p=p)
 
     @classmethod
     def custom(cls, fn: Callable, batch: Callable | None = None) -> "NormalizationSpec":
@@ -223,24 +239,6 @@ def _check_homogeneous(nu: NormalizationSpec, dim: int) -> None:
                              f"x = {X[i].tolist()}")
 
 
-def normalize(x, nu: NormalizationSpec) -> np.ndarray:
-    """Map x to x / nu(x), and 0 to 0 (range: the unit sphere plus origin)."""
-    x = np.asarray(x, dtype=float)
-    if not np.any(x != 0.0):
-        return np.zeros_like(x)
-    return x / nu.value(x)
-
-
-def ball_contains(x, nu: NormalizationSpec) -> bool:
-    """True iff nu(x) <= 1."""
-    return nu.value(x) <= 1.0
-
-
-def sphere_contains(x, nu: NormalizationSpec) -> bool:
-    """True iff |nu(x) - 1| <= ``SPHERE_TOL``."""
-    return abs(nu.value(x) - 1.0) <= SPHERE_TOL
-
-
 @dataclass
 class SourceNormSpec:
     """A norm on R^d used to generate coordinate-k and dual coordinate-k norms.
@@ -260,17 +258,19 @@ class SourceNormSpec:
 
     def __post_init__(self):
         _check_spec(self, {"lp": "p", "custom": "fn"})
+        self.dim = int(self.dim)
+        if self.kind == "lp":
+            self.p = float(self.p)
+            if not self.p >= 1.0:  # NaN too
+                raise ValueError(f"invalid-p: source norm requires p in [1, inf] (got {self.p})")
 
     @classmethod
     def lp(cls, p: float, dim: int) -> "SourceNormSpec":
-        p = float(p)
-        if not (p >= 1.0 or p == math.inf):
-            raise ValueError(f"invalid-p: source norm requires p in [1, inf] (got {p})")
-        return cls(kind="lp", dim=int(dim), p=p)
+        return cls(kind="lp", dim=dim, p=p)
 
     @classmethod
     def custom(cls, fn: Callable, dim: int) -> "SourceNormSpec":
-        return cls(kind="custom", dim=int(dim), fn=fn)
+        return cls(kind="custom", dim=dim, fn=fn)
 
     def value(self, x) -> float:
         """The source at x; for a custom source, ``fn`` at x as one row."""
@@ -295,7 +295,7 @@ class PhiSpec:
         if vals.size < 2:
             raise ValueError("invalid-phi: need values for levels 0..d with d >= 1")
         if np.isnan(vals).any():
-            raise ValueError("invalid-phi: NaN entry")
+            raise ValueError(f"invalid-phi: NaN entry (got {vals.tolist()})")
         if vals[0] != 0.0:
             raise ValueError(f"invalid-phi: phi(0) must be 0 (got {vals[0]})")
         if not np.all(vals[1:] > 0.0):
@@ -321,7 +321,9 @@ class PhiSpec:
 
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "PhiSpec":
-        return cls(scale * np.arange(dim + 1, dtype=float))
+        levels = np.arange(dim + 1, dtype=float)
+        levels[1:] *= scale  # level 0 stays an exact 0, also for an infinite scale
+        return cls(levels)
 
     @classmethod
     def from_values(cls, values: Sequence) -> "PhiSpec":
@@ -331,10 +333,8 @@ class PhiSpec:
         try:
             vals = np.array([float(v) for v in values])
         except (TypeError, ValueError):
-            vals = None
-        if vals is None or np.isnan(vals).any():
-            raise ValueError(f"invalid-phi: each weight must be a number, not NaN "
-                             f"(got {values!r})")
+            raise ValueError(f"invalid-phi: each weight must be a number "
+                             f"(got {values!r})") from None
         return cls(vals)
 
 

@@ -335,9 +335,6 @@ class Grid:
 def build_grid(bounds: Sequence, counts: Sequence[int]) -> Grid:
     """Build a uniform grid from per-axis ``(lower, upper)`` pairs and counts."""
     bounds = list(bounds)
-    counts = list(counts)
-    if len(bounds) != len(counts):
-        raise ValueError("invalid-bounds: bounds and counts must have equal length")
     lowers = [b[0] for b in bounds]
     uppers = [b[1] for b in bounds]
     return Grid(tuple(lowers), tuple(uppers), tuple(counts))

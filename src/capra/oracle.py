@@ -314,8 +314,10 @@ def k_support_bruteforce(x, p: float, k: int, directions) -> float:
     order.  The table of a large cloud sorts its columns with a comparator
     network (:func:`capra.norms.top_k_norm_table`): a call on 10k directions
     at d = 2..6 takes about 0.4 ms, against 1.1-1.2 ms with a sort of each
-    row, with the same bits.  NaN or infinite entries in x or in the directions raise
-    ``nonfinite-input``.
+    row, with the same bits.  If a pairing overflows, the directions are
+    paired with ``x / max|x|`` and the max is scaled back, as in
+    :func:`support_function_bruteforce`.  NaN or infinite entries in x or in
+    the directions raise ``nonfinite-input``.
     """
     x = np.asarray(x, dtype=float).reshape(-1)
     d = x.size
@@ -335,4 +337,11 @@ def k_support_bruteforce(x, p: float, k: int, directions) -> float:
         raise ValueError("nonfinite-input: every direction must be finite")
     t = top_k_norm_table(Y, q)[:, k - 1]
     pos = t > 0.0
-    return float(np.max((Y[pos] @ x) / t[pos], initial=0.0))
+    Y, t = Y[pos], t[pos]
+    with np.errstate(over="ignore", invalid="ignore"):
+        best = float(np.max((Y @ x) / t, initial=0.0))
+        if not math.isfinite(best):
+            # A pairing overflowed: pair with x / max|x| and scale back.
+            scale = float(np.abs(x).max())
+            best = float(np.max((Y @ (x / scale)) / t, initial=0.0)) * scale
+    return best

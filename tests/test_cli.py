@@ -53,6 +53,28 @@ def test_norm_ksupport_at_extreme_scales(capsys, p, k, x, want):
     assert (code, out, err) == (0, want + "\n", "")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, code, out, err", [
+    # lp values beyond the largest float are +inf: nu(1, 1) = 2^2000 at
+    # p = 0.0005, so the diagonal checkpoint (1, 1) / nu(1, 1) is the origin.
+    ("envelope --nu lp:0.0005 --grid 11", 0,
+     "value near (1,0): 1\nvalue near (0,1): 1\nvalue near (0,0): 0\n", ""),
+    ("verify --oracle envelope2d --grid 11 --nu lp:0.0005", 0, "", ""),
+    # Pairings that overflow are taken at x / max|x| and scaled back, to the
+    # value that norm --kind ksupport prints.
+    ("verify --oracle ksupport --x 1e308,1e308 --p 2 --k 2 --count 10", 0,
+     "1.41421356237e+308\n", ""),
+    ("norm --kind ksupport --x 1e308,1e308 --p 2 --k 2", 0, "1.41421356237e+308\n", ""),
+    ("verify --oracle ksupport --x 1e308,1e308 --p inf --k 2 --count 10", 0, "1e+308\n", ""),
+    # Level 0 of inf*id is an exact 0, not inf * 0.
+    ("norm --kind best --p 2 --phi inf*id --x 1,2", 3, "",
+     "error: invalid-phi: phi(l) must be finite for at least one l >= 1\n"),
+], ids=["envelope-p0.0005", "envelope2d-p0.0005", "ksupport-oracle-p2", "ksupport-norm-p2",
+        "ksupport-oracle-pinf", "phi-inf-id"])
+def test_extreme_values_exit_cleanly(capsys, argv, code, out, err):
+    assert run_cli(capsys, *argv.split()) == (code, out, err)
+
+
 def test_norm_best(capsys):
     code, out, _ = run_cli(capsys, "norm", "--kind", "best", "--p", "2",
                            "--phi", "id", "--x", "1,-1")

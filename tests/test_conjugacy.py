@@ -279,6 +279,25 @@ def test_spec_built_directly_refuses_what_its_methods_cannot_dispatch(build, mat
         build()
 
 
+@pytest.mark.parametrize("direct, by_method, bad, match", [
+    (lambda p: NormalizationSpec(kind="lp", p=p), NormalizationSpec.lp,
+     (0.0, -1.0, -math.inf, math.nan), "nonpositive-p: lp exponent must be > 0"),
+    (lambda p: SourceNormSpec(kind="lp", dim=2, p=p), lambda p: SourceNormSpec.lp(p, 2),
+     (0.5, 0.0, -1.0, math.nan), r"invalid-p: source norm requires p in \[1, inf\]"),
+], ids=["NormalizationSpec", "SourceNormSpec"])
+def test_spec_built_directly_refuses_the_p_its_classmethod_refuses(direct, by_method, bad, match):
+    # Both builds run the one check of __post_init__: without it a direct
+    # SourceNormSpec(kind="lp", dim=2, p=0.5) gives the l0.5 value.
+    for p in bad:
+        for build in (direct, by_method):
+            with pytest.raises(ValueError, match=f"^{match} \\(got {p}\\)"):
+                build(p)
+    for p in (1, 2.5, math.inf, np.float32(3.0)):
+        spec = direct(p)
+        assert spec == by_method(p) and type(spec.p) is float
+    assert type(SourceNormSpec(kind="custom", dim=np.int64(2), fn=abs).dim) is int
+
+
 @pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
 def test_custom_normalization_refuses_bad_values(bad):
     # A custom nu must be positive and finite away from 0: a named error,
@@ -1039,3 +1058,26 @@ def test_sphere_route_checks_a_custom_nu_once():
     assert capra_conjugate(_L0, CouplingSpec(nu), y, sample) == conjugacy._capra_route(
         _L0, nu, np.array(y))[0]
     assert rows[:4] == [8, 8, 8, 64]
+
+
+def test_direct_route_is_the_sample_kernel_on_normalized_nodes():
+    # A homogeneity check (3 calls on 8 rows), then one nu.batch over the 120
+    # nonzero nodes of the 11x11 ball grid: nu is not called at the origin.
+    # f is evaluated once, at the 121 nodes mapped onto the sphere.
+    half = NormalizationSpec.lp(0.5)
+    nu_rows, f_points = [], []
+    nu = NormalizationSpec.custom(half.value,
+                                  batch=lambda X: nu_rows.append(len(X)) or half.batch(X))
+    f = ZeroHomFnSpec.custom(_L0.value,
+                             batch=lambda X: f_points.append(X.copy()) or _L0.batch(X))
+    grid = ball_box_grid(2, 11)
+    Y = np.array([[1.0, 0.5], [-2.0, 3.0], [0.0, 0.0]])
+    got = capra_conjugate_direct(f, CouplingSpec(nu), Y, grid)
+    assert nu_rows == [8, 8, 8, 120]
+    assert [len(X) for X in f_points] == [121]
+    points = f_points[0]
+    origin = ~numerics._nonzero_rows(points)
+    assert origin.sum() == 1 and np.array_equal(points[origin], [[0.0, 0.0]])
+    assert np.allclose(half.batch(points[~origin]), 1.0, rtol=1e-12, atol=0.0)
+    assert np.array_equal(got, capra_conjugate_direct(_L0, CouplingSpec(half), Y, grid))
+    assert np.array_equal(got, conjugacy._sample_conjugate(_L0, points, Y))

@@ -1,7 +1,8 @@
 """The brute-force referee stays independent of the code it checks: the
 production modules never import ``capra.oracle``, and ``capra.oracle`` never
 imports the transforms it referees (``capra.conjugacy``, ``capra.envelope``),
-not even inside a function."""
+not even inside a function.  The CLI imports at module level, all but the
+verification suites."""
 
 import ast
 from pathlib import Path
@@ -63,3 +64,13 @@ def test_module_does_not_import_oracle(module):
 @pytest.mark.parametrize("module", REFEREED)
 def test_oracle_does_not_import_refereed_module(module):
     assert not _imports_module((SRC / "oracle.py").read_text(encoding="utf-8"), module)
+
+
+def test_cli_imports_at_module_level_but_the_suites():
+    # import capra.cli loads every module but verification through
+    # capra/__init__, so only cmd_verify's import of the suites is lazy.
+    tree = ast.parse((SRC / "cli.py").read_text(encoding="utf-8"))
+    local = [(node.level, node.module, [alias.name for alias in node.names])
+             for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
+             for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
+    assert local == [(1, "verification", ["report_dict", "run_suite"])]

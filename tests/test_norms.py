@@ -10,7 +10,6 @@ from capra.norms import (
     NormalizationSpec,
     PhiSpec,
     SourceNormSpec,
-    ball_contains,
     best_norm_object,
     conj_exponent,
     dual_coordinate_k_norm,
@@ -18,11 +17,9 @@ from capra.norms import (
     lp_gauge_collapses,
     lp_value,
     lp_value_batch,
-    normalize,
     parse_config,
     phi_dual_gauge,
     phi_dual_gauge_batch,
-    sphere_contains,
     top_k_norm,
     top_k_norm_table,
 )
@@ -55,19 +52,6 @@ def test_lp_batch_matches_scalar():
         batch = lp_value_batch(X, p)
         for row, v in zip(X, batch):
             assert math.isclose(v, lp_value(row, p), rel_tol=1e-13, abs_tol=1e-13)
-
-
-def test_normalize():
-    nu2 = NormalizationSpec.lp(2.0)
-    assert np.array_equal(normalize(np.zeros(3), nu2), np.zeros(3))
-    assert np.allclose(normalize([3.0, 4.0], nu2), [0.6, 0.8])
-    assert np.allclose(normalize([2.0, 2.0], NormalizationSpec.lp(math.inf)), [1.0, 1.0])
-
-
-def test_ball_and_sphere_predicates():
-    assert ball_contains([0.5, 0.5], NormalizationSpec.lp(1.0))
-    assert sphere_contains([1.0, 1.0], NormalizationSpec.lp(math.inf))
-    assert not ball_contains([2.0, 0.0], NormalizationSpec.lp(2.0))
 
 
 def test_source_norm_subadditive_on_random_triples():
