@@ -13,9 +13,7 @@ from .numerics import (
     build_grid,
     default_dual_grid,
     low_add,
-    read_sample_csv,
     sample,
-    upp_add,
     write_sample_csv,
 )
 from .norms import (

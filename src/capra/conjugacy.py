@@ -36,8 +36,9 @@ it is evaluated on one |y| orthant, the product of each axis's distinct
 magnitudes, in blocks of rows, bit-identical to the batch over the nodes
 and without building them; on equal axes only the rows with sorted
 magnitudes are evaluated, and on sign-symmetric axes the orthant is the
-folded input of the envelope transform.  NaN dual points raise ``nan-input``;
-the point transform refuses infinite ones with ``nonfinite-input``.
+folded input of the envelope transform, whose fold and work are decided
+there, once.  NaN dual points raise ``nan-input``; the point transform
+refuses infinite ones with ``nonfinite-input``.
 """
 
 from __future__ import annotations
@@ -128,14 +129,14 @@ def _axis_pass(g: np.ndarray, x: np.ndarray, y: np.ndarray,
     return out
 
 
-def _grid_transform(grids, values) -> np.ndarray:
+def _grid_transform(grids, values, fold=None) -> np.ndarray:
     """Discrete conjugate of ``values`` on ``grids[0]`` onto ``grids[1]``,
     then of that onto ``grids[2]`` if given: the flat values on the last
-    grid.  ``values`` is a flat array over the nodes of ``grids[0]``, or the
-    ``(orthant, inverse)`` pair of :func:`_capra_conjugate_l0_analytic_grid`.
-    Once the fold is decided, :func:`_check_grid_work` (which also refuses
-    grids of two dimensions) and, transform by transform,
-    :func:`_check_pairing` refuse the chain before the first pass.
+    grid.  Flat ``values`` over the nodes of ``grids[0]`` get their fold
+    decided here and checked by :func:`_check_grid_work` (which also refuses
+    grids of two dimensions); with ``fold``, ``values`` is the folded input
+    of a checked chain (:func:`_capra_conjugate_l0_analytic_grid`).
+    :func:`_check_pairing` refuses each transform before the first pass.
 
     On a product grid the max over primal nodes factors by axis (the
     separability behind Lucet's discrete Legendre transform), e.g. in 2-d
@@ -148,28 +149,20 @@ def _grid_transform(grids, values) -> np.ndarray:
     values agree within ``4 eps (max|x| |y|_1 + max|f|)``.
 
     Axis k folds when it is sign-symmetric (``ax == -ax[::-1]``) on every
-    grid of the chain and the values are even along it, as the orthant form
-    always is (a conjugate of even values is even, so one decision serves
-    the whole chain).  Its passes run on the non-negative halves of the
-    axes, and the result is mirrored once at the end.  For y >= 0 some
-    maximizer has x >= 0, and ``fl(-a b) = -fl(a b)``, so a folded output
-    equals the unfolded one in value; only the sign of a zero can differ
-    (the max of sums that tie at +0.0 and -0.0).
+    grid of the chain and the values are even along it (a conjugate of even
+    values is even, so one decision serves the whole chain).  Its passes
+    run on the non-negative halves of the axes, and the result is mirrored
+    once at the end.  For y >= 0 some maximizer has x >= 0, and
+    ``fl(-a b) = -fl(a b)``, so a folded output equals the unfolded one in
+    value; only the sign of a zero can differ (the max of sums that tie at
+    +0.0 and -0.0).
     """
-    if isinstance(values, tuple):
-        # Even by construction; the orthant is the non-negative half of each
-        # folded axis, and the other axes are gathered onto the whole axis.
-        g, inverse = values
-        fold = _fold_axes(grids)
-        _check_grid_work(grids, fold, "grid transform", 0)
-        if not all(fold):
-            g = g[np.ix_(*(np.arange(n) if f else inv
-                           for n, f, inv in zip(g.shape, fold, inverse)))]
-    else:
-        values = np.asarray(values, dtype=float).reshape(grids[0].counts)
-        fold = _fold_axes(grids, values)
+    g = values
+    if fold is None:
+        g = np.asarray(values, dtype=float).reshape(grids[0].counts)
+        fold = _fold_axes(grids, g)
         _check_grid_work(grids, fold)
-        g = values[_half_index(values.shape, fold)]
+        g = g[_half_index(g.shape, fold)]
     bound = _finite_scale(g)
     for src, dst in zip(grids, grids[1:]):
         bound = _check_pairing(_axis_extent(src)[0], _axis_extent(dst)[1], bound, "grid transform")
@@ -534,19 +527,19 @@ def _sorted_index_columns(rows: np.ndarray, m: int, d: int) -> list:
     return [first, *_sorted_index_columns(rows - before[first], m, d - 1)]
 
 
-def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
-                                      source: SourceNormSpec) -> tuple:
-    """:func:`capra_conjugate_l0_analytic_batch` on the |y| orthant of
-    ``dual_grid``, without building its nodes: ``(orthant, inverse)``.
+def _capra_conjugate_l0_analytic_grid(chain, phi: PhiSpec, source: SourceNormSpec) -> tuple:
+    """:func:`capra_conjugate_l0_analytic_batch` on the dual grid of the
+    chain ``(dual_grid, eval_grid)`` as the folded input of
+    :func:`_grid_transform`, ``(values, fold)``, without building its nodes.
+    The chain is refused (:func:`_check_grid_work`, every axis folded that
+    is sign-symmetric on both grids) before any row is evaluated.
 
     The conjugate depends on the magnitudes |y_i| only, and
     :func:`top_k_norm_table` takes them before anything else.  So it is
-    evaluated once on the product of each axis's distinct magnitudes, in
-    ascending order; ``inverse[k]`` maps each node of axis k to its
-    magnitude.  ``orthant[np.ix_(*inverse)]`` is the batch over the nodes
-    bit for bit.  On a sign-symmetric axis the magnitudes are the axis's
-    non-negative half, so the orthant is the folded input of
-    :func:`_grid_transform` (a quarter of a symmetric 2-d grid).
+    evaluated once, bit for bit, on the product of each axis's distinct
+    magnitudes, ascending: on a sign-symmetric axis its non-negative half,
+    the folded input (a quarter of a symmetric 2-d grid).  Each axis that
+    does not fold is then gathered onto the whole axis.
 
     The table also sorts the magnitudes, so a row and its permutations give
     the same value.  When every axis has the same magnitudes, only the rows
@@ -557,26 +550,33 @@ def _capra_conjugate_l0_analytic_grid(dual_grid: Grid, phi: PhiSpec,
     ``_BLOCK_FLOATS``; each row is computed on its own, so neither the
     blocking nor the permuting changes a value.
     """
-    mags, inverses = _axis_magnitudes(dual_grid.axes)
+    fold = _fold_axes(chain)
+    _check_grid_work(chain, fold, "envelope transform", 0)
+    mags, inverses = _axis_magnitudes(chain[0].axes)
     if not all(np.array_equal(m, mags[0]) for m in mags):
-        return _on_magnitudes(lambda Y: capra_conjugate_l0_analytic_batch(Y, phi, source),
-                              mags, 1), inverses
-    shape = tuple(m.size for m in mags)
-    conj = np.empty(math.prod(shape))
-    d = len(shape)
-    strides = [math.prod(shape[k + 1:]) for k in range(d)]
-    # Flat orthant position of an index tuple: its dot with the strides,
-    # permuted over every order of the tuple.
-    orders = list(itertools.permutations(strides))
-    total = math.comb(shape[0] + d - 1, d)
-    step = _block_rows(total, 1)
-    for start in range(0, total, step):
-        index = _sorted_index_columns(np.arange(start, min(start + step, total)), shape[0], d)
-        Y = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
-        values = capra_conjugate_l0_analytic_batch(Y, phi, source)
-        for order in orders:
-            conj[sum(s * i for s, i in zip(order, index))] = values
-    return conj.reshape(shape), inverses
+        conj = _on_magnitudes(lambda Y: capra_conjugate_l0_analytic_batch(Y, phi, source),
+                              mags, 1)
+    else:
+        shape = tuple(m.size for m in mags)
+        conj = np.empty(math.prod(shape))
+        d = len(shape)
+        strides = [math.prod(shape[k + 1:]) for k in range(d)]
+        # Flat orthant position of an index tuple: its dot with the strides,
+        # permuted over every order of the tuple.
+        orders = list(itertools.permutations(strides))
+        total = math.comb(shape[0] + d - 1, d)
+        step = _block_rows(total, 1)
+        for start in range(0, total, step):
+            index = _sorted_index_columns(np.arange(start, min(start + step, total)), shape[0], d)
+            Y = np.stack([m[i] for m, i in zip(mags, index)], axis=1)
+            values = capra_conjugate_l0_analytic_batch(Y, phi, source)
+            for order in orders:
+                conj[sum(s * i for s, i in zip(order, index))] = values
+        conj = conj.reshape(shape)
+    if not all(fold):
+        conj = conj[np.ix_(*(np.arange(n) if f else inv
+                             for n, f, inv in zip(conj.shape, fold, inverses)))]
+    return conj, fold
 
 
 def _capra_route(f: ZeroHomFnSpec, nu: NormalizationSpec, Y: np.ndarray):

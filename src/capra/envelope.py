@@ -47,8 +47,8 @@ from .norms import (
     lp_value,
     lp_value_batch,
 )
-from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _fold_axes,
-                       _on_magnitudes, default_dual_grid, format_extreal)
+from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
+                       default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -157,17 +157,16 @@ def tightest_convex_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec,
     if dual_grid is None:
         dual_grid = default_dual_grid(dim, _finite_scale(values if sized else f.phi.values))
     chain = (dual_grid, eval_grid) if route == "analytic" else (eval_grid, dual_grid, eval_grid)
-    # Refuse mismatched or oversized grids before any dual node is built (or
-    # primal one, unless a custom f sized the dual grid).  The analytic orthant
-    # folds every sign-symmetric axis; f on the ball is not known yet, so no
-    # ball axis folds.
-    fold = _fold_axes(chain) if route == "analytic" else [False] * dim
-    _check_grid_work(chain, fold, "envelope transform", 0 if route == "analytic" else 1)
     if route == "analytic":
-        values = _capra_conjugate_l0_analytic_grid(dual_grid, f.phi, _lp_source(nu, dim))
-    elif values is None:
-        ball, values = _on_ball(f, nu, eval_grid)
-    out = _grid_transform(chain, values)
+        values, fold = _capra_conjugate_l0_analytic_grid(chain, f.phi, _lp_source(nu, dim))
+    else:
+        # Refused before f on the ball is built (unless it sized the dual
+        # grid), so with no axis folded: f is not known to be even yet.
+        _check_grid_work(chain, [False] * dim, "envelope transform")
+        fold = None
+        if values is None:
+            ball, values = _on_ball(f, nu, eval_grid)
+    out = _grid_transform(chain, values, fold)
     out[~_hull_mask(nu, eval_grid, ball, dual_grid)] = math.inf
     return FunctionSample(eval_grid, out)
 

@@ -455,7 +455,10 @@ def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
     Each step runs over all columns at once, in the order of a row-wise
     evaluation: rescale by the column max, the power q, the sequential sum
     down each column (a row's ``cumsum``), the power 1/q and the scale back.
-    So every value, a point's too, has the bits of the row-wise form."""
+    So every value, a point's too, has the bits of the row-wise form.  A
+    value beyond the largest float is +inf, without a warning; t <= d before
+    the scale back, so one point whose ``d * s`` is finite (a float s) pays
+    for no ``np.errstate``."""
     t /= s
     t **= q
     # One accumulate call is quicker on a few columns, adding row after row
@@ -466,7 +469,11 @@ def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
         for k in range(1, len(t)):
             t[k] += t[k - 1]
     t **= 1.0 / q
-    t *= s
+    if isinstance(s, float) and s * len(t) < math.inf:
+        t *= s
+    else:
+        with np.errstate(over="ignore"):
+            t *= s
     return t
 
 
@@ -721,7 +728,9 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     row does (bit for bit for d >= 2; at d = 1 a zero product is +0.0
     where ``np.dot`` gives -0.0).  Pairings that are NaN, from an infinite
     coordinate times a zero one, are skipped, so an infinite coordinate
-    gives +inf.
+    gives +inf.  When a pairing overflows on a finite x, the cloud is paired
+    with ``x / max|x|`` and the max scaled back, +inf without a warning
+    beyond the largest float.
     """
     _check_phi_dim(phi, source.dim)
     dual = functools.partial(phi_dual_gauge, phi=phi, source=source)
@@ -733,7 +742,8 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
 
     def primal(x):
         nonlocal cloud
-        if _abs_point(x)[1] == 0.0:
+        m = _abs_point(x)[1]
+        if m == 0.0:
             return 0.0
         if cloud is None:
             patterns = sign_patterns(source.dim)  # refused before the directions
@@ -742,8 +752,12 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
             keep = (g > 0.0) & (g < math.inf)
             C = U[keep] / g[keep, None]
             cloud = C[_in_phi_dual_ball(C, phi, source)]
-        with np.errstate(invalid="ignore"):
-            return float(np.fmax.reduce(np.vecdot(cloud, x)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = np.vecdot(cloud, x)
+            if m < math.inf and not np.isfinite(dots).all():
+                # A pairing overflowed: pair with x / max|x| and scale back.
+                return float(np.fmax.reduce(np.vecdot(cloud, x / m))) * m
+            return float(np.fmax.reduce(dots))
 
     return NormObject(primal, dual, False, source.dim)
 

@@ -1,11 +1,11 @@
-"""Extended-real arithmetic with Moreau additions, and uniform sample grids.
+"""Extended-real arithmetic with the Moreau lower addition, and uniform sample grids.
 
 The default dual grid is sized by the largest finite |value| of the
 function transformed, or 1.0 when it has none (:func:`_finite_scale`).
 
 Values live in [-inf, +inf].  The two infinities are IEEE-754 specials, so
 the only case ordinary ``+`` cannot decide, ``(+inf) + (-inf)``, is resolved
-by branch in :func:`low_add` / :func:`upp_add` and never by rounding.
+by branch in :func:`low_add` and never by rounding.
 """
 
 from __future__ import annotations
@@ -19,14 +19,12 @@ import numpy as np
 __all__ = [
     "as_extreal",
     "low_add",
-    "upp_add",
     "Grid",
     "build_grid",
     "FunctionSample",
     "sample",
     "format_extreal",
     "write_sample_csv",
-    "read_sample_csv",
     "default_dual_grid",
 ]
 
@@ -208,15 +206,6 @@ def low_add(a, b) -> float:
     b = as_extreal(b)
     if math.isinf(a) and math.isinf(b) and (a > 0.0) != (b > 0.0):
         return -math.inf
-    return a + b
-
-
-def upp_add(a, b) -> float:
-    """Moreau upper addition: ordinary sum with (+inf) + (-inf) = +inf."""
-    a = as_extreal(a)
-    b = as_extreal(b)
-    if math.isinf(a) and math.isinf(b) and (a > 0.0) != (b > 0.0):
-        return math.inf
     return a + b
 
 
@@ -447,25 +436,3 @@ def write_sample_csv(sample: FunctionSample, path) -> None:
                 np.add(idx, offsets[k], out=index[:, k])
             index[:, -1] = which[start:stop]
             fh.write("".join(table[index].ravel().tolist()))
-
-
-def read_sample_csv(path):
-    """Read a sample CSV; returns ``(points, values)`` arrays.
-
-    Values are read by :func:`as_extreal`: NaN is refused, and infinities
-    may be spelled in any way ``float`` accepts (``+inf``, ``-inf``, ``inf``,
-    ``Infinity``, any case).
-    """
-    with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().strip().split(",")
-        if header[-1] != "value" or not header[0].startswith("x_"):
-            raise ValueError(f"invalid-sample: unrecognized sample CSV header: {header}")
-        d = len(header) - 1
-        pts, vals = [], []
-        for line in fh:
-            cells = line.strip().split(",")
-            if len(cells) != d + 1:
-                raise ValueError(f"invalid-sample: malformed sample CSV row: {line!r}")
-            pts.append([float(c) for c in cells[:d]])
-            vals.append(as_extreal(cells[d]))
-    return np.asarray(pts, dtype=float), np.asarray(vals, dtype=float)

@@ -14,8 +14,7 @@ from capra.cli import build_parser, main
 from capra.conjugacy import ZeroHomFnSpec, _check_grid_work
 from capra.envelope import _on_ball, ball_box_grid
 from capra.norms import NormalizationSpec
-from capra.numerics import (FunctionSample, Grid, default_dual_grid, read_sample_csv,
-                            write_sample_csv)
+from capra.numerics import FunctionSample, Grid, default_dual_grid, write_sample_csv
 from capra.oracle import convex_envelope_2d
 
 
@@ -66,11 +65,15 @@ def test_norm_ksupport_at_extreme_scales(capsys, p, k, x, want):
      "1.41421356237e+308\n", ""),
     ("norm --kind ksupport --x 1e308,1e308 --p 2 --k 2", 0, "1.41421356237e+308\n", ""),
     ("verify --oracle ksupport --x 1e308,1e308 --p inf --k 2 --count 10", 0, "1e+308\n", ""),
+    # The sampled best norm pairs its cloud with x / max|x| where a pairing
+    # overflows: beyond the largest float, +inf.
+    ("norm --kind best --p 2 --phi 0,inf,1 --x 1.7e308,1.7e308", 0, "+inf\n", ""),
+    ("norm --kind best --p 2 --phi 0,3,1 --x 1.7e308,1.7e308", 0, "+inf\n", ""),
     # Level 0 of inf*id is an exact 0, not inf * 0.
     ("norm --kind best --p 2 --phi inf*id --x 1,2", 3, "",
      "error: invalid-phi: phi(l) must be finite for at least one l >= 1\n"),
 ], ids=["envelope-p0.0005", "envelope2d-p0.0005", "ksupport-oracle-p2", "ksupport-norm-p2",
-        "ksupport-oracle-pinf", "phi-inf-id"])
+        "ksupport-oracle-pinf", "best-sampled-huge", "best-sampled-huge-phi3", "phi-inf-id"])
 def test_extreme_values_exit_cleanly(capsys, argv, code, out, err):
     assert run_cli(capsys, *argv.split()) == (code, out, err)
 
@@ -194,7 +197,8 @@ def test_envelope_command(tmp_path, capsys):
                            "--json", str(out_json))
     assert code == 0
     assert "value near (1,0): 1" in out
-    pts, vals = read_sample_csv(out_csv)
+    rows = np.loadtxt(out_csv, delimiter=",", skiprows=1)
+    pts, vals = rows[:, :-1], rows[:, -1]
     assert pts.shape == (41 * 41, 2)
     linf = np.max(np.abs(pts), axis=1)
     l1 = np.sum(np.abs(pts), axis=1)
@@ -564,26 +568,39 @@ def test_envelope_output_bytes_are_frozen(tmp_path, capsys, nu):
 
 
 # SHA-256 of the CSV and JSON of ``capra envelope --nu <nu> --dim 3 --grid
-# <n>``, computed before the CSV writer gathered each block in one join and the
-# lp mask was evaluated on each axis's distinct magnitudes.  lp:1.5 takes powers in the ball mask
-# and the conjugate, so its digests hold where numpy's float64 power rounds
-# as it does on x86-64 Linux.
+# <n>``, per SIMD_MATH key (conftest.py): under numpy's AVX-512 loops,
+# computed before the CSV writer gathered each block in one join and the lp
+# mask was evaluated on each axis's distinct magnitudes; under its AVX2 and
+# baseline loops, after.  lp:1.5 takes powers in the ball mask and the conjugate, whose last
+# bits depend on the dispatch (and on the platform's numpy build).
 DIM3_ENVELOPE_DIGESTS = {
-    ("lp:2", "21"): ("b9a55eaf30a80d6813536df1379fef31199df438a5a5f6556f7b17df5373231e",
-                     "b4bd514b9b310bc8311b7fd8353cad50b7a98b0984866d791d691f2c9fc71d9e"),
-    ("lp:1.5", "31"): ("dce72ddf3a13bfd1e4edbd2fdb21e93cdc65abac010683d1df6b331c33391270",
-                       "adb5c8bb834d838f1ec8885683c8b5533c9222feb59eabfd7e00fcd476783184"),
+    ("lp:2", "21"): {
+        "43ba2ac24b7d96b1": (
+            "b9a55eaf30a80d6813536df1379fef31199df438a5a5f6556f7b17df5373231e",
+            "b4bd514b9b310bc8311b7fd8353cad50b7a98b0984866d791d691f2c9fc71d9e"),
+        "ce2eaeb21c77bf4d": (
+            "b9a55eaf30a80d6813536df1379fef31199df438a5a5f6556f7b17df5373231e",
+            "b4bd514b9b310bc8311b7fd8353cad50b7a98b0984866d791d691f2c9fc71d9e"),
+    },
+    ("lp:1.5", "31"): {
+        "43ba2ac24b7d96b1": (
+            "dce72ddf3a13bfd1e4edbd2fdb21e93cdc65abac010683d1df6b331c33391270",
+            "adb5c8bb834d838f1ec8885683c8b5533c9222feb59eabfd7e00fcd476783184"),
+        "ce2eaeb21c77bf4d": (
+            "581c3ce081194af9c049212468b4f01be216ae6c7e1ddb1f33c62fad660e522a",
+            "adb5c8bb834d838f1ec8885683c8b5533c9222feb59eabfd7e00fcd476783184"),
+    },
 }
 
 
 @pytest.mark.parametrize("nu, grid", sorted(DIM3_ENVELOPE_DIGESTS))
-def test_dim3_envelope_output_bytes_are_frozen(tmp_path, capsys, nu, grid):
+def test_dim3_envelope_output_bytes_are_frozen(tmp_path, capsys, frozen_for_dispatch, nu, grid):
     csv, summary = tmp_path / "surface.csv", tmp_path / "surface.json"
     code, _, _ = run_cli(capsys, "envelope", "--nu", nu, "--dim", "3", "--grid", grid,
                          "--out", str(csv), "--json", str(summary))
     assert code == 0
     digests = tuple(hashlib.sha256(path.read_bytes()).hexdigest() for path in (csv, summary))
-    assert digests == DIM3_ENVELOPE_DIGESTS[nu, grid]
+    assert digests == frozen_for_dispatch(DIM3_ENVELOPE_DIGESTS[nu, grid])
 
 
 @pytest.mark.parametrize("config, argv", [

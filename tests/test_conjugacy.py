@@ -106,18 +106,26 @@ def test_transform_work_cap(monkeypatch):
 
 
 def _checked_and_run(monkeypatch, run) -> tuple:
-    # The counts of every _check_grid_work call during ``run()``, and the sum
-    # of the elements A*n*m*B that its axis passes update.
-    checked, updates = [], []
-    check, axis_pass = conjugacy._check_grid_work, conjugacy._axis_pass
+    # The calls during ``run()``, in order: ("fold", fold) for _fold_axes,
+    # ("check", count) for _check_grid_work and ("rows", n) for each block
+    # of analytic conjugate rows; and the sum of the elements A*n*m*B that
+    # its axis passes update.
+    calls, updates = [], []
+    check, fold_axes, axis_pass = (conjugacy._check_grid_work, conjugacy._fold_axes,
+                                   conjugacy._axis_pass)
+    batch = capra_conjugate_l0_analytic_batch
     with monkeypatch.context() as m:
         m.setattr(conjugacy, "_axis_pass", lambda g, x, y, *negate: updates.append(g.size * y.size)
                   or axis_pass(g, x, y, *negate))
+        m.setattr(conjugacy, "_fold_axes",
+                  lambda *a: calls.append(("fold", fold_axes(*a))) or calls[-1][1])
+        m.setattr(conjugacy, "capra_conjugate_l0_analytic_batch",
+                  lambda Y, *a: calls.append(("rows", len(Y))) or batch(Y, *a))
         for module in (conjugacy, envelope):
             m.setattr(module, "_check_grid_work",
-                      lambda *a: checked.append(check(*a)) or checked[-1])
+                      lambda *a: calls.append(("check", check(*a))) or calls[-1][1])
         run()
-    return checked, sum(updates)
+    return calls, sum(updates)
 
 
 # l0 as a custom f, which takes the sphere and ball routes on any nu.
@@ -146,16 +154,17 @@ def test_checked_grid_work_is_the_updates_that_run(monkeypatch):
     # updates, against 825M unfolded.
     eval3 = ball_box_grid(3, 41)
     dual3 = default_dual_grid(3, 3.0)
-    orthant = conjugacy._capra_conjugate_l0_analytic_grid(dual3, PhiSpec.identity(3),
-                                                          SourceNormSpec.lp(2.0, 3))
+    handoff = lambda: conjugacy._capra_conjugate_l0_analytic_grid(
+        (dual3, eval3), PhiSpec.identity(3), SourceNormSpec.lp(2.0, 3))
     cases = [(lambda: fenchel_biconjugate(even, dual), None),
              (lambda: fenchel_biconjugate(uneven, dual), None),
              (lambda: fenchel_conjugate(half_even, square), 243),
-             (lambda: conjugacy._grid_transform((dual3, eval3), orthant), 53_613_819)]
+             (lambda: conjugacy._grid_transform((dual3, eval3), *handoff()), 53_613_819)]
     runs = []
     for run, pinned in cases:
-        checked, updates = _checked_and_run(monkeypatch, run)
-        assert checked == [updates] and pinned in (None, updates)
+        calls, updates = _checked_and_run(monkeypatch, run)
+        assert [n for kind, n in calls if kind == "check"] == [updates]
+        assert pinned in (None, updates)
         runs.append(updates)
     # Even values fold; the same chain with uneven values does not.
     assert runs[0] < runs[1] == conjugacy._check_grid_work((g, dual, g), (False, False))
@@ -163,16 +172,23 @@ def test_checked_grid_work_is_the_updates_that_run(monkeypatch):
     assert unfold((half, square)) == 540
     assert unfold((dual3, eval3)) == 824_699_379
     assert conjugacy._check_grid_work((dual3, eval3), (True,) * 3) == 53_613_819
-    # The envelope checks first, before f on the ball is known to be even:
-    # the analytic route (phi∘l0, any lp nu) with the fold that runs, the
-    # ball route (a custom f) unfolded, which is never below the updates
-    # that run.
+    # The envelope decides once.  The analytic route (phi∘l0, any lp nu)
+    # decides its fold and checks the updates that run, once each, before
+    # any conjugate row.  The ball route (a custom f) checks the unfolded
+    # bound before f on the ball is known to be even, then the transform
+    # decides its fold and checks the updates that run, never above it.
     g21 = ball_box_grid(2, 21)
     for f, p in ((ZeroHomFnSpec.l0(2), 2.0), (ZeroHomFnSpec.l0(2), 0.5), (_CUSTOM_L0, 0.5)):
-        (early, late), updates = _checked_and_run(
+        calls, updates = _checked_and_run(
             monkeypatch, lambda: tightest_convex_on_ball(f, NormalizationSpec.lp(p), g21))
-        assert late == updates and early >= updates
-        assert (early == updates) == (f.kind == "phi_l0")
+        kinds = [kind for kind, _ in calls]
+        if f.kind == "phi_l0":
+            assert calls[:2] == [("fold", [True, True]), ("check", updates)]
+            assert kinds[2:] and set(kinds[2:]) == {"rows"}
+        else:
+            (_, early), (_, fold), (_, late) = calls
+            assert kinds == ["check", "fold", "check"] and fold == [True, True]
+            assert late == updates < early
 
 
 def test_capra_coupling():
@@ -217,6 +233,9 @@ def test_capra_coupling_stays_finite_on_huge_finite_points():
             assert capra_coupling(x, y, c) == float(np.dot(x, y)) / c.nu.value(x)
         assert capra_coupling([1e300, 0.0], [1.5e8, 1e300], CouplingSpec(lp1)) == 1.5e8
         assert capra_coupling([1e300, 1e300], [1.0, 1.0], CouplingSpec(lp1)) == 1.0
+        # The analytic conjugate at a point beyond the largest float is +inf,
+        # so no subdifferential at 0 holds it.
+        assert capra_subdiff_at_zero(ZeroHomFnSpec.l0(2), c, [[1.7e308, 1.7e308]]).shape == (0, 2)
 
 
 def test_capra_coupling_refuses_nonfinite_coordinates():
@@ -593,17 +612,17 @@ def _assert_same_up_to_zero_sign(got: np.ndarray, want: np.ndarray) -> None:
     assert (got + 0.0).tobytes() == (want + 0.0).tobytes()
 
 
-def _spied_transform(monkeypatch, grids, values, fold) -> np.ndarray:
-    # _grid_transform through ``grids``, asserting that every axis pass pairs
-    # the non-negative halves of the axes folded in ``fold`` and the whole
-    # axes elsewhere.
+def _spied_transform(monkeypatch, grids, values, fold, *given) -> np.ndarray:
+    # _grid_transform through ``grids`` (with the ``given`` fold, if any),
+    # asserting that every axis pass pairs the non-negative halves of the
+    # axes folded in ``fold`` and the whole axes elsewhere.
     sizes = []
     axis_pass = conjugacy._axis_pass
     with monkeypatch.context() as m:
         m.setattr(conjugacy, "_axis_pass",
                   lambda g, x, y, *negate: sizes.append((x.size, y.size))
                   or axis_pass(g, x, y, *negate))
-        out = conjugacy._grid_transform(grids, values)
+        out = conjugacy._grid_transform(grids, values, *given)
     half = lambda n, f: n - n // 2 if f else n
     assert sizes == [(half(n, f), half(m, f)) for src, dst in zip(grids, grids[1:])
                      for n, m, f in zip(src.counts, dst.counts, fold)]
@@ -652,18 +671,27 @@ def test_folded_grid_transform_equals_full(d, monkeypatch):
         values = _mirrored(rng.uniform(size=(3,) + (4,) * (d - 1)), mixed.counts)
         got = _spied_transform(monkeypatch, (mixed, dual), values, (False,) + (True,) * (d - 1))
         _assert_same_up_to_zero_sign(got, _full_grid_conjugate(mixed, values, dual))
-    # The (orthant, inverse) form folds every axis symmetric on both grids
-    # and gathers the others.
-    src = SourceNormSpec.lp(2.0, d)
+    # The analytic hand-off folds every axis symmetric on both grids and
+    # gathers the others, and the transform runs the fold it is given.
+    phi, src = PhiSpec.identity(d), SourceNormSpec.lp(2.0, d)
     for dual_grid, fold in zip(_analytic_grids(d), [(True,) * d, (False,) * d,
                                                     (False,) + (True,) * (d - 1)]):
-        orthant, inverse = conjugacy._capra_conjugate_l0_analytic_grid(
-            dual_grid, PhiSpec.identity(d), src)
-        got = _spied_transform(monkeypatch, (dual_grid, sym), (orthant, inverse), fold)
-        want = _full_grid_conjugate(dual_grid, orthant[np.ix_(*inverse)], sym)
+        values, given = conjugacy._capra_conjugate_l0_analytic_grid((dual_grid, sym), phi, src)
+        assert given == list(fold)
+        got = _spied_transform(monkeypatch, (dual_grid, sym), values, fold, given)
+        want = _full_grid_conjugate(dual_grid, capra_conjugate_l0_analytic_batch(
+            dual_grid.nodes, phi, src), sym)
         _assert_same_up_to_zero_sign(got, want)
         if not any(fold):
             assert got.tobytes() == want.tobytes()
+
+
+def _analytic_on_nodes(grid: Grid, phi: PhiSpec, src: SourceNormSpec,
+                       eval_grid: Grid) -> np.ndarray:
+    # The analytic hand-off of the chain (grid, eval_grid), mirrored onto
+    # the nodes of grid: flat values.
+    values, fold = conjugacy._capra_conjugate_l0_analytic_grid((grid, eval_grid), phi, src)
+    return numerics._unfold(values, grid.counts, fold).reshape(-1)
 
 
 def _analytic_grids(d: int) -> list:
@@ -681,17 +709,18 @@ def test_analytic_grid_conjugate_bit_identical_to_batch(d, monkeypatch):
         phis.append(PhiSpec.from_values([0.0, 1.0, math.inf, 3.0][:d + 1]))
     # The orthant rows run in blocks of _BLOCK_FLOATS: one block, and many
     # with a partial last one.
+    # The chain folds every sign-symmetric axis of the grid, or, through an
+    # asymmetric one, gathers every axis.
+    asym = Grid((-1.0,) * d, (1.5,) * d, (4,) * d)
     for budget, grid in itertools.product((numerics._BLOCK_FLOATS, 7), _analytic_grids(d)):
         monkeypatch.setattr(numerics, "_BLOCK_FLOATS", budget)
-        for p in (1.0, 1.5, 2.0, math.inf):
+        for p, phi, eval_grid in itertools.product((1.0, 1.5, 2.0, math.inf), phis, (grid, asym)):
             src = SourceNormSpec.lp(p, d)
-            for phi in phis:
-                conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
-                got = conj[np.ix_(*inverse)].reshape(-1)
-                assert grid._nodes is None
-                want = capra_conjugate_l0_analytic_batch(grid.nodes, phi, src)
-                assert got.tobytes() == want.tobytes(), (grid, p, phi.values)
-                grid._nodes = None  # so the next call is checked for nodes too
+            got = _analytic_on_nodes(grid, phi, src, eval_grid)
+            assert grid._nodes is None
+            want = capra_conjugate_l0_analytic_batch(grid.nodes, phi, src)
+            assert got.tobytes() == want.tobytes(), (grid, p, phi.values)
+            grid._nodes = None  # so the next call is checked for nodes too
 
 
 @pytest.mark.parametrize("d", [2, 3])
@@ -717,11 +746,10 @@ def test_analytic_grid_evaluates_sorted_rows_on_equal_axes(d, monkeypatch):
             for p in (1.0, 1.5, 2.0, math.inf):
                 src = SourceNormSpec.lp(p, d)
                 rows.clear()
-                conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
-                m = conj.shape[0]
-                want_rows = math.comb(m + d - 1, d) if grid in equal else conj.size
+                got = _analytic_on_nodes(grid, phi, src, grid)
+                m = [np.unique(np.abs(ax)).size for ax in grid.axes]
+                want_rows = math.comb(m[0] + d - 1, d) if grid in equal else math.prod(m)
                 assert sum(rows) == want_rows and max(rows) <= budget, (grid, budget)
-                got = conj[np.ix_(*inverse)].reshape(-1)
                 assert got.tobytes() == batch(grid.nodes, phi, src).tobytes(), (grid, p)
 
 
@@ -1028,14 +1056,12 @@ def test_analytic_conjugate_leaves_out_infinite_levels():
             want = [math.inf] * 3 + finite_want
             assert capra_conjugate_l0_analytic_batch(Y, phi, src).tolist() == want
             assert [capra_conjugate_l0_analytic(y, phi, src) for y in Y] == want
-            conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
-            got = conj[np.ix_(*inverse)].reshape(-1)
+            got = _analytic_on_nodes(grid, phi, src, grid)
             assert got.tobytes() == capra_conjugate_l0_analytic_batch(grid.nodes, phi,
                                                                       src).tobytes()
     # phi = (0, 1, inf): max(0, |y|_inf - 1), exactly.
     phi = PhiSpec.from_values([0.0, 1.0, math.inf])
-    conj, inverse = conjugacy._capra_conjugate_l0_analytic_grid(grid, phi, src)
-    assert conj[np.ix_(*inverse)].reshape(-1).tolist() == np.maximum(
+    assert _analytic_on_nodes(grid, phi, src, grid).tolist() == np.maximum(
         0.0, np.abs(grid.nodes).max(axis=1) - 1.0).tolist()
 
 

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from capra import envelope, numerics
+from capra import conjugacy, envelope, numerics
 from capra.conjugacy import CouplingSpec, ZeroHomFnSpec, capra_subdiff_at_zero
 from capra.envelope import (
     BALL_TOL,
@@ -360,11 +360,12 @@ def test_best_cvx_on_subset_empty_error():
 @pytest.mark.parametrize("dual_dim", [1, 3])
 def test_envelope_refuses_a_dual_grid_of_another_dimension(f, dual_dim, monkeypatch):
     # Both routes refuse before any node is built or any f or phi is read:
-    # the analytic one read phi on the dual grid first (invalid-phi).
+    # the analytic one read phi on the dual grid first (invalid-phi), and
+    # its hand-off refuses before it evaluates any conjugate row.
     eval_grid, dual_grid = ball_box_grid(2, 21), default_dual_grid(dual_dim, 2.0)
     monkeypatch.setattr(envelope, "_on_ball", lambda *a: pytest.fail("f read on the ball"))
-    monkeypatch.setattr(envelope, "_capra_conjugate_l0_analytic_grid",
-                        lambda *a: pytest.fail("the analytic conjugate ran"))
+    monkeypatch.setattr(conjugacy, "capra_conjugate_l0_analytic_batch",
+                        lambda *a: pytest.fail("an analytic conjugate row ran"))
     with pytest.raises(ValueError, match=rf"^dimension-mismatch: dual grid dimension {dual_dim} "
                                          r"!= primal grid dimension 2$"):
         tightest_convex_on_ball(f, NormalizationSpec.lp(2.0), eval_grid, dual_grid)

@@ -2,7 +2,8 @@
 production modules never import ``capra.oracle``, and ``capra.oracle`` never
 imports the transforms it referees (``capra.conjugacy``, ``capra.envelope``),
 not even inside a function.  The CLI imports at module level, all but the
-verification suites."""
+verification suites.  The fold rule of the grid transforms lives in
+``capra.conjugacy``: ``capra.envelope`` imports none of it."""
 
 import ast
 from pathlib import Path
@@ -74,3 +75,8 @@ def test_cli_imports_at_module_level_but_the_suites():
              for fn in ast.walk(tree) if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
              for node in ast.walk(fn) if isinstance(node, (ast.Import, ast.ImportFrom))]
     assert local == [(1, "verification", ["report_dict", "run_suite"])]
+
+
+def test_envelope_leaves_the_fold_to_conjugacy():
+    names = _imported((SRC / "envelope.py").read_text(encoding="utf-8"))
+    assert not {n for n in names if n.rsplit(".", 1)[-1] in ("_fold_axes", "_half_index")}

@@ -146,16 +146,24 @@ def _table_corpus():
 
 
 # SHA-256 of the corpus's top_k_norm_table, capra_conjugate_l0_analytic_batch
-# and k_support_bruteforce outputs, computed with the row-by-row np.sort
-# kernel that the column network replaced.
-TOP_K_CORPUS_DIGESTS = (
-    "fc0a096b5295c4b95034edfc5acc240ece16f9d8baaaeabfbe713af3c949ac9f",
-    "55a3e80f82162e9034433a887ceb4d93c1972789cdbfc578b8e52e721bbfb767",
-    "60d946e9dadca09e3577833cf029b04cae6b261c7d7e442ec7d4271c7e67f839",
-)
+# and k_support_bruteforce outputs, per SIMD_MATH key (conftest.py): under
+# numpy's AVX-512 loops, computed with the row-by-row np.sort kernel that the
+# column network replaced; under its AVX2 and baseline loops, after.
+TOP_K_CORPUS_DIGESTS = {
+    "43ba2ac24b7d96b1": (
+        "fc0a096b5295c4b95034edfc5acc240ece16f9d8baaaeabfbe713af3c949ac9f",
+        "55a3e80f82162e9034433a887ceb4d93c1972789cdbfc578b8e52e721bbfb767",
+        "60d946e9dadca09e3577833cf029b04cae6b261c7d7e442ec7d4271c7e67f839",
+    ),
+    "ce2eaeb21c77bf4d": (
+        "fa582c5c97c9dbabcbea624775344cae59381b81916cf0bb35f5e9e4f5787f74",
+        "1b881ffac4ae72381bd5b1aebe5b93cfb17f9a6852fd8c8215a8854e17fda42d",
+        "b639d58ba6f8c22d434f5f90c060a7775e28d1a9977f7f8cb9116823a9c11be3",
+    ),
+}
 
 
-def test_top_k_table_matches_scalar():
+def test_top_k_table_matches_scalar(frozen_for_dispatch):
     Y = RNG.standard_normal((30, 5)) * 3.0
     for q in (1.0, 2.0, math.inf):
         table = top_k_norm_table(Y, q)
@@ -169,7 +177,7 @@ def test_top_k_table_matches_scalar():
         assert (norms_module._NETWORK_ROWS_PER_COMPARATOR * len(norms_module._merge_network(d))
                 == 64 * count)
     rng = np.random.default_rng(0xD16E57)
-    hashes = [hashlib.sha256() for _ in TOP_K_CORPUS_DIGESTS]
+    hashes = [hashlib.sha256() for _ in range(3)]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for Y in _table_corpus():
@@ -185,7 +193,7 @@ def test_top_k_table_matches_scalar():
                     dirs = np.where(np.isfinite(Y), Y, 1.0)
                     hashes[2].update(np.array([k_support_bruteforce(x, p, k, dirs)
                                                for k in range(1, d + 1)]).tobytes())
-    assert tuple(h.hexdigest() for h in hashes) == TOP_K_CORPUS_DIGESTS
+    assert tuple(h.hexdigest() for h in hashes) == frozen_for_dispatch(TOP_K_CORPUS_DIGESTS)
 
 
 def _point_corpus():
@@ -224,23 +232,37 @@ def _phi_with_infinite_levels(rng, d: int) -> PhiSpec:
     return PhiSpec(w)
 
 
-# SHA-256 of the corpus's outputs of each scalar entry point, computed with
-# the per-call numpy reductions and one-column table that the shared
-# single-point bodies replaced.
+# SHA-256 of the corpus's outputs of each scalar entry point, per SIMD_MATH
+# key (conftest.py): under numpy's AVX-512 loops, computed with the per-call
+# numpy reductions and one-column table that the shared single-point bodies
+# replaced; under its AVX2 and baseline loops, after.
 POINT_CORPUS_DIGESTS = {
-    "lp_value": "d70ba4fef547046e6ea3438cedeccac4f36e086d95ecd3ca26b4a75d612039ff",
-    "top_k_norm": "20de6a2e45652d1f4766e98eb5d74056c3fc7b5bb3228f53511493e073df13f4",
-    "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
-    "dck_sort": "aff2db93bdb7f84784fbdb116a3b4da061e2a38c05c8cef56120e1e4466ea4a1",
-    "dck_enumerate": "bb6281bce7ec036b22691c24cff8717711f266fe4e8e083578ee41189702b81e",
-    "phi_dual_gauge": "a18e9019ff4969a69b50129a6fab35eef5f5b26ee2aaac313c77a4fdd4e14854",
-    "l0_analytic": "f063f546d9c1a872eda16d3dadd5f64f6e50e8cdb59cafdf33d9c9c188207ee8",
-    "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
-    "best_norm_value": "57b667c9b4cf8ebea23443d43f2f21625f9c782d9c3655da1c18ada7c94f3ae3",
+    "43ba2ac24b7d96b1": {
+        "lp_value": "d70ba4fef547046e6ea3438cedeccac4f36e086d95ecd3ca26b4a75d612039ff",
+        "top_k_norm": "20de6a2e45652d1f4766e98eb5d74056c3fc7b5bb3228f53511493e073df13f4",
+        "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
+        "dck_sort": "aff2db93bdb7f84784fbdb116a3b4da061e2a38c05c8cef56120e1e4466ea4a1",
+        "dck_enumerate": "bb6281bce7ec036b22691c24cff8717711f266fe4e8e083578ee41189702b81e",
+        "phi_dual_gauge": "a18e9019ff4969a69b50129a6fab35eef5f5b26ee2aaac313c77a4fdd4e14854",
+        "l0_analytic": "f063f546d9c1a872eda16d3dadd5f64f6e50e8cdb59cafdf33d9c9c188207ee8",
+        "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
+        "best_norm_value": "57b667c9b4cf8ebea23443d43f2f21625f9c782d9c3655da1c18ada7c94f3ae3",
+    },
+    "ce2eaeb21c77bf4d": {
+        "lp_value": "9c9746dfe57de1299b7d2259802c34dcca55613c628940ea9683f0458982d50e",
+        "top_k_norm": "ffebdd4a821dd514ec5f94329b09616490957a24ae2a48fa03e829ee2537e5ac",
+        "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
+        "dck_sort": "73ef90715457b4dc3d2f41ad391349441a6a3a7f81ecd9140adf0dc7088b8a64",
+        "dck_enumerate": "f72ce0e9abeec6de841c3bf0b8c06b5911e459e8cb8700bded98b1f27f7658f3",
+        "phi_dual_gauge": "1049043fdddfa5b461ac059586e4c919b454bd36277e3a4467778c3cb0ba54ac",
+        "l0_analytic": "5de0827da64aa96e6a1bc39811f8179e42f8891c00ddad90ce32f4597e3de70b",
+        "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
+        "best_norm_value": "57b667c9b4cf8ebea23443d43f2f21625f9c782d9c3655da1c18ada7c94f3ae3",
+    },
 }
 
 
-def test_scalar_entry_points_keep_their_bytes():
+def test_scalar_entry_points_keep_their_bytes(frozen_for_dispatch):
     rng = np.random.default_rng(0xB175)
     hashes = {name: hashlib.sha256() for name in (
         "lp_value", "top_k_norm", "k_support_norm", "dck_sort", "dck_enumerate",
@@ -289,7 +311,8 @@ def test_scalar_entry_points_keep_their_bytes():
                 sampled = best_norm_object(PhiSpec.from_values([0.0, math.inf] + [1.0] * (d - 1)),
                                            SourceNormSpec.lp(2.0, d), n_directions=64)
                 put("best_norm_value", sampled.value(y))
-    assert {name: h.hexdigest() for name, h in hashes.items()} == POINT_CORPUS_DIGESTS
+    got = {name: h.hexdigest() for name, h in hashes.items()}
+    assert got == frozen_for_dispatch(POINT_CORPUS_DIGESTS)
 
 
 
@@ -733,6 +756,25 @@ def test_infinite_coordinates_give_plus_inf():
             assert np.all(top_k_norm_table(Y, 2.0) == math.inf)
             assert np.all(phi_dual_gauge_batch(Y, phi, lp2) == math.inf)
             assert np.all(capra_conjugate_l0_analytic_batch(Y, phi, lp2) == math.inf)
+        # Finite points whose values lie beyond the largest float give +inf
+        # too, on one row and on 64, and the finite entries keep their bits.
+        # The sampled best norm pairs its cloud with x / max|x| where a
+        # pairing overflows.
+        huge = [1.7e308, 1.7e308]
+        for n, q in itertools.product((1, 64), (1.0, 1.5, 2.0)):
+            Y = np.tile([1.7e308, 1e-300], (n, 1))
+            Y[0] = huge
+            table = top_k_norm_table(Y, q)
+            assert table[0].tolist() == [1.7e308, math.inf]
+            assert table[1:].tolist() == [[top_k_norm(y, q, k) for k in (1, 2)] for y in Y[1:]]
+            assert top_k_norm(huge, q, 2) == math.inf
+        assert phi_dual_gauge(huge, phi, lp2) == math.inf
+        assert capra_conjugate_l0_analytic(huge, phi, lp2) == math.inf
+        for w in ([0.0, math.inf, 1.0], [0.0, 3.0, 1.0]):
+            sampled = best_norm_object(PhiSpec.from_values(w), lp2)
+            assert sampled.value(huge) == sampled.value([1.7e308, -math.inf]) == math.inf
+            assert math.isclose(sampled.value([1.2e308, -0.5e308]),
+                                sampled.value([1.2, -0.5]) * 1e308, rel_tol=1e-15)
 
 
 def test_phi_dual_gauge_batch_equals_scalar_bit_for_bit():

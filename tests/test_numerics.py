@@ -13,9 +13,7 @@ from capra.numerics import (
     build_grid,
     format_extreal,
     low_add,
-    read_sample_csv,
     sample,
-    upp_add,
     write_sample_csv,
 )
 
@@ -27,22 +25,12 @@ def test_moreau_addition_examples():
     assert low_add(-math.inf, math.inf) == -math.inf
     assert low_add(2.0, 3.0) == 5.0
     assert low_add(math.inf, 5.0) == math.inf
-    assert upp_add(math.inf, -math.inf) == math.inf
-    assert upp_add(-math.inf, math.inf) == math.inf
-    assert upp_add(-1.0, 1.0) == 0.0
-    assert upp_add(-math.inf, -math.inf) == -math.inf
 
 
 def test_moreau_additions_commutative_associative():
     for a, b, c in itertools.product(SPECIALS, repeat=3):
-        for add in (low_add, upp_add):
-            assert add(a, b) == add(b, a)
-            assert add(add(a, b), c) == add(a, add(b, c))
-
-
-def test_lower_not_above_upper():
-    for a, b in itertools.product(SPECIALS, repeat=2):
-        assert low_add(a, b) <= upp_add(a, b)
+        assert low_add(a, b) == low_add(b, a)
+        assert low_add(low_add(a, b), c) == low_add(a, low_add(b, c))
 
 
 def test_nan_rejected():
@@ -157,7 +145,8 @@ def test_csv_roundtrip_with_infinities(tmp_path):
     text = path.read_text()
     assert text.splitlines()[0] == "x_1,x_2,value"
     assert "+inf" in text and "-inf" in text
-    pts, back = read_sample_csv(path)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
+    pts, back = rows[:, :-1], rows[:, -1]
     assert np.array_equal(pts, g.nodes)
     assert np.array_equal(back, vals)
 
@@ -241,22 +230,6 @@ def test_csv_writer_formats_each_distinct_value_once(tmp_path, monkeypatch):
         assert out.read_bytes() == ref.read_bytes(), rows
         bits = np.array(formatted).view(np.int64).tolist()
         assert sorted(bits) == sorted(set(values.view(np.int64).tolist())) and len(bits) == 10
-
-
-def test_csv_reads_any_float_spelling_of_infinity(tmp_path):
-    path = tmp_path / "surf.csv"
-    path.write_text("x_1,value\n-1.0, inf\n0.0,-Infinity\n1.0,+INF\n")
-    pts, vals = read_sample_csv(path)
-    assert np.array_equal(vals, [math.inf, -math.inf, math.inf])
-    path.write_text("x_1,value\n0.0,nan\n")
-    with pytest.raises(ValueError, match="nan"):
-        read_sample_csv(path)
-    for text in ("x_1,v\n0.0,1.0\n", "y_1,value\n0.0,1.0\n", "x_1,value\n0.0,1.0,2.0\n",
-                 "x_1,x_2,value\n0.0,1.0\n"):
-        path.write_text(text)
-        with pytest.raises(ValueError, match="^invalid-sample: (unrecognized sample CSV header|"
-                                             "malformed sample CSV row)"):
-            read_sample_csv(path)
 
 
 def test_nearest_index():
