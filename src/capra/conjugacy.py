@@ -58,6 +58,7 @@ from .norms import (
     _check_homogeneous,
     _check_phi_dim,
     _check_spec,
+    _finite_columns,
     _finite_level_norms,
     conj_exponent,
     top_k_norm_table,
@@ -496,7 +497,7 @@ def capra_conjugate_l0_analytic(y, phi: PhiSpec, source: SourceNormSpec) -> floa
     if source.kind != "lp":
         raise ValueError("unsupported-source: analytic conjugate requires an lp source norm")
     norms, w = _finite_level_norms(y, phi, source)
-    return max(0.0, *(norms - w).tolist())
+    return max(0.0, *(n - c for n, c in zip(norms, w)))
 
 
 def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
@@ -507,9 +508,8 @@ def capra_conjugate_l0_analytic_batch(Y: np.ndarray, phi: PhiSpec,
         raise ValueError("unsupported-source: analytic conjugate requires an lp source norm")
     Y = _as_rows(Y)
     _check_phi_dim(phi, Y.shape[1])
-    finite = np.isfinite(phi.values[1:])
-    table = top_k_norm_table(Y, conj_exponent(source.p))[:, finite]
-    return np.maximum(0.0, (table - phi.values[1:][finite]).max(axis=1))
+    table = _finite_columns(top_k_norm_table(Y, conj_exponent(source.p)), phi)
+    return np.maximum(0.0, (table - phi._weights).max(axis=1))
 
 
 def _sorted_index_columns(rows: np.ndarray, m: int, d: int) -> list:

@@ -285,26 +285,36 @@ class PhiSpec:
     """Weights ``phi: {0, ..., d} -> [0, +inf]`` for sparsity levels.
 
     Requires phi(0) = 0, phi(l) > 0 for l >= 1, and phi(l) < +inf for at
-    least one l >= 1.
+    least one l >= 1.  Checked once on ``values.tolist()``, which then
+    become a read-only copy; beside them, derived once and read-only too,
+    ``_finite`` is the mask of the levels l >= 1 with finite phi(l) (None
+    when every level is finite) and ``_weights`` those phi(l), the divisors
+    and subtrahends of the dual gauge and the analytic conjugate.
     """
 
     values: np.ndarray
 
     def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float).reshape(-1)
-        if vals.size < 2:
+        vals = np.array(self.values, dtype=float).reshape(-1)
+        v = vals.tolist()
+        if len(v) < 2:
             raise ValueError("invalid-phi: need values for levels 0..d with d >= 1")
-        if np.isnan(vals).any():
-            raise ValueError(f"invalid-phi: NaN entry (got {vals.tolist()})")
-        if vals[0] != 0.0:
-            raise ValueError(f"invalid-phi: phi(0) must be 0 (got {vals[0]})")
-        if not np.all(vals[1:] > 0.0):
+        if any(w != w for w in v):
+            raise ValueError(f"invalid-phi: NaN entry (got {v})")
+        if v[0] != 0.0:
+            raise ValueError(f"invalid-phi: phi(0) must be 0 (got {v[0]})")
+        if not all(w > 0.0 for w in v[1:]):
             raise ValueError("invalid-phi: phi(l) must be > 0 for l >= 1")
-        if not np.any(np.isfinite(vals[1:])):
+        finite = [w < math.inf for w in v[1:]]
+        if not any(finite):
             raise ValueError("invalid-phi: phi(l) must be finite for at least one l >= 1")
-        vals = vals.copy()
         vals.flags.writeable = False
         self.values = vals
+        self._finite, self._weights = None, vals[1:]
+        if not all(finite):
+            self._finite = np.array(finite)
+            self._weights = vals[1:][self._finite]
+            self._finite.flags.writeable = self._weights.flags.writeable = False
 
     @property
     def dim(self) -> int:
@@ -450,15 +460,16 @@ def _sort_columns(buf: np.ndarray, network: tuple) -> np.ndarray:
 
 def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
     """The top-(q, k) values, k = 1..d down axis 0, of the (d, n) or, for one
-    point (:func:`_finite_level_norms`), (d,) descending magnitudes ``t``
-    with finite, positive maxima ``s`` and finite q >= 1, written over t.
-    Each step runs over all columns at once, in the order of a row-wise
-    evaluation: rescale by the column max, the power q, the sequential sum
-    down each column (a row's ``cumsum``), the power 1/q and the scale back.
-    So every value, a point's too, has the bits of the row-wise form.  A
-    value beyond the largest float is +inf, without a warning; t <= d before
-    the scale back, so one point whose ``d * s`` is finite (a float s) pays
-    for no ``np.errstate``."""
+    point at q not in {1, 2, inf} (:func:`_finite_level_norms`), (d,)
+    descending magnitudes ``t`` with finite, positive maxima ``s`` and
+    finite q >= 1, written over t.  Each step runs over all columns at once,
+    in the order of a row-wise evaluation: rescale by the column max, the
+    power q, the sequential sum down each column (a row's ``cumsum``), the
+    power 1/q and the scale back.  So every value, a point's too, has the
+    bits of the row-wise form.  A value beyond the largest float is +inf,
+    without a warning; t <= d before the scale back, so one point whose
+    ``d * s`` is finite (a float s) skips the ``np.errstate``, which would
+    add about a fifth to its call."""
     t /= s
     t **= q
     # One accumulate call is quicker on a few columns, adding row after row
@@ -529,16 +540,18 @@ def _restricted_dual_cloud(source: SourceNormSpec,
     """A custom source's sampled restricted dual balls on its size-k
     supports: ``(supports, directions, values)``.  One support per row; the
     ``_DIRECTIONS_PER_SUBSET`` quasi-uniform directions of R^k plus every
-    sign pattern; the source at each direction placed on each support, NaN
-    where not in (0, inf).  Built once per level and kept on the spec.
-    Custom sources need d <= 12."""
+    sign pattern, and at k = 1 only the two signed units (the directions of
+    R^1 are those two, repeated); the source at each direction placed on
+    each support, NaN where not in (0, inf).  Built once per level and kept
+    on the spec.  Custom sources need d <= 12."""
     cloud = source._restricted_clouds.get(k)
     if cloud is None:
         d = source.dim
         if d > 12:
             raise ValueError(f"dimension-too-large: custom sources need d <= 12 (got {d})")
         supports = np.array(list(itertools.combinations(range(d), k)))
-        dirs = np.vstack([unit_directions(_DIRECTIONS_PER_SUBSET, k), sign_patterns(k)])
+        dirs = sign_patterns(1) if k == 1 else np.vstack(
+            [unit_directions(_DIRECTIONS_PER_SUBSET, k), sign_patterns(k)])
         t = np.empty((len(supports), len(dirs)))
         for i, K in enumerate(supports):
             Z = np.zeros((len(dirs), d))
@@ -563,7 +576,9 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     if d != source.dim:
         raise ValueError(f"dimension-mismatch: points have dim {d}, the source {source.dim}")
     _refuse_nan(Y, "a point coordinate")
-    per_row = sum(math.comb(d, l) * (_DIRECTIONS_PER_SUBSET + 3**l - 1) for l in levels)
+    # The pairings of a row: each size-l support with each direction of its cloud.
+    per_row = sum(math.comb(d, l) * (3**l - 1 + _DIRECTIONS_PER_SUBSET * (l > 1))
+                  for l in levels)
     _check_work(n * per_row, "custom dual gauge", "pairings")
     out = np.zeros((n, len(levels)))
     for col, l in enumerate(levels):
@@ -589,9 +604,9 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     route (exact for lp sources, used for cross-checks).  Custom sources
     always enumerate, with sampled restricted duals, and require d <= 12:
     the first call on a spec with a given k evaluates the source at 512 +
-    3^k - 1 directions on each size-k support, and later calls reuse that
-    cloud, so the source must be deterministic.  A NaN coordinate raises
-    ``nan-input``.
+    3^k - 1 directions on each size-k support (2 at k = 1), and later calls
+    reuse that cloud, so the source must be deterministic.  A NaN coordinate
+    raises ``nan-input``.
     """
     y = np.asarray(y, dtype=float).reshape(-1)
     d = y.size
@@ -622,40 +637,76 @@ def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
     if source.kind != "lp":
         return float(phi_dual_gauge_batch(np.reshape(y, (1, -1)), phi, source)[0])
     norms, w = _finite_level_norms(y, phi, source)
-    return max(0.0, *(norms / w).tolist())
+    return max(0.0, *(n / c for n, c in zip(norms, w)))
 
 
 def phi_dual_gauge_batch(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
     """Row-wise :func:`phi_dual_gauge` of an (n, d) array, bit for bit: a
     divide-and-max over a table of the dual coordinate-l norms at the levels
     with finite phi(l) (:func:`top_k_norm_table` for an lp source,
-    :func:`_custom_dual_table` for a custom one).  NaN raises ``nan-input``.
+    :func:`_custom_dual_table` for a custom one).  NaN raises ``nan-input``;
+    a quotient beyond the largest float is +inf, without a warning.
     """
     Y = _as_rows(Y)
     _check_phi_dim(phi, Y.shape[1])
-    w = phi.values[1:]
-    finite = np.isfinite(w)
     if source.kind == "lp":
-        table = top_k_norm_table(Y, conj_exponent(source.p))[:, finite]
+        table = _finite_columns(top_k_norm_table(Y, conj_exponent(source.p)), phi)
     else:
-        table = _custom_dual_table(Y, source, (np.flatnonzero(finite) + 1).tolist())
-    return np.max(table / w[finite], axis=1, initial=0.0)
+        levels = range(1, phi.dim + 1)
+        if phi._finite is not None:
+            levels = list(itertools.compress(levels, phi._finite))
+        table = _custom_dual_table(Y, source, levels)
+    with np.errstate(over="ignore"):
+        return np.max(table / phi._weights, axis=1, initial=0.0)
 
 
-def _finite_level_norms(y, phi: PhiSpec, source: SourceNormSpec) -> tuple:
+def _finite_columns(table: np.ndarray, phi: PhiSpec) -> np.ndarray:
+    """The columns of a table of levels 1..d at the levels with finite
+    phi(l): the table itself when every level is finite."""
+    return table if phi._finite is None else table[:, phi._finite]
+
+
+def _finite_level_norms(y, phi: PhiSpec, source: SourceNormSpec) -> tuple[list, list]:
     """The norms top-(q, l)(y) dual to the lp source at the levels l with
-    finite phi(l), and those phi(l): the row of y in :func:`top_k_norm_table`
-    bit for bit, from one point check and :func:`_top_k_table`."""
+    finite phi(l), and those phi(l), as lists of floats: the row of y in
+    :func:`top_k_norm_table` bit for bit.
+
+    For q in {1, 2, inf} the levels are taken in Python floats from |y|
+    sorted in descending order: each entry over the max, squared at q = 2,
+    summed in order, its square root at q = 2, times the max (+inf beyond
+    the largest float).  Each step is one exactly rounded IEEE operation
+    and the one :func:`_top_k_table` runs there: numpy's scalar-power fast
+    path makes ``t **= 2.0`` ``np.square``, ``t **= 0.5`` ``np.sqrt`` and
+    ``t **= 1.0`` a copy, and ``np.add.accumulate`` sums in order.  So
+    these levels have the same bits under every SIMD dispatch.  Other q
+    run :func:`_top_k_table` on the point.
+    """
     y = np.asarray(y, dtype=float).reshape(-1)
     _check_phi_dim(phi, y.size)
     q = conj_exponent(source.p)
-    a, m = _abs_point(y, descending=True)
-    if q == math.inf or m == 0.0 or m == math.inf:
-        a.fill(m)
+    if q in (1.0, 2.0, math.inf):
+        a = sorted(map(abs, y.tolist()), reverse=True)
+        if math.isnan(sum(a)):  # a sum of magnitudes is NaN only where one is
+            raise ValueError("nan-input: a point coordinate is NaN")
+        m = a[0]
+        if q == math.inf or m == 0.0 or m == math.inf:
+            levels = [m] * len(a)
+        else:
+            t = [c / m for c in a]
+            if q == 2.0:
+                levels = [math.sqrt(s) * m for s in itertools.accumulate([c * c for c in t])]
+            else:
+                levels = [s * m for s in itertools.accumulate(t)]
     else:
-        _top_k_table(a, m, q)
-    finite = np.isfinite(phi.values[1:])
-    return a[finite], phi.values[1:][finite]
+        a, m = _abs_point(y, descending=True)
+        if m == 0.0 or m == math.inf:
+            a.fill(m)
+        else:
+            _top_k_table(a, m, q)
+        levels = a.tolist()
+    if phi._finite is not None:
+        levels = list(itertools.compress(levels, phi._finite))
+    return levels, phi._weights.tolist()
 
 
 def _in_phi_dual_ball(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:

@@ -316,26 +316,58 @@ def test_scalar_entry_points_keep_their_bytes(frozen_for_dispatch):
 
 
 
+def _top_k_core_points(rng, d: int):
+    """Points of every scale, then the edge cases of the one-point levels:
+    subnormals and signed zeros, an infinite coordinate, and rows near
+    1.7e308 whose scale back overflows."""
+    for _ in range(40):
+        y = rng.standard_normal(d) * 10.0 ** rng.uniform(-300.0, 300.0)
+        y[rng.random(d) < 0.2] = rng.integers(-2, 3)
+        yield y
+    signs = rng.choice([-1.0, 1.0], d)
+    yield signs * 5e-324 * rng.integers(0, 4, d)
+    yield signs * rng.uniform(0.0, 2e-308, d)
+    yield signs * 0.0
+    for inf in (math.inf, -math.inf):
+        y = rng.standard_normal(d)
+        y[rng.integers(d)] = inf
+        yield y
+    yield signs * rng.uniform(1.6e308, 1.7e308, d)
+
+
 def test_top_k_core_same_bits_on_a_contiguous_copy_and_a_reversed_view():
-    # A one-point call runs the top-k core on a contiguous descending |y|;
-    # the column it replaced was a (d, 1) view of an ascending sort, with a
+    # A one-point call takes its levels in Python floats at q in {1, 2, inf}
+    # and runs the top-k core on a contiguous descending |y| at other q; the
+    # column it replaced was a (d, 1) view of an ascending sort, with a
     # negative stride, and np.sort hands the table a transposed (d, n) view.
-    # numpy may pick another power loop for another layout, so the three are
-    # pinned equal bit for bit.
+    # numpy may pick another loop for another layout or dispatch, so all are
+    # pinned equal bit for bit, with no warning where a value overflows.
     rng = np.random.default_rng(0xC0DE)
-    for d in range(1, 14):
-        phi = PhiSpec(np.arange(d + 1.0))
-        for _ in range(40):
-            y = rng.standard_normal(d) * 10.0 ** rng.uniform(-300.0, 300.0)
-            y[rng.random(d) < 0.2] = rng.integers(-2, 3)
-            for p in (1.0, 1.2, 1.5, 2.0, 3.0, 7.0, math.inf):
-                q = conj_exponent(p)
-                column = norms_module._finite_level_norms(y, phi, SourceNormSpec.lp(p, d))[0]
-                assert column.tobytes() == top_k_norm_table(y[None], q)[0].tobytes()
-                view = np.sort(np.abs(y))[::-1, None]
-                if q < math.inf and 0.0 < view[0, 0] < math.inf:
-                    view = norms_module._top_k_table(view, view[0].copy(), q)
-                    assert column.tobytes() == view[:, 0].tobytes()
+    overflowed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 14):
+            phi = PhiSpec(np.arange(d + 1.0))
+            for y in _top_k_core_points(rng, d):
+                for p in (1.0, 1.2, 1.5, 2.0, 3.0, 7.0, math.inf):
+                    q = conj_exponent(p)
+                    column = np.array(
+                        norms_module._finite_level_norms(y, phi, SourceNormSpec.lp(p, d))[0])
+                    assert column.tobytes() == top_k_norm_table(y[None], q)[0].tobytes()
+                    view = np.sort(np.abs(y))[::-1, None]
+                    if q < math.inf and 0.0 < view[0, 0] < math.inf:
+                        view = norms_module._top_k_table(view, view[0].copy(), q)
+                        assert column.tobytes() == view[:, 0].tobytes()
+                        overflowed += bool(np.isinf(column).any())
+            # A NaN coordinate raises, wherever the sort leaves it.
+            for at in range(d):
+                y = rng.standard_normal(d)
+                y[at] = math.nan
+                y[(at + 1) % d] = math.inf if d > 1 else math.nan
+                for p in (1.0, 2.0, 3.0, math.inf):
+                    with pytest.raises(ValueError, match="^nan-input"):
+                        norms_module._finite_level_norms(y, phi, SourceNormSpec.lp(p, d))
+    assert overflowed >= 12 * 5
 
 
 def _scalar_entry_points(d: int = 2) -> dict:
@@ -510,6 +542,10 @@ def test_restricted_dual_cloud_built_once_per_spec():
         calls.append(1)
         return float(np.max(np.abs(z)))
 
+    # Level 1's cloud is the two signed units on each of the d supports.
+    assert dual_coordinate_k_norm([1.0, -2.0, 0.5], SourceNormSpec.custom(linf, 3), 1) == 2.0
+    assert len(calls) == 2 * 3
+    calls.clear()
     a = SourceNormSpec.custom(linf, 3)
     first = dual_coordinate_k_norm([1.0, -2.0, 0.5], a, 2)
     built = len(calls)
@@ -568,10 +604,11 @@ def test_custom_gauge_work_cap(monkeypatch):
         calls.append(1)
         return float(np.max(np.abs(z)))
 
-    # Levels 1 and 3 are finite: 3 * (512 + 2) + 1 * (512 + 26) pairings a row.
+    # Levels 1 and 3 are finite: 3 * 2 + 1 * (512 + 26) pairings a row, the
+    # two signed units on each support of level 1.
     phi = PhiSpec.from_values([0.0, 1.0, math.inf, 2.0])
     Y = np.ones((5, 3))
-    work = 5 * (3 * 514 + 538)
+    work = 5 * (3 * 2 + 538)
     src = SourceNormSpec.custom(linf, 3)
     monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work - 1)
     with pytest.raises(ValueError, match="work-too-large: custom dual gauge needs"):
@@ -579,7 +616,7 @@ def test_custom_gauge_work_cap(monkeypatch):
     assert calls == [] and src._restricted_clouds == {}
     monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", work)
     assert phi_dual_gauge_batch(Y, phi, src).tolist() == [1.5] * 5
-    assert sorted(src._restricted_clouds) == [1, 3]
+    assert sorted(src._restricted_clouds) == [1, 3] and len(calls) == work // 5
     # The d <= 12 guard lives in the cloud builder, behind the work check.
     src13 = SourceNormSpec.custom(linf, 13)
     monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 10**12)
@@ -588,8 +625,8 @@ def test_custom_gauge_work_cap(monkeypatch):
     monkeypatch.undo()
     with pytest.raises(ValueError, match="work-too-large"):
         phi_dual_gauge_batch(np.ones((100, 13)), PhiSpec.identity(13), src13)
-    # At d = 8 the cloud of best_norm_object needs 10,656 rows times 195,840
-    # pairings, about 2.1e9: refused at once, before the source runs.
+    # At d = 8 the cloud of best_norm_object needs 10,656 rows times 191,744
+    # pairings, about 2.04e9: refused at once, before the source runs.
     src8 = SourceNormSpec.custom(linf, 8)
     with pytest.raises(ValueError, match="work-too-large"):
         best_norm_object(PhiSpec.identity(8), src8).value(np.ones(8))
@@ -610,6 +647,14 @@ def test_phi_dual_gauge_examples():
     assert phi_dual_gauge([1.0, 1.0], phi, SourceNormSpec.lp(2.0, 2)) == 1.0
     assert phi_dual_gauge([1.0, 1.0], phi, SourceNormSpec.lp(math.inf, 2)) == 1.0
     assert phi_dual_gauge([0.0, 0.0], phi, SourceNormSpec.lp(2.0, 2)) == 0.0
+    # A quotient beyond the largest float is +inf in both forms, unwarned.
+    tiny = PhiSpec.from_values([0.0, 1e-10, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p in (1.0, 1.5, 2.0, math.inf):
+            assert phi_dual_gauge([1e300, 0.0], tiny, SourceNormSpec.lp(p, 2)) == math.inf
+            assert phi_dual_gauge_batch([[1e300, 0.0]], tiny,
+                                        SourceNormSpec.lp(p, 2)).tolist() == [math.inf]
 
 
 def test_phi_dual_gauge_infinite_level():
@@ -623,17 +668,40 @@ def test_phi_dual_gauge_infinite_level():
 
 
 def test_phi_spec_validation():
+    # Each refusal keeps its tag and message.
+    for values, message in (
+            ([0.0], "need values for levels 0..d with d >= 1"),
+            ([], "need values for levels 0..d with d >= 1"),
+            ([0.0, math.nan, 1.0], "NaN entry (got [0.0, nan, 1.0])"),
+            ([1.0, 1.0], "phi(0) must be 0 (got 1.0)"),
+            ([-2.5e-300, 1.0], "phi(0) must be 0 (got -2.5e-300)"),
+            ([math.inf, 1.0], "phi(0) must be 0 (got inf)"),
+            ([0.0, 0.0, 1.0], "phi(l) must be > 0 for l >= 1"),
+            ([0.0, 1.0, -math.inf], "phi(l) must be > 0 for l >= 1"),
+            ([0.0, math.inf, math.inf], "phi(l) must be finite for at least one l >= 1")):
+        with pytest.raises(ValueError) as err:
+            PhiSpec(np.array(values))
+        assert str(err.value) == "invalid-phi: " + message
     with pytest.raises(ValueError, match="invalid-phi"):
         PhiSpec.from_values([1.0, 1.0])
-    with pytest.raises(ValueError, match="invalid-phi"):
-        PhiSpec.from_values([0.0, 0.0, 1.0])
-    with pytest.raises(ValueError, match="invalid-phi"):
-        PhiSpec.from_values([0.0, math.inf, math.inf])
-    with pytest.raises(ValueError, match="invalid-phi"):
-        PhiSpec(np.array([0.0]))
     for level in (-1, 3):
         with pytest.raises(ValueError, match=rf"^invalid-phi: level {level} outside \[0, 2\]"):
             PhiSpec.identity(2)(level)
+    # The finite levels are derived once: read-only, and equal to the
+    # levels with finite phi(l) of a read-only copy of the values.
+    for values in ([0.0, 1.0, 2.0], [0.0, math.inf, 1.0, 3.0], [0.0, 2.0, math.inf], [0.0, 1.0]):
+        given = np.array(values)
+        phi = PhiSpec(given)
+        given[1] = 7.0
+        w = phi.values[1:]
+        assert phi.values.tolist() == values and not phi.values.flags.writeable
+        assert phi._weights.tobytes() == w[np.isfinite(w)].tobytes()
+        assert not phi._weights.flags.writeable
+        if np.isfinite(w).all():
+            assert phi._finite is None
+        else:
+            assert phi._finite.tolist() == np.isfinite(w).tolist()
+            assert not phi._finite.flags.writeable
 
 
 def test_phi_weights_that_are_not_numbers_raise_invalid_phi():
