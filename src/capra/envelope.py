@@ -48,7 +48,7 @@ from .norms import (
     lp_value_batch,
 )
 from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
-                       default_dual_grid, format_extreal)
+                       _refuse_nan, default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -199,9 +199,25 @@ def _support(accepted: np.ndarray, x) -> float | np.ndarray:
     float for one point x, an array with one value per row for an (n, d)
     array of points.  The stacked product ``accepted @ x[..., None]`` runs
     one matrix-vector product per point, so each row gets the bits of the
-    point passed alone."""
+    point passed alone.  As in :func:`capra.norms.best_norm_object`, a NaN
+    coordinate raises ``nan-input``, NaN pairings (an infinite coordinate
+    times a zero one) are skipped, and where a pairing of a finite point
+    overflows, the rows are paired with ``x / max|x|`` and the max scaled
+    back, +inf without a warning beyond the largest float."""
     x = np.asarray(x, dtype=float)
-    best = np.max((accepted @ x[..., None])[..., 0], axis=-1, initial=-math.inf)
+    _refuse_nan(x, "a point coordinate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = (accepted @ x[..., None])[..., 0]
+        best = np.asarray(np.max(dots, axis=-1, initial=-math.inf))
+        redo = ~np.isfinite(dots).all(axis=-1)
+        if redo.any():
+            # Paired again at x / max|x|, or at x when it has an infinite
+            # coordinate, with NaN pairings skipped.  Only these rows take
+            # np.fmax, whose zero max may have another sign than np.max's.
+            m = np.max(np.abs(x[redo]), axis=-1)
+            m[m == math.inf] = 1.0
+            dots = (accepted @ (x[redo] / m[:, None])[..., None])[..., 0]
+            best[redo] = np.fmax.reduce(dots, axis=-1, initial=-math.inf) * m
     return float(best) if x.ndim == 1 else best
 
 

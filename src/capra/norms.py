@@ -62,21 +62,16 @@ def conj_exponent(p: float) -> float:
     return p / (p - 1.0)
 
 
-def _abs_point(x, descending: bool = False) -> tuple[np.ndarray, float]:
-    """``|x|`` as a fresh 1-d float array, sorted in descending order in
-    place if ``descending``, and its maximum (0.0 when empty).
+def _abs_point(x) -> tuple[np.ndarray, float]:
+    """``|x|`` as a fresh 1-d float array and its maximum (0.0 when empty).
 
     The point check of the scalar norm entry points.  The maximum, which
-    they need anyway, propagates NaN (a sort puts NaN last), so a NaN
-    coordinate raises ``nan-input``, also beside an infinite one.
+    they need anyway, propagates NaN, so a NaN coordinate raises
+    ``nan-input``, also beside an infinite one.
     """
     a = np.abs(np.asarray(x, dtype=float))
     a = a if a.ndim == 1 else a.reshape(-1)
-    if descending:
-        a[::-1].sort()
-        m = float(a[0]) if a.size else 0.0
-    else:
-        m = float(np.maximum.reduce(a, initial=0.0))
+    m = float(np.maximum.reduce(a, initial=0.0))
     if m != m:
         raise ValueError("nan-input: a point coordinate is NaN")
     return a, m
@@ -356,14 +351,55 @@ def _check_phi_dim(phi: PhiSpec, dim: int) -> None:
 
 
 def top_k_norm(y, q: float, k: int) -> float:
-    """q-norm of the k largest-magnitude components of y."""
-    a, m = _abs_point(y, descending=True)
-    d = a.size
-    if not 1 <= k <= d:
-        raise ValueError(f"k-out-of-range: need 1 <= k <= {d} (got k={k})")
-    if not (q >= 1.0 or q == math.inf):
+    """q-norm of the k largest-magnitude components of y: level k of
+    :func:`_top_k_levels`, its entry of :func:`top_k_norm_table` bit for
+    bit."""
+    # nan-input comes first: an invalid q checks the point at q = inf.
+    levels = _top_k_levels(y, q if q >= 1.0 else math.inf)
+    if not 1 <= k <= len(levels):
+        raise ValueError(f"k-out-of-range: need 1 <= k <= {len(levels)} (got k={k})")
+    if not q >= 1.0:
         raise ValueError(f"invalid-q: top-k norm requires q in [1, inf] (got {q})")
-    return _lp_of_abs(a[:k], m, q)
+    return levels[k - 1]
+
+
+def _top_k_levels(y, q: float) -> list:
+    """top-(q, l)(y) for l = 1..d and q in [1, inf], as floats: the row of y
+    in :func:`top_k_norm_table` bit for bit; NaN raises ``nan-input``.
+
+    From |y| sorted in descending order, with maximum m: at q in {1, 2, inf}
+    in Python floats, each entry over m, squared at q = 2, summed in order,
+    its square root at q = 2, times m.  Each step is one exactly rounded
+    IEEE operation and the one :func:`_top_k_table` runs there (numpy's
+    scalar-power fast path makes ``t **= 2.0`` ``np.square``, ``t **= 0.5``
+    ``np.sqrt`` and ``t **= 1.0`` a copy), so these levels have the same
+    bits under every SIMD dispatch.  Other q run the table's numpy steps on
+    the contiguous sorted magnitudes, then the scale back by m in Python
+    floats; a level beyond the largest float is +inf, without a warning.
+    """
+    if q in (1.0, 2.0, math.inf):
+        a = sorted(map(abs, np.asarray(y, dtype=float).reshape(-1).tolist()), reverse=True)
+        if math.isnan(sum(a)):  # a sum of magnitudes is NaN only where one is
+            raise ValueError("nan-input: a point coordinate is NaN")
+        m = a[0] if a else 0.0
+        if q == math.inf or m == 0.0 or m == math.inf:
+            return [m] * len(a)
+        t = [c / m for c in a]
+        if q == 2.0:
+            return [math.sqrt(s) * m for s in itertools.accumulate([c * c for c in t])]
+        return [s * m for s in itertools.accumulate(t)]
+    t = np.abs(np.asarray(y, dtype=float).reshape(-1))
+    t[::-1].sort()  # NaN sorts last, so to t[0]
+    m = float(t[0]) if t.size else 0.0
+    if m != m:
+        raise ValueError("nan-input: a point coordinate is NaN")
+    if m == 0.0 or m == math.inf:
+        return [m] * t.size
+    t /= m
+    t **= q
+    np.add.accumulate(t, out=t)
+    t **= 1.0 / q
+    return [s * m for s in t.tolist()]
 
 
 def top_k_norm_table(Y: np.ndarray, q: float) -> np.ndarray:
@@ -458,18 +494,14 @@ def _sort_columns(buf: np.ndarray, network: tuple) -> np.ndarray:
     return buf[order]
 
 
-def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
-    """The top-(q, k) values, k = 1..d down axis 0, of the (d, n) or, for one
-    point at q not in {1, 2, inf} (:func:`_finite_level_norms`), (d,)
-    descending magnitudes ``t`` with finite, positive maxima ``s`` and
-    finite q >= 1, written over t.  Each step runs over all columns at once,
-    in the order of a row-wise evaluation: rescale by the column max, the
-    power q, the sequential sum down each column (a row's ``cumsum``), the
-    power 1/q and the scale back.  So every value, a point's too, has the
-    bits of the row-wise form.  A value beyond the largest float is +inf,
-    without a warning; t <= d before the scale back, so one point whose
-    ``d * s`` is finite (a float s) skips the ``np.errstate``, which would
-    add about a fifth to its call."""
+def _top_k_table(t: np.ndarray, s: np.ndarray, q: float) -> np.ndarray:
+    """The top-(q, k) values, k = 1..d down axis 0, of the (d, n) descending
+    magnitudes ``t`` with finite, positive column maxima ``s`` and finite
+    q >= 1, written over t.  Each step runs over all columns at once, in the
+    order of a row-wise evaluation: rescale by the column max, the power q,
+    the sequential sum down each column (a row's ``cumsum``), the power 1/q
+    and the scale back.  So every value has the bits of the row-wise form.
+    A value beyond the largest float is +inf, without a warning."""
     t /= s
     t **= q
     # One accumulate call is quicker on a few columns, adding row after row
@@ -480,11 +512,8 @@ def _top_k_table(t: np.ndarray, s, q: float) -> np.ndarray:
         for k in range(1, len(t)):
             t[k] += t[k - 1]
     t **= 1.0 / q
-    if isinstance(s, float) and s * len(t) < math.inf:
+    with np.errstate(over="ignore"):
         t *= s
-    else:
-        with np.errstate(over="ignore"):
-            t *= s
     return t
 
 
@@ -492,10 +521,11 @@ def _k_support_l2(x, k: int) -> float:
     # Sorted-split evaluation: the r+1 smallest of the k active magnitudes
     # are averaged; r is the unique split with
     #   z_{k-r-1} > (sum of the trailing d-k+r+1 terms) / (r+1) >= z_{k-r}.
-    z = _abs_point(x, descending=True)[0]
+    z, m = _abs_point(x)
+    z[::-1].sort()
     # Where the products below, up to (d max|x|)^2, leave the normal float
     # range, the norm is taken at x / max|x| and scaled back.
-    m, top = float(z[0]), float(z[0]) * z.size
+    top = m * z.size
     if 0.0 < m < math.inf and not (m * m >= sys.float_info.min and top * top < math.inf):
         return m * _k_support_l2(z / m, k)
     tail = np.concatenate([np.cumsum(z[::-1])[::-1], [0.0]])
@@ -569,8 +599,10 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     operands rounds each pairing as ``np.dot(y_K, u)`` does (a strided y_K
     or a matrix product would not; at l = 1 only the sign of a zero
     differs, which the max with 0 hides), and NaN pairings (inf times 0)
-    are skipped.  Rows run in blocks of ``_BLOCK_FLOATS`` pairings, or one
-    row, and more than ``MAX_TRANSFORM_WORK`` pairings in all raise
+    are skipped.  A finite row whose pairing overflows is paired at
+    ``y / max|y|`` and its max scaled back, +inf without a warning beyond
+    the largest float.  Rows run in blocks of ``_BLOCK_FLOATS`` pairings, or
+    one row, and more than ``MAX_TRANSFORM_WORK`` pairings in all raise
     ``work-too-large`` before any cloud is built."""
     n, d = Y.shape
     if d != source.dim:
@@ -580,16 +612,26 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     per_row = sum(math.comb(d, l) * (3**l - 1 + _DIRECTIONS_PER_SUBSET * (l > 1))
                   for l in levels)
     _check_work(n * per_row, "custom dual gauge", "pairings")
+    # No direction of a cloud has a coordinate beyond 1, so a pairing is at
+    # most l max|y|: only a finite row above 1e308 / d can overflow.
+    m = np.max(np.abs(Y), axis=1)
+    near = (m > 1e308 / d) & (m < math.inf)
     out = np.zeros((n, len(levels)))
     for col, l in enumerate(levels):
         supports, dirs, values = _restricted_dual_cloud(source, l)
         step = _block_rows(n, values.size)
         for i in range(0, n, step):
             ys = np.ascontiguousarray(Y[i:i + step, supports])  # strided along K
-            with np.errstate(invalid="ignore"):
+            with np.errstate(over="ignore", invalid="ignore"):
                 r = np.vecdot(ys[:, :, None, :], dirs)
+                redo = np.flatnonzero(near[i:i + step])
+                if redo.size:
+                    redo = redo[~np.isfinite(r[redo]).all(axis=(1, 2))]
+                    r[redo] = np.vecdot((ys[redo] / m[i + redo, None, None])[:, :, None, :], dirs)
                 r /= values
-            best = np.fmax.reduce(r.reshape(r.shape[0], -1), axis=1)
+                best = np.fmax.reduce(r.reshape(r.shape[0], -1), axis=1)
+                if redo.size:
+                    best[redo] *= m[i + redo]
             out[i:i + step, col] = np.where(best > 0.0, best, 0.0)
     return out
 
@@ -667,43 +709,11 @@ def _finite_columns(table: np.ndarray, phi: PhiSpec) -> np.ndarray:
 
 
 def _finite_level_norms(y, phi: PhiSpec, source: SourceNormSpec) -> tuple[list, list]:
-    """The norms top-(q, l)(y) dual to the lp source at the levels l with
-    finite phi(l), and those phi(l), as lists of floats: the row of y in
-    :func:`top_k_norm_table` bit for bit.
-
-    For q in {1, 2, inf} the levels are taken in Python floats from |y|
-    sorted in descending order: each entry over the max, squared at q = 2,
-    summed in order, its square root at q = 2, times the max (+inf beyond
-    the largest float).  Each step is one exactly rounded IEEE operation
-    and the one :func:`_top_k_table` runs there: numpy's scalar-power fast
-    path makes ``t **= 2.0`` ``np.square``, ``t **= 0.5`` ``np.sqrt`` and
-    ``t **= 1.0`` a copy, and ``np.add.accumulate`` sums in order.  So
-    these levels have the same bits under every SIMD dispatch.  Other q
-    run :func:`_top_k_table` on the point.
-    """
-    y = np.asarray(y, dtype=float).reshape(-1)
-    _check_phi_dim(phi, y.size)
-    q = conj_exponent(source.p)
-    if q in (1.0, 2.0, math.inf):
-        a = sorted(map(abs, y.tolist()), reverse=True)
-        if math.isnan(sum(a)):  # a sum of magnitudes is NaN only where one is
-            raise ValueError("nan-input: a point coordinate is NaN")
-        m = a[0]
-        if q == math.inf or m == 0.0 or m == math.inf:
-            levels = [m] * len(a)
-        else:
-            t = [c / m for c in a]
-            if q == 2.0:
-                levels = [math.sqrt(s) * m for s in itertools.accumulate([c * c for c in t])]
-            else:
-                levels = [s * m for s in itertools.accumulate(t)]
-    else:
-        a, m = _abs_point(y, descending=True)
-        if m == 0.0 or m == math.inf:
-            a.fill(m)
-        else:
-            _top_k_table(a, m, q)
-        levels = a.tolist()
+    """The levels of :func:`_top_k_levels` dual to the lp source at the
+    levels l with finite phi(l), and those phi(l), as lists of floats: the
+    row of y in :func:`top_k_norm_table` bit for bit."""
+    _check_phi_dim(phi, np.size(y))
+    levels = _top_k_levels(y, conj_exponent(source.p))
     if phi._finite is not None:
         levels = list(itertools.compress(levels, phi._finite))
     return levels, phi._weights.tolist()

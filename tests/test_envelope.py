@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -320,6 +321,32 @@ def test_pos_hom_empty_accepted_set_is_minus_inf_in_every_row():
     fs = FunctionSample(g, np.count_nonzero(g.nodes, axis=1).astype(float))
     rows = best_pos_hom_on_subset(fs, lambda x: True, ROW_POINTS, far, tol=1e-9)
     assert rows.shape == (len(ROW_POINTS),) and np.all(rows == -math.inf)
+
+
+def test_pos_hom_refuses_nan_skips_nan_pairings_and_rescales_an_overflow():
+    # The support function keeps best_norm_object's policy: a NaN coordinate
+    # raises, an infinite one gives +inf (its NaN pairings with a zero
+    # coordinate are skipped), and a finite point whose pairing overflows is
+    # paired at x / max|x| and scaled back, all without a warning.
+    cand = build_grid([(-1.5, 1.5), (-1.5, 1.5)], [25, 25]).nodes
+    f, nu = ZeroHomFnSpec.l0(2), NormalizationSpec.lp(2.0)
+    points = np.array([[math.inf, 1.0], [1e308, 1e308], [3.0, 4.0], [-1.5e308, 2.5e307]])
+    g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
+    fs = FunctionSample(g, np.count_nonzero(g.nodes, axis=1).astype(float))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rows = tightest_pos_hom_on_ball(f, nu, points, cand)
+        single = [tightest_pos_hom_on_ball(f, nu, x, cand) for x in points]
+        assert rows.tolist() == single == [math.inf, math.inf, 7.0, 1.5e308 + 2.5e307]
+        on_subset = best_pos_hom_on_subset(fs, lambda x: True, points, cand, tol=1e-9)
+        assert on_subset.tolist() == rows.tolist()
+        for x in ([math.nan, 1.0], [[1.0, 2.0], [math.inf, math.nan]]):
+            with pytest.raises(ValueError, match="^nan-input"):
+                tightest_pos_hom_on_ball(f, nu, x, cand)
+            with pytest.raises(ValueError, match="^nan-input"):
+                best_pos_hom_on_subset(fs, lambda x: True, x, cand, tol=1e-9)
+        # The first two terms overflow, and the third brings the sum back.
+        assert envelope._support(np.ones((1, 3)), [1.7e308, 1.7e308, -1.7e308]) == 1.7e308
 
 
 def test_monotone_ratio_check_examples():

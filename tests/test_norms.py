@@ -164,13 +164,15 @@ TOP_K_CORPUS_DIGESTS = {
 
 
 def test_top_k_table_matches_scalar(frozen_for_dispatch):
-    Y = RNG.standard_normal((30, 5)) * 3.0
-    for q in (1.0, 2.0, math.inf):
-        table = top_k_norm_table(Y, q)
-        for i, y in enumerate(Y):
-            for k in range(1, 6):
-                assert math.isclose(table[i, k - 1], top_k_norm(y, q, k),
-                                    rel_tol=1e-13, abs_tol=1e-13)
+    # Also at d = 9: a sum of 8 or more terms by np.add.reduce is pairwise,
+    # and the table's is in order.
+    for Y in (RNG.standard_normal((30, 5)) * 3.0,
+              np.random.default_rng(9).standard_normal((30, 9))):
+        for q in (1.0, 1.5, 2.0, 3.0, math.inf):
+            table = top_k_norm_table(Y, q)
+            for i, y in enumerate(Y):
+                for k in range(1, Y.shape[1] + 1):
+                    assert table[i, k - 1] == top_k_norm(y, q, k)
     # Both sides of the network's threshold keep the same bytes, with no
     # RuntimeWarning on rows that hold +inf.
     for d, count in enumerate(_MERGE_COMPARATORS, start=1):
@@ -235,13 +237,15 @@ def _phi_with_infinite_levels(rng, d: int) -> PhiSpec:
 # SHA-256 of the corpus's outputs of each scalar entry point, per SIMD_MATH
 # key (conftest.py): under numpy's AVX-512 loops, computed with the per-call
 # numpy reductions and one-column table that the shared single-point bodies
-# replaced; under its AVX2 and baseline loops, after.
+# replaced; under its AVX2 and baseline loops, after.  The top_k_norm and
+# dck_sort entries, under both keys, are taken with the one-point levels
+# that replaced their per-call sort and sum.
 POINT_CORPUS_DIGESTS = {
     "43ba2ac24b7d96b1": {
         "lp_value": "d70ba4fef547046e6ea3438cedeccac4f36e086d95ecd3ca26b4a75d612039ff",
-        "top_k_norm": "20de6a2e45652d1f4766e98eb5d74056c3fc7b5bb3228f53511493e073df13f4",
+        "top_k_norm": "4d6f9e1709f13478c7f255a24fce6777ae1f051e3d8f0a7762f43f35f77b1cc8",
         "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
-        "dck_sort": "aff2db93bdb7f84784fbdb116a3b4da061e2a38c05c8cef56120e1e4466ea4a1",
+        "dck_sort": "94744ca7af9253a4110052928849436511c36dcfdaca9c5c8ff05deab63b670d",
         "dck_enumerate": "bb6281bce7ec036b22691c24cff8717711f266fe4e8e083578ee41189702b81e",
         "phi_dual_gauge": "a18e9019ff4969a69b50129a6fab35eef5f5b26ee2aaac313c77a4fdd4e14854",
         "l0_analytic": "f063f546d9c1a872eda16d3dadd5f64f6e50e8cdb59cafdf33d9c9c188207ee8",
@@ -250,9 +254,9 @@ POINT_CORPUS_DIGESTS = {
     },
     "ce2eaeb21c77bf4d": {
         "lp_value": "9c9746dfe57de1299b7d2259802c34dcca55613c628940ea9683f0458982d50e",
-        "top_k_norm": "ffebdd4a821dd514ec5f94329b09616490957a24ae2a48fa03e829ee2537e5ac",
+        "top_k_norm": "5d48debc0bd03310ee09d6dd00468b3476bad330bdbd9d6317dfbe3c6c656b40",
         "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
-        "dck_sort": "73ef90715457b4dc3d2f41ad391349441a6a3a7f81ecd9140adf0dc7088b8a64",
+        "dck_sort": "97c85907c30c886530108a4e10aa16ccaf1edebf4dc5eb3370b81eb1c9314f3a",
         "dck_enumerate": "f72ce0e9abeec6de841c3bf0b8c06b5911e459e8cb8700bded98b1f27f7658f3",
         "phi_dual_gauge": "1049043fdddfa5b461ac059586e4c919b454bd36277e3a4467778c3cb0ba54ac",
         "l0_analytic": "5de0827da64aa96e6a1bc39811f8179e42f8891c00ddad90ce32f4597e3de70b",
@@ -337,11 +341,12 @@ def _top_k_core_points(rng, d: int):
 
 def test_top_k_core_same_bits_on_a_contiguous_copy_and_a_reversed_view():
     # A one-point call takes its levels in Python floats at q in {1, 2, inf}
-    # and runs the top-k core on a contiguous descending |y| at other q; the
-    # column it replaced was a (d, 1) view of an ascending sort, with a
+    # and runs the table's steps on a contiguous descending |y| at other q;
+    # the column it replaced was a (d, 1) view of an ascending sort, with a
     # negative stride, and np.sort hands the table a transposed (d, n) view.
     # numpy may pick another loop for another layout or dispatch, so all are
-    # pinned equal bit for bit, with no warning where a value overflows.
+    # pinned equal bit for bit, with no warning where a value overflows:
+    # the levels of phi_dual_gauge, of top_k_norm and of the sort route.
     rng = np.random.default_rng(0xC0DE)
     overflowed = 0
     with warnings.catch_warnings():
@@ -351,9 +356,13 @@ def test_top_k_core_same_bits_on_a_contiguous_copy_and_a_reversed_view():
             for y in _top_k_core_points(rng, d):
                 for p in (1.0, 1.2, 1.5, 2.0, 3.0, 7.0, math.inf):
                     q = conj_exponent(p)
-                    column = np.array(
-                        norms_module._finite_level_norms(y, phi, SourceNormSpec.lp(p, d))[0])
+                    source = SourceNormSpec.lp(p, d)
+                    column = np.array(norms_module._finite_level_norms(y, phi, source)[0])
                     assert column.tobytes() == top_k_norm_table(y[None], q)[0].tobytes()
+                    for k in range(1, d + 1):
+                        assert np.float64(top_k_norm(y, q, k)).tobytes() == column[k - 1].tobytes()
+                        assert (np.float64(dual_coordinate_k_norm(y, source, k)).tobytes()
+                                == column[k - 1].tobytes())
                     view = np.sort(np.abs(y))[::-1, None]
                     if q < math.inf and 0.0 < view[0, 0] < math.inf:
                         view = norms_module._top_k_table(view, view[0].copy(), q)
@@ -595,6 +604,25 @@ def test_custom_rows_in_blocks_bit_identical_to_support_loop(monkeypatch):
                           for row in want]
             assert gauge.tobytes() == np.array(want_gauge).tobytes()
             assert table[0].tolist() == [0.0] * d and math.isinf(table[1, 0])
+
+
+def test_custom_dual_rescales_a_pairing_that_overflows():
+    # <y_K, u> overflows at y near the largest float while the dual norm is
+    # finite: the row is paired at y / max|y| and scaled back, without a
+    # warning, and each row of a batch is its single-point value.
+    l1 = SourceNormSpec.custom(lambda z: float(np.abs(z).sum()), 3)
+    y = np.array([1.7e308, -1.7e308, 1e308])
+    Y = np.vstack([np.random.default_rng(7).standard_normal((2, 3)), y, [math.inf, 1.0, 0.0]])
+    phi = PhiSpec.identity(3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in (1, 2, 3):
+            want = dual_coordinate_k_norm(y, SourceNormSpec.lp(1.0, 3), k)
+            assert dual_coordinate_k_norm(y, l1, k) == want == 1.7e308
+        assert phi_dual_gauge(y, phi, l1) == 1.7e308
+        rows = phi_dual_gauge_batch(Y, phi, l1)
+    assert rows[2:].tolist() == [1.7e308, math.inf]
+    assert rows[:2].tobytes() == np.array([phi_dual_gauge(x, phi, l1) for x in Y[:2]]).tobytes()
 
 
 def test_custom_gauge_work_cap(monkeypatch):
