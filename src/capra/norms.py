@@ -78,24 +78,31 @@ def _abs_point(x) -> tuple[np.ndarray, float]:
 
 
 def _lp_of_abs(a: np.ndarray, m: float, p: float) -> float:
-    """:func:`lp_value` of magnitudes ``a`` with maximum ``m``.  An infinite
-    one stays out of the rescale, where inf / inf would give nan."""
+    """:func:`lp_value` of magnitudes ``a`` with maximum ``m``: its row of
+    :func:`lp_value_batch` bit for bit, at p in {1, 2} by the exactly rounded
+    steps of numpy's ``** 1.0`` and ``** 0.5``.  An infinite m is the value,
+    not rescaled (inf / inf would give nan)."""
     if p == math.inf or m == 0.0 or m == math.inf:
         return m
-    s = float(np.add.reduce((a / m) ** p))
-    try:
-        return m * s ** (1.0 / p)
-    except OverflowError:
-        return float(_lp_beyond_range(m, s, p))
+    s = np.add.reduce((a / m) ** p, keepdims=True)
+    if p == 1.0:
+        return m * float(s[0])
+    if p == 2.0:
+        return m * math.sqrt(s[0])
+    return float(_lp_root(np.array([m]), s, p)[0])
 
 
-def _lp_beyond_range(m, s, p):
-    """``m s^(1/p)`` where ``s^(1/p)``, with s in [1, d] and p < 1, is
-    beyond the largest float: taken as ``exp(log m + log(s) / p)``, within
-    about 1e-13 relative, and +inf without a warning when it is beyond the
-    largest float too.  Float or array m and s alike."""
+def _lp_root(m: np.ndarray, s: np.ndarray, p: float) -> np.ndarray:
+    """``m s^(1/p)`` by numpy's power, for arrays of maxima m and sums s in
+    [1, d]; ``exp(log m + log(s) / p)``, within 1e-13 relative, where p < 1
+    puts s^(1/p) past the largest float.  A value past it is +inf, unwarned."""
     with np.errstate(over="ignore"):
-        return np.exp(np.log(m) + np.log(s) / p)
+        root = s ** (1.0 / p)
+        out = m * root
+        if p < 1.0 and np.isinf(root).any():
+            big = np.isinf(root)
+            out[big] = np.exp(np.log(m[big]) + np.log(s[big]) / p)
+    return out
 
 
 def lp_value(x, p: float) -> float:
@@ -136,14 +143,7 @@ def lp_value_batch(X: np.ndarray, p: float) -> np.ndarray:
     out = m.copy()
     nz = (m > 0.0) & (m < math.inf)
     if nz.any():
-        m = m[nz]
-        s = np.sum((a[nz] / m[:, None])**p, axis=1)
-        with np.errstate(over="ignore"):  # an overflowing product is +inf
-            root = s ** (1.0 / p)
-            out[nz] = m * root
-        if p < 1.0 and np.isinf(root).any():  # s <= d: only p < 1 can overflow it
-            big = np.isinf(root)
-            out[np.flatnonzero(nz)[big]] = _lp_beyond_range(m[big], s[big], p)
+        out[nz] = _lp_root(m[nz], np.sum((a[nz] / m[nz, None])**p, axis=1), p)
     return out
 
 
@@ -327,7 +327,8 @@ class PhiSpec:
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "PhiSpec":
         levels = np.arange(dim + 1, dtype=float)
-        levels[1:] *= scale  # level 0 stays an exact 0, also for an infinite scale
+        with np.errstate(over="ignore"):  # a level beyond the largest float is +inf
+            levels[1:] *= scale  # level 0 stays an exact 0, also for an infinite scale
         return cls(levels)
 
     @classmethod
@@ -664,7 +665,7 @@ def dual_coordinate_k_norm(y, source: SourceNormSpec, k: int,
     # The restricted dual of lp on a support K is lq on K, and it is
     # monotone in K, so size-k supports suffice.
     A = _abs_point(y)[0][np.array(list(itertools.combinations(range(d), k)))]
-    return max(_lp_of_abs(a, m, q) for a, m in zip(A, np.maximum.reduce(A, axis=1).tolist()))
+    return float(np.max(lp_value_batch(A, q)))
 
 
 def phi_dual_gauge(y, phi: PhiSpec, source: SourceNormSpec) -> float:
@@ -760,16 +761,20 @@ class NormObject:
 def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
     """True when the phi-weighted dual gauge of an lp source collapses to
     ``linf / phi(1)``: phi nondecreasing for p = 1, or ``l -> phi(l)^q / l``
-    nondecreasing for p > 1 (1/p + 1/q = 1)."""
-    d = phi.dim
+    nondecreasing for p > 1 (1/p + 1/q = 1).  Where some phi(l)^q is beyond
+    the largest float, ``q log phi(l) - log l`` is compared instead."""
+    w = phi.values[1:].tolist()
     if p == 1.0:
-        seq = [phi(l) for l in range(1, d + 1)]
+        seq = w
     else:
         q = conj_exponent(p)
-        seq = [phi(l) ** q / l if math.isfinite(phi(l)) else math.inf
-               for l in range(1, d + 1)]
+        try:
+            seq = [c ** q / l for l, c in enumerate(w, 1)]
+        except OverflowError:
+            logs = [q * math.log(c) - math.log(l) for l, c in enumerate(w, 1)]
+            return all(a <= b + math.log1p(1e-12) for a, b in zip(logs, logs[1:]))
     # Relative slack absorbs rounding of analytically constant ratios.
-    return all(seq[i] <= seq[i + 1] * (1.0 + 1e-12) for i in range(len(seq) - 1))
+    return all(a <= b * (1.0 + 1e-12) for a, b in zip(seq, seq[1:]))
 
 
 def best_norm_object(phi: PhiSpec, source: SourceNormSpec,

@@ -141,6 +141,27 @@ def test_domain_error_exit_3(capsys):
         assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), argv
 
 
+@pytest.mark.parametrize("argv", [
+    "norm --kind best --p 2 --x 1,2 --phi 0,1e308,1.7e308",
+    "norm --kind best --p 1.0000001 --x 1,2 --phi 0,10,20",
+    "envelope --nu lp:2 --grid 7 --f phi:1e308*id",
+    "norm --kind topk --q 2 --k 1 --x 1e400,1",
+    "envelope --nu lp:1e-300 --grid 5",
+    "envelope --nu lp:0.01 --grid 7 --dim 3",
+    "verify --oracle conjugate --at 1e308,1e308 --grid 11",
+    "verify --oracle support-phi --x 1e308,1e308 --p 2",
+    "verify --oracle topk-enum --x 1,2,3,4,5,6,7,8 --k 4 --q 1.5",
+])
+def test_edge_inputs_exit_0_or_3_without_a_traceback(capsys, argv):
+    # Weights and points at the edge of the float range: a value or a
+    # tagged refusal, never an exception or a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(capsys, *argv.split())
+    assert code in (0, 3), err
+    assert code == 0 or err.startswith("error: "), err
+
+
 def test_nonfinite_dual_points_and_checkpoints_exit_3(capsys, monkeypatch):
     # --at inf,0 used to print nan (conjugate) or end in an OverflowError
     # traceback (envelope2d), and --at nan,0 in an untagged message.  The

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -242,11 +243,11 @@ def _phi_with_infinite_levels(rng, d: int) -> PhiSpec:
 # that replaced their per-call sort and sum.
 POINT_CORPUS_DIGESTS = {
     "43ba2ac24b7d96b1": {
-        "lp_value": "d70ba4fef547046e6ea3438cedeccac4f36e086d95ecd3ca26b4a75d612039ff",
+        "lp_value": "8d66e32da42f3c0d0aa16f1e63c747726e88fc364552659516d7281d8285972b",
         "top_k_norm": "4d6f9e1709f13478c7f255a24fce6777ae1f051e3d8f0a7762f43f35f77b1cc8",
         "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
         "dck_sort": "94744ca7af9253a4110052928849436511c36dcfdaca9c5c8ff05deab63b670d",
-        "dck_enumerate": "bb6281bce7ec036b22691c24cff8717711f266fe4e8e083578ee41189702b81e",
+        "dck_enumerate": "c1490034388bbfa7ae972ceba2b8435ae0bdf83bbb4f3eb8c1660e37c803e47f",
         "phi_dual_gauge": "a18e9019ff4969a69b50129a6fab35eef5f5b26ee2aaac313c77a4fdd4e14854",
         "l0_analytic": "f063f546d9c1a872eda16d3dadd5f64f6e50e8cdb59cafdf33d9c9c188207ee8",
         "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
@@ -257,7 +258,7 @@ POINT_CORPUS_DIGESTS = {
         "top_k_norm": "5d48debc0bd03310ee09d6dd00468b3476bad330bdbd9d6317dfbe3c6c656b40",
         "k_support_norm": "33f554756e8fa8188f8e897345d5901cf6346ad78ed0b893a60bdfde45b32bbf",
         "dck_sort": "97c85907c30c886530108a4e10aa16ccaf1edebf4dc5eb3370b81eb1c9314f3a",
-        "dck_enumerate": "f72ce0e9abeec6de841c3bf0b8c06b5911e459e8cb8700bded98b1f27f7658f3",
+        "dck_enumerate": "75d34a1547970cafd373f393a0a010cee66ab01f2963d8552f6f83c35306d206",
         "phi_dual_gauge": "1049043fdddfa5b461ac059586e4c919b454bd36277e3a4467778c3cb0ba54ac",
         "l0_analytic": "5de0827da64aa96e6a1bc39811f8179e42f8891c00ddad90ce32f4597e3de70b",
         "capra_coupling": "45e154e28562aedc2ddc9d88bf251fd31f0df2b6fd026d3564c933024de0e8ee",
@@ -406,6 +407,41 @@ def _scalar_entry_points(d: int = 2) -> dict:
         "capra_coupling": (lambda y: capra_coupling(np.reshape(y, -1), np.ones(np.size(y)),
                                                     coupling), None),
     }
+
+
+def test_lp_value_equals_its_batch_row_bit_for_bit():
+    # One lp root for both forms: numpy's power on an array of row sums, or
+    # at p in {1, 2} the exactly rounded Python operation numpy's fast path
+    # runs there.
+    rng = np.random.default_rng(0x1B)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d in range(1, 14):
+            X = np.array([*_top_k_core_points(rng, d), *_top_k_core_points(rng, d)])
+            for p in (0.0005, 0.3, 0.5, 0.7, 1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+                nu = NormalizationSpec.lp(p)
+                batch = lp_value_batch(X, p)
+                assert nu.batch(X).tobytes() == batch.tobytes()
+                for x, want in zip(X, batch):
+                    assert np.float64(lp_value(x, p)).tobytes() == want.tobytes()
+                    assert np.float64(nu.value(x)).tobytes() == want.tobytes()
+        # libm's pow(s, 0.5) is not sqrt(s) at [0.1, 1.2]; beyond the range
+        # of s^(1/p), p < 1 takes exp(log m + log(s) / p).
+        for x, p, want in (([0.1, 1.2], 2.0, math.hypot(0.1, 1.2)),
+                           ([1e-300, 1e-300], 0.0005, 1.148e302), ([1.0, 1.0], 1e-300, math.inf)):
+            got = lp_value(x, p)
+            assert np.float64(got).tobytes() == lp_value_batch(np.array([x]), p).tobytes()
+            assert math.isclose(got, want, rel_tol=1e-3)
+        # The enumerate route is the max of lp_value over the size-k supports.
+        for d in range(1, 9):
+            for y in itertools.islice(_top_k_core_points(rng, d), 0, None, 3):
+                for p in (1.0, 1.5, 2.0, 3.0, 7.0, math.inf):
+                    q, source = conj_exponent(p), SourceNormSpec.lp(p, d)
+                    for k in range(1, d + 1):
+                        want = max(lp_value(y[list(K)], q)
+                                   for K in itertools.combinations(range(d), k))
+                        got = dual_coordinate_k_norm(y, source, k, method="enumerate")
+                        assert np.float64(got).tobytes() == np.float64(want).tobytes()
 
 
 def test_scalar_entry_points_refuse_nan_beside_inf_and_keep_their_input():
@@ -732,6 +768,12 @@ def test_phi_spec_validation():
             assert not phi._finite.flags.writeable
 
 
+def test_scaled_identity_is_inf_beyond_the_largest_float():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert PhiSpec.scaled_identity(1e308, 2).values.tolist() == [0.0, 1e308, math.inf]
+
+
 def test_phi_weights_that_are_not_numbers_raise_invalid_phi():
     # Text as the CLI gives it, and JSON values as a config file does.
     for values in (["0", "x", "2"], ["0", "nan", "2"], [0.0, math.nan, 2.0], [0, None, 1],
@@ -967,6 +1009,22 @@ def test_gauge_collapse_gate():
     assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 2.0, 1.0]), 1.0)
     root = PhiSpec.from_values([0.0, 1.0, math.sqrt(2.0), math.sqrt(3.0)])
     assert lp_gauge_collapses(root, 2.0)
+
+
+def test_gauge_collapse_gate_where_a_power_overflows():
+    # phi(l)^q is beyond the largest float in each case; the decisions hold
+    # in exact arithmetic: 1e308^2 <= 1.7e308^2 / 2; 10^q <= 20^q / 2 as
+    # q >= 1; and (1 + x)^q <= e^(x q) < 2 for c = 10 (1 + x), as x q < 1/2.
+    big = [Fraction(v) for v in (1e308, 1.7e308)]
+    assert big[0] ** 2 <= big[1] ** 2 / 2
+    q = conj_exponent(1.0000001)
+    x = Fraction(10.0000001) / 10 - 1
+    assert q >= 1.0 and 0 < x * Fraction(q) < Fraction(1, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert lp_gauge_collapses(PhiSpec.from_values([0.0, 1e308, 1.7e308]), 2.0)
+        assert lp_gauge_collapses(PhiSpec.from_values([0.0, 10.0, 20.0]), 1.0000001)
+        assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 10.0, 10.0000001]), 1.0000001)
 
 
 def test_duality_pairing_property():
