@@ -70,9 +70,12 @@ def _parse_function(text: str, dim: int):
 
 def _parse_seed(text: str) -> int:
     try:
-        return int(text, 0)
+        seed = int(text, 0)
+        if seed >= 0:
+            return seed
     except ValueError:
-        raise ValueError(f"invalid-seed: {text!r} is not an integer") from None
+        pass
+    raise ValueError(f"invalid-seed: {text!r} is not a non-negative integer")
 
 
 def _load_config(path: str | None) -> dict:
@@ -81,6 +84,8 @@ def _load_config(path: str | None) -> dict:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"invalid-config: {path} is not UTF-8: {exc}") from None
         except json.JSONDecodeError as exc:
             raise ValueError(f"invalid-config: {path} is not JSON: {exc}") from None
 

@@ -44,11 +44,12 @@ from .norms import (
     PhiSpec,
     _check_homogeneous,
     _check_phi_dim,
+    _cloud_support,
     lp_value,
     lp_value_batch,
 )
 from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
-                       _refuse_nan, default_dual_grid, format_extreal)
+                       default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -194,33 +195,6 @@ def l0_envelope_linf(x, phi: PhiSpec | None = None) -> float:
     return math.inf
 
 
-def _support(accepted: np.ndarray, x) -> float | np.ndarray:
-    """``max <y, x>`` over the accepted rows y, -inf when there is none: a
-    float for one point x, an array with one value per row for an (n, d)
-    array of points.  The stacked product ``accepted @ x[..., None]`` runs
-    one matrix-vector product per point, so each row gets the bits of the
-    point passed alone.  As in :func:`capra.norms.best_norm_object`, a NaN
-    coordinate raises ``nan-input``, NaN pairings (an infinite coordinate
-    times a zero one) are skipped, and where a pairing of a finite point
-    overflows, the rows are paired with ``x / max|x|`` and the max scaled
-    back, +inf without a warning beyond the largest float."""
-    x = np.asarray(x, dtype=float)
-    _refuse_nan(x, "a point coordinate")
-    with np.errstate(over="ignore", invalid="ignore"):
-        dots = (accepted @ x[..., None])[..., 0]
-        best = np.asarray(np.max(dots, axis=-1, initial=-math.inf))
-        redo = ~np.isfinite(dots).all(axis=-1)
-        if redo.any():
-            # Paired again at x / max|x|, or at x when it has an infinite
-            # coordinate, with NaN pairings skipped.  Only these rows take
-            # np.fmax, whose zero max may have another sign than np.max's.
-            m = np.max(np.abs(x[redo]), axis=-1)
-            m[m == math.inf] = 1.0
-            dots = (accepted @ (x[redo] / m[:, None])[..., None])[..., 0]
-            best[redo] = np.fmax.reduce(dots, axis=-1, initial=-math.inf) * m
-    return float(best) if x.ndim == 1 else best
-
-
 def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
                              dual_candidates) -> float | np.ndarray:
     """Tightest closed convex positively 1-homogeneous minorant of f on the
@@ -235,7 +209,7 @@ def tightest_pos_hom_on_ball(f: ZeroHomFnSpec, nu: NormalizationSpec, x,
     A lower bound of the true support function; exact when the accepted set
     is analytic and the candidates contain its extreme points.
     """
-    return _support(capra_subdiff_at_zero(f, CouplingSpec(nu), dual_candidates), x)
+    return _cloud_support(capra_subdiff_at_zero(f, CouplingSpec(nu), dual_candidates), x)
 
 
 def _restricted(f: FunctionSample, subset) -> tuple[np.ndarray, FunctionSample]:
@@ -288,7 +262,7 @@ def best_pos_hom_on_subset(f: FunctionSample, subset, x, dual_candidates,
     if tol is None:
         h = max(f.grid.steps)
         tol = 5.0 * h * (1.0 + np.linalg.norm(candidates, axis=1))
-    return _support(candidates[conj <= tol], x)
+    return _cloud_support(candidates[conj <= tol], x)
 
 
 def surface_summary(sample: FunctionSample, checkpoints: Sequence = ()) -> dict:

@@ -761,20 +761,48 @@ class NormObject:
 def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
     """True when the phi-weighted dual gauge of an lp source collapses to
     ``linf / phi(1)``: phi nondecreasing for p = 1, or ``l -> phi(l)^q / l``
-    nondecreasing for p > 1 (1/p + 1/q = 1).  Where some phi(l)^q is beyond
-    the largest float, ``q log phi(l) - log l`` is compared instead."""
+    nondecreasing for p > 1 (1/p + 1/q = 1), compared as
+    ``q log phi(l) - log l`` so that no power overflows."""
     w = phi.values[1:].tolist()
+    # The slacks absorb rounding of analytically constant ratios.
     if p == 1.0:
-        seq = w
+        return all(a <= b * (1.0 + 1e-12) for a, b in zip(w, w[1:]))
+    q = conj_exponent(p)
+    logs = [q * math.log(c) - math.log(l) for l, c in enumerate(w, 1)]
+    return all(a <= b + math.log1p(1e-12) for a, b in zip(logs, logs[1:]))
+
+
+def _cloud_support(cloud: np.ndarray, x) -> float | np.ndarray:
+    """``max <c, x>`` over the rows c of a finite cloud, -inf when it is
+    empty: a float for one point x (a scalar is a point of one coordinate),
+    one value per row for an (n, d) x.
+
+    A row is :func:`capra.oracle.support_function_bruteforce` over the cloud
+    bit for bit: each pairing is ``np.vecdot`` and the first maximal one
+    wins, at ``x / max|x|`` scaled back where a pairing of a finite x
+    overflows (+inf without a warning beyond the largest float).  A NaN
+    coordinate raises ``nan-input``, and NaN pairings (an infinite
+    coordinate times a zero one) are skipped.
+    """
+    x = np.asarray(x, dtype=float)
+    _refuse_nan(x, "a point coordinate")
+    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
+    if len(cloud) == 0:
+        best = np.full(len(rows), -math.inf)
     else:
-        q = conj_exponent(p)
-        try:
-            seq = [c ** q / l for l, c in enumerate(w, 1)]
-        except OverflowError:
-            logs = [q * math.log(c) - math.log(l) for l, c in enumerate(w, 1)]
-            return all(a <= b + math.log1p(1e-12) for a, b in zip(logs, logs[1:]))
-    # Relative slack absorbs rounding of analytically constant ratios.
-    return all(a <= b * (1.0 + 1e-12) for a, b in zip(seq, seq[1:]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            dots = np.vecdot(cloud, rows[:, None, :])
+            redo = np.flatnonzero(~np.isfinite(dots).all(axis=1))
+            if redo.size:
+                m = np.max(np.abs(rows[redo]), axis=1)
+                m[m == math.inf] = 1.0
+                # np.fmax with -inf turns the NaN pairings into -inf.
+                dots[redo] = np.fmax(np.vecdot(cloud, (rows[redo] / m[:, None])[:, None, :]),
+                                     -math.inf)
+            best = dots[np.arange(len(rows)), np.argmax(dots, axis=1)]
+            if redo.size:
+                best[redo] *= m
+    return float(best[0]) if x.ndim <= 1 else best
 
 
 def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
@@ -789,14 +817,8 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     points of the dual unit ball: each direction u rescaled to
     ``u / gauge(u)`` and kept when it passes ``gauge <= 1 + 1e-12``
     (:func:`_in_phi_dual_ball`).  The ball does not depend on x, so the
-    cloud is built once, at the first evaluation of a nonzero x.  The
-    pairing is ``np.vecdot``, which rounds each row as ``np.dot`` of that
-    row does (bit for bit for d >= 2; at d = 1 a zero product is +0.0
-    where ``np.dot`` gives -0.0).  Pairings that are NaN, from an infinite
-    coordinate times a zero one, are skipped, so an infinite coordinate
-    gives +inf.  When a pairing overflows on a finite x, the cloud is paired
-    with ``x / max|x|`` and the max scaled back, +inf without a warning
-    beyond the largest float.
+    cloud is built once, at the first evaluation of a nonzero x, and the
+    value is its :func:`_cloud_support`.
     """
     _check_phi_dim(phi, source.dim)
     dual = functools.partial(phi_dual_gauge, phi=phi, source=source)
@@ -808,8 +830,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
 
     def primal(x):
         nonlocal cloud
-        m = _abs_point(x)[1]
-        if m == 0.0:
+        if _abs_point(x)[1] == 0.0:
             return 0.0
         if cloud is None:
             patterns = sign_patterns(source.dim)  # refused before the directions
@@ -818,12 +839,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
             keep = (g > 0.0) & (g < math.inf)
             C = U[keep] / g[keep, None]
             cloud = C[_in_phi_dual_ball(C, phi, source)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            dots = np.vecdot(cloud, x)
-            if m < math.inf and not np.isfinite(dots).all():
-                # A pairing overflowed: pair with x / max|x| and scale back.
-                return float(np.fmax.reduce(np.vecdot(cloud, x / m))) * m
-            return float(np.fmax.reduce(dots))
+        return _cloud_support(cloud, x.reshape(-1))
 
     return NormObject(primal, dual, False, source.dim)
 

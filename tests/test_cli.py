@@ -460,12 +460,17 @@ def test_verify_requires_suite_or_oracle(capsys):
     (("verify", "--suite", "norms", "--seed", "abc"), "invalid-seed"),
     (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--seed", "0xz"),
      "invalid-seed"),
+    (("verify", "--suite", "norms", "--seed", "-1"), "invalid-seed"),
+    (("verify", "--oracle", "ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--seed", "-3"),
+     "invalid-seed"),
     (("norm", "--kind", "best", "--x", "1,2", "--config", "CONFIG"), "invalid-config"),
+    (("norm", "--kind", "best", "--x", "1,2", "--config", "BYTES"), "invalid-config"),
 ])
 def test_domain_errors_carry_a_tag(tmp_path, capsys, argv, tag):
-    config = tmp_path / "config.json"
-    config.write_text("{not json")
-    argv = [str(config) if arg == "CONFIG" else arg for arg in argv]
+    files = {"CONFIG": tmp_path / "config.json", "BYTES": tmp_path / "bytes.json"}
+    files["CONFIG"].write_text("{not json")
+    files["BYTES"].write_bytes(b"\xff\xfe")  # not UTF-8
+    argv = [str(files.get(arg, arg)) for arg in argv]
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (3, "") and err.startswith(f"error: {tag}: "), err
     assert err.count("\n") == 1 and "Traceback" not in err

@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
-from capra import conjugacy, envelope, numerics
+from capra import conjugacy, envelope, norms, numerics
 from capra.conjugacy import CouplingSpec, ZeroHomFnSpec, capra_subdiff_at_zero
 from capra.envelope import (
     BALL_TOL,
@@ -28,7 +28,7 @@ from capra.norms import (
     lp_value_batch,
 )
 from capra.numerics import FunctionSample, build_grid, default_dual_grid
-from capra.oracle import convex_envelope_2d
+from capra.oracle import convex_envelope_2d, support_function_bruteforce
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -284,31 +284,66 @@ def _bits(values) -> np.ndarray:
 # grid's vertices, where the rounding of the dot product shows.
 ROW_POINTS = np.vstack([RNG.standard_normal((12, 2)), [[0.0, 0.0], [-1.0, 0.5]]])
 ROW_CANDIDATES = RNG.uniform(-1.5, 1.5, (600, 2))
+# Points whose pairings overflow, paired again at x / max|x|, and points
+# with an infinite coordinate, whose value the referee refuses.
+HUGE_POINTS = np.vstack([1.7e308 * RNG.uniform(-1.0, 1.0, (6, 2)), [[1.7e308, -1.7e308]]])
+INF_POINTS = np.array([[math.inf, 0.5], [-0.3, math.inf], [math.inf, math.inf]])
+
+
+def _referee(points, member, candidates) -> list:
+    """:func:`capra.oracle.support_function_bruteforce` at each point."""
+    return [support_function_bruteforce(x, member, candidates) for x in points]
 
 
 @pytest.mark.parametrize("p", [1.0, 2.0, math.inf, 0.5])
 def test_pos_hom_rows_match_single_points_bit_for_bit(p):
     # A custom f takes the sphere route of the Capra conjugate.
     nu = NormalizationSpec.lp(p)
+    points = np.vstack([ROW_POINTS, HUGE_POINTS, INF_POINTS])
+    finite = len(points) - len(INF_POINTS)
     for f in (ZeroHomFnSpec.l0(2), ZeroHomFnSpec.constant_zero()):
-        rows = tightest_pos_hom_on_ball(f, nu, ROW_POINTS, ROW_CANDIDATES)
-        single = [tightest_pos_hom_on_ball(f, nu, x, ROW_CANDIDATES) for x in ROW_POINTS]
-        assert rows.shape == (len(ROW_POINTS),) and isinstance(single[0], float)
+        rows = tightest_pos_hom_on_ball(f, nu, points, ROW_CANDIDATES)
+        single = [tightest_pos_hom_on_ball(f, nu, x, ROW_CANDIDATES) for x in points]
+        assert rows.shape == (len(points),) and isinstance(single[0], float)
         assert np.array_equal(_bits(rows), _bits(single))
-        # ... and each row is the matrix-vector product of its point alone.
+        # ... and each finite row is the referee's support over the accepted
+        # set, when it has a member (f = 0 has none here: every row is -inf).
         accepted = capra_subdiff_at_zero(f, CouplingSpec(nu), ROW_CANDIDATES)
-        direct = [np.max(accepted @ x, initial=-math.inf) for x in ROW_POINTS]
-        assert np.array_equal(_bits(rows), _bits(direct))
+        if accepted.size == 0:
+            assert f.kind == "custom" and np.all(rows == -math.inf)
+            continue
+        direct = _referee(points[:finite], lambda Y: np.ones(len(Y), bool), accepted)
+        assert np.array_equal(_bits(rows[:finite]), _bits(direct))
+        assert np.all(rows[finite:] == math.inf)
 
 
 def test_best_pos_hom_on_subset_rows_match_single_points_bit_for_bit():
     g = build_grid([(-1.0, 1.0), (-1.0, 1.0)], [21, 21])
     f = FunctionSample(g, lp_value_batch(g.nodes, 2.0) ** 2)
-    for subset in (lambda x: True, lambda x: abs(x[0]) <= 0.5):
-        rows = best_pos_hom_on_subset(f, subset, ROW_POINTS, ROW_CANDIDATES)
-        single = [best_pos_hom_on_subset(f, subset, x, ROW_CANDIDATES) for x in ROW_POINTS]
-        assert rows.shape == (len(ROW_POINTS),) and np.isfinite(rows).all()
+    points = np.vstack([ROW_POINTS, HUGE_POINTS, INF_POINTS])
+    finite = len(points) - len(INF_POINTS)
+    # On x[0] >= 0 at a tight tolerance the accepted set is about
+    # [-1.5, 0.1] x [-0.1, 0.1]: a huge point's pairings overflow below and
+    # its max stays finite.
+    for subset, tol in ((lambda x: True, None), (lambda x: abs(x[0]) <= 0.5, None),
+                        (lambda x: x[0] >= 0.0, 1e-9)):
+        rows = best_pos_hom_on_subset(f, subset, points, ROW_CANDIDATES, tol)
+        single = [best_pos_hom_on_subset(f, subset, x, ROW_CANDIDATES, tol) for x in points]
+        assert rows.shape == (len(points),) and np.isfinite(rows[:len(ROW_POINTS)]).all()
         assert np.array_equal(_bits(rows), _bits(single))
+        # ... and each finite row is the referee's support over the members of
+        # the documented test (f + indicator_U)*(y) <= tol, by default
+        # 5 h (1 + |y|) with h = 0.1.
+        masked = FunctionSample(g, np.where([subset(x) for x in g.nodes], f.values, math.inf))
+
+        def member(Y):
+            bound = 0.5 * (1.0 + np.linalg.norm(Y, axis=1)) if tol is None else tol
+            return conjugacy.conjugate_at_points(masked, Y) <= bound
+
+        direct = _referee(points[:finite], member, ROW_CANDIDATES)
+        assert np.array_equal(_bits(rows[:finite]), _bits(direct))
+        assert np.all(rows[finite:] == math.inf)
+    assert np.isfinite(rows[len(ROW_POINTS):finite]).any()
 
 
 def test_pos_hom_empty_accepted_set_is_minus_inf_in_every_row():
@@ -324,7 +359,7 @@ def test_pos_hom_empty_accepted_set_is_minus_inf_in_every_row():
 
 
 def test_pos_hom_refuses_nan_skips_nan_pairings_and_rescales_an_overflow():
-    # The support function keeps best_norm_object's policy: a NaN coordinate
+    # The support function, which best_norm_object shares: a NaN coordinate
     # raises, an infinite one gives +inf (its NaN pairings with a zero
     # coordinate are skipped), and a finite point whose pairing overflows is
     # paired at x / max|x| and scaled back, all without a warning.
@@ -346,7 +381,7 @@ def test_pos_hom_refuses_nan_skips_nan_pairings_and_rescales_an_overflow():
             with pytest.raises(ValueError, match="^nan-input"):
                 best_pos_hom_on_subset(fs, lambda x: True, x, cand, tol=1e-9)
         # The first two terms overflow, and the third brings the sum back.
-        assert envelope._support(np.ones((1, 3)), [1.7e308, 1.7e308, -1.7e308]) == 1.7e308
+        assert norms._cloud_support(np.ones((1, 3)), [1.7e308, 1.7e308, -1.7e308]) == 1.7e308
 
 
 def test_monotone_ratio_check_examples():
@@ -424,6 +459,11 @@ def test_best_pos_hom_on_subset_examples():
     cand1 = build_grid([(-2.0, 2.0)], [17]).nodes
     v1 = best_pos_hom_on_subset(f1, lambda x: abs(x[0]) <= 1.0, [1.0], cand1, tol=1e-9)
     assert abs(v1 - 1.0) <= 1e-9
+    # A scalar is a point of one coordinate.
+    assert best_pos_hom_on_subset(f1, lambda x: abs(x[0]) <= 1.0, 1.0, cand1, tol=1e-9) == v1
+    nu = NormalizationSpec.lp(2.0)
+    assert (tightest_pos_hom_on_ball(ZeroHomFnSpec.l0(1), nu, 0.7, cand1)
+            == tightest_pos_hom_on_ball(ZeroHomFnSpec.l0(1), nu, [0.7], cand1))
     # f = 0 on the whole grid: support is 0 everywhere
     f0 = FunctionSample(g, np.zeros(g.node_count))
     assert best_pos_hom_on_subset(f0, lambda x: True, [0.3, -0.8], cand, tol=1e-9) == 0.0

@@ -1027,6 +1027,19 @@ def test_gauge_collapse_gate_where_a_power_overflows():
         assert not lp_gauge_collapses(PhiSpec.from_values([0.0, 10.0, 10.0000001]), 1.0000001)
 
 
+def test_gauge_collapse_gate_where_a_power_underflows():
+    # phi(l)^q is below the smallest float in each case, so the powers all
+    # round to 0 and would compare equal; phi decreases, so l -> phi(l)^q / l
+    # does too and the gauge does not collapse.
+    for w, p in (([0.0, 0.5, 0.4], 1.0000001), ([0.0, 1e-200, 0.9e-200], 1.5)):
+        assert not lp_gauge_collapses(PhiSpec.from_values(w), p)
+    # The tightest norm below phi(l0(.)) on the unit ball is at most
+    # phi(2) = 0.4 at the ball's point x / |x|_p, not phi(1) l1 = 0.5 l1.
+    x = np.array([1.0, 1.0])
+    obj = best_norm_object(PhiSpec.from_values([0.0, 0.5, 0.4]), SourceNormSpec.lp(1.0000001, 2))
+    assert not obj.exact and obj.value(x) <= 0.4 * lp_value(x, 1.0000001)
+
+
 def test_duality_pairing_property():
     for p in (1.0, 2.0, math.inf):
         q = conj_exponent(p)
