@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .numerics import _check_work
+from .numerics import _check_dim, _check_work
 
 
 def kronecker_sequence(count: int, dim: int) -> np.ndarray:
@@ -26,8 +26,7 @@ def kronecker_sequence(count: int, dim: int) -> np.ndarray:
 def unit_directions(count: int, dim: int) -> np.ndarray:
     """Deterministic quasi-uniform points on the Euclidean unit sphere, (count,
     dim); above ``MAX_TRANSFORM_WORK`` floats refused with ``work-too-large``."""
-    if dim < 1:
-        raise ValueError(f"invalid-dim: dimension must be >= 1 (got {dim})")
+    dim = _check_dim(dim, "dimension must be")
     _check_work(count * dim, "unit directions", "floats")
     if dim == 1:
         reps = (count + 1) // 2

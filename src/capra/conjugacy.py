@@ -63,10 +63,11 @@ from .norms import (
     conj_exponent,
     top_k_norm_table,
 )
-from .numerics import (FunctionSample, Grid, _as_rows, _axis_extent, _axis_magnitudes,
-                       _block_rows, _check_pairing, _check_work, _count_nonzero_rows,
-                       _evaluate_rows, _finite_scale, _fold_axes, _half_index, _nonzero_rows,
-                       _on_magnitudes, _refuse_nan, _refuse_nonfinite, _unfold, low_add)
+from .numerics import (FunctionSample, Grid, _DOT_SAFE, _as_rows, _axis_extent,
+                       _axis_magnitudes, _block_rows, _check_dim, _check_pairing, _check_work,
+                       _count_nonzero_rows, _evaluate_rows, _finite_scale, _fold_axes,
+                       _half_index, _nonzero_rows, _on_magnitudes, _refuse_nan, _refuse_nonfinite,
+                       _unfold, low_add)
 
 __all__ = [
     "CouplingSpec",
@@ -263,11 +264,6 @@ class CouplingSpec:
     nu: NormalizationSpec
 
 
-# A plain <x, y> of d coordinates cannot overflow while d max|x| max|y| is
-# below this: no product or partial sum is larger than about that.
-_DOT_SAFE = 2.0 ** 1022
-
-
 def capra_coupling(x, y, coupling: CouplingSpec) -> float:
     """``<x, y> / nu(x)``, and 0 at x = 0.
 
@@ -384,8 +380,7 @@ def build_sphere_sample(nu: NormalizationSpec, dim: int,
     :func:`_capra_route`, taken only for a custom f or a custom nu, builds
     its sample on every call.
     """
-    if dim < 1:
-        raise ValueError(f"invalid-dim: a sphere sample needs dim >= 1 (got {dim})")
+    dim = _check_dim(dim, "a sphere sample needs dim")
     _check_homogeneous(nu, dim)
     # The origin and the 3^dim - 1 sign patterns, then the strata's rows.
     rows = 3**dim

@@ -48,8 +48,8 @@ from .norms import (
     lp_value,
     lp_value_batch,
 )
-from .numerics import (FunctionSample, Grid, _axis_magnitudes, _finite_scale, _on_magnitudes,
-                       default_dual_grid, format_extreal)
+from .numerics import (FunctionSample, Grid, _axis_magnitudes, _check_dim, _finite_scale,
+                       _on_magnitudes, default_dual_grid, format_extreal)
 
 __all__ = [
     "BALL_TOL",
@@ -75,8 +75,7 @@ def ball_box_grid(dim: int, count: int) -> Grid:
     The step is ``2 / (count - 3)``, so the sphere's axis points sit exactly
     one cell inside the box boundary and are grid nodes.
     """
-    if dim < 1:
-        raise ValueError(f"invalid-dim: a ball grid needs dim >= 1 (got {dim})")
+    dim = _check_dim(dim, "a ball grid needs dim")
     if count < 5 or count % 2 == 0:
         raise ValueError(f"invalid-grid: ball grid needs an odd count >= 5 (got {count})")
     h = 2.0 / (count - 3)

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._directions import sign_patterns, unit_directions
-from .numerics import (_as_rows, _block_rows, _check_work, _evaluate_rows, _nonzero_rows,
-                       _refuse_nan)
+from .numerics import (_DOT_SAFE, _as_rows, _block_rows, _check_dim, _check_work,
+                       _evaluate_rows, _nonzero_rows, _refuse_nan)
 
 __all__ = [
     "conj_exponent",
@@ -253,7 +253,7 @@ class SourceNormSpec:
 
     def __post_init__(self):
         _check_spec(self, {"lp": "p", "custom": "fn"})
-        self.dim = int(self.dim)
+        self.dim = _check_dim(self.dim, "a source norm needs dim")
         if self.kind == "lp":
             self.p = float(self.p)
             if not self.p >= 1.0:  # NaN too
@@ -322,11 +322,11 @@ class PhiSpec:
 
     @classmethod
     def identity(cls, dim: int) -> "PhiSpec":
-        return cls(np.arange(dim + 1, dtype=float))
+        return cls(np.arange(_check_dim(dim, "phi needs dim") + 1, dtype=float))
 
     @classmethod
     def scaled_identity(cls, scale: float, dim: int) -> "PhiSpec":
-        levels = np.arange(dim + 1, dtype=float)
+        levels = np.arange(_check_dim(dim, "phi needs dim") + 1, dtype=float)
         with np.errstate(over="ignore"):  # a level beyond the largest float is +inf
             levels[1:] *= scale  # level 0 stays an exact 0, also for an infinite scale
         return cls(levels)
@@ -595,16 +595,13 @@ def _restricted_dual_cloud(source: SourceNormSpec,
 
 def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndarray:
     """Sampled dual coordinate-l norms of a custom source at the rows of Y,
-    a column per level l: the max of 0 and of ``<y_K, u> / t`` over the
-    clouds of :func:`_restricted_dual_cloud`.  ``np.vecdot`` of C-ordered
-    operands rounds each pairing as ``np.dot(y_K, u)`` does (a strided y_K
-    or a matrix product would not; at l = 1 only the sign of a zero
-    differs, which the max with 0 hides), and NaN pairings (inf times 0)
-    are skipped.  A finite row whose pairing overflows is paired at
-    ``y / max|y|`` and its max scaled back, +inf without a warning beyond
-    the largest float.  Rows run in blocks of ``_BLOCK_FLOATS`` pairings, or
-    one row, and more than ``MAX_TRANSFORM_WORK`` pairings in all raise
-    ``work-too-large`` before any cloud is built."""
+    a column per level l: the max of 0 and of the :func:`_cloud_support` of
+    the directions of :func:`_restricted_dual_cloud` at the C-ordered y_K
+    of every size-l support K, divided by the source's values there (a
+    strided y_K would round differently).  Rows run in blocks of
+    ``_BLOCK_FLOATS`` pairings, or one row, and more than
+    ``MAX_TRANSFORM_WORK`` pairings in all raise ``work-too-large`` before
+    any cloud is built."""
     n, d = Y.shape
     if d != source.dim:
         raise ValueError(f"dimension-mismatch: points have dim {d}, the source {source.dim}")
@@ -613,26 +610,12 @@ def _custom_dual_table(Y: np.ndarray, source: SourceNormSpec, levels) -> np.ndar
     per_row = sum(math.comb(d, l) * (3**l - 1 + _DIRECTIONS_PER_SUBSET * (l > 1))
                   for l in levels)
     _check_work(n * per_row, "custom dual gauge", "pairings")
-    # No direction of a cloud has a coordinate beyond 1, so a pairing is at
-    # most l max|y|: only a finite row above 1e308 / d can overflow.
-    m = np.max(np.abs(Y), axis=1)
-    near = (m > 1e308 / d) & (m < math.inf)
     out = np.zeros((n, len(levels)))
     for col, l in enumerate(levels):
         supports, dirs, values = _restricted_dual_cloud(source, l)
         step = _block_rows(n, values.size)
         for i in range(0, n, step):
-            ys = np.ascontiguousarray(Y[i:i + step, supports])  # strided along K
-            with np.errstate(over="ignore", invalid="ignore"):
-                r = np.vecdot(ys[:, :, None, :], dirs)
-                redo = np.flatnonzero(near[i:i + step])
-                if redo.size:
-                    redo = redo[~np.isfinite(r[redo]).all(axis=(1, 2))]
-                    r[redo] = np.vecdot((ys[redo] / m[i + redo, None, None])[:, :, None, :], dirs)
-                r /= values
-                best = np.fmax.reduce(r.reshape(r.shape[0], -1), axis=1)
-                if redo.size:
-                    best[redo] *= m[i + redo]
+            best = _cloud_support(dirs, np.ascontiguousarray(Y[i:i + step, supports]), values)
             out[i:i + step, col] = np.where(best > 0.0, best, 0.0)
     return out
 
@@ -720,12 +703,6 @@ def _finite_level_norms(y, phi: PhiSpec, source: SourceNormSpec) -> tuple[list, 
     return levels, phi._weights.tolist()
 
 
-def _in_phi_dual_ball(Y, phi: PhiSpec, source: SourceNormSpec) -> np.ndarray:
-    """Row-wise membership in the dual unit ball of the best norm below
-    ``phi(l0(.))``: ``phi_dual_gauge <= 1 + 1e-12``."""
-    return phi_dual_gauge_batch(Y, phi, source) <= 1.0 + 1e-12
-
-
 @dataclass
 class NormObject:
     """An evaluable norm with its dual gauge.
@@ -772,36 +749,48 @@ def lp_gauge_collapses(phi: PhiSpec, p: float) -> bool:
     return all(a <= b + math.log1p(1e-12) for a, b in zip(logs, logs[1:]))
 
 
-def _cloud_support(cloud: np.ndarray, x) -> float | np.ndarray:
-    """``max <c, x>`` over the rows c of a finite cloud, -inf when it is
-    empty: a float for one point x (a scalar is a point of one coordinate),
-    one value per row for an (n, d) x.
+def _cloud_support(cloud: np.ndarray, x, divisors=None) -> float | np.ndarray:
+    """``max <c, x> / t`` over the rows c of a finite cloud, -inf when it is
+    empty: a float for one point x (a scalar is a point of one coordinate);
+    for x of shape (n, ..., k), one value per row, the max over all of its
+    points.  ``divisors`` t, 1 when None, broadcast against the pairings.
 
-    A row is :func:`capra.oracle.support_function_bruteforce` over the cloud
-    bit for bit: each pairing is ``np.vecdot`` and the first maximal one
-    wins, at ``x / max|x|`` scaled back where a pairing of a finite x
-    overflows (+inf without a warning beyond the largest float).  A NaN
-    coordinate raises ``nan-input``, and NaN pairings (an infinite
-    coordinate times a zero one) are skipped.
+    A pairing is ``np.vecdot``, and without divisors a row of one point is
+    :func:`capra.oracle.support_function_bruteforce` over the cloud bit for
+    bit, the first maximal pairing deciding the sign of a zero.  A row whose
+    pairing overflows, which takes ``k max|x| max|c|`` above ``_DOT_SAFE``
+    and finite x, is paired at ``x / max|x|`` and its max scaled back (+inf
+    without a warning beyond the largest float).  A NaN coordinate raises
+    ``nan-input``; NaN quotients (an infinite coordinate times a zero one,
+    or a NaN divisor) are skipped, and a row of them alone is -inf.
     """
     x = np.asarray(x, dtype=float)
-    _refuse_nan(x, "a point coordinate")
-    rows = x.reshape(-1, x.shape[-1] if x.ndim else 1)
-    if len(cloud) == 0:
-        best = np.full(len(rows), -math.inf)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            dots = np.vecdot(cloud, rows[:, None, :])
-            redo = np.flatnonzero(~np.isfinite(dots).all(axis=1))
-            if redo.size:
-                m = np.max(np.abs(rows[redo]), axis=1)
-                m[m == math.inf] = 1.0
-                # np.fmax with -inf turns the NaN pairings into -inf.
-                dots[redo] = np.fmax(np.vecdot(cloud, (rows[redo] / m[:, None])[:, None, :]),
-                                     -math.inf)
-            best = dots[np.arange(len(rows)), np.argmax(dots, axis=1)]
-            if redo.size:
-                best[redo] *= m
+    rows = x.reshape(1, -1) if x.ndim <= 1 else x
+    a = np.abs(rows)
+    top = float(np.maximum.reduce(a, axis=None, initial=0.0))  # NaN propagates
+    if top != top:
+        raise ValueError("nan-input: a point coordinate is NaN")
+    # No pairing of a row overflows while k max|c| max|x| <= _DOT_SAFE.
+    k_cmax = rows.shape[-1] * float(np.maximum.reduce(np.abs(cloud), axis=None, initial=0.0))
+    axes = tuple(range(1, rows.ndim))  # a row's points, and then its pairings
+    with np.errstate(over="ignore", invalid="ignore"):
+        dots = np.vecdot(rows[..., None, :], cloud)
+        redo = None
+        if top * k_cmax > _DOT_SAFE:
+            m = np.maximum.reduce(a, axis=axes)
+            near = (m * k_cmax > _DOT_SAFE) & (m < math.inf)
+            redo = np.flatnonzero(near & ~np.isfinite(dots).all(axis=axes))
+            scale = np.expand_dims(m[redo], axes)
+            dots[redo] = np.vecdot((rows[redo] / scale)[..., None, :], cloud)
+        if divisors is not None:
+            dots /= divisors
+        best = np.fmax.reduce(dots, axis=axes, initial=-math.inf)
+        if not best.all():  # the first maximal pairing gives a zero its sign
+            zero = np.flatnonzero(best == 0.0)
+            flat = dots[zero].reshape(zero.size, -1)
+            best[zero] = flat[np.arange(zero.size), np.argmax(flat == 0.0, axis=1)]
+        if redo is not None:
+            best[redo] *= m[redo]
     return float(best[0]) if x.ndim <= 1 else best
 
 
@@ -814,11 +803,10 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
     of :func:`lp_gauge_collapses` holds the primal is exactly
     ``phi(1) * l1``; otherwise it is a direction-sampled lower estimate, the
     max of ``<x, c>`` over a cloud of ``n_directions`` plus ``3^d - 1``
-    points of the dual unit ball: each direction u rescaled to
-    ``u / gauge(u)`` and kept when it passes ``gauge <= 1 + 1e-12``
-    (:func:`_in_phi_dual_ball`).  The ball does not depend on x, so the
-    cloud is built once, at the first evaluation of a nonzero x, and the
-    value is its :func:`_cloud_support`.
+    points on the boundary of the dual unit ball: each direction u of
+    finite, positive gauge rescaled to ``u / gauge(u)``.  The ball does not
+    depend on x, so the cloud is built once, at the first evaluation of a
+    nonzero x, and the value is its :func:`_cloud_support`.
     """
     _check_phi_dim(phi, source.dim)
     dual = functools.partial(phi_dual_gauge, phi=phi, source=source)
@@ -837,8 +825,7 @@ def best_norm_object(phi: PhiSpec, source: SourceNormSpec,
             U = np.vstack([unit_directions(n_directions, source.dim), patterns])
             g = phi_dual_gauge_batch(U, phi, source)
             keep = (g > 0.0) & (g < math.inf)
-            C = U[keep] / g[keep, None]
-            cloud = C[_in_phi_dual_ball(C, phi, source)]
+            cloud = U[keep] / g[keep, None]
         return _cloud_support(cloud, x.reshape(-1))
 
     return NormObject(primal, dual, False, source.dim)

@@ -11,6 +11,7 @@ by branch in :func:`low_add` and never by rounding.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -45,6 +46,10 @@ MAX_TRANSFORM_WORK = 2_000_000_000
 # calls 0.28-0.31 s against 0.31-0.47 s at 2^14, 2^15 and 2^17.
 _BLOCK_FLOATS = 1 << 16
 
+# A plain <x, y> of d coordinates cannot overflow while d max|x| max|y| is
+# below this: no product or partial sum is larger than about that.
+_DOT_SAFE = 2.0 ** 1022
+
 
 def _block_rows(rows: int, per_row: int) -> int:
     """Rows of ``per_row`` floats per block: at least one, at most ``rows``."""
@@ -55,6 +60,15 @@ def _check_work(work: int, what: str, unit: str = "updates") -> None:
     if work > MAX_TRANSFORM_WORK:
         raise ValueError(f"work-too-large: {what} needs {work:.3g} {unit}, "
                          f"over the cap of {MAX_TRANSFORM_WORK:.3g}")
+
+
+def _check_dim(dim, what: str) -> int:
+    """``dim`` as an int; ``invalid-dim`` ("{what} >= 1") where it is below
+    1 or is no integer (has no ``__index__``: a float, a string, None)."""
+    d = operator.index(dim) if hasattr(type(dim), "__index__") else 0
+    if d < 1:
+        raise ValueError(f"invalid-dim: {what} >= 1 (got {dim!r})")
+    return d
 
 
 def _check_pairing(xmax: float, ymax1: float, fmax: float, what: str) -> float:
@@ -247,7 +261,8 @@ class Grid:
     lowers, uppers : tuple of float
         Per-axis bounds, ``lowers[k] < uppers[k]``.
     counts : tuple of int
-        Per-axis node counts, each >= 2.
+        Per-axis node counts, each >= 2; ``node_count * dim`` floats above
+        ``MAX_TRANSFORM_WORK`` are refused before any axis is built.
     """
 
     lowers: tuple
@@ -263,6 +278,7 @@ class Grid:
             raise ValueError("invalid-bounds: bounds and counts must have equal length")
         if not self.counts:
             raise ValueError("invalid-bounds: grid needs at least one axis")
+        _check_work(self.node_count * self.dim, "node array", "floats")
         self.axes = tuple(
             _axis(lo, hi, n) for lo, hi, n in zip(self.lowers, self.uppers, self.counts)
         )
@@ -274,7 +290,7 @@ class Grid:
 
     @property
     def node_count(self) -> int:
-        return int(np.prod(self.counts))
+        return math.prod(self.counts)
 
     @property
     def steps(self) -> tuple:
@@ -285,9 +301,8 @@ class Grid:
 
     @property
     def nodes(self) -> np.ndarray:
-        """All nodes as an (node_count, dim) array, row-major order; refused over budget."""
+        """All nodes as an (node_count, dim) array, row-major order."""
         if self._nodes is None:
-            _check_work(self.node_count * self.dim, "node array", "floats")
             mesh = np.meshgrid(*self.axes, indexing="ij")
             pts = np.stack([m.reshape(-1) for m in mesh], axis=1)
             pts.flags.writeable = False

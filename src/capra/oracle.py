@@ -35,7 +35,7 @@ from ._directions import sign_patterns
 from .numerics import (FunctionSample, Grid, _axis_extent, _block_rows, _check_pairing,
                        _check_work, _finite_scale, _fold_axes, _half_index, _unfold, build_grid,
                        default_dual_grid)
-from .norms import PhiSpec, SourceNormSpec, _in_phi_dual_ball, conj_exponent, top_k_norm_table
+from .norms import PhiSpec, SourceNormSpec, conj_exponent, phi_dual_gauge_batch, top_k_norm_table
 
 __all__ = [
     "SEED",
@@ -271,9 +271,11 @@ def support_function_bruteforce(x, membership, candidates) -> float:
 def _phi_dual_support(x, phi: PhiSpec, source: SourceNormSpec) -> float:
     """:func:`support_function_bruteforce` of the dual unit ball of the best
     norm below ``phi(l0(.))``, over the step-0.25 lattice on
-    ``[-1.25, 1.25]^d`` (corners included)."""
+    ``[-1.25, 1.25]^d`` (corners included): its members have
+    ``phi_dual_gauge <= 1 + 1e-12``."""
     lattice = build_grid([(-1.25, 1.25)] * source.dim, [11] * source.dim).nodes
-    return support_function_bruteforce(x, lambda Y: _in_phi_dual_ball(Y, phi, source), lattice)
+    return support_function_bruteforce(
+        x, lambda Y: phi_dual_gauge_batch(Y, phi, source) <= 1.0 + 1e-12, lattice)
 
 
 def default_direction_set(dim: int, count: int, seed: int = SEED) -> np.ndarray:

@@ -246,14 +246,17 @@ def test_envelope_invalid_nu_exit_3(capsys):
 
 def test_envelope_work_too_large_exit_3(capsys, monkeypatch):
     # 401^3 primal nodes against the default 257^3 dual grid fold to 2.15e9
-    # updates, and 61^4 against 257^4 to 2.6e10: refused from the array
-    # shapes, before any grid's nodes are built.
+    # updates: refused from the array shapes, before any grid's nodes are
+    # built.  The default 257^4 dual grid of d = 4 holds 1.7e10 node floats,
+    # so it is refused as it is built, before any axis.
     nodes = []
     monkeypatch.setattr(Grid, "nodes", property(lambda grid: nodes.append(grid)))
-    for dim, grid in (("3", "401"), ("4", "61")):
+    # A grid count of 1e12 + 1 asked for 7.28 TiB of axis nodes.
+    for dim, grid, what in (("3", "401", "envelope transform"), ("4", "61", "node array"),
+                            ("2", "1000000000001", "node array")):
         t0 = time.perf_counter()
         code, _, err = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", dim, "--grid", grid)
-        assert code == 3 and err.startswith("error: work-too-large: envelope transform needs ")
+        assert code == 3 and err.startswith(f"error: work-too-large: {what} needs ")
         assert time.perf_counter() - t0 < 1.0 and nodes == []
     monkeypatch.undo()
     code, out, _ = run_cli(capsys, "envelope", "--nu", "lp:2", "--dim", "2", "--grid", "201")
@@ -380,6 +383,8 @@ def test_verify_oracle_modes(tmp_path, capsys):
     (("ksupport", "--x", "1,2", "--p", "2", "--k", "1", "--count", "-1"), "invalid-count"),
     (("conjugate", "--grid", "40001", "--at", "1,1"), "work-too-large"),  # 3.2e9 floats
     (("envelope2d", "--grid", "241"), "work-too-large"),  # 2.16e9 pairs per pass
+    # np.arange of one axis asked for 7.28 TiB before any size check.
+    (("conjugate", "--grid", "1000000000001", "--at", "1,1"), "work-too-large"),
 ])
 def test_verify_oracle_refuses_before_allocating(capsys, argv, tag):
     t0 = time.perf_counter()

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import warnings
 
 import numpy as np
@@ -24,6 +25,7 @@ from capra.conjugacy import (
 from capra.norms import NormalizationSpec, PhiSpec, SourceNormSpec, lp_value_batch
 from capra.numerics import FunctionSample, Grid, build_grid, default_dual_grid, sample
 from capra.envelope import BALL_TOL, ball_box_grid, tightest_convex_on_ball
+from capra._directions import unit_directions
 
 RNG = np.random.default_rng(0x5EED)
 
@@ -862,6 +864,37 @@ def test_sphere_route_refuses_mismatches_by_name(run, match):
         warnings.simplefilter("error")
         with pytest.raises(ValueError, match=match):
             run()
+
+
+@pytest.mark.parametrize("dim", [2.5, 2.0, "x", None, 0, -1])
+def test_dimensions_are_integers_of_at_least_one(dim):
+    # A float dimension built a source of int(2.5) = 2 coordinates (and a
+    # best norm of value 3.0 at [1, 2]), identity weights [0, 1, 2, 3], or a
+    # TypeError; a string or None raised an untagged message.
+    lp2 = NormalizationSpec.lp(2.0)
+    builders = {
+        "a source norm needs dim": (lambda: SourceNormSpec.lp(2.0, dim),
+                                    lambda: SourceNormSpec.custom(lambda z: 1.0, dim)),
+        "phi needs dim": (lambda: PhiSpec.identity(dim),
+                          lambda: PhiSpec.scaled_identity(2.0, dim)),
+        "a ball grid needs dim": (lambda: ball_box_grid(dim, 7),),
+        "a sphere sample needs dim": (lambda: build_sphere_sample(lp2, dim),),
+        "dimension must be": (lambda: unit_directions(8, dim),),
+    }
+    for what, runs in builders.items():
+        for run in runs:
+            with pytest.raises(ValueError, match=f"^invalid-dim: {what} >= 1 "
+                                                 rf"\(got {re.escape(repr(dim))}\)$"):
+                run()
+
+
+def test_integer_dimensions_of_any_integer_type_are_kept():
+    for dim in (3, np.int64(3), np.intp(3)):
+        src = SourceNormSpec.lp(2.0, dim)
+        assert type(src.dim) is int and src.dim == 3
+        assert PhiSpec.identity(dim).values.tolist() == [0.0, 1.0, 2.0, 3.0]
+        assert ball_box_grid(dim, 7).dim == 3
+        assert build_sphere_sample(NormalizationSpec.lp(2.0), dim, 64).shape[1] == 3
 
 
 @pytest.mark.parametrize("d", range(1, 10))

@@ -642,7 +642,7 @@ def test_custom_rows_in_blocks_bit_identical_to_support_loop(monkeypatch):
             assert table[0].tolist() == [0.0] * d and math.isinf(table[1, 0])
 
 
-def test_custom_dual_rescales_a_pairing_that_overflows():
+def test_custom_dual_rescales_a_pairing_that_overflows(monkeypatch):
     # <y_K, u> overflows at y near the largest float while the dual norm is
     # finite: the row is paired at y / max|y| and scaled back, without a
     # warning, and each row of a batch is its single-point value.
@@ -659,6 +659,26 @@ def test_custom_dual_rescales_a_pairing_that_overflows():
         rows = phi_dual_gauge_batch(Y, phi, l1)
     assert rows[2:].tolist() == [1.7e308, math.inf]
     assert rows[:2].tobytes() == np.array([phi_dual_gauge(x, phi, l1) for x in Y[:2]]).tobytes()
+    # A source that is 0 on every direction along the first axis, whose
+    # values there are NaN divisors: the overflowing rows meet NaN quotients,
+    # which are skipped, and each level is the per-support loop at
+    # y / max|y| times max|y|.  The last row's dual norms are finite.
+    monkeypatch.setattr(norms_module, "_DIRECTIONS_PER_SUBSET", 64)
+    w = np.arange(1.0, 4.0)
+    src = SourceNormSpec.custom(lambda z: lp_value(w[1:] * z[1:], 1.5), 3)
+    Y = np.vstack([Y, [0.0, 1.7e308, -1.7e308]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = norms_module._custom_dual_table(Y, src, [1, 2, 3])
+        rows = phi_dual_gauge_batch(Y, phi, src)
+        single = [phi_dual_gauge(x, phi, src) for x in Y]
+    for row, scale in ((2, 1.7e308), (3, 1.0), (4, 1.7e308)):
+        want = [max([0.0] + [_python_restricted_dual(Y[row, list(K)] / scale, src, K, 64)
+                             for K in itertools.combinations(range(3), k)]) * scale
+                for k in (1, 2, 3)]
+        assert table[row].tolist() == want
+    assert np.isfinite(table[4]).all() and table[3].tolist() == [0.5, math.inf, math.inf]
+    assert rows.tobytes() == np.array(single).tobytes()
 
 
 def test_custom_gauge_work_cap(monkeypatch):
@@ -856,6 +876,46 @@ def test_best_norm_object_primal_equals_bruteforce_bit_for_bit(phi, p, n_directi
         # pairing and the batch gauge under test.
         want = max(float(np.dot(x, c)) for c in cands if gauge(c) <= 1.0 + 1e-12)
         assert obj.value(x) == want
+
+
+def test_sampled_best_norm_cloud_lies_in_its_dual_ball(monkeypatch):
+    # The cloud is each direction u over its finite, positive gauge, gauged
+    # once: every row has gauge <= 1 + 1e-12, the referee's membership
+    # bound, over 400 profiles: lp sources at p in {1, 1.5, 2, 3, inf} and
+    # custom ones, d = 1..5, +inf levels, weights scaled by 1e300, and
+    # levels of 1.7e308 and 5e-324.
+    monkeypatch.setattr(norms_module, "_DIRECTIONS_PER_SUBSET", 64)
+    kernel, clouds = norms_module._cloud_support, []
+
+    def support(cloud, x, divisors=None):
+        if divisors is None:  # the custom dual table passes its values
+            clouds.append(cloud)
+        return kernel(cloud, x, divisors)
+
+    monkeypatch.setattr(norms_module, "_cloud_support", support)
+    rng = np.random.default_rng(37)
+    rows = 0
+    for i in range(400):
+        d = 1 + i % 5
+        w = rng.uniform(0.1, 3.0, d) * (1e300 if i % 7 == 0 else 1.0)
+        w[rng.random(d) < 0.2] = math.inf
+        w[rng.integers(d)] = {3: 1.7e308, 6: 5e-324}.get(i % 10, w[0])
+        if not np.isfinite(w).any():
+            w[-1] = 1.0
+        phi = PhiSpec.from_values([0.0, *w])
+        if i % 8 == 0 and d <= 3:
+            c = rng.uniform(0.5, 2.0, d)
+            src = SourceNormSpec.custom(lambda z, c=c: lp_value(c * z, 2.0), d)
+        else:
+            src = SourceNormSpec.lp(float(rng.choice([1.0, 1.5, 2.0, 3.0, math.inf])), d)
+        obj = best_norm_object(phi, src, n_directions=512)
+        if obj.exact:
+            continue
+        obj.value(rng.standard_normal(d))
+        cloud = clouds.pop()
+        assert (phi_dual_gauge_batch(cloud, phi, src) <= 1.0 + 1e-12).all(), (phi, src)
+        rows += len(cloud)
+    assert rows > 100_000
 
 
 def test_infinite_coordinates_give_plus_inf():

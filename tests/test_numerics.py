@@ -1,5 +1,7 @@
 import itertools
 import math
+import re
+import time
 import warnings
 
 import numpy as np
@@ -78,6 +80,34 @@ def test_build_grid_invalid_bounds():
                 build_grid([bounds], [3])
         g = build_grid([(-1.7e308, 1.7e308)] * 2, [3, 3])
     assert [ax.tolist() for ax in g.axes] == [[-1.7e308, 0.0, 1.7e308]] * 2
+
+
+def test_grid_over_the_node_budget_is_refused_before_any_axis(monkeypatch):
+    # node_count * dim floats above MAX_TRANSFORM_WORK are refused as the
+    # grid is built: np.arange of 1e12 nodes asked for 7.28 TiB, and
+    # np.prod of two such counts wrapped past 2^63 to 2.0e18.
+    def no_axis(*args):
+        raise AssertionError("an axis was built")
+
+    monkeypatch.setattr(numerics, "_axis", no_axis)
+    for counts in ([10**12] * 2, [2**32] * 2, [2**64 + 2] * 3):
+        t0 = time.perf_counter()
+        want = f"work-too-large: node array needs {math.prod(counts) * len(counts):.3g} floats"
+        with pytest.raises(ValueError, match="^" + re.escape(want)):
+            build_grid([(-1.0, 1.0)] * len(counts), counts)
+        assert time.perf_counter() - t0 < 1.0
+    monkeypatch.undo()
+    # The budget counts node floats: 100 nodes of one axis, or 10 x 10 of
+    # two, at a budget of 100 and 200.
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 100)
+    assert build_grid([(-1.0, 1.0)], [100]).node_count == 100
+    with pytest.raises(ValueError, match="^work-too-large: node array needs 101 floats"):
+        build_grid([(-1.0, 1.0)], [101])
+    monkeypatch.setattr(numerics, "MAX_TRANSFORM_WORK", 200)
+    g = build_grid([(-1.0, 1.0)] * 2, [10, 10])
+    assert g.node_count == 100 and type(g.node_count) is int and g.nodes.shape == (100, 2)
+    with pytest.raises(ValueError, match="^work-too-large: node array needs 220 floats"):
+        build_grid([(-1.0, 1.0)] * 2, [10, 11])
 
 
 def test_grid_equality_compares_bounds_and_counts():
